@@ -10,8 +10,6 @@ from .signomial import ExactEvaluationError, Monomial, Signomial, rational_pow
 from .space import (
     HomogeneousSpace,
     MetricPoint,
-    gradient,
-    hessian,
     load_space,
     space_from_dict,
     space_to_dict,
@@ -60,8 +58,6 @@ __all__ = [
     "rational_pow",
     "HomogeneousSpace",
     "MetricPoint",
-    "gradient",
-    "hessian",
     "load_space",
     "space_from_dict",
     "space_to_dict",

@@ -20,15 +20,15 @@ curvature on the unit-volume slice.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import chart as chart_mod
 from .chart import Classification, SliceChart, find_critical_points, restrict
 from .probe import CurveSpec
 from .signomial import Signomial
-from .space import HomogeneousSpace, space_from_dict, _as_fraction
+from .space import HomogeneousSpace, space_from_dict, _as_fraction, _as_int
 
 FAMILIES: dict[str, dict] = {
     "e6_su2_so6": {
@@ -64,6 +64,7 @@ class CatalogEntry:
     kernel_direction: tuple
     expected_s3: "Fraction | float | None"
     note: str = ""
+    hints: frozenset = frozenset()  # hint keys a custom space file gave
 
     def curve(self) -> CurveSpec:
         return CurveSpec(base=self.critical_point, direction=self.kernel_direction)
@@ -235,6 +236,8 @@ _EXTRA_KEYS = {"critical_point", "kernel_direction", "expected_s3", "eliminate"}
 
 def _parse_coord(value, where: str):
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"{where}: expected a finite number, got {value}")
         return value
     return _as_fraction(value, where)
 
@@ -242,9 +245,10 @@ def _parse_coord(value, where: str):
 def load_custom(path) -> CatalogEntry:
     """Read a space file with optional critical-point, kernel and S3 hints.
 
-    Missing hints are filled in by the multi-start slice search: the first
-    degenerate critical point is preferred, then the first in coordinate
-    order, and the kernel direction defaults to the first kernel vector.
+    A missing critical point is filled in by the multi-start slice search:
+    the first degenerate critical point is preferred, then the first in
+    coordinate order.  A missing kernel direction stays None.  The entry's
+    hints record which hint keys the file gave.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -258,7 +262,7 @@ def load_custom(path) -> CatalogEntry:
     if issues:
         raise ValueError(f"{path}: " + "; ".join(issues))
     eliminated = extras.get("eliminate")
-    sl = restrict(space, None if eliminated is None else int(eliminated))
+    sl = restrict(space, None if eliminated is None else _as_int(eliminated, f"{path}.eliminate"))
 
     if "critical_point" in extras:
         point = tuple(
@@ -274,14 +278,12 @@ def load_custom(path) -> CatalogEntry:
         )
         point = chosen.coords
 
+    direction = None
     if "kernel_direction" in extras:
         direction = tuple(
             _parse_coord(v, f"{path}.kernel_direction[{i}]")
             for i, v in enumerate(extras["kernel_direction"])
         )
-    else:
-        vecs = chart_mod.kernel_basis(sl, [float(x) for x in point])
-        direction = tuple(float(c) for c in vecs[0]) if vecs else None
 
     expected = None
     if "expected_s3" in extras:
@@ -295,4 +297,5 @@ def load_custom(path) -> CatalogEntry:
         kernel_direction=direction,
         expected_s3=expected,
         note=f"custom entry from {path}",
+        hints=frozenset(extras),
     )

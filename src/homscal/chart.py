@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .signomial import Signomial
-from .space import HomogeneousSpace, gradient, hessian
+from .space import HomogeneousSpace
 
 
 class Classification(enum.Enum):
@@ -73,22 +73,22 @@ class SliceChart:
         return tuple(full)
 
     def gradient_values(self, point: Sequence[float]) -> np.ndarray:
+        f = self.reduced
         return np.array(
-            [g.eval_float(point) for g in gradient(self.reduced)], dtype=float
+            [f.partial(i).eval_float(point) for i in range(self.arity)], dtype=float
         )
 
     def gradient_scale(self, point: Sequence[float]) -> float:
         """Magnitude reference for deciding that a gradient has cancelled."""
-        parts = [g.eval_abs(point) for g in gradient(self.reduced)]
+        parts = [self.reduced.partial(i).eval_abs(point) for i in range(self.arity)]
         return math.sqrt(sum(p * p for p in parts))
 
     def hessian_values(self, point: Sequence[float]) -> np.ndarray:
-        h = hessian(self.reduced)
         m = self.arity
         out = np.zeros((m, m))
         for i in range(m):
             for j in range(i, m):
-                out[i, j] = out[j, i] = h[i][j].eval_float(point)
+                out[i, j] = out[j, i] = self.reduced.derivative((i, j)).eval_float(point)
         return out
 
 
@@ -165,55 +165,9 @@ def hessian_spectrum(chart: SliceChart, point: Sequence[float]):
     return jacobi_eigh(chart.hessian_values(point))
 
 
-def classify(
-    chart: SliceChart,
-    point: Sequence[float],
-    kernel_tol: float = 1e-9,
-    grad_tol: float = 1e-8,
-) -> Classification:
-    """Second-order label for a point of the chart.
-
-    kernel_tol is relative to the largest |eigenvalue|; grad_tol is relative
-    to the cancellation scale of the gradient entries.  DEGENERATE means the
-    Hessian is negative semidefinite with kernel: not settled at second
-    order, probe along the kernel.
-    """
-    if any(float(x) <= 0 for x in point):
-        raise ValueError("chart point must be strictly positive")
-    grad = chart.gradient_values(point)
-    scale = chart.gradient_scale(point)
-    if np.linalg.norm(grad) >= grad_tol * max(scale, 1e-300):
-        return Classification.NOT_CRITICAL
-    eigvals, _ = hessian_spectrum(chart, point)
-    band = kernel_tol * max(np.abs(eigvals).max(initial=0.0), 0.0)
-    if np.all(eigvals < -band):
-        return Classification.LOCAL_MAX_CANDIDATE
-    if np.any(eigvals > band):
-        return Classification.SADDLE
-    return Classification.DEGENERATE
-
-
-def kernel_basis(
-    chart: SliceChart, point: Sequence[float], kernel_tol: float = 1e-9
-) -> list[np.ndarray]:
-    """Unit eigenvectors with eigenvalue in the kernel band at a critical point.
-
-    Vectors are normalized with their first nonzero coordinate positive.
-    """
-    label = classify(chart, point, kernel_tol=kernel_tol)
-    if label is Classification.NOT_CRITICAL:
-        raise ValueError(f"point {tuple(point)} is not critical")
-    eigvals, eigvecs = hessian_spectrum(chart, point)
-    band = kernel_tol * np.abs(eigvals).max(initial=0.0)
-    out = []
-    for lam, vec in zip(eigvals, eigvecs.T):
-        if abs(lam) <= band:
-            unit = vec / np.linalg.norm(vec)
-            lead = next((c for c in unit if abs(c) > 1e-12), 1.0)
-            if lead < 0:
-                unit = -unit
-            out.append(unit)
-    return out
+def _kernel_band(eigenvalues, kernel_tol: float) -> float:
+    """Eigenvalues within this distance of zero count as kernel."""
+    return kernel_tol * max((abs(v) for v in eigenvalues), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -224,26 +178,74 @@ class CriticalPoint:
     eigenvalues: tuple[float, ...]
     eigenvectors: tuple[tuple[float, ...], ...]  # columns match eigenvalues
 
-    def as_record(self, kernel_tol: float = 1e-9) -> dict:
-        """Structured report: coordinates, gradient norm, spectrum, kernel."""
-        return {
-            "coords": list(self.coords),
-            "grad_norm": self.grad_norm,
-            "classification": str(self.label),
-            "eigenvalues": list(self.eigenvalues),
-            "kernel": [list(v) for v in self.kernel(kernel_tol)],
-        }
+    @classmethod
+    def at(
+        cls,
+        chart: SliceChart,
+        point: Sequence[float],
+        kernel_tol: float = 1e-9,
+        grad_tol: float = 1e-8,
+    ) -> "CriticalPoint":
+        """Label a chart point from one gradient check and one Hessian spectrum.
+
+        kernel_tol is relative to the largest |eigenvalue|; grad_tol is
+        relative to the cancellation scale of the gradient entries.
+        DEGENERATE means the Hessian is negative semidefinite with kernel:
+        not settled at second order, probe along the kernel.
+        """
+        coords = tuple(float(x) for x in point)
+        if not all(0 < x < math.inf for x in coords):
+            raise ValueError(f"chart point must be finite and strictly positive, got {coords}")
+        grad_norm = float(np.linalg.norm(chart.gradient_values(coords)))
+        eigvals, eigvecs = hessian_spectrum(chart, coords)
+        band = _kernel_band(eigvals, kernel_tol)
+        if grad_norm >= grad_tol * max(chart.gradient_scale(coords), 1e-300):
+            label = Classification.NOT_CRITICAL
+        elif np.all(eigvals < -band):
+            label = Classification.LOCAL_MAX_CANDIDATE
+        elif np.any(eigvals > band):
+            label = Classification.SADDLE
+        else:
+            label = Classification.DEGENERATE
+        return cls(
+            coords=coords,
+            grad_norm=grad_norm,
+            label=label,
+            eigenvalues=tuple(float(v) for v in eigvals),
+            eigenvectors=tuple(tuple(float(c) for c in row) for row in eigvecs),
+        )
 
     def kernel(self, kernel_tol: float = 1e-9) -> list[np.ndarray]:
-        band = kernel_tol * max(abs(v) for v in self.eigenvalues) if self.eigenvalues else 0.0
-        vecs = np.array(self.eigenvectors)
+        """Unit eigenvectors with eigenvalue in the kernel band, each with its
+        first nonzero coordinate positive."""
+        band = _kernel_band(self.eigenvalues, kernel_tol)
         out = []
-        for lam, vec in zip(self.eigenvalues, vecs.T):
+        for lam, vec in zip(self.eigenvalues, np.array(self.eigenvectors).T):
             if abs(lam) <= band:
                 unit = vec / np.linalg.norm(vec)
                 lead = next((c for c in unit if abs(c) > 1e-12), 1.0)
                 out.append(unit if lead > 0 else -unit)
         return out
+
+
+def classify(
+    chart: SliceChart,
+    point: Sequence[float],
+    kernel_tol: float = 1e-9,
+    grad_tol: float = 1e-8,
+) -> Classification:
+    """Second-order label for a point of the chart (see CriticalPoint.at)."""
+    return CriticalPoint.at(chart, point, kernel_tol=kernel_tol, grad_tol=grad_tol).label
+
+
+def kernel_basis(
+    chart: SliceChart, point: Sequence[float], kernel_tol: float = 1e-9
+) -> list[np.ndarray]:
+    """Unit Hessian kernel vectors at a critical point (see CriticalPoint.kernel)."""
+    cp = CriticalPoint.at(chart, point, kernel_tol=kernel_tol)
+    if cp.label is Classification.NOT_CRITICAL:
+        raise ValueError(f"point {tuple(point)} is not critical")
+    return cp.kernel(kernel_tol)
 
 
 def _newton_step(chart: SliceChart, u: np.ndarray) -> "np.ndarray | None":
@@ -315,8 +317,8 @@ def newton_critical(
     sharpens coordinates well past the first iterate that meets tol.
     """
     u = np.array([float(x) for x in start], dtype=float)
-    if len(u) != chart.arity or np.any(u <= 0):
-        raise ValueError("start must be a strictly positive chart point")
+    if len(u) != chart.arity or not np.all((u > 0) & np.isfinite(u)):
+        raise ValueError("start must be a finite, strictly positive chart point")
     converged = False
     for _ in range(max_iter):
         grad = chart.gradient_values(u)
@@ -343,18 +345,7 @@ def newton_critical(
         else:
             break
     snapped = _try_exact_snap(chart, best_u)
-    if snapped is not None:
-        best_u = snapped
-        best_norm = float(np.linalg.norm(chart.gradient_values(best_u)))
-    eigvals, eigvecs = hessian_spectrum(chart, best_u)
-    label = classify(chart, best_u, kernel_tol=kernel_tol)
-    return CriticalPoint(
-        coords=tuple(float(x) for x in best_u),
-        grad_norm=best_norm,
-        label=label,
-        eigenvalues=tuple(float(v) for v in eigvals),
-        eigenvectors=tuple(tuple(float(c) for c in row) for row in eigvecs),
-    )
+    return CriticalPoint.at(chart, best_u if snapped is None else snapped, kernel_tol=kernel_tol)
 
 
 def find_critical_points(

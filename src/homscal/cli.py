@@ -20,12 +20,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import catalog, lie_constants
 from .catalog import CatalogEntry, ParameterRangeError
-from .chart import Classification, classify, kernel_basis
+from .chart import Classification, CriticalPoint, find_critical_points
 from .probe import CurveSpec, Verdict, improving_offset, probe_chart
 from .signomial import ExactEvaluationError
 
@@ -60,12 +59,8 @@ def probe_record(
     """Run the full pipeline on one entry and return a plain-dict record."""
     ch = entry.chart
     fpoint = [float(x) for x in entry.critical_point]
-    label = classify(ch, fpoint, kernel_tol=kernel_tol)
-    kernel = (
-        []
-        if label is Classification.NOT_CRITICAL
-        else kernel_basis(ch, fpoint, kernel_tol=kernel_tol)
-    )
+    cp = CriticalPoint.at(ch, fpoint, kernel_tol=kernel_tol)
+    kernel = [] if cp.label is Classification.NOT_CRITICAL else cp.kernel(kernel_tol)
     curve = curve or entry.curve()
     result = probe_chart(ch, curve, mode=mode, tol_low=tol_low, tol_high=tol_high)
     witness = None
@@ -78,7 +73,7 @@ def probe_record(
         "n": entry.n,
         "reduced": ch.reduced.to_text(),
         "critical_point": [fmt(x) for x in entry.critical_point],
-        "classification": str(label),
+        "classification": str(cp.label),
         "kernel_directions": [[fmt(float(c)) for c in v] for v in kernel],
         "direction": [fmt(c) for c in curve.direction],
         "mode": result.mode,
@@ -224,28 +219,20 @@ def cmd_report(args) -> int:
     if unknown:
         print(f"error: unknown families {unknown}", file=sys.stderr)
         return 2
-    jobs: list[tuple[str, "int | None"]] = []
-    if "e6_su2_so6" in families:
-        jobs.append(("e6_su2_so6", None))
     ranges = {
         "su_n": args.range_su,
         "so2n_flag": args.range_flag,
         "su2n_mod_spn": args.range_sp,
     }
-    for family, rng in ranges.items():
-        if family in families:
-            for n in sorted(set(rng)):
-                jobs.append((family, n))
-    jobs.sort(key=lambda fn: (fn[0], -1 if fn[1] is None else fn[1]))
-
-    def run(job):
-        family, n = job
-        entry = catalog.build(family, n)
-        return probe_record(entry, mode=args.mode)
-
+    jobs = set()
+    for family in families:
+        rng = ranges.get(family)
+        jobs.update((family, n) for n in (catalog.default_parameters(family) if rng is None else rng))
     try:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(run, jobs))
+        records = [
+            probe_record(catalog.build(f, n), mode=args.mode)
+            for f, n in sorted(jobs, key=lambda fn: (fn[0], -1 if fn[1] is None else fn[1]))
+        ]
     except ParameterRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -266,45 +253,39 @@ def cmd_report(args) -> int:
 def cmd_custom(args) -> int:
     try:
         entry = catalog.load_custom(args.file)
+        hinted = not args.search and "critical_point" in entry.hints
+        if hinted:
+            points = [CriticalPoint.at(entry.chart, entry.critical_point,
+                                       kernel_tol=args.kernel_tol)]
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ch = entry.chart
-    hinted = not args.search and "critical_point" in _custom_hints(args.file)
     if hinted:
-        coords = [tuple(float(x) for x in entry.critical_point)]
+        print(f"critical point {tuple(fmt(x) for x in points[0].coords)}: {points[0].label}")
     else:
-        from .chart import find_critical_points
-
-        points = find_critical_points(ch, kernel_tol=args.kernel_tol)
+        points = find_critical_points(entry.chart, kernel_tol=args.kernel_tol)
         if not points:
             print("no critical points found")
             return 0
-        coords = [cp.coords for cp in points]
         for cp in points:
-            rec = cp.as_record(kernel_tol=args.kernel_tol)
             print(f"critical point {tuple(fmt(x) for x in cp.coords)}: "
-                  f"{rec['classification']}, |grad| = {fmt(rec['grad_norm'])}, "
-                  f"eigenvalues {[fmt(v) for v in rec['eigenvalues']]}")
+                  f"{cp.label}, |grad| = {fmt(cp.grad_norm)}, "
+                  f"eigenvalues {[fmt(v) for v in cp.eigenvalues]}")
     status = 0
-    for point in coords:
-        label = classify(ch, point, kernel_tol=args.kernel_tol)
-        if hinted:
-            print(f"critical point {tuple(fmt(x) for x in point)}: {label}")
-        if label is not Classification.DEGENERATE:
+    for cp in points:
+        if cp.label is not Classification.DEGENERATE:
             continue
         if hinted and entry.kernel_direction is not None:
             directions = [entry.kernel_direction]
         else:
-            vecs = kernel_basis(ch, point, kernel_tol=args.kernel_tol)
-            directions = [tuple(float(c) for c in v) for v in vecs]
+            directions = [tuple(float(c) for c in v) for v in cp.kernel(args.kernel_tol)]
         for direction in directions:
             probe_entry = CatalogEntry(
                 family=entry.family,
                 n=None,
                 space=entry.space,
-                chart=ch,
-                critical_point=_rationalize(point),
+                chart=entry.chart,
+                critical_point=_rationalize(cp.coords),
                 kernel_direction=_rationalize(direction),
                 expected_s3=entry.expected_s3 if hinted else None,
             )
@@ -324,15 +305,6 @@ def _rationalize(values) -> tuple:
         else:
             out.append(v)
     return tuple(out)
-
-
-def _custom_hints(path) -> set:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return set(data) if isinstance(data, dict) else set()
-    except Exception:
-        return set()
 
 
 # -- parser ----------------------------------------------------------------------
@@ -375,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
     p.add_argument("--out", default=None, help="output path, '-' for stdout")
-    p.add_argument("--workers", type=int, default=4)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("custom", help="probe a user-supplied space file")
@@ -391,12 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "range_su", "missing") is None and args.command == "report":
-        args.range_su = list(range(3, 11))
-    if getattr(args, "range_flag", "missing") is None and args.command == "report":
-        args.range_flag = list(range(4, 9))
-    if getattr(args, "range_sp", "missing") is None and args.command == "report":
-        args.range_sp = list(range(3, 7))
     return args.func(args)
 
 

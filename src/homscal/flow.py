@@ -16,7 +16,6 @@ import numpy as np
 
 from .chart import SliceChart
 from .signomial import Signomial
-from .space import gradient
 
 
 class FlowError(RuntimeError):
@@ -29,7 +28,7 @@ class _Compiled:
     def __init__(self, f: Signomial):
         self.arity = f.arity
         self._f_exps, self._f_coeffs = self._pack([f])[:2]
-        exps, coeffs, owner = self._pack(gradient(f))
+        exps, coeffs, owner = self._pack([f.partial(i) for i in range(f.arity)])
         self._g_exps, self._g_coeffs, self._g_owner = exps, coeffs, owner
 
     def _pack(self, sigs: Sequence[Signomial]):

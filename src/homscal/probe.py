@@ -56,6 +56,8 @@ class CurveSpec:
             raise ValueError("base and direction must have the same length")
         if not base:
             raise ValueError("empty curve")
+        if not all(math.isfinite(float(c)) for c in base + direction):
+            raise ValueError(f"curve coordinates must be finite, got {base}, {direction}")
         if any(float(x) <= 0 for x in base):
             raise ValueError(f"base point must be strictly positive, got {base}")
         if all(float(c) == 0 for c in direction):
@@ -92,24 +94,6 @@ class ProbeResult:
         return tuple(out)
 
 
-class PartialLattice:
-    """Memoized exact partial derivatives of one signomial, keyed by sorted
-    multi-indices; third partials are reused across probes and the Hessian."""
-
-    def __init__(self, f: Signomial):
-        self._cache: dict[tuple[int, ...], Signomial] = {(): f}
-
-    def get(self, alpha: Sequence[int]) -> Signomial:
-        key = tuple(sorted(alpha))
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        parent = self.get(key[:-1])
-        out = parent.partial(key[-1])
-        self._cache[key] = out
-        return out
-
-
 def _multinomial(counts: dict[int, int]) -> int:
     total = sum(counts.values())
     out = math.factorial(total)
@@ -123,7 +107,7 @@ def _is_rational_tuple(values: Sequence) -> bool:
 
 
 def _contract(
-    lattice: PartialLattice,
+    f: Signomial,
     order: int,
     point: Sequence,
     direction: Sequence,
@@ -140,7 +124,7 @@ def _contract(
         for i in alpha:
             counts[i] = counts.get(i, 0) + 1
         mult = _multinomial(counts)
-        part = lattice.get(alpha)
+        part = f.derivative(alpha)
         if exact:
             value = part.eval_exact(point)
             dirprod = Fraction(1)
@@ -188,7 +172,7 @@ def directional_derivatives(
         raise ExactEvaluationError(
             "exact mode needs int/Fraction base and direction coordinates"
         )
-    lattice = PartialLattice(chart.reduced)
+    f = chart.reduced
     want_exact = mode == "exact" or (mode == "auto" and rational_curve)
     used = "float"
     values: list = []
@@ -196,7 +180,7 @@ def directional_derivatives(
     if want_exact:
         try:
             for order in (1, 2, 3):
-                v, a = _contract(lattice, order, curve.base, curve.direction, exact=True)
+                v, a = _contract(f, order, curve.base, curve.direction, exact=True)
                 values.append(v)
                 scales.append(a)
             used = "exact"
@@ -206,13 +190,13 @@ def directional_derivatives(
             values, scales = [], []
     if not values:
         for order in (1, 2, 3):
-            v, a = _contract(lattice, order, curve.base, curve.direction, exact=False)
+            v, a = _contract(f, order, curve.base, curve.direction, exact=False)
             values.append(v)
             scales.append(a)
     fpoint = [float(x) for x in curve.base]
     third_max = 0.0
     for alpha in itertools.combinations_with_replacement(range(chart.arity), 3):
-        third_max = max(third_max, abs(lattice.get(alpha).eval_float(fpoint)))
+        third_max = max(third_max, abs(f.derivative(alpha).eval_float(fpoint)))
     return ProbeResult(
         s1=values[0],
         s2=values[1],
@@ -295,7 +279,6 @@ def suggest_fd_step(chart: SliceChart, curve: CurveSpec, default: float = 1e-3) 
     curves) and clamped to [1e-4, default] divided by the direction's
     max-norm, since halving the direction doubles the useful step.
     """
-    lattice = PartialLattice(chart.reduced)
     fpoint = [float(x) for x in curve.base]
     f_abs = chart.reduced.eval_abs(fpoint)
     s5_abs = 0.0
@@ -307,7 +290,7 @@ def suggest_fd_step(chart: SliceChart, curve: CurveSpec, default: float = 1e-3) 
         absdir = 1.0
         for i, c in counts.items():
             absdir *= abs(float(curve.direction[i])) ** c
-        s5_abs += mult * lattice.get(alpha).eval_abs(fpoint) * absdir
+        s5_abs += mult * chart.reduced.derivative(alpha).eval_abs(fpoint) * absdir
     vmax = max(abs(float(c)) for c in curve.direction)
     if s5_abs == 0.0 or f_abs == 0.0:
         return default / vmax

@@ -155,7 +155,7 @@ def _format_exponent(e: Fraction) -> str:
 class Signomial:
     """Finite rational combination of power products in `arity` variables."""
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "terms", "_partials")
 
     def __init__(self, arity: int, terms: Mapping[Monomial, Rat] | None = None):
         if arity < 0:
@@ -173,6 +173,7 @@ class Signomial:
         object.__setattr__(
             self, "terms", {m: c for m, c in clean.items() if c != 0}
         )
+        object.__setattr__(self, "_partials", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Signomial is immutable")
@@ -247,9 +248,17 @@ class Signomial:
         return Signomial(self.arity, {m: c * v for m, v in self.terms.items()})
 
     def partial(self, var: int) -> "Signomial":
-        """Exact partial derivative: c*x^e per term goes to (c*e)*x^(e-1)."""
+        """Exact partial derivative: c*x^e per term goes to (c*e)*x^(e-1).
+
+        The only place that differentiates.  The result is memoized on this
+        (immutable) instance, so repeated derivatives of one signomial are
+        derived once and shared.
+        """
         if not 0 <= var < self.arity:
             raise ValueError(f"variable index {var} out of range for arity {self.arity}")
+        hit = self._partials.get(var)
+        if hit is not None:
+            return hit
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
             e = m.exponent(var)
@@ -259,7 +268,19 @@ class Signomial:
             exps[var] = e - 1
             nm = Monomial(exps)
             out[nm] = out.get(nm, Fraction(0)) + c * e
-        return Signomial(self.arity, out)
+        result = self._partials[var] = Signomial(self.arity, out)
+        return result
+
+    def derivative(self, alpha: Iterable[int]) -> "Signomial":
+        """Mixed partial for the multi-index alpha (a sequence of variables).
+
+        Chains the memoized partial over sorted(alpha), so every ordering of
+        one multi-index returns the same object.
+        """
+        out = self
+        for var in sorted(alpha):
+            out = out.partial(var)
+        return out
 
     def substitute_monomial(
         self, var: int, coeff: Rat, exps: Mapping[int, Rat]

@@ -19,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .signomial import Monomial, Rat, Signomial
 
@@ -33,6 +33,13 @@ def _as_fraction(value, where: str) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: bad rational {value!r} ({exc})") from None
+
+
+def _as_int(value, where: str) -> int:
+    # bool is an int subclass, and int() would truncate floats and split strings
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -145,21 +152,6 @@ class MetricPoint:
         object.__setattr__(self, "x", coords)
 
 
-def gradient(f: Signomial) -> list[Signomial]:
-    return [f.partial(i) for i in range(f.arity)]
-
-
-def hessian(f: Signomial) -> list[list[Signomial]]:
-    """Symmetric matrix of exact second partials (shared entries across the diagonal)."""
-    grads = gradient(f)
-    h: list[list[Signomial]] = [[None] * f.arity for _ in range(f.arity)]  # type: ignore[list-item]
-    for i in range(f.arity):
-        for j in range(i, f.arity):
-            h[i][j] = grads[i].partial(j)
-            h[j][i] = h[i][j]
-    return h
-
-
 # -- structured-text space files ------------------------------------------------
 
 
@@ -171,9 +163,9 @@ def space_from_dict(data: Mapping, where: str = "space") -> HomogeneousSpace:
         raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
     name = data.get("name", "custom")
     dims = data.get("dims")
-    if not isinstance(dims, Sequence) or not dims:
+    if not isinstance(dims, (list, tuple)) or not dims:
         raise ValueError(f"{where}.dims: expected a nonempty list of integers")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_as_int(d, f"{where}.dims[{k}]") for k, d in enumerate(dims))
     b_raw = data.get("b")
     if b_raw is None:
         b = tuple(Fraction(1) for _ in dims)
@@ -184,7 +176,7 @@ def space_from_dict(data: Mapping, where: str = "space") -> HomogeneousSpace:
         loc = f"{where}.triples[{t}]"
         if not isinstance(entry, Mapping) or not {"i", "j", "k", "value"} <= set(entry):
             raise ValueError(f"{loc}: expected an object with keys i, j, k, value")
-        key = (int(entry["i"]), int(entry["j"]), int(entry["k"]))
+        key = tuple(_as_int(entry[c], f"{loc}.{c}") for c in "ijk")
         triples[key] = _as_fraction(entry["value"], f"{loc}.value")
     return HomogeneousSpace(name=str(name), dims=dims, b=b, triples=triples)
 

@@ -16,9 +16,10 @@ from homscal.catalog import (
     load_custom,
     su2n_volume_normalizer,
 )
-from homscal.probe import directional_derivatives, probe_chart
+from homscal.chart import kernel_basis
+from homscal.probe import CurveSpec, directional_derivatives, probe_chart
 from homscal.signomial import Signomial
-from homscal.space import hessian, space_to_dict
+from homscal.space import space_to_dict
 
 
 def sig(arity, *pairs):
@@ -147,12 +148,12 @@ class TestEntryInvariants:
     def test_hessian_annihilates_kernel_direction(self):
         for entry in default_entries():
             ch = entry.chart
-            h = hessian(ch.reduced)
             v = entry.kernel_direction
             if all(isinstance(c, (int, F)) for c in entry.critical_point):
                 for i in range(ch.arity):
                     row = sum(
-                        (h[i][j].eval_exact(entry.critical_point) * F(v[j])
+                        (ch.reduced.derivative((i, j)).eval_exact(entry.critical_point)
+                         * F(v[j])
                          for j in range(ch.arity)),
                         F(0),
                     )
@@ -190,7 +191,10 @@ class TestCustomEntries:
         path = tmp_path / "e6.json"
         path.write_text(json.dumps(self.e6_payload()))
         entry = load_custom(path)
-        res = directional_derivatives(entry.chart, entry.curve())
+        assert entry.hints == frozenset({"eliminate"})
+        assert entry.kernel_direction is None
+        (v,) = kernel_basis(entry.chart, entry.critical_point)
+        res = directional_derivatives(entry.chart, CurveSpec(entry.critical_point, tuple(v)))
         assert (res.s1, res.s2, float(res.s3)) == (0, 0, 180.0)
 
     def test_hints_are_honored(self, tmp_path):
@@ -203,6 +207,7 @@ class TestCustomEntries:
             )
         )
         entry = load_custom(path)
+        assert entry.hints == {"critical_point", "kernel_direction", "expected_s3", "eliminate"}
         assert entry.critical_point == (F(1),)
         assert entry.expected_s3 == F(180)
         res = directional_derivatives(entry.chart, entry.curve())
@@ -222,6 +227,22 @@ class TestCustomEntries:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="bad rational"):
+            load_custom(path)
+
+    @pytest.mark.parametrize("eliminate", [0.5, "0", True])
+    def test_non_integer_eliminate_rejected(self, tmp_path, eliminate):
+        path = tmp_path / "e6.json"
+        path.write_text(json.dumps(self.e6_payload(eliminate=eliminate)))
+        with pytest.raises(ValueError, match="eliminate"):
+            load_custom(path)
+
+    @pytest.mark.parametrize("key", ["critical_point", "kernel_direction", "expected_s3"])
+    def test_non_finite_hint_rejected(self, tmp_path, key):
+        hints = {"critical_point": [1.0], "kernel_direction": [1.0], "expected_s3": 180.0}
+        hints[key] = [float("nan")] if key != "expected_s3" else float("inf")
+        path = tmp_path / "e6.json"
+        path.write_text(json.dumps(self.e6_payload(**hints)))
+        with pytest.raises(ValueError, match=f"{key}.*finite"):
             load_custom(path)
 
     def test_no_critical_points_reported(self, tmp_path, monkeypatch):

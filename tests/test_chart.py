@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import homscal.chart as chart_mod
 from homscal.catalog import build, e6_space, so2n_flag_space, su_n_space
 from homscal.chart import (
     Classification,
@@ -150,6 +151,12 @@ class TestSpectrumAndKernel:
         chart = synthetic_chart(sig(1, (2, {0: 1}), (-1, {0: 2})))  # 2x - x^2
         assert kernel_basis(chart, (1.0,)) == []
 
+    def test_kernel_basis_diagonalizes_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(chart_mod, "jacobi_eigh", lambda m: calls.append(m) or jacobi_eigh(m))
+        (vec,) = kernel_basis(restrict(su_n_space(4)), (1.0, 1.0))
+        assert len(calls) == 1
+
     def test_kernel_at_noncritical_point_rejected(self):
         chart = restrict(e6_space(), eliminated=0)
         with pytest.raises(ValueError, match="not critical"):
@@ -182,6 +189,12 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(chart, (0.0,))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_point_rejected(self, bad):
+        chart = restrict(su_n_space(4))
+        with pytest.raises(ValueError, match="finite"):
+            classify(chart, (1.0, bad))
+
 
 class TestNewton:
     def test_converges_to_unit_point(self):
@@ -213,6 +226,12 @@ class TestNewton:
         chart = restrict(e6_space(), eliminated=0)
         with pytest.raises(ValueError):
             newton_critical(chart, (-1.0,))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_start_rejected(self, bad):
+        chart = restrict(su_n_space(4))
+        with pytest.raises(ValueError, match="finite"):
+            newton_critical(chart, (bad, 1.0))
 
 
 class TestMultiStart:

@@ -1,10 +1,13 @@
 """Command line surface: subcommands, exit codes, deterministic output."""
 
+import itertools
 import json
 
 import pytest
 
-from homscal.cli import main
+import homscal.chart as chart_mod
+from homscal.catalog import build, default_entries
+from homscal.cli import main, probe_record
 
 
 def run(capsys, *argv):
@@ -63,6 +66,15 @@ class TestProbe:
         assert code == 0
         assert json.loads(out)["mode"] == "float"
 
+    def test_record_diagonalizes_the_hessian_once(self, monkeypatch):
+        calls = []
+        original = chart_mod.jacobi_eigh
+        monkeypatch.setattr(chart_mod, "jacobi_eigh", lambda m: calls.append(m) or original(m))
+        record = probe_record(build("su_n", 5))
+        assert record["classification"] == "Degenerate"
+        assert len(record["kernel_directions"]) == 1
+        assert len(calls) == 1
+
     def test_forced_exact_mode_on_irrational_point(self, capsys):
         code, _, err = run(capsys, "probe", "--family", "su2n_mod_spn", "--n", "3",
                            "--mode", "exact")
@@ -96,6 +108,14 @@ class TestReport:
         assert all(r["s3_matches_expected"] for r in records)
         keys = [(r["family"], r["n"] if r["n"] is not None else -1) for r in records]
         assert keys == sorted(keys)
+        assert [(r["family"], r["n"]) for r in records] == [
+            (e.family, e.n) for e in default_entries()
+        ]
+
+    def test_workers_option_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--workers", "0"])
+        assert exc.value.code == 2
 
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -179,3 +199,42 @@ class TestCustom:
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "custom", "--file", str(tmp_path / "nope.json"))
         assert code == 2
+
+    def test_non_finite_critical_point_is_usage_error(self, capsys, tmp_path):
+        path = self.write_e6(tmp_path, critical_point=[float("nan")])
+        code, out, err = run(capsys, "custom", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert "critical_point[0]" in err
+
+    def test_nonpositive_critical_point_is_usage_error(self, capsys, tmp_path):
+        path = self.write_e6(tmp_path, critical_point=["-1"])
+        code, _, err = run(capsys, "custom", "--file", str(path))
+        assert code == 2
+        assert "strictly positive" in err
+
+    @pytest.mark.parametrize(
+        "dims, field", [([20.7, 40], "dims[0]"), ("12", ".dims"), ([20, True], "dims[1]")]
+    )
+    def test_non_integer_dims_are_usage_errors(self, capsys, tmp_path, dims, field):
+        path = self.write_e6(tmp_path, dims=dims)
+        code, _, err = run(capsys, "custom", "--file", str(path))
+        assert code == 2
+        assert field in err
+
+    def test_hinted_point_without_direction_probes_every_kernel_vector(self, capsys, tmp_path):
+        # SO(8)/T^4: six root planes of dimension 4, [ijk] = 2/3 on the four
+        # triangles of pairs; the all-ones metric has a 3-dimensional kernel
+        pairs = list(itertools.combinations(range(4), 2))
+        triples = [
+            {"i": pairs.index((i, j)), "j": pairs.index((i, k)), "k": pairs.index((j, k)),
+             "value": "2/3"}
+            for i, j, k in itertools.combinations(range(4), 3)
+        ]
+        path = tmp_path / "so8_flag.json"
+        path.write_text(json.dumps({"name": "so8_flag", "dims": [4] * 6, "triples": triples,
+                                    "critical_point": ["1"] * 5}))
+        code, out, _ = run(capsys, "custom", "--file", str(path))
+        assert out.count("[so8_flag]") == 3
+        assert out.count("verdict: Inconclusive") == 3
+        assert code == 1

@@ -9,7 +9,6 @@ from homscal.catalog import build, su2n_volume_normalizer
 from homscal.chart import SliceChart
 from homscal.probe import (
     CurveSpec,
-    PartialLattice,
     ProbeInconsistency,
     ProbeResult,
     Verdict,
@@ -48,6 +47,13 @@ class TestCurveSpec:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CurveSpec(base=(1,), direction=(1, 1))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coordinates_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CurveSpec(base=(1.0, bad), direction=(1, 1))
+        with pytest.raises(ValueError, match="finite"):
+            CurveSpec(base=(1, 1), direction=(bad, 1.0))
 
 
 class TestExactProbes:
@@ -225,8 +231,9 @@ class TestWitness:
 
 class TestLattice:
     def test_memoizes_mixed_partials(self):
-        lattice = PartialLattice(build("su_n", 3).chart.reduced)
-        assert lattice.get((0, 1)) is lattice.get((1, 0))
+        f = build("su_n", 3).chart.reduced
+        assert f.derivative((0, 1)) is f.derivative((1, 0))
+        assert f.derivative((0, 1, 0)) is f.derivative((0, 0, 1))
 
     def test_step_suggestion_bounds(self):
         entry = build("su_n", 10)

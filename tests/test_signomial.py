@@ -123,6 +123,28 @@ class TestPartial:
     def test_constant_derivative_vanishes(self):
         assert Signomial.constant(2, F(7, 3)).partial(1) == Signomial.zero(2)
 
+    def test_partial_is_memoized(self):
+        f = sig(2, (3, {0: 2, 1: -1}), (1, {1: F(1, 2)}))
+        assert f.partial(0) is f.partial(0)
+        assert f.derivative((1, 0)) is f.derivative((0, 1))
+        assert f.derivative((1, 0)) is f.partial(0).partial(1)
+
+    def test_out_of_range_variable_still_raises(self):
+        f = sig(2, (1, {0: 1}))
+        f.partial(0)
+        for var in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                f.partial(var)
+        with pytest.raises(ValueError, match="out of range"):
+            f.derivative((0, 2))
+
+    def test_equality_and_hash_ignore_the_memo(self):
+        f = sig(2, (3, {0: 2, 1: -1}), (1, {1: F(1, 2)}))
+        g = sig(2, (3, {0: 2, 1: -1}), (1, {1: F(1, 2)}))
+        f.derivative((0, 1, 1))
+        assert f == g and hash(f) == hash(g)
+        assert g.partial(0) == f.partial(0)
+
 
 class TestSubstituteMonomial:
     def test_volume_elimination_two_summands(self):

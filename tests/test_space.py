@@ -10,8 +10,6 @@ from homscal.signomial import Signomial
 from homscal.space import (
     HomogeneousSpace,
     MetricPoint,
-    gradient,
-    hessian,
     load_space,
     space_from_dict,
     space_to_dict,
@@ -133,19 +131,21 @@ class TestVolumeMonomial:
 class TestDerivatives:
     def test_hessian_of_linear_is_zero(self):
         f = sig(2, (3, {0: 1}), (-2, {1: 1}), (7, {}))
-        h = hessian(f)
-        assert all(entry == Signomial.zero(2) for row in h for entry in row)
+        assert all(
+            f.derivative((i, j)) == Signomial.zero(2) for i in range(2) for j in range(2)
+        )
 
     def test_hessian_is_structurally_symmetric(self):
         f = SU3.scalar_curvature()
-        h = hessian(f)
         for i in range(3):
             for j in range(3):
-                assert h[i][j] == h[j][i]
+                assert f.derivative((i, j)) is f.derivative((j, i))
+                assert f.derivative((i, j)) == f.partial(j).partial(i)
 
     def test_gradient_entries_are_partials(self):
         f = E6.scalar_curvature()
-        assert gradient(f) == [f.partial(0), f.partial(1)]
+        assert [f.derivative((i,)) for i in range(2)] == [f.partial(0), f.partial(1)]
+        assert f.derivative(()) is f
 
 
 class TestMetricPoint:
@@ -183,3 +183,29 @@ class TestSpaceFiles:
     def test_missing_dims_rejected(self):
         with pytest.raises(ValueError, match="dims"):
             space_from_dict({"name": "x"})
+
+    @pytest.mark.parametrize(
+        "dims, field",
+        [
+            ([20.7, 40], r"dims\[0\]"),
+            ([20, 40.0], r"dims\[1\]"),
+            ([True, 40], r"dims\[0\]"),
+            (["20", 40], r"dims\[0\]"),
+            ("12", r"\.dims"),
+        ],
+    )
+    def test_dims_must_be_json_integers(self, dims, field):
+        with pytest.raises(ValueError, match=field):
+            space_from_dict({"dims": dims})
+
+    @pytest.mark.parametrize("index", [0.0, 1.5, False, "1", None])
+    def test_triple_indices_must_be_json_integers(self, index):
+        data = {"dims": [2, 3], "triples": [{"i": 0, "j": index, "k": 1, "value": "1"}]}
+        with pytest.raises(ValueError, match=r"triples\[0\]\.j"):
+            space_from_dict(data)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(st.booleans(), st.floats(), st.text(), st.none()))
+    def test_non_integer_dim_never_accepted(self, value):
+        with pytest.raises(ValueError, match=r"dims\[1\]"):
+            space_from_dict({"dims": [2, value]})
