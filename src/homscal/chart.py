@@ -83,6 +83,16 @@ class SliceChart:
         parts = [self.reduced.partial(i).eval_abs(point) for i in range(self.arity)]
         return math.sqrt(sum(p * p for p in parts))
 
+    def hessian_scale(self, point: Sequence[float]) -> float:
+        """Magnitude reference for deciding that a Hessian entry has cancelled."""
+        m = self.arity
+        parts = [
+            self.reduced.derivative((i, j)).eval_abs(point)
+            for i in range(m)
+            for j in range(i, m)
+        ]
+        return max(parts, default=0.0)
+
     def hessian_values(self, point: Sequence[float]) -> np.ndarray:
         m = self.arity
         out = np.zeros((m, m))
@@ -165,11 +175,6 @@ def hessian_spectrum(chart: SliceChart, point: Sequence[float]):
     return jacobi_eigh(chart.hessian_values(point))
 
 
-def _kernel_band(eigenvalues, kernel_tol: float) -> float:
-    """Eigenvalues within this distance of zero count as kernel."""
-    return kernel_tol * max((abs(v) for v in eigenvalues), default=0.0)
-
-
 @dataclass(frozen=True)
 class CriticalPoint:
     coords: tuple[float, ...]
@@ -177,6 +182,7 @@ class CriticalPoint:
     label: Classification
     eigenvalues: tuple[float, ...]
     eigenvectors: tuple[tuple[float, ...], ...]  # columns match eigenvalues
+    kernel_scale: float  # the kernel band is kernel_tol times this
 
     @classmethod
     def at(
@@ -188,8 +194,10 @@ class CriticalPoint:
     ) -> "CriticalPoint":
         """Label a chart point from one gradient check and one Hessian spectrum.
 
-        kernel_tol is relative to the largest |eigenvalue|; grad_tol is
-        relative to the cancellation scale of the gradient entries.
+        kernel_tol is relative to the larger of the largest |eigenvalue| and
+        the cancellation scale of the Hessian entries, so that an all-roundoff
+        spectrum is kernel; grad_tol is relative to the cancellation scale of
+        the gradient entries.
         DEGENERATE means the Hessian is negative semidefinite with kernel:
         not settled at second order, probe along the kernel.
         """
@@ -198,7 +206,8 @@ class CriticalPoint:
             raise ValueError(f"chart point must be finite and strictly positive, got {coords}")
         grad_norm = float(np.linalg.norm(chart.gradient_values(coords)))
         eigvals, eigvecs = hessian_spectrum(chart, coords)
-        band = _kernel_band(eigvals, kernel_tol)
+        kernel_scale = max(float(np.abs(eigvals).max(initial=0.0)), chart.hessian_scale(coords))
+        band = kernel_tol * kernel_scale
         if grad_norm >= grad_tol * max(chart.gradient_scale(coords), 1e-300):
             label = Classification.NOT_CRITICAL
         elif np.all(eigvals < -band):
@@ -213,12 +222,13 @@ class CriticalPoint:
             label=label,
             eigenvalues=tuple(float(v) for v in eigvals),
             eigenvectors=tuple(tuple(float(c) for c in row) for row in eigvecs),
+            kernel_scale=kernel_scale,
         )
 
     def kernel(self, kernel_tol: float = 1e-9) -> list[np.ndarray]:
         """Unit eigenvectors with eigenvalue in the kernel band, each with its
         first nonzero coordinate positive."""
-        band = _kernel_band(self.eigenvalues, kernel_tol)
+        band = kernel_tol * self.kernel_scale
         out = []
         for lam, vec in zip(self.eigenvalues, np.array(self.eigenvectors).T):
             if abs(lam) <= band:
@@ -301,24 +311,11 @@ def _try_exact_snap(chart: SliceChart, u: np.ndarray) -> "np.ndarray | None":
     return np.array([float(s) for s in snapped])
 
 
-def newton_critical(
-    chart: SliceChart,
-    start: Sequence[float],
-    tol: float = 1e-12,
-    max_iter: int = 100,
-    kernel_tol: float = 1e-9,
-) -> CriticalPoint | None:
-    """Damped Newton iteration on the reduced gradient; None if it fails.
-
-    Steps solve H delta = -grad (minimum-norm least squares when the Hessian
-    is singular) and are halved until the iterate stays strictly positive.
-    Once the gradient norm drops below tol, a few polish steps follow; along
-    a degenerate direction the gradient is cubic in the offset, so polishing
-    sharpens coordinates well past the first iterate that meets tol.
-    """
-    u = np.array([float(x) for x in start], dtype=float)
-    if len(u) != chart.arity or not np.all((u > 0) & np.isfinite(u)):
-        raise ValueError("start must be a finite, strictly positive chart point")
+def _newton_converge(
+    chart: SliceChart, u: np.ndarray, tol: float, max_iter: int
+) -> "np.ndarray | None":
+    """Newton steps until the gradient norm is below tol, then polish steps
+    while the norm keeps falling; None if the iteration fails."""
     converged = False
     for _ in range(max_iter):
         grad = chart.gradient_values(u)
@@ -344,6 +341,36 @@ def newton_critical(
             best_u, best_norm = nxt, norm
         else:
             break
+    return best_u
+
+
+def newton_critical(
+    chart: SliceChart,
+    start: Sequence[float],
+    tol: float = 1e-12,
+    max_iter: int = 100,
+    kernel_tol: float = 1e-9,
+) -> CriticalPoint | None:
+    """Damped Newton iteration on the reduced gradient; None if it fails.
+
+    Steps solve H delta = -grad (minimum-norm least squares when the Hessian
+    is singular) and are halved until the iterate stays strictly positive.
+    Once the gradient norm drops below tol, a few polish steps follow; along
+    a degenerate direction the gradient is cubic in the offset, so polishing
+    sharpens coordinates well past the first iterate that meets tol.  A start
+    whose iterates overflow a float in a term has failed; a gradient norm that
+    overflows is inf, which the step damping already treats as no progress.
+    """
+    u = np.array([float(x) for x in start], dtype=float)
+    if len(u) != chart.arity or not np.all((u > 0) & np.isfinite(u)):
+        raise ValueError("start must be a finite, strictly positive chart point")
+    try:
+        with np.errstate(over="ignore"):
+            best_u = _newton_converge(chart, u, tol, max_iter)
+    except OverflowError:
+        return None
+    if best_u is None:
+        return None
     snapped = _try_exact_snap(chart, best_u)
     return CriticalPoint.at(chart, best_u if snapped is None else snapped, kernel_tol=kernel_tol)
 

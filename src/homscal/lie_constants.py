@@ -61,7 +61,7 @@ class BracketTable:
         if np.abs(self.gram - self.gram.T).max() > tol:
             issues.append("gram matrix is not symmetric")
         # [a,[b,c]] + [b,[c,a]] + [c,[a,b]] = 0 on basis triples
-        abc = np.einsum("bcx,axk->abck", br, br)
+        abc = np.einsum("bcx,axk->abck", br, br, optimize=True)
         jac = abc + np.einsum("abck->bcak", abc) + np.einsum("abck->cabk", abc)
         worst = np.abs(jac).max()
         if worst > tol * max(1.0, np.abs(br).max() ** 2):
@@ -126,7 +126,7 @@ def orthonormalize(table: BracketTable, partition: Partition | None = None) -> B
                 S[i, j] = sblk[ii, jj]
     sinv = np.linalg.inv(S)
     # new basis f_j = sum_a S[a, j] e_a
-    new_brackets = np.einsum("ai,bj,abk,ck->ijc", S, S, table.brackets, sinv)
+    new_brackets = np.einsum("ai,bj,abk,ck->ijc", S, S, table.brackets, sinv, optimize=True)
     new_gram = S.T @ gram @ S
     return BracketTable(brackets=new_brackets, gram=new_gram)
 
@@ -151,7 +151,7 @@ def structural_constants(
         if s is not None:
             indicator[s, a] = 1.0
     sq = table.brackets ** 2
-    full = np.einsum("abc,ia,jb,kc->ijk", sq, indicator, indicator, indicator)
+    full = np.einsum("abc,ia,jb,kc->ijk", sq, indicator, indicator, indicator, optimize=True)
     scale = max(1.0, np.abs(full).max())
     for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         dev = np.abs(full - np.transpose(full, perm)).max()
@@ -171,22 +171,27 @@ def structural_constants(
 
 
 def _coords_from_matrices(mats: list[np.ndarray]) -> np.ndarray:
-    """Bracket coordinates of a matrix Lie algebra basis, via least squares."""
+    """Bracket coordinates of a matrix Lie algebra basis, via least squares.
+
+    One row a at a time: the commutators [mats[a], mats[b]] for b > a are
+    solved with one matmul against the pseudo-inverse, and the lower triangle
+    is filled by antisymmetry, so coords[a, b] == -coords[b, a] exactly.
+    """
     dim = len(mats)
-    flat = np.array([m.flatten() for m in mats]).T
-    basis = np.vstack([flat.real, flat.imag])
+    stack = np.array(mats)
+    flat = stack.reshape(dim, -1)
+    basis = np.hstack([flat.real, flat.imag])  # row a: real then imaginary entries
     pinv = np.linalg.pinv(basis)
     coords = np.zeros((dim, dim, dim))
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            c = mats[a] @ mats[b] - mats[b] @ mats[a]
-            vec = np.concatenate([c.flatten().real, c.flatten().imag])
-            sol = pinv @ vec
-            resid = basis @ sol - vec
-            if np.abs(resid).max() > 1e-9:
-                raise ValueError("bracket left the span of the basis")
-            coords[a, b] = sol
-            coords[b, a] = -sol
+    for a in range(dim - 1):
+        rest = stack[a + 1:]
+        comm = (mats[a] @ rest - rest @ mats[a]).reshape(len(rest), -1)
+        vecs = np.hstack([comm.real, comm.imag])
+        sol = vecs @ pinv
+        if np.abs(sol @ basis - vecs).max() > 1e-9:
+            raise ValueError("bracket left the span of the basis")
+        coords[a, a + 1:] = sol
+        coords[a + 1:, a] = -sol
     return coords
 
 

@@ -1,5 +1,6 @@
 """Slice charts: restriction, eigensolver, Newton search, classification."""
 
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,6 +10,7 @@ import homscal.chart as chart_mod
 from homscal.catalog import build, e6_space, so2n_flag_space, su_n_space
 from homscal.chart import (
     Classification,
+    CriticalPoint,
     SliceChart,
     classify,
     find_critical_points,
@@ -195,6 +197,16 @@ class TestClassify:
         with pytest.raises(ValueError, match="finite"):
             classify(chart, (1.0, bad))
 
+    @pytest.mark.parametrize("n", [16, 37, 39])
+    def test_roundoff_hessian_on_flag_chart_is_kernel(self, n):
+        # the exact Hessian at (1) is 0; in floats its one eigenvalue is
+        # +-1e-14 of cancellation, which must not count as a sign
+        chart = restrict(so2n_flag_space(n))
+        cp = CriticalPoint.at(chart, (1.0,))
+        assert abs(cp.eigenvalues[0]) < 1e-9 * cp.kernel_scale
+        assert cp.label is Classification.DEGENERATE
+        assert [list(v) for v in cp.kernel()] == [[1.0]]
+
 
 class TestNewton:
     def test_converges_to_unit_point(self):
@@ -226,6 +238,17 @@ class TestNewton:
         chart = restrict(e6_space(), eliminated=0)
         with pytest.raises(ValueError):
             newton_critical(chart, (-1.0,))
+
+    def test_overflow_is_a_failed_start(self):
+        # [011] = 3/2, [111] = 7/2 on dims (27, 1) has no critical point;
+        # Newton iterates run off until terms overflow a float
+        space = HomogeneousSpace(name="overflow", dims=(27, 1),
+                                 triples={(0, 1, 1): F(3, 2), (1, 1, 1): F(7, 2)})
+        chart = restrict(space)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert newton_critical(chart, (4.0,)) is None
+            assert find_critical_points(chart) == []
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_start_rejected(self, bad):

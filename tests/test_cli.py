@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 
 import pytest
 
@@ -46,6 +47,14 @@ class TestProbe:
         code, out, _ = run(capsys, "probe", "--family", "so2n_flag", "--n", "4")
         assert code == 0
         assert "s3: 24" in out
+
+    @pytest.mark.parametrize("n", [16, 37, 39])
+    def test_flag_point_with_roundoff_hessian_is_degenerate(self, capsys, n):
+        code, out, _ = run(capsys, "probe", "--family", "so2n_flag", "--n", str(n))
+        assert code == 0
+        assert "classification: Degenerate" in out
+        assert "kernel_directions: [['1']]" in out
+        assert "verdict: NotLocalMax" in out
 
     def test_out_of_range_parameter(self, capsys):
         code, _, err = run(capsys, "probe", "--family", "su2n_mod_spn", "--n", "2")
@@ -221,6 +230,21 @@ class TestCustom:
         code, _, err = run(capsys, "custom", "--file", str(path))
         assert code == 2
         assert field in err
+
+    def test_search_that_overflows_finds_nothing(self, capsys, tmp_path):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "name": "overflow",
+            "dims": [27, 1],
+            "triples": [{"i": 0, "j": 1, "k": 1, "value": "3/2"},
+                        {"i": 1, "j": 1, "k": 1, "value": "7/2"}],
+        }))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "custom", "--file", str(path), "--search")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: no critical points found on the slice\n"
 
     def test_hinted_point_without_direction_probes_every_kernel_vector(self, capsys, tmp_path):
         # SO(8)/T^4: six root planes of dimension 4, [ijk] = 2/3 on the four
