@@ -9,7 +9,6 @@ are not local maxima.
 from .signomial import ExactEvaluationError, Monomial, Signomial, rational_pow
 from .space import (
     HomogeneousSpace,
-    MetricPoint,
     load_space,
     space_from_dict,
     space_to_dict,
@@ -57,7 +56,6 @@ __all__ = [
     "Signomial",
     "rational_pow",
     "HomogeneousSpace",
-    "MetricPoint",
     "load_space",
     "space_from_dict",
     "space_to_dict",

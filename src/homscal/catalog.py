@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .chart import Classification, SliceChart, find_critical_points, restrict
+from .chart import SliceChart, restrict
 from .probe import CurveSpec
 from .signomial import Signomial
 from .space import HomogeneousSpace, space_from_dict, _as_fraction, _as_int
@@ -245,10 +245,9 @@ def _parse_coord(value, where: str):
 def load_custom(path) -> CatalogEntry:
     """Read a space file with optional critical-point, kernel and S3 hints.
 
-    A missing critical point is filled in by the multi-start slice search:
-    the first degenerate critical point is preferred, then the first in
-    coordinate order.  A missing kernel direction stays None.  The entry's
-    hints record which hint keys the file gave.
+    A missing critical point or kernel direction stays None (the caller
+    runs the slice search).  The entry's hints record which hint keys the
+    file gave.
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -264,19 +263,12 @@ def load_custom(path) -> CatalogEntry:
     eliminated = extras.get("eliminate")
     sl = restrict(space, None if eliminated is None else _as_int(eliminated, f"{path}.eliminate"))
 
+    point = None
     if "critical_point" in extras:
         point = tuple(
             _parse_coord(v, f"{path}.critical_point[{i}]")
             for i, v in enumerate(extras["critical_point"])
         )
-    else:
-        found = find_critical_points(sl)
-        if not found:
-            raise ValueError(f"{path}: no critical points found on the slice")
-        chosen = next(
-            (cp for cp in found if cp.label is Classification.DEGENERATE), found[0]
-        )
-        point = chosen.coords
 
     direction = None
     if "kernel_direction" in extras:

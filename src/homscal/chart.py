@@ -80,8 +80,8 @@ class SliceChart:
 
     def gradient_scale(self, point: Sequence[float]) -> float:
         """Magnitude reference for deciding that a gradient has cancelled."""
-        parts = [self.reduced.partial(i).eval_abs(point) for i in range(self.arity)]
-        return math.sqrt(sum(p * p for p in parts))
+        f = self.reduced
+        return math.hypot(*(f.partial(i).eval_abs(point) for i in range(self.arity)))
 
     def hessian_scale(self, point: Sequence[float]) -> float:
         """Magnitude reference for deciding that a Hessian entry has cancelled."""
@@ -199,16 +199,21 @@ class CriticalPoint:
         spectrum is kernel; grad_tol is relative to the cancellation scale of
         the gradient entries.
         DEGENERATE means the Hessian is negative semidefinite with kernel:
-        not settled at second order, probe along the kernel.
+        not settled at second order, probe along the kernel.  A point where a
+        term overflows a float is a ValueError.
         """
         coords = tuple(float(x) for x in point)
         if not all(0 < x < math.inf for x in coords):
             raise ValueError(f"chart point must be finite and strictly positive, got {coords}")
-        grad_norm = float(np.linalg.norm(chart.gradient_values(coords)))
-        eigvals, eigvecs = hessian_spectrum(chart, coords)
-        kernel_scale = max(float(np.abs(eigvals).max(initial=0.0)), chart.hessian_scale(coords))
+        try:
+            grad_norm = math.hypot(*chart.gradient_values(coords))
+            grad_scale = chart.gradient_scale(coords)
+            eigvals, eigvecs = hessian_spectrum(chart, coords)
+            kernel_scale = max(float(np.abs(eigvals).max(initial=0.0)), chart.hessian_scale(coords))
+        except OverflowError:
+            raise ValueError(f"chart point {coords}: a term overflows a float") from None
         band = kernel_tol * kernel_scale
-        if grad_norm >= grad_tol * max(chart.gradient_scale(coords), 1e-300):
+        if grad_norm >= grad_tol * max(grad_scale, 1e-300):
             label = Classification.NOT_CRITICAL
         elif np.all(eigvals < -band):
             label = Classification.LOCAL_MAX_CANDIDATE
@@ -279,9 +284,9 @@ def _newton_step(chart: SliceChart, u: np.ndarray) -> "np.ndarray | None":
     damp = 1.0
     for _ in range(60):
         trial = u + damp * delta
-        if np.all(trial > 0):
+        if (trial > 0).all():
             tnorm = float(np.linalg.norm(chart.gradient_values(trial)))
-            if np.isfinite(tnorm) and tnorm < gnorm:
+            if math.isfinite(tnorm) and tnorm < gnorm:
                 return trial
         damp *= 0.5
     return None

@@ -253,20 +253,20 @@ def cmd_report(args) -> int:
 def cmd_custom(args) -> int:
     try:
         entry = catalog.load_custom(args.file)
-        hinted = not args.search and "critical_point" in entry.hints
+        hinted = not args.search and entry.critical_point is not None
         if hinted:
             points = [CriticalPoint.at(entry.chart, entry.critical_point,
                                        kernel_tol=args.kernel_tol)]
+        else:
+            points = find_critical_points(entry.chart, kernel_tol=args.kernel_tol)
+            if not points:
+                raise ValueError(f"{args.file}: no critical points found on the slice")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if hinted:
         print(f"critical point {tuple(fmt(x) for x in points[0].coords)}: {points[0].label}")
     else:
-        points = find_critical_points(entry.chart, kernel_tol=args.kernel_tol)
-        if not points:
-            print("no critical points found")
-            return 0
         for cp in points:
             print(f"critical point {tuple(fmt(x) for x in cp.coords)}: "
                   f"{cp.label}, |grad| = {fmt(cp.grad_norm)}, "

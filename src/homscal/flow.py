@@ -4,7 +4,9 @@ Classical fixed-step fourth-order (RK4) integration of u' = grad f(u) in
 chart coordinates.  The value of f is nondecreasing along exact solutions,
 and the integrator enforces that property per step up to a small tolerance;
 the module's claims are monotonicity and escape from degenerate critical
-points, nothing more.
+points, nothing more.  Values and gradients come from the chart's own float
+evaluator (Signomial.eval_float and SliceChart.gradient_values), so every
+recorded value equals chart.reduced.eval_float at the recorded point.
 """
 
 from __future__ import annotations
@@ -15,44 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .chart import SliceChart
-from .signomial import Signomial
 
 
 class FlowError(RuntimeError):
     pass
-
-
-class _Compiled:
-    """Vectorized float evaluation of a signomial and its gradient."""
-
-    def __init__(self, f: Signomial):
-        self.arity = f.arity
-        self._f_exps, self._f_coeffs = self._pack([f])[:2]
-        exps, coeffs, owner = self._pack([f.partial(i) for i in range(f.arity)])
-        self._g_exps, self._g_coeffs, self._g_owner = exps, coeffs, owner
-
-    def _pack(self, sigs: Sequence[Signomial]):
-        rows, coeffs, owner = [], [], []
-        for which, s in enumerate(sigs):
-            for mono, c in s.terms.items():
-                row = [0.0] * self.arity
-                for idx, e in mono.exps:
-                    row[idx] = float(e)
-                rows.append(row)
-                coeffs.append(float(c))
-                owner.append(which)
-        if not rows:
-            rows = [[0.0] * self.arity]
-            coeffs = [0.0]
-            owner = [0]
-        return np.array(rows), np.array(coeffs), np.array(owner)
-
-    def value(self, u: np.ndarray) -> float:
-        return float(self._f_coeffs @ np.prod(u ** self._f_exps, axis=1))
-
-    def grad(self, u: np.ndarray) -> np.ndarray:
-        vals = self._g_coeffs * np.prod(u ** self._g_exps, axis=1)
-        return np.bincount(self._g_owner, weights=vals, minlength=self.arity)
 
 
 @dataclass
@@ -85,10 +53,12 @@ def integrate_ascent(
     A step is rejected and retried at half size when its stages or endpoint
     leave the positive orthant, or when it would decrease the value by more
     than monotone_tol (an overshoot symptom where the gradient is stiff);
-    twenty consecutive rejections raise FlowError.  The nominal step is
-    restored after every accepted step.
+    twenty consecutive rejections raise FlowError.  The decrease is tested as
+    new - old >= -monotone_tol: the two values are close, so the difference
+    is exact and consecutive recorded values never differ by less than
+    -monotone_tol.  The nominal step is restored after every accepted step.
     """
-    ev = _Compiled(chart.reduced)
+    f, grad = chart.reduced.eval_float, chart.gradient_values
     u = np.array([float(x) for x in start], dtype=float)
     if len(u) != chart.arity or np.any(u <= 0):
         raise ValueError("start must be a strictly positive chart point")
@@ -99,23 +69,23 @@ def integrate_ascent(
 
     times = [0.0]
     points = [tuple(u)]
-    values = [ev.value(u)]
+    values = [f(u)]
     t = 0.0
 
     def rk4(u0: np.ndarray, h: float) -> "np.ndarray | None":
-        k1 = ev.grad(u0)
+        k1 = grad(u0)
         p2 = u0 + 0.5 * h * k1
         if np.any(p2 <= 0):
             return None
-        k2 = ev.grad(p2)
+        k2 = grad(p2)
         p3 = u0 + 0.5 * h * k2
         if np.any(p3 <= 0):
             return None
-        k3 = ev.grad(p3)
+        k3 = grad(p3)
         p4 = u0 + h * k3
         if np.any(p4 <= 0):
             return None
-        k4 = ev.grad(p4)
+        k4 = grad(p4)
         out = u0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if np.any(out <= 0):
             return None
@@ -123,7 +93,7 @@ def integrate_ascent(
 
     reason = "budget"
     for _ in range(max_steps):
-        g = ev.grad(u)
+        g = grad(u)
         if float(np.linalg.norm(g)) < grad_tol:
             reason = "gradient-small"
             break
@@ -131,8 +101,8 @@ def integrate_ascent(
         for _rej in range(20):
             nxt = rk4(u, h)
             if nxt is not None:
-                new_val = ev.value(nxt)
-                if new_val >= values[-1] - monotone_tol:
+                new_val = f(nxt)
+                if new_val - values[-1] >= -monotone_tol:
                     break
             h *= 0.5
         else:

@@ -279,18 +279,8 @@ def suggest_fd_step(chart: SliceChart, curve: CurveSpec, default: float = 1e-3) 
     curves) and clamped to [1e-4, default] divided by the direction's
     max-norm, since halving the direction doubles the useful step.
     """
-    fpoint = [float(x) for x in curve.base]
-    f_abs = chart.reduced.eval_abs(fpoint)
-    s5_abs = 0.0
-    for alpha in itertools.combinations_with_replacement(range(chart.arity), 5):
-        counts: dict[int, int] = {}
-        for i in alpha:
-            counts[i] = counts.get(i, 0) + 1
-        mult = _multinomial(counts)
-        absdir = 1.0
-        for i, c in counts.items():
-            absdir *= abs(float(curve.direction[i])) ** c
-        s5_abs += mult * chart.reduced.derivative(alpha).eval_abs(fpoint) * absdir
+    f_abs = chart.reduced.eval_abs(curve.base)
+    _, s5_abs = _contract(chart.reduced, 5, curve.base, curve.direction, exact=False)
     vmax = max(abs(float(c)) for c in curve.direction)
     if s5_abs == 0.0 or f_abs == 0.0:
         return default / vmax

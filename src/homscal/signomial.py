@@ -16,6 +16,10 @@ against a volume constraint produces powers like x^(n/(n-2)).  All algebra
 only evaluation may leave the rationals, and then the caller chooses between
 the exact path (which raises ExactEvaluationError if an irrational power
 appears) and the float path.
+
+The float path is the only float evaluator in the package: each signomial
+converts its coefficients and exponents to doubles once, on first use, and
+eval_float / eval_abs loop over that memoized form with scalar powers.
 """
 
 from __future__ import annotations
@@ -126,15 +130,6 @@ class Monomial:
             out *= rational_pow(x, e)
         return out
 
-    def eval_float(self, point: Sequence[float]) -> float:
-        out = 1.0
-        for idx, e in self.exps:
-            x = float(point[idx])
-            if x <= 0:
-                raise ValueError(f"coordinate {idx} is not positive: {x}")
-            out *= x ** float(e)
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.exps == other.exps
 
@@ -155,7 +150,7 @@ def _format_exponent(e: Fraction) -> str:
 class Signomial:
     """Finite rational combination of power products in `arity` variables."""
 
-    __slots__ = ("arity", "terms", "_partials")
+    __slots__ = ("arity", "terms", "_partials", "_float_terms")
 
     def __init__(self, arity: int, terms: Mapping[Monomial, Rat] | None = None):
         if arity < 0:
@@ -174,6 +169,7 @@ class Signomial:
             self, "terms", {m: c for m, c in clean.items() if c != 0}
         )
         object.__setattr__(self, "_partials", {})
+        object.__setattr__(self, "_float_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Signomial is immutable")
@@ -336,13 +332,42 @@ class Signomial:
             total += c * m.eval_exact(point)
         return total
 
-    def eval_float(self, point: Sequence[float]) -> float:
-        if len(point) != self.arity:
-            raise ValueError(f"point has {len(point)} coordinates, arity is {self.arity}")
+    def _float_form(self) -> tuple:
+        """Per term, in term order: (float(c), |float(c)|, ((idx, float(e)), ...)).
+
+        Built on the first float evaluation and kept on this (immutable)
+        instance, so signomials that are only used exactly never build it.
+        """
+        form = self._float_terms
+        if form is None:
+            form = tuple(
+                (float(c), abs(float(c)), tuple((i, float(e)) for i, e in m.exps))
+                for m, c in self.terms.items()
+            )
+            object.__setattr__(self, "_float_terms", form)
+        return form
+
+    def _float_sum(self, point: Sequence[float], column: int) -> float:
+        """Sum over terms of column (0: c, 1: |c|) times the power product."""
+        # an ndarray's tolist() gives the same doubles as float() per entry, faster
+        xs = point.tolist() if hasattr(point, "tolist") else [float(x) for x in point]
+        if len(xs) != self.arity:
+            raise ValueError(f"point has {len(xs)} coordinates, arity is {self.arity}")
+        for idx, x in enumerate(xs):
+            if x <= 0:
+                raise ValueError(f"coordinate {idx} is not positive: {x}")
         total = 0.0
-        for m, c in self.terms.items():
-            total += float(c) * m.eval_float(point)
+        for term in self._float_form():
+            prod = 1.0
+            for idx, e in term[2]:
+                prod *= xs[idx] ** e
+            total += term[column] * prod
         return total
+
+    def eval_float(self, point: Sequence[float]) -> float:
+        """Value at a positive point in doubles; a term that overflows raises
+        OverflowError."""
+        return self._float_sum(point, 0)
 
     def evaluate(self, point: Sequence, mode: str = "float"):
         """Value at a positive point; mode is "exact" or "float"."""
@@ -354,10 +379,7 @@ class Signomial:
 
     def eval_abs(self, point: Sequence[float]) -> float:
         """Sum of |term| values: the natural magnitude scale for cancellation."""
-        total = 0.0
-        for m, c in self.terms.items():
-            total += abs(float(c)) * m.eval_float(point)
-        return total
+        return self._float_sum(point, 1)
 
     # -- comparison / display -------------------------------------------------
 

@@ -139,19 +139,6 @@ class HomogeneousSpace:
         return Monomial({k: d for k, d in enumerate(self.dims)})
 
 
-@dataclass(frozen=True)
-class MetricPoint:
-    """A diagonal invariant metric: one positive coefficient per summand."""
-
-    x: tuple
-
-    def __post_init__(self):
-        coords = tuple(self.x)
-        if not coords or any(float(c) <= 0 for c in coords):
-            raise ValueError(f"metric coefficients must be positive, got {coords}")
-        object.__setattr__(self, "x", coords)
-
-
 # -- structured-text space files ------------------------------------------------
 
 

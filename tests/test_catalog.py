@@ -16,7 +16,7 @@ from homscal.catalog import (
     load_custom,
     su2n_volume_normalizer,
 )
-from homscal.chart import kernel_basis
+from homscal.chart import Classification, find_critical_points, kernel_basis
 from homscal.probe import CurveSpec, directional_derivatives, probe_chart
 from homscal.signomial import Signomial
 from homscal.space import space_to_dict
@@ -192,9 +192,12 @@ class TestCustomEntries:
         path.write_text(json.dumps(self.e6_payload()))
         entry = load_custom(path)
         assert entry.hints == frozenset({"eliminate"})
+        assert entry.critical_point is None
         assert entry.kernel_direction is None
-        (v,) = kernel_basis(entry.chart, entry.critical_point)
-        res = directional_derivatives(entry.chart, CurveSpec(entry.critical_point, tuple(v)))
+        (point,) = [cp.coords for cp in find_critical_points(entry.chart)
+                    if cp.label is Classification.DEGENERATE]
+        (v,) = kernel_basis(entry.chart, point)
+        res = directional_derivatives(entry.chart, CurveSpec(point, tuple(v)))
         assert (res.s1, res.s2, float(res.s3)) == (0, 0, 180.0)
 
     def test_hints_are_honored(self, tmp_path):
@@ -243,13 +246,6 @@ class TestCustomEntries:
         path = tmp_path / "e6.json"
         path.write_text(json.dumps(self.e6_payload(**hints)))
         with pytest.raises(ValueError, match=f"{key}.*finite"):
-            load_custom(path)
-
-    def test_no_critical_points_reported(self, tmp_path, monkeypatch):
-        path = tmp_path / "e6.json"
-        path.write_text(json.dumps(self.e6_payload()))
-        monkeypatch.setattr(catalog, "find_critical_points", lambda chart: [])
-        with pytest.raises(ValueError, match="no critical points"):
             load_custom(path)
 
     def test_entry_curve_round_trip(self):

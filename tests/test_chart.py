@@ -207,6 +207,23 @@ class TestClassify:
         assert cp.label is Classification.DEGENERATE
         assert [list(v) for v in cp.kernel()] == [[1.0]]
 
+    def test_overflowing_point_is_value_error_naming_it(self):
+        # 5 x^2 + 20 x^-1 - 5/2 x^-4 at x = 1e-150: x^-4 overflows a float
+        chart = restrict(e6_space(), eliminated=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\(1e-150,\).*overflows"):
+                CriticalPoint.at(chart, (1e-150,))
+
+    def test_large_finite_gradient_is_labelled_without_warning(self):
+        # at x = 1e200 the gradient is ~1e201, whose square overflows
+        chart = restrict(e6_space(), eliminated=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cp = CriticalPoint.at(chart, (1e200,))
+        assert cp.label is Classification.NOT_CRITICAL
+        assert cp.grad_norm == abs(chart.gradient_values((1e200,))[0])
+
 
 class TestNewton:
     def test_converges_to_unit_point(self):

@@ -7,6 +7,7 @@ import warnings
 import pytest
 
 import homscal.chart as chart_mod
+import homscal.cli as cli
 from homscal.catalog import build, default_entries
 from homscal.cli import main, probe_record
 
@@ -245,6 +246,33 @@ class TestCustom:
         assert code == 2
         assert out == ""
         assert err == f"error: {path}: no critical points found on the slice\n"
+
+    def test_hinted_search_that_finds_nothing_is_usage_error(self, capsys, tmp_path,
+                                                             monkeypatch):
+        path = self.write_e6(tmp_path, critical_point=["1"])
+        monkeypatch.setattr(cli, "find_critical_points", lambda chart, **kw: [])
+        code, out, err = run(capsys, "custom", "--file", str(path), "--search")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: no critical points found on the slice\n"
+
+    def test_overflowing_hinted_point_is_usage_error(self, capsys, tmp_path):
+        path = self.write_e6(tmp_path, critical_point=[1e-150])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "custom", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: chart point (1e-150,): a term overflows a float\n"
+
+    def test_large_hinted_point_is_labelled_without_warning(self, capsys, tmp_path):
+        path = self.write_e6(tmp_path, critical_point=[1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "custom", "--file", str(path))
+        assert code == 0
+        assert err == ""
+        assert out == "critical point ('9.9999999999999997e+199',): NotCritical\n"
 
     def test_hinted_point_without_direction_probes_every_kernel_vector(self, capsys, tmp_path):
         # SO(8)/T^4: six root planes of dimension 4, [ijk] = 2/3 on the four

@@ -33,6 +33,28 @@ class TestAscent:
         assert traj.values[-1] > entry.chart.reduced.eval_float((crit,))
         assert min(abs(p[0] - crit) for p in traj.points) > 1e-4
 
+    @pytest.mark.parametrize("family, n", [("e6_su2_so6", None), ("su_n", 4), ("su2n_mod_spn", 5)])
+    def test_values_are_the_chart_evaluator(self, family, n):
+        entry = build(family, n)
+        start = tuple(float(x) * 1.01 for x in entry.critical_point)
+        traj = integrate_ascent(entry.chart, start, max_steps=200)
+        assert len(traj.values) == len(traj.points) > 1
+        for p, v in zip(traj.points, traj.values):
+            assert v == entry.chart.reduced.eval_float(p)
+
+    @pytest.mark.parametrize("n, start, steps", [
+        (6, (1.2562145573916987, 0.631906575881125), 200),
+        (5, (1.2981448780719809, 0.6438549576043188), 1000),
+    ])
+    def test_accepted_steps_never_fall_by_more_than_the_tolerance(self, n, start, steps):
+        # near scal ~ 675 and ~ 1249 an accepted value can sit half an ulp of
+        # rounding below values[-1] - 1e-10; these starts once gave a step
+        # with np.diff == -1.000444e-10
+        entry = build("su2n_mod_spn", n)
+        region = [(float(c) - 0.2, float(c) + 0.2) for c in entry.critical_point]
+        traj = integrate_ascent(entry.chart, start, max_steps=steps, region=region)
+        assert np.diff(traj.values).min() >= -1e-10
+
     def test_start_at_critical_point_terminates_immediately(self):
         entry = build("su_n", 3)
         traj = integrate_ascent(entry.chart, (1.0, 1.0))

@@ -142,6 +142,7 @@ class TestPartial:
         f = sig(2, (3, {0: 2, 1: -1}), (1, {1: F(1, 2)}))
         g = sig(2, (3, {0: 2, 1: -1}), (1, {1: F(1, 2)}))
         f.derivative((0, 1, 1))
+        f.eval_float((1.5, 2.0))
         assert f == g and hash(f) == hash(g)
         assert g.partial(0) == f.partial(0)
 
@@ -205,6 +206,8 @@ class TestEval:
     def test_nonpositive_point_rejected(self):
         with pytest.raises(ValueError):
             E6_REDUCED.eval_float((0.0,))
+        with pytest.raises(ValueError, match="coordinate 0 is not positive"):
+            E6_REDUCED.eval_abs((-1.0,))
         with pytest.raises(ValueError):
             E6_REDUCED.eval_exact((F(-1),))
 
@@ -213,6 +216,16 @@ class TestEval:
         with pytest.raises(ExactEvaluationError):
             f.eval_exact((F(2),))
         assert f.evaluate((2.0,), mode="float") == pytest.approx(2 ** 0.5)
+
+    def test_overflowing_term_raises(self):
+        with pytest.raises(OverflowError):
+            E6_REDUCED.eval_float((1e-150,))
+        with pytest.raises(OverflowError):
+            E6_REDUCED.eval_abs((1e-150,))
+
+    def test_wrong_point_length_rejected(self):
+        with pytest.raises(ValueError, match="arity"):
+            E6_REDUCED.eval_abs((1.0, 1.0))
 
     def test_mode_dispatch(self):
         assert E6_REDUCED.evaluate((F(1),), mode="exact") == F(45, 2)
@@ -301,3 +314,25 @@ def test_substitute_then_eval_consistent(f, repl, point):
     via_sub = substituted.eval_float(fpoint)
     scale = max(abs(direct), f.eval_abs([x0, fpoint[1]]), 1.0)
     assert abs(via_sub - direct) <= 1e-9 * scale
+
+
+def reference_float_sum(f, point, absolute):
+    """Term-by-term float sum straight from the exact term map."""
+    total = 0.0
+    for mono, c in f.terms.items():
+        prod = 1.0
+        for idx, e in mono.exps:
+            prod *= float(point[idx]) ** float(e)
+        total += (abs(float(c)) if absolute else float(c)) * prod
+    return total
+
+
+positive_floats = st.floats(min_value=1 / 16, max_value=16)
+
+
+@settings(deadline=None)
+@given(signomials(3), st.tuples(positive_floats, positive_floats, positive_floats))
+def test_float_eval_is_bitwise_the_term_sum(f, point):
+    for _ in range(2):  # the first call builds the float form, the second reuses it
+        assert f.eval_float(point).hex() == reference_float_sum(f, point, False).hex()
+        assert f.eval_abs(point).hex() == reference_float_sum(f, point, True).hex()

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from homscal.signomial import Signomial
 from homscal.space import (
     HomogeneousSpace,
-    MetricPoint,
     load_space,
     space_from_dict,
     space_to_dict,
@@ -146,15 +145,6 @@ class TestDerivatives:
         f = E6.scalar_curvature()
         assert [f.derivative((i,)) for i in range(2)] == [f.partial(0), f.partial(1)]
         assert f.derivative(()) is f
-
-
-class TestMetricPoint:
-    def test_positive_ok(self):
-        assert MetricPoint((1.0, F(1, 2))).x == (1.0, F(1, 2))
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            MetricPoint((1.0, 0.0))
 
 
 class TestSpaceFiles:
