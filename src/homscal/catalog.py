@@ -64,7 +64,6 @@ class CatalogEntry:
     kernel_direction: tuple
     expected_s3: "Fraction | float | None"
     note: str = ""
-    hints: frozenset = frozenset()  # hint keys a custom space file gave
 
     def curve(self) -> CurveSpec:
         return CurveSpec(base=self.critical_point, direction=self.kernel_direction)
@@ -246,8 +245,7 @@ def load_custom(path) -> CatalogEntry:
     """Read a space file with optional critical-point, kernel and S3 hints.
 
     A missing critical point or kernel direction stays None (the caller
-    runs the slice search).  The entry's hints record which hint keys the
-    file gave.
+    runs the slice search).
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -289,5 +287,4 @@ def load_custom(path) -> CatalogEntry:
         kernel_direction=direction,
         expected_s3=expected,
         note=f"custom entry from {path}",
-        hints=frozenset(extras),
     )

@@ -182,7 +182,7 @@ class CriticalPoint:
     label: Classification
     eigenvalues: tuple[float, ...]
     eigenvectors: tuple[tuple[float, ...], ...]  # columns match eigenvalues
-    kernel_scale: float  # the kernel band is kernel_tol times this
+    kernel_band: float  # |eigenvalue| at most this counts as kernel
 
     @classmethod
     def at(
@@ -209,10 +209,9 @@ class CriticalPoint:
             grad_norm = math.hypot(*chart.gradient_values(coords))
             grad_scale = chart.gradient_scale(coords)
             eigvals, eigvecs = hessian_spectrum(chart, coords)
-            kernel_scale = max(float(np.abs(eigvals).max(initial=0.0)), chart.hessian_scale(coords))
+            band = kernel_tol * max(float(np.abs(eigvals).max(initial=0.0)), chart.hessian_scale(coords))
         except OverflowError:
             raise ValueError(f"chart point {coords}: a term overflows a float") from None
-        band = kernel_tol * kernel_scale
         if grad_norm >= grad_tol * max(grad_scale, 1e-300):
             label = Classification.NOT_CRITICAL
         elif np.all(eigvals < -band):
@@ -227,16 +226,15 @@ class CriticalPoint:
             label=label,
             eigenvalues=tuple(float(v) for v in eigvals),
             eigenvectors=tuple(tuple(float(c) for c in row) for row in eigvecs),
-            kernel_scale=kernel_scale,
+            kernel_band=band,
         )
 
-    def kernel(self, kernel_tol: float = 1e-9) -> list[np.ndarray]:
-        """Unit eigenvectors with eigenvalue in the kernel band, each with its
-        first nonzero coordinate positive."""
-        band = kernel_tol * self.kernel_scale
+    def kernel(self) -> list[np.ndarray]:
+        """Unit eigenvectors with eigenvalue in the band the point was labelled
+        with, each with its first nonzero coordinate positive."""
         out = []
         for lam, vec in zip(self.eigenvalues, np.array(self.eigenvectors).T):
-            if abs(lam) <= band:
+            if abs(lam) <= self.kernel_band:
                 unit = vec / np.linalg.norm(vec)
                 lead = next((c for c in unit if abs(c) > 1e-12), 1.0)
                 out.append(unit if lead > 0 else -unit)
@@ -260,17 +258,17 @@ def kernel_basis(
     cp = CriticalPoint.at(chart, point, kernel_tol=kernel_tol)
     if cp.label is Classification.NOT_CRITICAL:
         raise ValueError(f"point {tuple(point)} is not critical")
-    return cp.kernel(kernel_tol)
+    return cp.kernel()
 
 
-def _newton_step(chart: SliceChart, u: np.ndarray) -> "np.ndarray | None":
-    """One damped Newton step on the gradient; None when no step is possible.
+def _newton_step(chart: SliceChart, u: np.ndarray, grad: np.ndarray, gnorm: float):
+    """One damped Newton step from u, whose gradient grad and norm gnorm the
+    caller holds: (trial, its gradient, its norm), or None when no step is possible.
 
     The step is halved until the iterate is strictly positive and the
     gradient norm decreases; without the second condition the near-singular
     Hessian at a degenerate point throws iterates out of the basin.
     """
-    grad = chart.gradient_values(u)
     hess = chart.hessian_values(u)
     try:
         delta = np.linalg.solve(hess, -grad)
@@ -280,15 +278,19 @@ def _newton_step(chart: SliceChart, u: np.ndarray) -> "np.ndarray | None":
         delta = np.linalg.lstsq(hess, -grad, rcond=None)[0]
     if not np.all(np.isfinite(delta)) or not delta.any():
         return None
-    gnorm = float(np.linalg.norm(grad))
-    damp = 1.0
+    damp, here, last = 1.0, u.tolist(), None  # lists compare faster than small arrays
     for _ in range(60):
         trial = u + damp * delta
-        if (trial > 0).all():
-            tnorm = float(np.linalg.norm(chart.gradient_values(trial)))
+        point = trial.tolist()
+        if point == here:
+            break  # every shorter step rounds to u as well
+        # a trial that rounds to the last one was already rejected
+        if point != last and min(point) > 0:
+            tgrad = chart.gradient_values(trial)
+            tnorm = float(np.linalg.norm(tgrad))
             if math.isfinite(tnorm) and tnorm < gnorm:
-                return trial
-        damp *= 0.5
+                return trial, tgrad, tnorm
+        damp, last = damp * 0.5, point
     return None
 
 
@@ -320,33 +322,27 @@ def _newton_converge(
     chart: SliceChart, u: np.ndarray, tol: float, max_iter: int
 ) -> "np.ndarray | None":
     """Newton steps until the gradient norm is below tol, then polish steps
-    while the norm keeps falling; None if the iteration fails."""
-    converged = False
-    for _ in range(max_iter):
-        grad = chart.gradient_values(u)
-        if not np.all(np.isfinite(grad)):
-            return None
-        if float(np.linalg.norm(grad)) < tol:
-            converged = True
-            break
-        nxt = _newton_step(chart, u)
-        if nxt is None:
-            return None
-        u = nxt
-    if not converged:
+    while the norm keeps falling; None if the iteration fails.  Each iterate
+    carries its gradient from the step that accepted it."""
+    grad = chart.gradient_values(u)
+    if not np.all(np.isfinite(grad)):
         return None
-    best_u = u
-    best_norm = float(np.linalg.norm(chart.gradient_values(u)))
+    gnorm = float(np.linalg.norm(grad))
+    for _ in range(max_iter):
+        if gnorm < tol:
+            break
+        step = _newton_step(chart, u, grad, gnorm)
+        if step is None:
+            return None
+        u, grad, gnorm = step
+    else:
+        return None
     for _ in range(12):
-        nxt = _newton_step(chart, best_u)
-        if nxt is None:
+        step = _newton_step(chart, u, grad, gnorm)
+        if step is None:
             break
-        norm = float(np.linalg.norm(chart.gradient_values(nxt)))
-        if norm < best_norm:
-            best_u, best_norm = nxt, norm
-        else:
-            break
-    return best_u
+        u, grad, gnorm = step
+    return u
 
 
 def newton_critical(
@@ -362,22 +358,26 @@ def newton_critical(
     is singular) and are halved until the iterate stays strictly positive.
     Once the gradient norm drops below tol, a few polish steps follow; along
     a degenerate direction the gradient is cubic in the offset, so polishing
-    sharpens coordinates well past the first iterate that meets tol.  A start
-    whose iterates overflow a float in a term has failed; a gradient norm that
-    overflows is inf, which the step damping already treats as no progress.
+    sharpens coordinates well past the first iterate that meets tol.  The
+    gradient is evaluated once per point: at the start and at each damping
+    trial that rounds to a new point; an accepted trial keeps its gradient
+    as the next iterate's.
+    A start whose iterates overflow a float in a term has failed; a gradient
+    norm that overflows is inf, which the step damping already treats as no
+    progress.
     """
     u = np.array([float(x) for x in start], dtype=float)
     if len(u) != chart.arity or not np.all((u > 0) & np.isfinite(u)):
         raise ValueError("start must be a finite, strictly positive chart point")
     try:
         with np.errstate(over="ignore"):
-            best_u = _newton_converge(chart, u, tol, max_iter)
+            u = _newton_converge(chart, u, tol, max_iter)
     except OverflowError:
         return None
-    if best_u is None:
+    if u is None:
         return None
-    snapped = _try_exact_snap(chart, best_u)
-    return CriticalPoint.at(chart, best_u if snapped is None else snapped, kernel_tol=kernel_tol)
+    snapped = _try_exact_snap(chart, u)
+    return CriticalPoint.at(chart, u if snapped is None else snapped, kernel_tol=kernel_tol)
 
 
 def find_critical_points(

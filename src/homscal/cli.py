@@ -18,6 +18,7 @@ byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -25,7 +26,7 @@ from fractions import Fraction
 from . import catalog, lie_constants
 from .catalog import CatalogEntry, ParameterRangeError
 from .chart import Classification, CriticalPoint, find_critical_points
-from .probe import CurveSpec, Verdict, improving_offset, probe_chart
+from .probe import Verdict, improving_offset, probe_chart
 from .signomial import ExactEvaluationError
 
 
@@ -54,14 +55,13 @@ def probe_record(
     tol_low: float = 1e-8,
     tol_high: float = 1e-6,
     kernel_tol: float = 1e-9,
-    curve: "CurveSpec | None" = None,
 ) -> dict:
     """Run the full pipeline on one entry and return a plain-dict record."""
     ch = entry.chart
     fpoint = [float(x) for x in entry.critical_point]
     cp = CriticalPoint.at(ch, fpoint, kernel_tol=kernel_tol)
-    kernel = [] if cp.label is Classification.NOT_CRITICAL else cp.kernel(kernel_tol)
-    curve = curve or entry.curve()
+    kernel = [] if cp.label is Classification.NOT_CRITICAL else cp.kernel()
+    curve = entry.curve()
     result = probe_chart(ch, curve, mode=mode, tol_low=tol_low, tol_high=tol_high)
     witness = None
     witness_value = None
@@ -278,18 +278,15 @@ def cmd_custom(args) -> int:
         if hinted and entry.kernel_direction is not None:
             directions = [entry.kernel_direction]
         else:
-            directions = [tuple(float(c) for c in v) for v in cp.kernel(args.kernel_tol)]
+            directions = [tuple(float(c) for c in v) for v in cp.kernel()]
         for direction in directions:
-            probe_entry = CatalogEntry(
-                family=entry.family,
-                n=None,
-                space=entry.space,
-                chart=entry.chart,
+            probe_entry = dataclasses.replace(
+                entry,
                 critical_point=_rationalize(cp.coords),
                 kernel_direction=_rationalize(direction),
                 expected_s3=entry.expected_s3 if hinted else None,
             )
-            record = probe_record(probe_entry, mode=args.mode)
+            record = probe_record(probe_entry, mode=args.mode, kernel_tol=args.kernel_tol)
             _print_record(record, sys.stdout)
             if not _record_ok(record):
                 status = 1

@@ -57,6 +57,9 @@ def integrate_ascent(
     new - old >= -monotone_tol: the two values are close, so the difference
     is exact and consecutive recorded values never differ by less than
     -monotone_tol.  The nominal step is restored after every accepted step.
+    The gradient at u is evaluated once and serves as the first RK4 stage of
+    every attempt from u, so an accepted step without rejections costs four
+    gradient evaluations.
     """
     f, grad = chart.reduced.eval_float, chart.gradient_values
     u = np.array([float(x) for x in start], dtype=float)
@@ -72,8 +75,7 @@ def integrate_ascent(
     values = [f(u)]
     t = 0.0
 
-    def rk4(u0: np.ndarray, h: float) -> "np.ndarray | None":
-        k1 = grad(u0)
+    def rk4(u0: np.ndarray, k1: np.ndarray, h: float) -> "np.ndarray | None":
         p2 = u0 + 0.5 * h * k1
         if np.any(p2 <= 0):
             return None
@@ -99,7 +101,7 @@ def integrate_ascent(
             break
         h = step
         for _rej in range(20):
-            nxt = rk4(u, h)
+            nxt = rk4(u, g, h)
             if nxt is not None:
                 new_val = f(nxt)
                 if new_val - values[-1] >= -monotone_tol:

@@ -115,28 +115,24 @@ def _contract(
 ):
     """Contraction of the order-th derivative tensor with direction^order, plus
     its absolute-value counterpart (always float)."""
-    arity = len(point)
-    total = Fraction(0) if exact else 0.0
-    total_abs = 0.0
     fpoint = [float(x) for x in point]
-    for alpha in itertools.combinations_with_replacement(range(arity), order):
+    if exact:
+        num, evaluate, at = Fraction, Signomial.eval_exact, point
+    else:
+        num, evaluate, at = float, Signomial.eval_float, fpoint
+    total = num(0)
+    total_abs = 0.0
+    for alpha in itertools.combinations_with_replacement(range(len(point)), order):
         counts: dict[int, int] = {}
         for i in alpha:
             counts[i] = counts.get(i, 0) + 1
         mult = _multinomial(counts)
         part = f.derivative(alpha)
-        if exact:
-            value = part.eval_exact(point)
-            dirprod = Fraction(1)
-            for i, c in counts.items():
-                dirprod *= Fraction(direction[i]) ** c
-            total += mult * value * dirprod
-        else:
-            value = part.eval_float(fpoint)
-            dirprod = 1.0
-            for i, c in counts.items():
-                dirprod *= float(direction[i]) ** c
-            total += mult * value * dirprod
+        value = evaluate(part, at)
+        dirprod = num(1)
+        for i, c in counts.items():
+            dirprod *= num(direction[i]) ** c
+        total += mult * value * dirprod
         absdir = 1.0
         for i, c in counts.items():
             absdir *= abs(float(direction[i])) ** c

@@ -99,6 +99,9 @@ class Monomial:
     def __setattr__(self, name, value):
         raise AttributeError("Monomial is immutable")
 
+    def __reduce__(self):
+        return Monomial, (self.exps,)
+
     def exponent(self, var: int) -> Fraction:
         for idx, e in self.exps:
             if idx == var:
@@ -173,6 +176,10 @@ class Signomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Signomial is immutable")
+
+    def __reduce__(self):
+        # the memos are not carried; a copy rebuilds them on first use
+        return Signomial, (self.arity, self.terms)
 
     # -- constructors -------------------------------------------------------
 

@@ -191,7 +191,6 @@ class TestCustomEntries:
         path = tmp_path / "e6.json"
         path.write_text(json.dumps(self.e6_payload()))
         entry = load_custom(path)
-        assert entry.hints == frozenset({"eliminate"})
         assert entry.critical_point is None
         assert entry.kernel_direction is None
         (point,) = [cp.coords for cp in find_critical_points(entry.chart)
@@ -210,7 +209,6 @@ class TestCustomEntries:
             )
         )
         entry = load_custom(path)
-        assert entry.hints == {"critical_point", "kernel_direction", "expected_s3", "eliminate"}
         assert entry.critical_point == (F(1),)
         assert entry.expected_s3 == F(180)
         res = directional_derivatives(entry.chart, entry.curve())

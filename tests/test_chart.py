@@ -1,10 +1,13 @@
 """Slice charts: restriction, eigensolver, Newton search, classification."""
 
+import itertools
+import math
 import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import homscal.chart as chart_mod
 from homscal.catalog import build, e6_space, so2n_flag_space, su_n_space
@@ -159,6 +162,15 @@ class TestSpectrumAndKernel:
         (vec,) = kernel_basis(restrict(su_n_space(4)), (1.0, 1.0))
         assert len(calls) == 1
 
+    def test_kernel_reads_the_band_the_point_was_labelled_with(self):
+        # with kernel_tol = 2 both eigenvalues lie in the band, so the point
+        # is Degenerate and its kernel is the whole plane
+        chart = build("su_n", 5).chart
+        cp = CriticalPoint.at(chart, (1, 1), kernel_tol=2.0)
+        assert cp.label is Classification.DEGENERATE
+        assert len(cp.kernel()) == 2
+        assert len(kernel_basis(chart, (1, 1), kernel_tol=2.0)) == 2
+
     def test_kernel_at_noncritical_point_rejected(self):
         chart = restrict(e6_space(), eliminated=0)
         with pytest.raises(ValueError, match="not critical"):
@@ -203,7 +215,7 @@ class TestClassify:
         # +-1e-14 of cancellation, which must not count as a sign
         chart = restrict(so2n_flag_space(n))
         cp = CriticalPoint.at(chart, (1.0,))
-        assert abs(cp.eigenvalues[0]) < 1e-9 * cp.kernel_scale
+        assert abs(cp.eigenvalues[0]) < cp.kernel_band
         assert cp.label is Classification.DEGENERATE
         assert [list(v) for v in cp.kernel()] == [[1.0]]
 
@@ -300,3 +312,143 @@ class TestMultiStart:
         ]
         kernel = cp.kernel()
         assert len(kernel) == 1
+
+
+# -- Newton against the solver that re-evaluated its iterates ---------------------
+# _reference_* is the Newton search as it was before iterates carried their
+# gradient: it evaluates each iterate up to three times but must land on the
+# same points bit for bit.
+
+
+def _reference_newton_step(chart, u):
+    grad = chart.gradient_values(u)
+    hess = chart.hessian_values(u)
+    try:
+        delta = np.linalg.solve(hess, -grad)
+        if not np.all(np.isfinite(delta)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        delta = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+    if not np.all(np.isfinite(delta)) or not delta.any():
+        return None
+    gnorm = float(np.linalg.norm(grad))
+    damp = 1.0
+    for _ in range(60):
+        trial = u + damp * delta
+        if (trial > 0).all():
+            tnorm = float(np.linalg.norm(chart.gradient_values(trial)))
+            if math.isfinite(tnorm) and tnorm < gnorm:
+                return trial
+        damp *= 0.5
+    return None
+
+
+def _reference_newton_converge(chart, u, tol, max_iter):
+    converged = False
+    for _ in range(max_iter):
+        grad = chart.gradient_values(u)
+        if not np.all(np.isfinite(grad)):
+            return None
+        if float(np.linalg.norm(grad)) < tol:
+            converged = True
+            break
+        nxt = _reference_newton_step(chart, u)
+        if nxt is None:
+            return None
+        u = nxt
+    if not converged:
+        return None
+    best_u = u
+    best_norm = float(np.linalg.norm(chart.gradient_values(u)))
+    for _ in range(12):
+        nxt = _reference_newton_step(chart, best_u)
+        if nxt is None:
+            break
+        norm = float(np.linalg.norm(chart.gradient_values(nxt)))
+        if norm < best_norm:
+            best_u, best_norm = nxt, norm
+        else:
+            break
+    return best_u
+
+
+def _reference_newton_critical(chart, start):
+    u = np.array([float(x) for x in start], dtype=float)
+    try:
+        with np.errstate(over="ignore"):
+            best_u = _reference_newton_converge(chart, u, 1e-12, 100)
+    except OverflowError:
+        return None
+    if best_u is None:
+        return None
+    snapped = chart_mod._try_exact_snap(chart, best_u)
+    return CriticalPoint.at(chart, best_u if snapped is None else snapped)
+
+
+def _two_summand(dims, triples):
+    # every column sum of [ijk] is at most d_k, as for a homogeneous space with b = 1
+    return restrict(HomogeneousSpace(name=f"two-{dims}", dims=dims, triples=triples))
+
+
+NEWTON_CHARTS = {
+    "e6": build("e6_su2_so6").chart,
+    "su_n-4": build("su_n", 4).chart,
+    "su_n-5": build("su_n", 5).chart,
+    "so2n_flag-8": build("so2n_flag", 8).chart,
+    "su2n_mod_spn-6": build("su2n_mod_spn", 6).chart,
+    "two-1-12": _two_summand((1, 12), {(0, 1, 1): F(1, 2)}),
+    "two-3-8": _two_summand((3, 8), {(0, 0, 1): F(1), (1, 1, 1): F(2)}),  # no critical point
+    "two-4-9": _two_summand((4, 9), {(0, 1, 1): F(2)}),
+    "two-7-7": _two_summand((7, 7), {(0, 0, 1): F(2), (0, 1, 1): F(1)}),
+    "two-8-3": _two_summand((8, 3), {(0, 0, 1): F(2)}),
+}
+GRID = np.exp(np.linspace(math.log(0.25), math.log(4.0), 5))
+
+
+class TestNewtonCarriesGradient:
+    @pytest.mark.parametrize("name", sorted(NEWTON_CHARTS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_same_critical_point_as_reference(self, name, data):
+        chart = NEWTON_CHARTS[name]
+        start = data.draw(st.lists(st.floats(-4.0, 4.0).map(math.exp),
+                                   min_size=chart.arity, max_size=chart.arity))
+        # repr prints every float round-trip exactly, so equal reprs are bit-equal
+        assert repr(newton_critical(chart, start)) == repr(
+            _reference_newton_critical(chart, start)
+        )
+
+    @pytest.mark.parametrize("name", sorted(NEWTON_CHARTS))
+    def test_grid_starts_match_reference(self, name):
+        chart = NEWTON_CHARTS[name]
+        for start in itertools.product(GRID, repeat=chart.arity):
+            assert repr(newton_critical(chart, start)) == repr(
+                _reference_newton_critical(chart, start)
+            )
+
+    @pytest.mark.parametrize("name", sorted(NEWTON_CHARTS))
+    def test_no_point_is_evaluated_twice(self, monkeypatch, name):
+        chart = NEWTON_CHARTS[name]
+        evaluated, labelling = [], []
+        gradient_values = SliceChart.gradient_values
+        at = CriticalPoint.at.__func__
+
+        def counted(self, point):
+            if not labelling:
+                evaluated.append(tuple(float(x) for x in point))
+            return gradient_values(self, point)
+
+        def label(cls, *args, **kwargs):
+            labelling.append(True)
+            try:
+                return at(cls, *args, **kwargs)
+            finally:
+                labelling.pop()
+
+        monkeypatch.setattr(SliceChart, "gradient_values", counted)
+        monkeypatch.setattr(CriticalPoint, "at", classmethod(label))
+        for start in itertools.product(GRID, repeat=chart.arity):
+            evaluated.clear()
+            newton_critical(chart, start)
+            assert evaluated
+            assert len(set(evaluated)) == len(evaluated), start

@@ -174,6 +174,21 @@ class TestCustom:
         assert "s3: 180" in out
         assert "verdict: NotLocalMax" in out
 
+    def test_records_use_the_kernel_tol_of_the_search(self, capsys, tmp_path):
+        # at kernel_tol 2 the su_n n=5 point (1, 1) has a two-dimensional
+        # kernel; each probed direction's record must list both vectors
+        space = build("su_n", 5).space
+        path = tmp_path / "su5.json"
+        path.write_text(json.dumps({
+            "name": "su5", "dims": list(space.dims), "b": [str(v) for v in space.b],
+            "triples": [{"i": i, "j": j, "k": k, "value": str(v)}
+                        for (i, j, k), v in space.triples.items()],
+        }))
+        _, out, _ = run(capsys, "custom", "--file", str(path), "--kernel-tol", "2")
+        kernels = [line for line in out.splitlines() if "kernel_directions" in line]
+        assert len(kernels) == 2
+        assert all(line.count("], [") == 1 for line in kernels)
+
     def test_hinted_entry_without_search(self, capsys, tmp_path):
         path = self.write_e6(tmp_path, critical_point=["1"], kernel_direction=["1"],
                              expected_s3="180")

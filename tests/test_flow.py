@@ -55,6 +55,20 @@ class TestAscent:
         traj = integrate_ascent(entry.chart, start, max_steps=steps, region=region)
         assert np.diff(traj.values).min() >= -1e-10
 
+    @pytest.mark.parametrize("family, n", [("e6_su2_so6", None), ("su_n", 4)])
+    def test_step_without_rejection_costs_four_gradients(self, monkeypatch, family, n):
+        entry = build(family, n)
+        calls = []
+        gradient_values = SliceChart.gradient_values
+        monkeypatch.setattr(SliceChart, "gradient_values",
+                            lambda self, p: calls.append(p) or gradient_values(self, p))
+        start = tuple(float(x) * 1.01 for x in entry.critical_point)
+        traj = integrate_ascent(entry.chart, start, max_steps=50)
+        assert traj.reason == "budget"
+        # a rejected step would be halved and leave t short of 50 steps
+        assert traj.times[-1] == pytest.approx(50 * traj.step, rel=1e-12)
+        assert len(calls) == 4 * 50
+
     def test_start_at_critical_point_terminates_immediately(self):
         entry = build("su_n", 3)
         traj = integrate_ascent(entry.chart, (1.0, 1.0))

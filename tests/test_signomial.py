@@ -1,10 +1,13 @@
 """Exact signomial algebra: frozen examples and algebraic property tests."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homscal.catalog import build
 from homscal.signomial import (
     ExactEvaluationError,
     Monomial,
@@ -336,3 +339,35 @@ def test_float_eval_is_bitwise_the_term_sum(f, point):
     for _ in range(2):  # the first call builds the float form, the second reuses it
         assert f.eval_float(point).hex() == reference_float_sum(f, point, False).hex()
         assert f.eval_abs(point).hex() == reference_float_sum(f, point, True).hex()
+
+
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+@pytest.mark.parametrize("copier", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+class TestCopy:
+    def test_monomial(self, copier):
+        m = Monomial({0: F(3, 2), 2: -1})
+        c = copier(m)
+        assert c == m and hash(c) == hash(m)
+        assert c.eval_exact((F(4), 7, F(1, 2))) == m.eval_exact((F(4), 7, F(1, 2)))
+
+    def test_signomial(self, copier):
+        point = (1.3, 0.7)
+        f = sig(2, (3, {0: 2}), (F(-1, 3), {0: -1, 1: F(1, 2)}), (5, {}))
+        f.partial(0).eval_float(point)  # fill the memos the copy must not carry
+        c = copier(f)
+        assert c == f and hash(c) == hash(f)
+        assert c.eval_float(point).hex() == f.eval_float(point).hex()
+        assert c.partial(0).eval_float(point).hex() == f.partial(0).eval_float(point).hex()
+        with pytest.raises(AttributeError, match="immutable"):
+            c.arity = 3
+
+    def test_catalog_chart(self, copier):
+        chart = build("su2n_mod_spn", 4).chart
+        point = (1.2, 0.6)
+        c = copier(chart)
+        assert c == chart
+        assert c.reduced.eval_float(point).hex() == chart.reduced.eval_float(point).hex()
+        assert c.gradient_values(point).tolist() == chart.gradient_values(point).tolist()
