@@ -16,11 +16,10 @@ a nearby metric with strictly larger scalar curvature can be written down.
 from fractions import Fraction
 
 from homscal import (
+    CriticalPoint,
     CurveSpec,
     HomogeneousSpace,
-    classify,
     improving_offset,
-    kernel_basis,
     probe_chart,
     restrict,
 )
@@ -38,9 +37,9 @@ def main():
     chart = restrict(space, eliminated=0)
     print("\nreduced to the slice (x eliminated):", chart.reduced.to_text(["y"]))
 
-    point = (1.0,)
-    print("\nclassification at y = 1:", classify(chart, point))
-    print("kernel direction(s):", [v.tolist() for v in kernel_basis(chart, point)])
+    cp = CriticalPoint.at(chart, (1.0,))
+    print("\nclassification at y = 1:", cp.label)
+    print("kernel direction(s):", [v.tolist() for v in cp.kernel()])
 
     curve = CurveSpec(base=(Fraction(1),), direction=(Fraction(1),))
     result = probe_chart(chart, curve)

@@ -17,11 +17,8 @@ from .chart import (
     Classification,
     CriticalPoint,
     SliceChart,
-    classify,
     find_critical_points,
-    hessian_spectrum,
     jacobi_eigh,
-    kernel_basis,
     newton_critical,
     restrict,
 )
@@ -62,11 +59,8 @@ __all__ = [
     "Classification",
     "CriticalPoint",
     "SliceChart",
-    "classify",
     "find_critical_points",
-    "hessian_spectrum",
     "jacobi_eigh",
-    "kernel_basis",
     "newton_critical",
     "restrict",
     "CurveSpec",

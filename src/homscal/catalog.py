@@ -63,7 +63,6 @@ class CatalogEntry:
     critical_point: tuple
     kernel_direction: tuple
     expected_s3: "Fraction | float | None"
-    note: str = ""
 
     def curve(self) -> CurveSpec:
         return CurveSpec(base=self.critical_point, direction=self.kernel_direction)
@@ -168,7 +167,6 @@ def build(family: str, n: "int | None" = None) -> CatalogEntry:
             critical_point=(Fraction(1),),
             kernel_direction=(Fraction(1),),
             expected_s3=Fraction(180),
-            note="unique chart variable; curvature has an inflection at the standard metric",
         )
     n = _require_n(family, n)
     if family == "su_n":
@@ -181,7 +179,6 @@ def build(family: str, n: "int | None" = None) -> CatalogEntry:
             critical_point=(Fraction(1), Fraction(1)),
             kernel_direction=(Fraction(-2, n - 2), Fraction(1)),
             expected_s3=Fraction(n * n * (n - 1), (n - 2) ** 2),
-            note="bi-invariant metric probed along the Hessian kernel",
         )
     if family == "so2n_flag":
         space = so2n_flag_space(n)
@@ -193,7 +190,6 @@ def build(family: str, n: "int | None" = None) -> CatalogEntry:
             critical_point=(Fraction(1),),
             kernel_direction=(Fraction(1),),
             expected_s3=Fraction(2 * n * n * (n - 1), (n - 2) ** 2),
-            note="collapsed two-parameter subfamily of the full flag manifold",
         )
     # su2n_mod_spn
     a = su2n_volume_normalizer(n)
@@ -206,7 +202,6 @@ def build(family: str, n: "int | None" = None) -> CatalogEntry:
         critical_point=(a, a / 2.0),
         kernel_direction=(Fraction(1), Fraction(-(n - 2), 4)),
         expected_s3=expected,
-        note="symmetric metric at the irrational unit-volume normalizer",
     )
 
 
@@ -286,5 +281,4 @@ def load_custom(path) -> CatalogEntry:
         critical_point=point,
         kernel_direction=direction,
         expected_s3=expected,
-        note=f"custom entry from {path}",
     )

@@ -27,6 +27,9 @@ import numpy as np
 from .signomial import Signomial
 from .space import HomogeneousSpace
 
+# |eigenvalue| at most KERNEL_TOL times the Hessian's scale counts as kernel
+KERNEL_TOL = 1e-9
+
 
 class Classification(enum.Enum):
     NOT_CRITICAL = "NotCritical"
@@ -125,12 +128,12 @@ def restrict(space: HomogeneousSpace, eliminated: int | None = None) -> SliceCha
     )
 
 
-def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
+def jacobi_eigh(matrix: np.ndarray):
     """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi rotations.
 
-    Sweeps run until the largest off-diagonal entry falls below tol times the
-    largest entry of the input.  Returns (eigenvalues ascending, eigenvector
-    columns in matching order).
+    Sweeps run until the largest off-diagonal entry falls below 1e-13 times
+    the largest entry of the input, at most 60 sweeps.  Returns (eigenvalues
+    ascending, eigenvector columns in matching order).
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -143,8 +146,8 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
     if m == 1 or scale == 0.0:
         order = np.argsort(np.diag(a))
         return np.diag(a)[order], v[:, order]
-    threshold = tol * scale
-    for _ in range(max_sweeps):
+    threshold = 1e-13 * scale
+    for _ in range(60):
         off = 0.0
         for p in range(m - 1):
             for q in range(p + 1, m):
@@ -170,11 +173,6 @@ def jacobi_eigh(matrix: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
     return np.diag(a)[order], v[:, order]
 
 
-def hessian_spectrum(chart: SliceChart, point: Sequence[float]):
-    """Eigenvalues (ascending) and eigenvectors of the reduced Hessian at a point."""
-    return jacobi_eigh(chart.hessian_values(point))
-
-
 @dataclass(frozen=True)
 class CriticalPoint:
     coords: tuple[float, ...]
@@ -189,15 +187,14 @@ class CriticalPoint:
         cls,
         chart: SliceChart,
         point: Sequence[float],
-        kernel_tol: float = 1e-9,
-        grad_tol: float = 1e-8,
+        kernel_tol: float = KERNEL_TOL,
     ) -> "CriticalPoint":
         """Label a chart point from one gradient check and one Hessian spectrum.
 
         kernel_tol is relative to the larger of the largest |eigenvalue| and
         the cancellation scale of the Hessian entries, so that an all-roundoff
-        spectrum is kernel; grad_tol is relative to the cancellation scale of
-        the gradient entries.
+        spectrum is kernel; the point is critical when |grad| is below 1e-8
+        times the cancellation scale of the gradient entries.
         DEGENERATE means the Hessian is negative semidefinite with kernel:
         not settled at second order, probe along the kernel.  A point where a
         term overflows a float is a ValueError.
@@ -208,11 +205,11 @@ class CriticalPoint:
         try:
             grad_norm = math.hypot(*chart.gradient_values(coords))
             grad_scale = chart.gradient_scale(coords)
-            eigvals, eigvecs = hessian_spectrum(chart, coords)
+            eigvals, eigvecs = jacobi_eigh(chart.hessian_values(coords))
             band = kernel_tol * max(float(np.abs(eigvals).max(initial=0.0)), chart.hessian_scale(coords))
         except OverflowError:
             raise ValueError(f"chart point {coords}: a term overflows a float") from None
-        if grad_norm >= grad_tol * max(grad_scale, 1e-300):
+        if grad_norm >= 1e-8 * max(grad_scale, 1e-300):
             label = Classification.NOT_CRITICAL
         elif np.all(eigvals < -band):
             label = Classification.LOCAL_MAX_CANDIDATE
@@ -239,26 +236,6 @@ class CriticalPoint:
                 lead = next((c for c in unit if abs(c) > 1e-12), 1.0)
                 out.append(unit if lead > 0 else -unit)
         return out
-
-
-def classify(
-    chart: SliceChart,
-    point: Sequence[float],
-    kernel_tol: float = 1e-9,
-    grad_tol: float = 1e-8,
-) -> Classification:
-    """Second-order label for a point of the chart (see CriticalPoint.at)."""
-    return CriticalPoint.at(chart, point, kernel_tol=kernel_tol, grad_tol=grad_tol).label
-
-
-def kernel_basis(
-    chart: SliceChart, point: Sequence[float], kernel_tol: float = 1e-9
-) -> list[np.ndarray]:
-    """Unit Hessian kernel vectors at a critical point (see CriticalPoint.kernel)."""
-    cp = CriticalPoint.at(chart, point, kernel_tol=kernel_tol)
-    if cp.label is Classification.NOT_CRITICAL:
-        raise ValueError(f"point {tuple(point)} is not critical")
-    return cp.kernel()
 
 
 def _newton_step(chart: SliceChart, u: np.ndarray, grad: np.ndarray, gnorm: float):
@@ -350,7 +327,7 @@ def newton_critical(
     start: Sequence[float],
     tol: float = 1e-12,
     max_iter: int = 100,
-    kernel_tol: float = 1e-9,
+    kernel_tol: float = KERNEL_TOL,
 ) -> CriticalPoint | None:
     """Damped Newton iteration on the reduced gradient; None if it fails.
 
@@ -387,7 +364,7 @@ def find_critical_points(
     per_axis: int = 5,
     tol: float = 1e-12,
     dedupe: float = 1e-8,
-    kernel_tol: float = 1e-9,
+    kernel_tol: float = KERNEL_TOL,
 ) -> list[CriticalPoint]:
     """Multi-start Newton over a logarithmic grid; deduplicated, sorted results.
 

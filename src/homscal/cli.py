@@ -25,8 +25,8 @@ from fractions import Fraction
 
 from . import catalog, lie_constants
 from .catalog import CatalogEntry, ParameterRangeError
-from .chart import Classification, CriticalPoint, find_critical_points
-from .probe import Verdict, improving_offset, probe_chart
+from .chart import KERNEL_TOL, Classification, CriticalPoint, find_critical_points
+from .probe import TOL_HIGH, TOL_LOW, Verdict, improving_offset, probe_chart
 from .signomial import ExactEvaluationError
 
 
@@ -52,9 +52,9 @@ def _s3_matches(result_s3, expected, mode: str) -> "bool | None":
 def probe_record(
     entry: CatalogEntry,
     mode: str = "auto",
-    tol_low: float = 1e-8,
-    tol_high: float = 1e-6,
-    kernel_tol: float = 1e-9,
+    tol_low: float = TOL_LOW,
+    tol_high: float = TOL_HIGH,
+    kernel_tol: float = KERNEL_TOL,
 ) -> dict:
     """Run the full pipeline on one entry and return a plain-dict record."""
     ch = entry.chart
@@ -322,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(catalog.FAMILIES), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
-    p.add_argument("--tol-low", type=float, default=1e-8)
-    p.add_argument("--tol-high", type=float, default=1e-6)
-    p.add_argument("--kernel-tol", type=float, default=1e-9)
+    p.add_argument("--tol-low", type=float, default=TOL_LOW)
+    p.add_argument("--tol-high", type=float, default=TOL_HIGH)
+    p.add_argument("--kernel-tol", type=float, default=KERNEL_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_probe)
 
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--search", action="store_true", help="multi-start even when hints exist")
     p.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
-    p.add_argument("--kernel-tol", type=float, default=1e-9)
+    p.add_argument("--kernel-tol", type=float, default=KERNEL_TOL)
     p.set_defaults(func=cmd_custom)
 
     return parser

@@ -44,22 +44,20 @@ def integrate_ascent(
     step: float = 1e-3,
     max_steps: int = 100_000,
     region: "Sequence[tuple[float, float]] | None" = None,
-    grad_tol: float = 1e-10,
-    monotone_tol: float = 1e-10,
 ) -> Trajectory:
-    """Integrate u' = grad f(u) from start until the gradient is small, the
+    """Integrate u' = grad f(u) from start until |grad| < 1e-10, the
     trajectory leaves the region, or the step budget runs out.
 
     A step is rejected and retried at half size when its stages or endpoint
     leave the positive orthant, or when it would decrease the value by more
-    than monotone_tol (an overshoot symptom where the gradient is stiff);
-    twenty consecutive rejections raise FlowError.  The decrease is tested as
-    new - old >= -monotone_tol: the two values are close, so the difference
-    is exact and consecutive recorded values never differ by less than
-    -monotone_tol.  The nominal step is restored after every accepted step.
-    The gradient at u is evaluated once and serves as the first RK4 stage of
-    every attempt from u, so an accepted step without rejections costs four
-    gradient evaluations.
+    than 1e-10 (an overshoot symptom where the gradient is stiff); twenty
+    consecutive rejections raise FlowError.  The decrease is tested as
+    new - old >= -1e-10: the two values are close, so the difference is
+    exact and consecutive recorded values never differ by less than -1e-10.
+    The nominal step is restored after every accepted step.  The gradient at
+    u is evaluated once and serves as the first RK4 stage of every attempt
+    from u, so an accepted step without rejections costs four gradient
+    evaluations.
     """
     f, grad = chart.reduced.eval_float, chart.gradient_values
     u = np.array([float(x) for x in start], dtype=float)
@@ -96,7 +94,7 @@ def integrate_ascent(
     reason = "budget"
     for _ in range(max_steps):
         g = grad(u)
-        if float(np.linalg.norm(g)) < grad_tol:
+        if float(np.linalg.norm(g)) < 1e-10:
             reason = "gradient-small"
             break
         h = step
@@ -104,7 +102,7 @@ def integrate_ascent(
             nxt = rk4(u, g, h)
             if nxt is not None:
                 new_val = f(nxt)
-                if new_val - values[-1] >= -monotone_tol:
+                if new_val - values[-1] >= -1e-10:
                     break
             h *= 0.5
         else:

@@ -51,8 +51,10 @@ class BracketTable:
     def dim(self) -> int:
         return self.brackets.shape[0]
 
-    def check(self, tol: float = 1e-9) -> list[str]:
-        """Report violations of antisymmetry, the Jacobi identity, gram symmetry."""
+    def check(self) -> list[str]:
+        """Report violations of antisymmetry, the Jacobi identity, gram
+        symmetry, beyond 1e-9 (the Jacobi identity relative to max |bracket|^2)."""
+        tol = 1e-9
         issues = []
         br = self.brackets
         anti = np.abs(br + np.swapaxes(br, 0, 1)).max()
@@ -132,13 +134,13 @@ def orthonormalize(table: BracketTable, partition: Partition | None = None) -> B
 
 
 def structural_constants(
-    table: BracketTable, partition: Partition, symmetry_tol: float = 1e-9
+    table: BracketTable, partition: Partition
 ) -> dict[tuple[int, int, int], float]:
     """Triple sums of squared bracket projections over a Q-orthonormal table.
 
     Returns the nonzero constants keyed by ascending index triples.  The full
-    ordered table is checked for permutation symmetry to symmetry_tol
-    (relative to the largest entry).
+    ordered table is checked for permutation symmetry to 1e-9 (relative to
+    the largest entry).
     """
     dim = table.dim
     if np.abs(table.gram - np.eye(dim)).max() > 1e-10:
@@ -155,7 +157,7 @@ def structural_constants(
     scale = max(1.0, np.abs(full).max())
     for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         dev = np.abs(full - np.transpose(full, perm)).max()
-        if dev > symmetry_tol * scale:
+        if dev > 1e-9 * scale:
             raise ValueError(f"triple table is not permutation symmetric (dev {dev:.2e})")
     out: dict[tuple[int, int, int], float] = {}
     for i in range(r):

@@ -28,6 +28,11 @@ from typing import Sequence
 from .chart import SliceChart
 from .signomial import ExactEvaluationError, Signomial
 
+# float-mode verdict thresholds, relative to max(|S3|, largest third partial):
+# |S1|, |S2| below TOL_LOW count as zero, |S3| or -S2 above TOL_HIGH as signal
+TOL_LOW = 1e-8
+TOL_HIGH = 1e-6
+
 
 class Verdict(enum.Enum):
     NOT_LOCAL_MAX = "NotLocalMax"
@@ -75,7 +80,8 @@ class ProbeResult:
 
     scales holds the same contractions with every factor replaced by its
     absolute value: the natural magnitude against which a vanishing S is
-    judged.  third_partial_max is the largest |f_ijk| at the base point.
+    judged.  third_partial_max is the largest |f_ijk| at the base point
+    (in exact mode the exact value, correctly rounded).
     """
 
     s1: "Fraction | float"
@@ -113,8 +119,9 @@ def _contract(
     direction: Sequence,
     exact: bool,
 ):
-    """Contraction of the order-th derivative tensor with direction^order, plus
-    its absolute-value counterpart (always float)."""
+    """Contraction of the order-th derivative tensor with direction^order, its
+    absolute-value counterpart (always float) and the largest |partial| it
+    evaluated (float, correctly rounded from the exact value)."""
     fpoint = [float(x) for x in point]
     if exact:
         num, evaluate, at = Fraction, Signomial.eval_exact, point
@@ -122,6 +129,7 @@ def _contract(
         num, evaluate, at = float, Signomial.eval_float, fpoint
     total = num(0)
     total_abs = 0.0
+    peak = num(0)
     for alpha in itertools.combinations_with_replacement(range(len(point)), order):
         counts: dict[int, int] = {}
         for i in alpha:
@@ -129,6 +137,7 @@ def _contract(
         mult = _multinomial(counts)
         part = f.derivative(alpha)
         value = evaluate(part, at)
+        peak = max(peak, abs(value))
         dirprod = num(1)
         for i, c in counts.items():
             dirprod *= num(direction[i]) ** c
@@ -137,27 +146,26 @@ def _contract(
         for i, c in counts.items():
             absdir *= abs(float(direction[i])) ** c
         total_abs += mult * part.eval_abs(fpoint) * absdir
-    return total, total_abs
+    return total, total_abs, float(peak)
 
 
 def directional_derivatives(
     chart: SliceChart,
     curve: CurveSpec,
     mode: str = "auto",
-    t_check: float = 1e-2,
 ) -> ProbeResult:
     """(S1, S2, S3) of the reduced function along the curve, without a verdict.
 
     mode "exact" insists on rational arithmetic (raising ExactEvaluationError
     if an irrational power appears), "float" forces doubles, and "auto" takes
     the exact path when the base point and direction are rationals, falling
-    back to floats otherwise.
+    back to floats otherwise.  The curve must stay positive for |t| <= 1e-2.
     """
     if len(curve.base) != chart.arity:
         raise ValueError(f"curve lives in {len(curve.base)} variables, chart in {chart.arity}")
-    for t in (t_check, -t_check):
+    for t in (1e-2, -1e-2):
         if any(x <= 0 for x in curve.at(t)):
-            raise ValueError(f"curve leaves the positive orthant within |t| <= {t_check}")
+            raise ValueError("curve leaves the positive orthant within |t| <= 0.01")
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
     rational_curve = _is_rational_tuple(curve.base) and _is_rational_tuple(
@@ -168,43 +176,31 @@ def directional_derivatives(
         raise ExactEvaluationError(
             "exact mode needs int/Fraction base and direction coordinates"
         )
-    f = chart.reduced
-    want_exact = mode == "exact" or (mode == "auto" and rational_curve)
-    used = "float"
-    values: list = []
-    scales: list[float] = []
-    if want_exact:
-        try:
-            for order in (1, 2, 3):
-                v, a = _contract(f, order, curve.base, curve.direction, exact=True)
-                values.append(v)
-                scales.append(a)
-            used = "exact"
-        except ExactEvaluationError:
-            if mode == "exact":
-                raise
-            values, scales = [], []
-    if not values:
-        for order in (1, 2, 3):
-            v, a = _contract(f, order, curve.base, curve.direction, exact=False)
-            values.append(v)
-            scales.append(a)
-    fpoint = [float(x) for x in curve.base]
-    third_max = 0.0
-    for alpha in itertools.combinations_with_replacement(range(chart.arity), 3):
-        third_max = max(third_max, abs(f.derivative(alpha).eval_float(fpoint)))
+    exact = mode == "exact" or (mode == "auto" and rational_curve)
+    contract = lambda exact: [
+        _contract(chart.reduced, order, curve.base, curve.direction, exact)
+        for order in (1, 2, 3)
+    ]
+    try:
+        parts = contract(exact)
+    except ExactEvaluationError:
+        if mode == "exact":
+            raise
+        exact = False
+        parts = contract(exact)
+    (s1, a1, _), (s2, a2, _), (s3, a3, third_max) = parts
     return ProbeResult(
-        s1=values[0],
-        s2=values[1],
-        s3=values[2],
-        mode=used,
-        scales=tuple(scales),
+        s1=s1,
+        s2=s2,
+        s3=s3,
+        mode="exact" if exact else "float",
+        scales=(a1, a2, a3),
         third_partial_max=third_max,
     )
 
 
 def inflection_verdict(
-    result: ProbeResult, tol_low: float = 1e-8, tol_high: float = 1e-6
+    result: ProbeResult, tol_low: float = TOL_LOW, tol_high: float = TOL_HIGH
 ) -> Verdict:
     """Decide what (S1, S2, S3) say about local maximality along the curve.
 
@@ -233,12 +229,11 @@ def probe_chart(
     chart: SliceChart,
     curve: CurveSpec,
     mode: str = "auto",
-    tol_low: float = 1e-8,
-    tol_high: float = 1e-6,
-    t_check: float = 1e-2,
+    tol_low: float = TOL_LOW,
+    tol_high: float = TOL_HIGH,
 ) -> ProbeResult:
     """directional_derivatives plus the verdict, in one call."""
-    result = directional_derivatives(chart, curve, mode=mode, t_check=t_check)
+    result = directional_derivatives(chart, curve, mode=mode)
     return replace(result, verdict=inflection_verdict(result, tol_low, tol_high))
 
 
@@ -264,7 +259,7 @@ def fd_check(
     return tuple(out)
 
 
-def suggest_fd_step(chart: SliceChart, curve: CurveSpec, default: float = 1e-3) -> float:
+def suggest_fd_step(chart: SliceChart, curve: CurveSpec) -> float:
     """Step size balancing truncation against roundoff for fd_check's S3.
 
     The error model is |S5| h^2 / 4 + eps |f| / h^3, minimized at
@@ -272,17 +267,17 @@ def suggest_fd_step(chart: SliceChart, curve: CurveSpec, default: float = 1e-3) 
     contraction of the exact fifth derivative tensor.  That contraction
     ignores sign cancellation and so overstates the truncation term; the
     optimum is shifted up by 4x to compensate (calibrated on the catalog
-    curves) and clamped to [1e-4, default] divided by the direction's
+    curves) and clamped to [1e-4, 1e-3] divided by the direction's
     max-norm, since halving the direction doubles the useful step.
     """
     f_abs = chart.reduced.eval_abs(curve.base)
-    _, s5_abs = _contract(chart.reduced, 5, curve.base, curve.direction, exact=False)
+    _, s5_abs, _ = _contract(chart.reduced, 5, curve.base, curve.direction, exact=False)
     vmax = max(abs(float(c)) for c in curve.direction)
     if s5_abs == 0.0 or f_abs == 0.0:
-        return default / vmax
+        return 1e-3 / vmax
     eps = 2.2e-16
     h = 4.0 * (6.0 * eps * f_abs / s5_abs) ** 0.2
-    return min(default / vmax, max(1e-4 / vmax, h))
+    return min(1e-3 / vmax, max(1e-4 / vmax, h))
 
 
 def fd_check_auto(chart: SliceChart, curve: CurveSpec) -> tuple[float, float, float]:
@@ -299,7 +294,7 @@ def fd_check_auto(chart: SliceChart, curve: CurveSpec) -> tuple[float, float, fl
     reduced function, independent of the contraction path.
     """
     vmax = max(abs(float(c)) for c in curve.direction)
-    base = suggest_fd_step(chart, curve, default=1e-3) / 4.0  # raw model optimum
+    base = suggest_fd_step(chart, curve) / 4.0  # raw model optimum
     # the curve must stay positive on [-3h, 3h]
     h_cap = 2e-2 / vmax
     for b, v in zip(curve.base, curve.direction):
@@ -331,27 +326,25 @@ def improving_offset(
     chart: SliceChart,
     curve: CurveSpec,
     s3: "Fraction | float",
-    eps: float = 1e-2,
-    max_halvings: int = 20,
 ) -> tuple[float, ...]:
     """A nearby point with a strictly larger value, witnessing NotLocalMax.
 
-    Steps to base + sign(S3) * eps * direction and halves eps until the value
-    exceeds the base value (the cubic term dominates for small offsets).
-    Raises ProbeInconsistency if no offset works, which would contradict a
-    NotLocalMax verdict.
+    Steps to base + sign(S3) * t * direction for t = 1e-2 and up to 20
+    halvings of it until the value exceeds the base value (the cubic term
+    dominates for small offsets).  Raises ProbeInconsistency if no offset
+    works, which would contradict a NotLocalMax verdict.
     """
     if float(s3) == 0.0:
         raise ValueError("S3 must be nonzero to pick a side")
     sign = 1.0 if float(s3) > 0 else -1.0
     base_value = chart.reduced.eval_float([float(x) for x in curve.base])
-    step = eps
-    for _ in range(max_halvings + 1):
+    step = 1e-2
+    for _ in range(21):
         witness = curve.at(sign * step)
         if all(x > 0 for x in witness):
             if chart.reduced.eval_float(witness) > base_value:
                 return witness
         step *= 0.5
     raise ProbeInconsistency(
-        f"no improving offset within {eps} of the base point; S3 = {s3}"
+        f"no improving offset within 0.01 of the base point; S3 = {s3}"
     )

@@ -108,12 +108,6 @@ class Monomial:
                 return e
         return Fraction(0)
 
-    def variables(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.exps)
-
-    def degree(self) -> Fraction:
-        return sum((e for _, e in self.exps), Fraction(0))
-
     def mul(self, other: "Monomial") -> "Monomial":
         out = dict(self.exps)
         for idx, e in other.exps:
@@ -196,10 +190,6 @@ class Signomial:
         if not 0 <= idx < arity:
             raise ValueError(f"variable index {idx} out of range for arity {arity}")
         return cls(arity, {Monomial({idx: 1}): Fraction(1)})
-
-    @classmethod
-    def term(cls, arity: int, coeff: Rat, exps: Mapping[int, Rat]) -> "Signomial":
-        return cls(arity, {Monomial(exps): Fraction(coeff)})
 
     @classmethod
     def from_terms(
@@ -375,14 +365,6 @@ class Signomial:
         """Value at a positive point in doubles; a term that overflows raises
         OverflowError."""
         return self._float_sum(point, 0)
-
-    def evaluate(self, point: Sequence, mode: str = "float"):
-        """Value at a positive point; mode is "exact" or "float"."""
-        if mode == "exact":
-            return self.eval_exact(point)
-        if mode == "float":
-            return self.eval_float(point)
-        raise ValueError(f"unknown evaluation mode {mode!r}")
 
     def eval_abs(self, point: Sequence[float]) -> float:
         """Sum of |term| values: the natural magnitude scale for cancellation."""

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from homscal.catalog import build, default_entries, so2n_flag_space
-from homscal.chart import hessian_spectrum
 from homscal.flow import integrate_ascent
 from homscal.lie_constants import (
     orthonormalize,

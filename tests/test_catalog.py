@@ -16,7 +16,7 @@ from homscal.catalog import (
     load_custom,
     su2n_volume_normalizer,
 )
-from homscal.chart import Classification, find_critical_points, kernel_basis
+from homscal.chart import Classification, find_critical_points
 from homscal.probe import CurveSpec, directional_derivatives, probe_chart
 from homscal.signomial import Signomial
 from homscal.space import space_to_dict
@@ -193,10 +193,10 @@ class TestCustomEntries:
         entry = load_custom(path)
         assert entry.critical_point is None
         assert entry.kernel_direction is None
-        (point,) = [cp.coords for cp in find_critical_points(entry.chart)
-                    if cp.label is Classification.DEGENERATE]
-        (v,) = kernel_basis(entry.chart, point)
-        res = directional_derivatives(entry.chart, CurveSpec(point, tuple(v)))
+        (cp,) = [cp for cp in find_critical_points(entry.chart)
+                 if cp.label is Classification.DEGENERATE]
+        (v,) = cp.kernel()
+        res = directional_derivatives(entry.chart, CurveSpec(cp.coords, tuple(v)))
         assert (res.s1, res.s2, float(res.s3)) == (0, 0, 180.0)
 
     def test_hints_are_honored(self, tmp_path):

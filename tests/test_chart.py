@@ -15,11 +15,8 @@ from homscal.chart import (
     Classification,
     CriticalPoint,
     SliceChart,
-    classify,
     find_critical_points,
-    hessian_spectrum,
     jacobi_eigh,
-    kernel_basis,
     newton_critical,
     restrict,
 )
@@ -132,7 +129,8 @@ class TestJacobiEigensolver:
 class TestSpectrumAndKernel:
     def test_su4_kernel_direction(self):
         chart = restrict(su_n_space(4))
-        vals, vecs = hessian_spectrum(chart, (1.0, 1.0))
+        cp = CriticalPoint.at(chart, (1.0, 1.0))
+        vals, vecs = np.array(cp.eigenvalues), np.array(cp.eigenvectors)
         near_zero = np.abs(vals) < 1e-9
         assert near_zero.sum() == 1
         vec = vecs[:, near_zero][:, 0]
@@ -141,25 +139,25 @@ class TestSpectrumAndKernel:
 
     def test_kernel_basis_normalization(self):
         chart = restrict(su_n_space(4))
-        (vec,) = kernel_basis(chart, (1.0, 1.0))
+        (vec,) = CriticalPoint.at(chart, (1.0, 1.0)).kernel()
         assert vec[0] > 0  # first nonzero coordinate positive
         assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_quaternionic_kernel_direction(self):
         entry = build("su2n_mod_spn", 3)
-        (vec,) = kernel_basis(entry.chart, entry.critical_point, kernel_tol=1e-7)
+        (vec,) = CriticalPoint.at(entry.chart, entry.critical_point, kernel_tol=1e-7).kernel()
         target = np.array([1.0, -0.25])
         target /= np.linalg.norm(target)
         assert abs(abs(vec @ target) - 1.0) < 1e-8
 
     def test_negative_definite_kernel_empty(self):
         chart = synthetic_chart(sig(1, (2, {0: 1}), (-1, {0: 2})))  # 2x - x^2
-        assert kernel_basis(chart, (1.0,)) == []
+        assert CriticalPoint.at(chart, (1.0,)).kernel() == []
 
     def test_kernel_basis_diagonalizes_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(chart_mod, "jacobi_eigh", lambda m: calls.append(m) or jacobi_eigh(m))
-        (vec,) = kernel_basis(restrict(su_n_space(4)), (1.0, 1.0))
+        (vec,) = CriticalPoint.at(restrict(su_n_space(4)), (1.0, 1.0)).kernel()
         assert len(calls) == 1
 
     def test_kernel_reads_the_band_the_point_was_labelled_with(self):
@@ -169,45 +167,39 @@ class TestSpectrumAndKernel:
         cp = CriticalPoint.at(chart, (1, 1), kernel_tol=2.0)
         assert cp.label is Classification.DEGENERATE
         assert len(cp.kernel()) == 2
-        assert len(kernel_basis(chart, (1, 1), kernel_tol=2.0)) == 2
-
-    def test_kernel_at_noncritical_point_rejected(self):
-        chart = restrict(e6_space(), eliminated=0)
-        with pytest.raises(ValueError, match="not critical"):
-            kernel_basis(chart, (1.5,))
 
 
 class TestClassify:
     def test_degenerate_unitary_family(self):
         chart = restrict(su_n_space(5))
-        assert classify(chart, (1.0, 1.0)) is Classification.DEGENERATE
+        assert CriticalPoint.at(chart, (1.0, 1.0)).label is Classification.DEGENERATE
 
     def test_degenerate_one_variable_chart(self):
         chart = restrict(e6_space(), eliminated=0)
-        assert classify(chart, (1.0,)) is Classification.DEGENERATE
+        assert CriticalPoint.at(chart, (1.0,)).label is Classification.DEGENERATE
 
     def test_noncritical_point(self):
         chart = restrict(e6_space(), eliminated=0)
-        assert classify(chart, (1.4,)) is Classification.NOT_CRITICAL
+        assert CriticalPoint.at(chart, (1.4,)).label is Classification.NOT_CRITICAL
 
     def test_local_max_candidate(self):
         chart = synthetic_chart(sig(1, (2, {0: 1}), (-1, {0: 2})))
-        assert classify(chart, (1.0,)) is Classification.LOCAL_MAX_CANDIDATE
+        assert CriticalPoint.at(chart, (1.0,)).label is Classification.LOCAL_MAX_CANDIDATE
 
     def test_saddle_label_for_positive_eigenvalue(self):
         chart = synthetic_chart(sig(1, (1, {0: 1}), (1, {0: -1})))  # x + 1/x
-        assert classify(chart, (1.0,)) is Classification.SADDLE
+        assert CriticalPoint.at(chart, (1.0,)).label is Classification.SADDLE
 
     def test_nonpositive_point_rejected(self):
         chart = restrict(e6_space(), eliminated=0)
         with pytest.raises(ValueError):
-            classify(chart, (0.0,))
+            CriticalPoint.at(chart, (0.0,))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_point_rejected(self, bad):
         chart = restrict(su_n_space(4))
         with pytest.raises(ValueError, match="finite"):
-            classify(chart, (1.0, bad))
+            CriticalPoint.at(chart, (1.0, bad))
 
     @pytest.mark.parametrize("n", [16, 37, 39])
     def test_roundoff_hessian_on_flag_chart_is_kernel(self, n):

@@ -9,13 +9,23 @@ import pytest
 import homscal.chart as chart_mod
 import homscal.cli as cli
 from homscal.catalog import build, default_entries
-from homscal.cli import main, probe_record
+from homscal.chart import KERNEL_TOL
+from homscal.cli import build_parser, main, probe_record
+from homscal.probe import TOL_HIGH, TOL_LOW
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_parser_defaults_are_the_library_constants():
+    parser = build_parser()
+    probe = parser.parse_args(["probe", "--family", "su_n"])
+    assert (probe.tol_low, probe.tol_high, probe.kernel_tol) == (TOL_LOW, TOL_HIGH, KERNEL_TOL)
+    custom = parser.parse_args(["custom", "--file", "space.json"])
+    assert custom.kernel_tol == KERNEL_TOL
 
 
 class TestList:

@@ -1,11 +1,13 @@
 """Directional derivatives, verdicts, the finite-difference oracle, witnesses."""
 
+import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from homscal.catalog import build, su2n_volume_normalizer
+from homscal.catalog import build, default_entries, su2n_volume_normalizer
 from homscal.chart import SliceChart
 from homscal.probe import (
     CurveSpec,
@@ -239,3 +241,36 @@ class TestLattice:
         entry = build("su_n", 10)
         h = suggest_fd_step(entry.chart, entry.curve())
         assert 1e-5 <= h <= 1e-3
+
+
+CATALOG = {f"{e.family}-{e.n}": e for e in default_entries()}
+
+
+class TestThirdPartials:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_each_third_partial_is_evaluated_once(self, monkeypatch, name):
+        entry = CATALOG[name]
+        f = entry.chart.reduced
+        third = {id(f.derivative(alpha))
+                 for alpha in itertools.combinations_with_replacement(range(f.arity), 3)}
+        calls = Counter()
+        eval_float = Signomial.eval_float
+
+        def counted(self, point):
+            calls[id(self)] += 1
+            return eval_float(self, point)
+
+        monkeypatch.setattr(Signomial, "eval_float", counted)
+        directional_derivatives(entry.chart, entry.curve(), mode="float")
+        assert {k: calls[k] for k in third} == dict.fromkeys(third, 1)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_float_third_partial_max_is_the_largest_third_partial(self, name):
+        entry = CATALOG[name]
+        f = entry.chart.reduced
+        point = [float(x) for x in entry.critical_point]
+        want = 0.0
+        for alpha in itertools.combinations_with_replacement(range(f.arity), 3):
+            want = max(want, abs(f.derivative(alpha).eval_float(point)))
+        res = directional_derivatives(entry.chart, entry.curve(), mode="float")
+        assert res.third_partial_max.hex() == want.hex()

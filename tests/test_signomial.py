@@ -218,7 +218,7 @@ class TestEval:
         f = sig(1, (1, {0: F(1, 2)}))
         with pytest.raises(ExactEvaluationError):
             f.eval_exact((F(2),))
-        assert f.evaluate((2.0,), mode="float") == pytest.approx(2 ** 0.5)
+        assert f.eval_float((2.0,)) == pytest.approx(2 ** 0.5)
 
     def test_overflowing_term_raises(self):
         with pytest.raises(OverflowError):
@@ -230,10 +230,9 @@ class TestEval:
         with pytest.raises(ValueError, match="arity"):
             E6_REDUCED.eval_abs((1.0, 1.0))
 
-    def test_mode_dispatch(self):
-        assert E6_REDUCED.evaluate((F(1),), mode="exact") == F(45, 2)
-        with pytest.raises(ValueError):
-            E6_REDUCED.evaluate((1.0,), mode="bogus")
+    def test_exact_and_float_values(self):
+        assert E6_REDUCED.eval_exact((F(1),)) == F(45, 2)
+        assert E6_REDUCED.eval_float((1.0,)) == 22.5
 
 
 class TestText:
