@@ -28,7 +28,7 @@ from typing import Mapping
 from .chart import SliceChart, restrict
 from .probe import CurveSpec
 from .signomial import Signomial
-from .space import HomogeneousSpace, space_from_dict, _as_fraction, _as_int
+from .space import HomogeneousSpace, space_from_dict, _as_array, _as_fraction, _as_int
 
 FAMILIES: dict[str, dict] = {
     "e6_su2_so6": {
@@ -236,6 +236,16 @@ def _parse_coord(value, where: str):
     return _as_fraction(value, where)
 
 
+def _parse_coords(extras: Mapping, key: str, path, arity: int) -> "tuple | None":
+    """The hint `key` as a tuple of `arity` coordinates, or None when absent."""
+    if key not in extras:
+        return None
+    values = _as_array(extras[key], f"{path}.{key}")
+    if len(values) != arity:
+        raise ValueError(f"{path}.{key}: has {len(values)} entries for {arity} chart coordinates")
+    return tuple(_parse_coord(v, f"{path}.{key}[{i}]") for i, v in enumerate(values))
+
+
 def load_custom(path) -> CatalogEntry:
     """Read a space file with optional critical-point, kernel and S3 hints.
 
@@ -256,19 +266,10 @@ def load_custom(path) -> CatalogEntry:
     eliminated = extras.get("eliminate")
     sl = restrict(space, None if eliminated is None else _as_int(eliminated, f"{path}.eliminate"))
 
-    point = None
-    if "critical_point" in extras:
-        point = tuple(
-            _parse_coord(v, f"{path}.critical_point[{i}]")
-            for i, v in enumerate(extras["critical_point"])
-        )
-
-    direction = None
-    if "kernel_direction" in extras:
-        direction = tuple(
-            _parse_coord(v, f"{path}.kernel_direction[{i}]")
-            for i, v in enumerate(extras["kernel_direction"])
-        )
+    point = _parse_coords(extras, "critical_point", path, sl.arity)
+    direction = _parse_coords(extras, "kernel_direction", path, sl.arity)
+    if direction is not None and not any(direction):
+        raise ValueError(f"{path}.kernel_direction: direction must be nonzero")
 
     expected = None
     if "expected_s3" in extras:

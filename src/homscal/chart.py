@@ -295,18 +295,16 @@ def _try_exact_snap(chart: SliceChart, u: np.ndarray) -> "np.ndarray | None":
     return np.array([float(s) for s in snapped])
 
 
-def _newton_converge(
-    chart: SliceChart, u: np.ndarray, tol: float, max_iter: int
-) -> "np.ndarray | None":
-    """Newton steps until the gradient norm is below tol, then polish steps
-    while the norm keeps falling; None if the iteration fails.  Each iterate
-    carries its gradient from the step that accepted it."""
+def _newton_converge(chart: SliceChart, u: np.ndarray) -> "np.ndarray | None":
+    """Newton steps until the gradient norm is below 1e-12, at most 100, then
+    polish steps while the norm keeps falling; None if the iteration fails.
+    Each iterate carries its gradient from the step that accepted it."""
     grad = chart.gradient_values(u)
     if not np.all(np.isfinite(grad)):
         return None
     gnorm = float(np.linalg.norm(grad))
-    for _ in range(max_iter):
-        if gnorm < tol:
+    for _ in range(100):
+        if gnorm < 1e-12:
             break
         step = _newton_step(chart, u, grad, gnorm)
         if step is None:
@@ -322,23 +320,19 @@ def _newton_converge(
     return u
 
 
-def newton_critical(
-    chart: SliceChart,
-    start: Sequence[float],
-    tol: float = 1e-12,
-    max_iter: int = 100,
-    kernel_tol: float = KERNEL_TOL,
-) -> CriticalPoint | None:
-    """Damped Newton iteration on the reduced gradient; None if it fails.
+def newton_critical(chart: SliceChart, start: Sequence[float]) -> "np.ndarray | None":
+    """Damped Newton iteration on the reduced gradient: the converged chart
+    point, snapped to a nearby simple rational point where the exact gradient
+    vanishes, or None if the iteration fails.  The point is not labelled.
 
     Steps solve H delta = -grad (minimum-norm least squares when the Hessian
     is singular) and are halved until the iterate stays strictly positive.
-    Once the gradient norm drops below tol, a few polish steps follow; along
-    a degenerate direction the gradient is cubic in the offset, so polishing
-    sharpens coordinates well past the first iterate that meets tol.  The
-    gradient is evaluated once per point: at the start and at each damping
-    trial that rounds to a new point; an accepted trial keeps its gradient
-    as the next iterate's.
+    Once the gradient norm drops below 1e-12 (within 100 steps), a few polish
+    steps follow; along a degenerate direction the gradient is cubic in the
+    offset, so polishing sharpens coordinates well past the first iterate
+    that converges.  The gradient is evaluated once per point: at the start
+    and at each damping trial that rounds to a new point; an accepted trial
+    keeps its gradient as the next iterate's.
     A start whose iterates overflow a float in a term has failed; a gradient
     norm that overflows is inf, which the step damping already treats as no
     progress.
@@ -348,40 +342,34 @@ def newton_critical(
         raise ValueError("start must be a finite, strictly positive chart point")
     try:
         with np.errstate(over="ignore"):
-            u = _newton_converge(chart, u, tol, max_iter)
+            u = _newton_converge(chart, u)
     except OverflowError:
         return None
     if u is None:
         return None
     snapped = _try_exact_snap(chart, u)
-    return CriticalPoint.at(chart, u if snapped is None else snapped, kernel_tol=kernel_tol)
+    return u if snapped is None else snapped
 
 
 def find_critical_points(
-    chart: SliceChart,
-    low: float = 0.25,
-    high: float = 4.0,
-    per_axis: int = 5,
-    tol: float = 1e-12,
-    dedupe: float = 1e-8,
-    kernel_tol: float = KERNEL_TOL,
+    chart: SliceChart, per_axis: int = 5, kernel_tol: float = KERNEL_TOL
 ) -> list[CriticalPoint]:
-    """Multi-start Newton over a logarithmic grid; deduplicated, sorted results.
+    """Multi-start Newton from a logarithmic grid of per_axis points per axis
+    on [0.25, 4]; each distinct point labelled once, results sorted.
 
-    Runs labeled NotCritical are dropped: they arise when the iteration
-    stalls in the far field where every term of the reduced function (and so
-    the absolute gradient norm) decays below tol without an actual zero.
+    A converged point within 1e-8 of a point already kept is skipped before
+    it is labelled.  Points labelled NotCritical are dropped: they arise
+    when the iteration stalls in the far field where every term of the
+    reduced function (and so the absolute gradient norm) decays below 1e-12
+    without an actual zero.
     """
-    axis = np.exp(np.linspace(math.log(low), math.log(high), per_axis))
+    axis = np.exp(np.linspace(math.log(0.25), math.log(4.0), per_axis))
     found: list[CriticalPoint] = []
     for start in itertools.product(axis, repeat=chart.arity):
-        res = newton_critical(chart, start, tol=tol, kernel_tol=kernel_tol)
-        if res is None or res.label is Classification.NOT_CRITICAL:
+        u = newton_critical(chart, start)
+        if u is None or any(np.linalg.norm(u - np.array(f.coords)) < 1e-8 for f in found):
             continue
-        if any(
-            np.linalg.norm(np.array(res.coords) - np.array(f.coords)) < dedupe
-            for f in found
-        ):
-            continue
-        found.append(res)
+        cp = CriticalPoint.at(chart, u, kernel_tol=kernel_tol)
+        if cp.label is not Classification.NOT_CRITICAL:
+            found.append(cp)
     return sorted(found, key=lambda cp: cp.coords)

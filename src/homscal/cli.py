@@ -282,7 +282,7 @@ def cmd_custom(args) -> int:
         for direction in directions:
             probe_entry = dataclasses.replace(
                 entry,
-                critical_point=_rationalize(cp.coords),
+                critical_point=_rationalize(entry.critical_point if hinted else cp.coords),
                 kernel_direction=_rationalize(direction),
                 expected_s3=entry.expected_s3 if hinted else None,
             )
@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range-sp", type=lambda s: _parse_range(s, "--range-sp"), default=None)
     p.add_argument(
         "--families",
-        default="e6_su2_so6,so2n_flag,su2n_mod_spn,su_n",
+        default=",".join(sorted(catalog.FAMILIES)),
         help="comma-separated family subset",
     )
     p.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")

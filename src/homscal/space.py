@@ -29,9 +29,11 @@ TripleKey = tuple[int, int, int]
 def _as_fraction(value, where: str) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"{where}: floats are not exact, pass 'p/q' or an int")
+    if isinstance(value, bool):  # an int subclass, but not a number in a space file
+        raise ValueError(f"{where}: bad rational {value!r}")
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: bad rational {value!r} ({exc})") from None
 
 
@@ -39,6 +41,13 @@ def _as_int(value, where: str) -> int:
     # bool is an int subclass, and int() would truncate floats and split strings
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where}: expected an integer, got {value!r}")
+    return value
+
+
+def _as_array(value, where: str) -> list:
+    # a string or an object would otherwise be iterated as if it were an array
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{where}: expected an array, got {value!r}")
     return value
 
 
@@ -157,9 +166,10 @@ def space_from_dict(data: Mapping, where: str = "space") -> HomogeneousSpace:
     if b_raw is None:
         b = tuple(Fraction(1) for _ in dims)
     else:
-        b = tuple(_as_fraction(v, f"{where}.b[{i}]") for i, v in enumerate(b_raw))
+        b = tuple(_as_fraction(v, f"{where}.b[{i}]")
+                  for i, v in enumerate(_as_array(b_raw, f"{where}.b")))
     triples: dict[TripleKey, Fraction] = {}
-    for t, entry in enumerate(data.get("triples", [])):
+    for t, entry in enumerate(_as_array(data.get("triples", []), f"{where}.triples")):
         loc = f"{where}.triples[{t}]"
         if not isinstance(entry, Mapping) or not {"i", "j", "k", "value"} <= set(entry):
             raise ValueError(f"{loc}: expected an object with keys i, j, k, value")

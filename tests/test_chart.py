@@ -232,8 +232,9 @@ class TestClassify:
 class TestNewton:
     def test_converges_to_unit_point(self):
         chart = restrict(su_n_space(3))
-        res = newton_critical(chart, (0.9, 1.1))
-        assert res is not None
+        point = newton_critical(chart, (0.9, 1.1))
+        assert point is not None
+        res = CriticalPoint.at(chart, point)
         assert np.allclose(res.coords, (1.0, 1.0), atol=1e-10)
         assert res.grad_norm < 1e-12
         assert res.label is Classification.DEGENERATE
@@ -242,14 +243,14 @@ class TestNewton:
         chart = restrict(e6_space(), eliminated=0)
         res = newton_critical(chart, (1.2,))
         assert res is not None
-        assert res.coords[0] == pytest.approx(1.0, abs=1e-12)
+        assert res[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_start_independence_within_basin(self):
         chart = restrict(su_n_space(4))
         for start in ((0.92, 1.05), (1.08, 0.95), (1.1, 1.1)):
             res = newton_critical(chart, start)
             assert res is not None
-            assert np.allclose(res.coords, (1.0, 1.0), atol=1e-9)
+            assert np.allclose(res, (1.0, 1.0), atol=1e-9)
 
     def test_gradient_without_zero_reports_no_convergence(self):
         chart = synthetic_chart(sig(1, (1, {0: 1})))  # f = x, gradient 1
@@ -308,8 +309,9 @@ class TestMultiStart:
 
 # -- Newton against the solver that re-evaluated its iterates ---------------------
 # _reference_* is the Newton search as it was before iterates carried their
-# gradient: it evaluates each iterate up to three times but must land on the
-# same points bit for bit.
+# gradient and before the search deduplicated ahead of labelling: it
+# evaluates each iterate up to three times and labels every converged start,
+# but must land on the same points bit for bit.
 
 
 def _reference_newton_step(chart, u):
@@ -397,6 +399,23 @@ NEWTON_CHARTS = {
 GRID = np.exp(np.linspace(math.log(0.25), math.log(4.0), 5))
 
 
+def _reference_find_critical_points(chart):
+    found = []
+    for start in itertools.product(GRID, repeat=chart.arity):
+        res = _reference_newton_critical(chart, start)
+        if res is None or res.label is Classification.NOT_CRITICAL:
+            continue
+        if any(np.linalg.norm(np.array(res.coords) - np.array(f.coords)) < 1e-8
+               for f in found):
+            continue
+        found.append(res)
+    return sorted(found, key=lambda cp: cp.coords)
+
+
+def _labelled(chart, point):
+    return None if point is None else CriticalPoint.at(chart, point)
+
+
 class TestNewtonCarriesGradient:
     @pytest.mark.parametrize("name", sorted(NEWTON_CHARTS))
     @settings(max_examples=40, deadline=None)
@@ -406,7 +425,7 @@ class TestNewtonCarriesGradient:
         start = data.draw(st.lists(st.floats(-4.0, 4.0).map(math.exp),
                                    min_size=chart.arity, max_size=chart.arity))
         # repr prints every float round-trip exactly, so equal reprs are bit-equal
-        assert repr(newton_critical(chart, start)) == repr(
+        assert repr(_labelled(chart, newton_critical(chart, start))) == repr(
             _reference_newton_critical(chart, start)
         )
 
@@ -414,28 +433,24 @@ class TestNewtonCarriesGradient:
     def test_grid_starts_match_reference(self, name):
         chart = NEWTON_CHARTS[name]
         for start in itertools.product(GRID, repeat=chart.arity):
-            assert repr(newton_critical(chart, start)) == repr(
+            assert repr(_labelled(chart, newton_critical(chart, start))) == repr(
                 _reference_newton_critical(chart, start)
             )
 
     @pytest.mark.parametrize("name", sorted(NEWTON_CHARTS))
     def test_no_point_is_evaluated_twice(self, monkeypatch, name):
         chart = NEWTON_CHARTS[name]
-        evaluated, labelling = [], []
+        evaluated, labelled = [], []
         gradient_values = SliceChart.gradient_values
         at = CriticalPoint.at.__func__
 
         def counted(self, point):
-            if not labelling:
-                evaluated.append(tuple(float(x) for x in point))
+            evaluated.append(tuple(float(x) for x in point))
             return gradient_values(self, point)
 
         def label(cls, *args, **kwargs):
-            labelling.append(True)
-            try:
-                return at(cls, *args, **kwargs)
-            finally:
-                labelling.pop()
+            labelled.append(args)
+            return at(cls, *args, **kwargs)
 
         monkeypatch.setattr(SliceChart, "gradient_values", counted)
         monkeypatch.setattr(CriticalPoint, "at", classmethod(label))
@@ -444,3 +459,32 @@ class TestNewtonCarriesGradient:
             newton_critical(chart, start)
             assert evaluated
             assert len(set(evaluated)) == len(evaluated), start
+        assert labelled == []  # newton_critical returns a point, it does not label
+
+
+class TestSearchLabelsOnce:
+    @pytest.mark.parametrize("name", sorted(NEWTON_CHARTS))
+    def test_same_points_as_label_then_deduplicate(self, name):
+        chart = NEWTON_CHARTS[name]
+        assert repr(find_critical_points(chart)) == repr(_reference_find_critical_points(chart))
+
+    @pytest.mark.parametrize("name", ["e6", "su_n-4", "su_n-5"])
+    def test_no_converged_duplicate_is_labelled(self, monkeypatch, name):
+        # at the label-then-deduplicate search the su_n n=5 point (1, 1) was
+        # labelled once for each of the 7 starts that reach it
+        chart = NEWTON_CHARTS[name]
+        labels = []
+        at = CriticalPoint.at.__func__
+
+        def label(cls, chart, point, **kwargs):
+            cp = at(cls, chart, point, **kwargs)
+            kept = [c for c in labels if c.label is not Classification.NOT_CRITICAL]
+            assert all(np.linalg.norm(np.array(cp.coords) - np.array(c.coords)) >= 1e-8
+                       for c in kept), cp.coords
+            labels.append(cp)
+            return cp
+
+        monkeypatch.setattr(CriticalPoint, "at", classmethod(label))
+        points = find_critical_points(chart)
+        assert points
+        assert {cp.coords for cp in points} <= {cp.coords for cp in labels}

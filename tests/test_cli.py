@@ -8,10 +8,11 @@ import pytest
 
 import homscal.chart as chart_mod
 import homscal.cli as cli
-from homscal.catalog import build, default_entries
+from homscal.catalog import FAMILIES, build, default_entries
 from homscal.chart import KERNEL_TOL
 from homscal.cli import build_parser, main, probe_record
 from homscal.probe import TOL_HIGH, TOL_LOW
+from homscal.space import space_to_dict
 
 
 def run(capsys, *argv):
@@ -26,6 +27,8 @@ def test_parser_defaults_are_the_library_constants():
     assert (probe.tol_low, probe.tol_high, probe.kernel_tol) == (TOL_LOW, TOL_HIGH, KERNEL_TOL)
     custom = parser.parse_args(["custom", "--file", "space.json"])
     assert custom.kernel_tol == KERNEL_TOL
+    report = parser.parse_args(["report"])
+    assert report.families.split(",") == sorted(FAMILIES)
 
 
 class TestList:
@@ -256,6 +259,48 @@ class TestCustom:
         code, _, err = run(capsys, "custom", "--file", str(path))
         assert code == 2
         assert field in err
+
+    @pytest.mark.parametrize(
+        "family, extra, field",
+        [
+            ("e6", {"b": [[1], 1]}, "b[0]"),
+            ("e6", {"triples": [{"i": 0, "j": 1, "k": 1, "value": None}]}, "triples[0].value"),
+            ("e6", {"expected_s3": [1]}, "expected_s3"),
+            ("e6", {"b": [True, 1]}, "b[0]"),
+            ("e6", {"b": 5}, "b"),
+            ("e6", {"triples": 5}, "triples"),
+            ("e6", {"critical_point": 5}, "critical_point"),
+            ("e6", {"b": "11"}, "b"),
+            ("su_n", {"critical_point": "11"}, "critical_point"),
+            ("e6", {"critical_point": ["1"], "kernel_direction": ["1", "2"]}, "kernel_direction"),
+            ("e6", {"critical_point": ["1"], "kernel_direction": ["0"]}, "kernel_direction"),
+        ],
+    )
+    def test_malformed_field_is_usage_error(self, capsys, tmp_path, family, extra, field):
+        if family == "e6":
+            path = self.write_e6(tmp_path, **extra)
+        else:
+            path = tmp_path / "su5.json"
+            path.write_text(json.dumps({**space_to_dict(build("su_n", 5).space), **extra}))
+        code, out, err = run(capsys, "custom", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}.{field}: ")
+        assert err.count("\n") == 1
+
+    def test_hinted_rational_point_is_probed_exactly(self, capsys, tmp_path):
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps({
+            "name": "half", "dims": [3, 3], "b": ["12", "25"],
+            "triples": [{"i": 0, "j": 0, "k": 1, "value": "3"}], "eliminate": 1,
+            "critical_point": ["1/2"], "kernel_direction": ["1"],
+        }))
+        code, out, _ = run(capsys, "custom", "--file", str(path))
+        assert code == 0
+        assert "critical_point: ['1/2']" in out
+        assert "mode: exact" in out
+        assert "s3: 1152" in out
+        assert "verdict: NotLocalMax" in out
 
     def test_search_that_overflows_finds_nothing(self, capsys, tmp_path):
         path = tmp_path / "overflow.json"
