@@ -33,7 +33,7 @@ def show(name, table, partition):
 def main():
     table, partition = su2_abstract_table()
     print("su(2) defined by [e1,e2] = 2e3 cyclic; -Killing diagonal:",
-          killing_gram(table)[0, 0])
+          killing_gram(table.brackets)[0, 0])
     show("su(2), one summand", table, partition)
 
     for n in (3, 4):

@@ -20,13 +20,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import catalog, lie_constants
-from .catalog import CatalogEntry, ParameterRangeError
+from .catalog import CatalogEntry
 from .chart import KERNEL_TOL, Classification, CriticalPoint, find_critical_points
-from .probe import TOL_HIGH, TOL_LOW, Verdict, improving_offset, probe_chart
+from .probe import Verdict, improving_offset, probe_chart
 from .signomial import ExactEvaluationError
 
 
@@ -49,20 +50,15 @@ def _s3_matches(result_s3, expected, mode: str) -> "bool | None":
     return abs(a - b) <= 1e-6 * max(abs(a), abs(b), 1e-300)
 
 
-def probe_record(
-    entry: CatalogEntry,
-    mode: str = "auto",
-    tol_low: float = TOL_LOW,
-    tol_high: float = TOL_HIGH,
-    kernel_tol: float = KERNEL_TOL,
-) -> dict:
-    """Run the full pipeline on one entry and return a plain-dict record."""
+def probe_record(entry: CatalogEntry, cp: CriticalPoint, mode: str = "auto") -> dict:
+    """Probe an entry along its kernel line and return a plain-dict record.
+
+    cp is the entry's critical point as the caller labelled it.
+    """
     ch = entry.chart
-    fpoint = [float(x) for x in entry.critical_point]
-    cp = CriticalPoint.at(ch, fpoint, kernel_tol=kernel_tol)
     kernel = [] if cp.label is Classification.NOT_CRITICAL else cp.kernel()
     curve = entry.curve()
-    result = probe_chart(ch, curve, mode=mode, tol_low=tol_low, tol_high=tol_high)
+    result = probe_chart(ch, curve, mode=mode)
     witness = None
     witness_value = None
     if result.verdict is Verdict.NOT_LOCAL_MAX:
@@ -83,7 +79,7 @@ def probe_record(
         "expected_s3": fmt(entry.expected_s3),
         "s3_matches_expected": _s3_matches(result.s3, entry.expected_s3, result.mode),
         "verdict": str(result.verdict),
-        "value_at_critical": fmt(ch.reduced.eval_float(fpoint)),
+        "value_at_critical": fmt(ch.reduced.eval_float(cp.coords)),
         "witness": None if witness is None else [fmt(x) for x in witness],
         "value_at_witness": fmt(witness_value),
     }
@@ -133,33 +129,14 @@ def cmd_list(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    try:
-        entry = catalog.build(args.family, args.n)
-        record = probe_record(
-            entry,
-            mode=args.mode,
-            tol_low=args.tol_low,
-            tol_high=args.tol_high,
-            kernel_tol=args.kernel_tol,
-        )
-    except ParameterRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ExactEvaluationError as exc:
-        print(f"error: exact mode impossible here ({exc}); use --mode float",
-              file=sys.stderr)
-        return 2
+    entry = catalog.build(args.family, args.n)
+    cp = CriticalPoint.at(entry.chart, entry.critical_point, kernel_tol=args.kernel_tol)
+    record = probe_record(entry, cp, mode=args.mode)
     if args.json:
         print(json.dumps(record, indent=2))
     else:
         _print_record(record, sys.stdout)
     return 0 if _record_ok(record) else 1
-
-
-_ALGEBRA_EXPECTED = {
-    "su2": {(0, 0, 0): Fraction(3)},
-    "su3": {(0, 0, 0): Fraction(2), (0, 1, 1): Fraction(1), (1, 1, 2): Fraction(1)},
-}
 
 
 def cmd_verify_constants(args) -> int:
@@ -175,12 +152,12 @@ def cmd_verify_constants(args) -> int:
                         )
                     )
                     expected[key] = Fraction(2, 3)
+    elif args.algebra == "su2":
+        table, partition = lie_constants.su2_abstract_table()
+        expected = {(0, 0, 0): Fraction(3)}
     else:
-        if args.algebra == "su2":
-            table, partition = lie_constants.su2_abstract_table()
-        else:
-            table, partition = lie_constants.su_n_table(3)
-        expected = _ALGEBRA_EXPECTED[args.algebra]
+        table, partition = lie_constants.su_n_table(3)
+        expected = catalog.su_n_space(3).triples
     computed = lie_constants.structural_constants(
         lie_constants.orthonormalize(table, partition), partition
     )
@@ -217,8 +194,7 @@ def cmd_report(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
     unknown = [f for f in families if f not in catalog.FAMILIES]
     if unknown:
-        print(f"error: unknown families {unknown}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown families {unknown}")
     ranges = {
         "su_n": args.range_su,
         "so2n_flag": args.range_flag,
@@ -228,18 +204,11 @@ def cmd_report(args) -> int:
     for family in families:
         rng = ranges.get(family)
         jobs.update((family, n) for n in (catalog.default_parameters(family) if rng is None else rng))
-    try:
-        records = [
-            probe_record(catalog.build(f, n), mode=args.mode)
-            for f, n in sorted(jobs, key=lambda fn: (fn[0], -1 if fn[1] is None else fn[1]))
-        ]
-    except ParameterRangeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ExactEvaluationError as exc:
-        print(f"error: exact mode impossible here ({exc}); use --mode auto",
-              file=sys.stderr)
-        return 2
+    records = []
+    for f, n in sorted(jobs, key=lambda fn: (fn[0], -1 if fn[1] is None else fn[1])):
+        entry = catalog.build(f, n)
+        cp = CriticalPoint.at(entry.chart, entry.critical_point)
+        records.append(probe_record(entry, cp, mode=args.mode))
     payload = json.dumps({"records": records}, indent=2)
     if args.out in (None, "-"):
         print(payload)
@@ -251,19 +220,15 @@ def cmd_report(args) -> int:
 
 
 def cmd_custom(args) -> int:
-    try:
-        entry = catalog.load_custom(args.file)
-        hinted = not args.search and entry.critical_point is not None
-        if hinted:
-            points = [CriticalPoint.at(entry.chart, entry.critical_point,
-                                       kernel_tol=args.kernel_tol)]
-        else:
-            points = find_critical_points(entry.chart, kernel_tol=args.kernel_tol)
-            if not points:
-                raise ValueError(f"{args.file}: no critical points found on the slice")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    entry = catalog.load_custom(args.file)
+    hinted = not args.search and entry.critical_point is not None
+    if hinted:
+        points = [CriticalPoint.at(entry.chart, entry.critical_point,
+                                   kernel_tol=args.kernel_tol)]
+    else:
+        points = find_critical_points(entry.chart, kernel_tol=args.kernel_tol)
+        if not points:
+            raise ValueError(f"{args.file}: no critical points found on the slice")
     if hinted:
         print(f"critical point {tuple(fmt(x) for x in points[0].coords)}: {points[0].label}")
     else:
@@ -286,7 +251,7 @@ def cmd_custom(args) -> int:
                 kernel_direction=_rationalize(direction),
                 expected_s3=entry.expected_s3 if hinted else None,
             )
-            record = probe_record(probe_entry, mode=args.mode, kernel_tol=args.kernel_tol)
+            record = probe_record(probe_entry, cp, mode=args.mode)
             _print_record(record, sys.stdout)
             if not _record_ok(record):
                 status = 1
@@ -307,6 +272,17 @@ def _rationalize(values) -> tuple:
 # -- parser ----------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of the tolerance options: a finite float >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homscal",
@@ -322,15 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sorted(catalog.FAMILIES), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
-    p.add_argument("--tol-low", type=float, default=TOL_LOW)
-    p.add_argument("--tol-high", type=float, default=TOL_HIGH)
-    p.add_argument("--kernel-tol", type=float, default=KERNEL_TOL)
+    p.add_argument("--kernel-tol", type=_tolerance, default=KERNEL_TOL)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_probe)
 
     p = sub.add_parser("verify-constants", help="bracket oracle vs catalog constants")
     p.add_argument("--algebra", choices=("su2", "su3", "so8"), required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(func=cmd_verify_constants)
 
     p = sub.add_parser("report", help="batch reproduction table")
@@ -350,16 +324,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True)
     p.add_argument("--search", action="store_true", help="multi-start even when hints exist")
     p.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
-    p.add_argument("--kernel-tol", type=float, default=KERNEL_TOL)
+    p.add_argument("--kernel-tol", type=_tolerance, default=KERNEL_TOL)
     p.set_defaults(func=cmd_custom)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """Run one subcommand; the one place where an error becomes exit 2."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ExactEvaluationError as exc:
+        print(f"error: exact mode impossible here ({exc}); use --mode auto", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # also ParameterRangeError, JSONDecodeError
+        print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def entry() -> None:

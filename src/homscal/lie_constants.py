@@ -71,13 +71,14 @@ class BracketTable:
         return issues
 
 
-def killing_gram(table: BracketTable) -> np.ndarray:
+def killing_gram(brackets: np.ndarray) -> np.ndarray:
     """Minus the Killing form: entry (a, b) = -trace(ad e_a o ad e_b).
 
-    Positive definite exactly when the algebra is compact semisimple; an
-    abelian algebra gives the zero matrix, which is not usable as Q.
+    brackets is laid out as BracketTable.brackets.  The form is positive
+    definite exactly when the algebra is compact semisimple; an abelian
+    algebra gives the zero matrix, which is not usable as Q.
     """
-    ad = np.swapaxes(table.brackets, 1, 2)  # ad[a][k, b] = coord k of [e_a, e_b]
+    ad = np.swapaxes(brackets, 1, 2)  # ad[a][k, b] = coord k of [e_a, e_b]
     return -np.einsum("aij,bji->ab", ad, ad)
 
 
@@ -203,8 +204,7 @@ def su2_abstract_table() -> tuple[BracketTable, list[int]]:
     for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         br[a, b, c] = 2.0
         br[b, a, c] = -2.0
-    table = BracketTable(brackets=br, gram=np.zeros((3, 3)))
-    return BracketTable(brackets=br, gram=killing_gram(table)), [0, 0, 0]
+    return BracketTable(brackets=br, gram=killing_gram(br)), [0, 0, 0]
 
 
 def su_n_table(n: int) -> tuple[BracketTable, list[int]]:
@@ -247,8 +247,7 @@ def su_n_table(n: int) -> tuple[BracketTable, list[int]]:
     mats.append(e)
 
     coords = _coords_from_matrices(mats)
-    table = BracketTable(brackets=coords, gram=np.zeros((len(mats),) * 2))
-    table = BracketTable(brackets=coords, gram=killing_gram(table))
+    table = BracketTable(brackets=coords, gram=killing_gram(coords))
     if n == 2:
         partition = [0] * len(mats)
     else:
@@ -286,8 +285,7 @@ def so8_table() -> tuple[BracketTable, list["int | None"], list[tuple[int, int]]
                     mats.append(skew(a, b))
                     partition.append(t)
     coords = _coords_from_matrices(mats)
-    table = BracketTable(brackets=coords, gram=np.zeros((len(mats),) * 2))
-    table = BracketTable(brackets=coords, gram=killing_gram(table))
+    table = BracketTable(brackets=coords, gram=killing_gram(coords))
     return table, partition, pairs
 
 

@@ -199,14 +199,13 @@ def directional_derivatives(
     )
 
 
-def inflection_verdict(
-    result: ProbeResult, tol_low: float = TOL_LOW, tol_high: float = TOL_HIGH
-) -> Verdict:
+def inflection_verdict(result: ProbeResult) -> Verdict:
     """Decide what (S1, S2, S3) say about local maximality along the curve.
 
     In exact mode the tolerances collapse to exact zero tests.  In float mode
-    magnitudes are measured against max(|S3|, largest third partial), so that
-    numerical noise in a cancelling S1 or S2 is not mistaken for signal.
+    magnitudes are measured against max(|S3|, largest third partial), with
+    TOL_LOW and TOL_HIGH, so that numerical noise in a cancelling S1 or S2 is
+    not mistaken for signal.
     """
     s1, s2, s3 = result.s1, result.s2, result.s3
     if result.mode == "exact":
@@ -216,25 +215,19 @@ def inflection_verdict(
             return Verdict.STRICT_DESCENT
         return Verdict.INCONCLUSIVE
     scale = max(abs(float(s3)), result.third_partial_max)
-    small1 = abs(float(s1)) < tol_low * scale
-    small2 = abs(float(s2)) < tol_low * scale
-    if small1 and small2 and abs(float(s3)) > tol_high * scale:
+    small1 = abs(float(s1)) < TOL_LOW * scale
+    small2 = abs(float(s2)) < TOL_LOW * scale
+    if small1 and small2 and abs(float(s3)) > TOL_HIGH * scale:
         return Verdict.NOT_LOCAL_MAX
-    if small1 and float(s2) < -tol_high * scale:
+    if small1 and float(s2) < -TOL_HIGH * scale:
         return Verdict.STRICT_DESCENT
     return Verdict.INCONCLUSIVE
 
 
-def probe_chart(
-    chart: SliceChart,
-    curve: CurveSpec,
-    mode: str = "auto",
-    tol_low: float = TOL_LOW,
-    tol_high: float = TOL_HIGH,
-) -> ProbeResult:
+def probe_chart(chart: SliceChart, curve: CurveSpec, mode: str = "auto") -> ProbeResult:
     """directional_derivatives plus the verdict, in one call."""
     result = directional_derivatives(chart, curve, mode=mode)
-    return replace(result, verdict=inflection_verdict(result, tol_low, tol_high))
+    return replace(result, verdict=inflection_verdict(result))
 
 
 def fd_check(

@@ -1,18 +1,28 @@
 """Command line surface: subcommands, exit codes, deterministic output."""
 
+import dataclasses
 import itertools
 import json
 import warnings
+from fractions import Fraction
 
 import pytest
 
+import homscal.catalog as catalog
 import homscal.chart as chart_mod
 import homscal.cli as cli
 from homscal.catalog import FAMILIES, build, default_entries
-from homscal.chart import KERNEL_TOL
+from homscal.chart import KERNEL_TOL, CriticalPoint
 from homscal.cli import build_parser, main, probe_record
-from homscal.probe import TOL_HIGH, TOL_LOW
 from homscal.space import space_to_dict
+
+
+# the dims [3, 3] space whose critical point 1/2 is rational but not an integer
+HALF_SPACE = {
+    "name": "half", "dims": [3, 3], "b": ["12", "25"],
+    "triples": [{"i": 0, "j": 0, "k": 1, "value": "3"}], "eliminate": 1,
+    "critical_point": ["1/2"], "kernel_direction": ["1"],
+}
 
 
 def run(capsys, *argv):
@@ -24,11 +34,64 @@ def run(capsys, *argv):
 def test_parser_defaults_are_the_library_constants():
     parser = build_parser()
     probe = parser.parse_args(["probe", "--family", "su_n"])
-    assert (probe.tol_low, probe.tol_high, probe.kernel_tol) == (TOL_LOW, TOL_HIGH, KERNEL_TOL)
+    assert probe.kernel_tol == KERNEL_TOL
     custom = parser.parse_args(["custom", "--file", "space.json"])
     assert custom.kernel_tol == KERNEL_TOL
     report = parser.parse_args(["report"])
     assert report.families.split(",") == sorted(FAMILIES)
+
+
+TOLERANCE_OPTIONS = [
+    ["probe", "--family", "su_n", "--n", "5", "--kernel-tol"],
+    ["custom", "--file", "space.json", "--kernel-tol"],
+    ["verify-constants", "--algebra", "su3", "--tol"],
+]
+
+
+@pytest.mark.parametrize("argv", TOLERANCE_OPTIONS, ids=lambda a: a[0])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf", "abc"])
+def test_tolerance_must_be_finite_and_nonnegative(capsys, argv, value):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [value])
+    assert exc.value.code == 2
+    assert f"must be a finite number >= 0, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", TOLERANCE_OPTIONS, ids=lambda a: a[0])
+def test_zero_tolerance_is_accepted(argv):
+    args = build_parser().parse_args(argv + ["0"])
+    assert vars(args)[argv[-1][2:].replace("-", "_")] == 0.0
+
+
+class TestErrorExit:
+    """Bad input, an unwritable path or an impossible exact mode: exit 2 with
+    one `error:` line on stderr."""
+
+    @pytest.mark.parametrize(
+        "case", ["exact-search-at-half", "hint-leaves-orthant", "unwritable-out",
+                 "exact-at-irrational"]
+    )
+    def test_one_error_line(self, capsys, tmp_path, case):
+        half = tmp_path / "half.json"
+        half.write_text(json.dumps(HALF_SPACE))
+        e6 = TestCustom.write_e6(tmp_path, critical_point=["1"], kernel_direction=["1000"])
+        argv = {
+            "exact-search-at-half": ["custom", "--file", str(half), "--search",
+                                     "--mode", "exact"],
+            "hint-leaves-orthant": ["custom", "--file", str(e6)],
+            "unwritable-out": ["report", "--out", str(tmp_path / "missing" / "r.json")],
+            "exact-at-irrational": ["probe", "--family", "su2n_mod_spn", "--n", "3",
+                                    "--mode", "exact"],
+        }[case]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        if case.startswith("exact"):
+            assert err.endswith("; use --mode auto\n")
+        if argv[0] == "custom":  # the labelled point printed before the probe failed
+            assert out.startswith("critical point (")
 
 
 class TestList:
@@ -93,7 +156,8 @@ class TestProbe:
         calls = []
         original = chart_mod.jacobi_eigh
         monkeypatch.setattr(chart_mod, "jacobi_eigh", lambda m: calls.append(m) or original(m))
-        record = probe_record(build("su_n", 5))
+        entry = build("su_n", 5)
+        record = probe_record(entry, CriticalPoint.at(entry.chart, entry.critical_point))
         assert record["classification"] == "Degenerate"
         assert len(record["kernel_directions"]) == 1
         assert len(calls) == 1
@@ -115,6 +179,14 @@ class TestVerifyConstants:
     def test_tight_tolerance_fails(self, capsys):
         code, _, err = run(capsys, "verify-constants", "--algebra", "su3",
                            "--tol", "1e-20")
+        assert code == 1
+        assert "FAIL" in err
+
+    def test_su3_checks_the_catalog_constants(self, capsys, monkeypatch):
+        space = catalog.su_n_space(3)
+        wrong = dataclasses.replace(space, triples={**space.triples, (1, 1, 2): Fraction(2)})
+        monkeypatch.setattr(catalog, "su_n_space", lambda n: wrong)
+        code, _, err = run(capsys, "verify-constants", "--algebra", "su3")
         assert code == 1
         assert "FAIL" in err
 
@@ -209,6 +281,18 @@ class TestCustom:
         assert code == 0
         assert "s3_matches_expected: True" in out
 
+    def test_hinted_point_is_labelled_once(self, capsys, tmp_path, monkeypatch):
+        path = self.write_e6(tmp_path, critical_point=["1"], kernel_direction=["1"])
+        calls = []
+        original = CriticalPoint.at.__func__
+        monkeypatch.setattr(CriticalPoint, "at",
+                            classmethod(lambda cls, *a, **kw: calls.append(a)
+                                        or original(cls, *a, **kw)))
+        code, out, _ = run(capsys, "custom", "--file", str(path))
+        assert code == 0
+        assert "verdict: NotLocalMax" in out
+        assert len(calls) == 1
+
     def test_wrong_expectation_is_verification_failure(self, capsys, tmp_path):
         path = self.write_e6(tmp_path, critical_point=["1"], kernel_direction=["1"],
                              expected_s3="181")
@@ -290,11 +374,7 @@ class TestCustom:
 
     def test_hinted_rational_point_is_probed_exactly(self, capsys, tmp_path):
         path = tmp_path / "half.json"
-        path.write_text(json.dumps({
-            "name": "half", "dims": [3, 3], "b": ["12", "25"],
-            "triples": [{"i": 0, "j": 0, "k": 1, "value": "3"}], "eliminate": 1,
-            "critical_point": ["1/2"], "kernel_direction": ["1"],
-        }))
+        path.write_text(json.dumps(HALF_SPACE))
         code, out, _ = run(capsys, "custom", "--file", str(path))
         assert code == 0
         assert "critical_point: ['1/2']" in out
