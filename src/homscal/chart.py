@@ -76,10 +76,7 @@ class SliceChart:
         return tuple(full)
 
     def gradient_values(self, point: Sequence[float]) -> np.ndarray:
-        f = self.reduced
-        return np.array(
-            [f.partial(i).eval_float(point) for i in range(self.arity)], dtype=float
-        )
+        return np.array(self.reduced.gradient_float(point), dtype=float)
 
     def gradient_scale(self, point: Sequence[float]) -> float:
         """Magnitude reference for deciding that a gradient has cancelled."""

@@ -5,12 +5,17 @@ chart coordinates.  The value of f is nondecreasing along exact solutions,
 and the integrator enforces that property per step up to a small tolerance;
 the module's claims are monotonicity and escape from degenerate critical
 points, nothing more.  Values and gradients come from the chart's own float
-evaluator (Signomial.eval_float and SliceChart.gradient_values), so every
-recorded value equals chart.reduced.eval_float at the recorded point.
+evaluator (Signomial.eval_float and Signomial.gradient_float on
+chart.reduced), so every recorded value equals chart.reduced.eval_float at
+the recorded point.  The integrator holds its point, stages and trials as
+lists of Python floats and forms each stage coordinate by coordinate in the
+operation order of the array expression u + 0.5*h*k, so it takes the same
+doubles an ndarray RK4 would, without per-stage array dispatch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,14 +62,25 @@ def integrate_ascent(
     The nominal step is restored after every accepted step.  The gradient at
     u is evaluated once and serves as the first RK4 stage of every attempt
     from u, so an accepted step without rejections costs four gradient
-    evaluations.
+    evaluations.  A start that is not a finite positive chart point, a
+    region that does not give one interval per chart coordinate, or a step
+    that is not finite and > 0 raises ValueError.
     """
-    f, grad = chart.reduced.eval_float, chart.gradient_values
-    u = np.array([float(x) for x in start], dtype=float)
-    if len(u) != chart.arity or np.any(u <= 0):
-        raise ValueError("start must be a strictly positive chart point")
+    f, grad = chart.reduced.eval_float, chart.reduced.gradient_float
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    u = [float(x) for x in start]
+    if len(u) != chart.arity:
+        raise ValueError(f"start has {len(u)} coordinates, chart arity is {chart.arity}")
+    for i, x in enumerate(u):
+        if not (math.isfinite(x) and x > 0):
+            raise ValueError(f"start coordinate {i} must be finite and positive, got {x!r}")
     if region is not None:
         region = [(float(lo), float(hi)) for lo, hi in region]
+        if len(region) != chart.arity:
+            raise ValueError(
+                f"region has {len(region)} intervals, chart arity is {chart.arity}"
+            )
         if any(not lo < x < hi for x, (lo, hi) in zip(u, region)):
             raise ValueError("start lies outside the region")
 
@@ -73,21 +89,28 @@ def integrate_ascent(
     values = [f(u)]
     t = 0.0
 
-    def rk4(u0: np.ndarray, k1: np.ndarray, h: float) -> "np.ndarray | None":
-        p2 = u0 + 0.5 * h * k1
-        if np.any(p2 <= 0):
+    def rk4(u0: list[float], k1: list[float], h: float) -> "list[float] | None":
+        # per coordinate in the order of u0 + (0.5*h)*k1 and
+        # u0 + (h/6)*(((k1 + 2*k2) + 2*k3) + k4): another order changes last bits
+        half = 0.5 * h
+        p2 = [x + half * k for x, k in zip(u0, k1)]
+        if any(x <= 0 for x in p2):
             return None
         k2 = grad(p2)
-        p3 = u0 + 0.5 * h * k2
-        if np.any(p3 <= 0):
+        p3 = [x + half * k for x, k in zip(u0, k2)]
+        if any(x <= 0 for x in p3):
             return None
         k3 = grad(p3)
-        p4 = u0 + h * k3
-        if np.any(p4 <= 0):
+        p4 = [x + h * k for x, k in zip(u0, k3)]
+        if any(x <= 0 for x in p4):
             return None
         k4 = grad(p4)
-        out = u0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if np.any(out <= 0):
+        sixth = h / 6.0
+        out = [
+            x + sixth * (a + 2 * b + 2 * c + d)
+            for x, a, b, c, d in zip(u0, k1, k2, k3, k4)
+        ]
+        if any(x <= 0 for x in out):
             return None
         return out
 

@@ -19,7 +19,8 @@ appears) and the float path.
 
 The float path is the only float evaluator in the package: each signomial
 converts its coefficients and exponents to doubles once, on first use, and
-eval_float / eval_abs loop over that memoized form with scalar powers.
+eval_float / eval_abs / gradient_float loop over that memoized form with
+scalar powers.
 """
 
 from __future__ import annotations
@@ -144,10 +145,22 @@ def _format_exponent(e: Fraction) -> str:
     return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
 
 
+def _float_sum(form: tuple, xs: list[float], column: int) -> float:
+    """Sum over the terms of a float form, in term order, of column (0: c,
+    1: |c|) times the power product at the checked point xs."""
+    total = 0.0
+    for term in form:
+        prod = 1.0
+        for idx, e in term[2]:
+            prod *= xs[idx] ** e
+        total += term[column] * prod
+    return total
+
+
 class Signomial:
     """Finite rational combination of power products in `arity` variables."""
 
-    __slots__ = ("arity", "terms", "_partials", "_float_terms")
+    __slots__ = ("arity", "terms", "_partials", "_float_terms", "_float_gradient")
 
     def __init__(self, arity: int, terms: Mapping[Monomial, Rat] | None = None):
         if arity < 0:
@@ -344,8 +357,8 @@ class Signomial:
             object.__setattr__(self, "_float_terms", form)
         return form
 
-    def _float_sum(self, point: Sequence[float], column: int) -> float:
-        """Sum over terms of column (0: c, 1: |c|) times the power product."""
+    def _float_point(self, point: Sequence[float]) -> list[float]:
+        """The point as doubles, checked once: arity coordinates, none <= 0."""
         # an ndarray's tolist() gives the same doubles as float() per entry, faster
         xs = point.tolist() if hasattr(point, "tolist") else [float(x) for x in point]
         if len(xs) != self.arity:
@@ -353,22 +366,36 @@ class Signomial:
         for idx, x in enumerate(xs):
             if x <= 0:
                 raise ValueError(f"coordinate {idx} is not positive: {x}")
-        total = 0.0
-        for term in self._float_form():
-            prod = 1.0
-            for idx, e in term[2]:
-                prod *= xs[idx] ** e
-            total += term[column] * prod
-        return total
+        return xs
+
+    def _gradient_form(self) -> tuple:
+        """The float forms of partial(0), ..., partial(arity - 1), memoized."""
+        try:
+            return self._float_gradient
+        except AttributeError:
+            # left unset by __init__: most signomials never take a float
+            # gradient, and constructing them stays one store cheaper
+            form = tuple(self.partial(i)._float_form() for i in range(self.arity))
+            object.__setattr__(self, "_float_gradient", form)
+            return form
 
     def eval_float(self, point: Sequence[float]) -> float:
         """Value at a positive point in doubles; a term that overflows raises
         OverflowError."""
-        return self._float_sum(point, 0)
+        return _float_sum(self._float_form(), self._float_point(point), 0)
 
     def eval_abs(self, point: Sequence[float]) -> float:
         """Sum of |term| values: the natural magnitude scale for cancellation."""
-        return self._float_sum(point, 1)
+        return _float_sum(self._float_form(), self._float_point(point), 1)
+
+    def gradient_float(self, point: Sequence[float]) -> list[float]:
+        """All first partials at a positive point, as doubles, in one pass.
+
+        The point is converted and checked once; entry i has the same bits
+        as partial(i).eval_float(point).
+        """
+        xs = self._float_point(point)
+        return [_float_sum(form, xs, 0) for form in self._gradient_form()]
 
     # -- comparison / display -------------------------------------------------
 

@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from homscal.catalog import build
+from homscal.catalog import build, default_entries
 from homscal.chart import SliceChart
-from homscal.flow import FlowError, integrate_ascent, write_trajectory_csv
+from homscal.flow import FlowError, Trajectory, integrate_ascent, write_trajectory_csv
 from homscal.signomial import Signomial
 
 
@@ -59,9 +59,9 @@ class TestAscent:
     def test_step_without_rejection_costs_four_gradients(self, monkeypatch, family, n):
         entry = build(family, n)
         calls = []
-        gradient_values = SliceChart.gradient_values
-        monkeypatch.setattr(SliceChart, "gradient_values",
-                            lambda self, p: calls.append(p) or gradient_values(self, p))
+        gradient_float = Signomial.gradient_float
+        monkeypatch.setattr(Signomial, "gradient_float",
+                            lambda self, p: calls.append(p) or gradient_float(self, p))
         start = tuple(float(x) * 1.01 for x in entry.critical_point)
         traj = integrate_ascent(entry.chart, start, max_steps=50)
         assert traj.reason == "budget"
@@ -98,11 +98,140 @@ class TestAscent:
         with pytest.raises(ValueError, match="positive"):
             integrate_ascent(entry.chart, (0.0,))
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"start": (float("nan"), 1.0)}, "start coordinate 0 .* got nan"),
+        ({"start": (1.0, float("inf"))}, "start coordinate 1 .* got inf"),
+        ({"start": (float("-inf"), 1.0)}, "start coordinate 0 .* got -inf"),
+        ({"region": [(0.5, 2.0)]}, "region has 1 intervals, chart arity is 2"),
+        ({"step": -1e-3}, "step must be finite and > 0"),
+        ({"step": 0.0}, "step must be finite and > 0"),
+        ({"step": float("nan")}, "step must be finite and > 0"),
+        ({"step": float("inf")}, "step must be finite and > 0"),
+    ])
+    def test_malformed_input_rejected(self, kwargs, match):
+        entry = build("su_n", 3)
+        args = {"start": (1.02, 0.99), **kwargs}
+        with pytest.raises(ValueError, match=match):
+            integrate_ascent(entry.chart, **args)
+
     def test_orthant_collapse_raises(self):
         # ascent of 1/x drives x to 0; the positivity rejection runs out
         chart = synthetic_chart(sig(1, (1, {0: -1})))
         with pytest.raises(FlowError, match="rejected"):
             integrate_ascent(chart, (0.05,), step=1.0, max_steps=2000)
+
+
+# -- the flow on plain floats against the ndarray RK4 ------------------------------
+# _reference_integrate_ascent is integrate_ascent as it was when it held its
+# point and stages as ndarrays and took each gradient entry from its own
+# partial(i).eval_float; the float-list integrator must match it bit for bit.
+
+
+def _reference_gradient(chart, point):
+    f = chart.reduced
+    return np.array([f.partial(i).eval_float(point) for i in range(chart.arity)], dtype=float)
+
+
+def _reference_integrate_ascent(chart, start, step=1e-3, max_steps=100_000, region=None):
+    f = chart.reduced.eval_float
+    u = np.array([float(x) for x in start], dtype=float)
+    if region is not None:
+        region = [(float(lo), float(hi)) for lo, hi in region]
+    times, points, values, t = [0.0], [tuple(u)], [f(u)], 0.0
+
+    def rk4(u0, k1, h):
+        p2 = u0 + 0.5 * h * k1
+        if np.any(p2 <= 0):
+            return None
+        k2 = _reference_gradient(chart, p2)
+        p3 = u0 + 0.5 * h * k2
+        if np.any(p3 <= 0):
+            return None
+        k3 = _reference_gradient(chart, p3)
+        p4 = u0 + h * k3
+        if np.any(p4 <= 0):
+            return None
+        k4 = _reference_gradient(chart, p4)
+        out = u0 + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if np.any(out <= 0):
+            return None
+        return out
+
+    reason = "budget"
+    for _ in range(max_steps):
+        g = _reference_gradient(chart, u)
+        if float(np.linalg.norm(g)) < 1e-10:
+            reason = "gradient-small"
+            break
+        h = step
+        for _rej in range(20):
+            nxt = rk4(u, g, h)
+            if nxt is not None:
+                new_val = f(nxt)
+                if new_val - values[-1] >= -1e-10:
+                    break
+            h *= 0.5
+        else:
+            raise FlowError("step rejected 20 times")
+        u = nxt
+        t += h
+        times.append(t)
+        points.append(tuple(u))
+        values.append(new_val)
+        if region is not None and any(not lo < x < hi for x, (lo, hi) in zip(u, region)):
+            reason = "left-region"
+            break
+    return Trajectory(times=times, points=points, values=values, step=step, reason=reason)
+
+
+def _bits(traj):
+    return (
+        traj.reason,
+        [t.hex() for t in traj.times],
+        [tuple(float(x).hex() for x in p) for p in traj.points],
+        [v.hex() for v in traj.values],
+    )
+
+
+def _flow_cases():
+    # two starts 1e-2 off each default catalog point, region +-0.2, as in
+    # acceptance criterion 8; a start whose steps are rejected and halved;
+    # and a 5% offset at step 5e-2, where h*k is large enough against u that
+    # reordering the RK4 sums shows in the last bit of the points
+    rng = np.random.default_rng(9)
+    cases = []
+    for entry in default_entries():
+        crit = np.array([float(x) for x in entry.critical_point])
+        region = [(max(c - 0.2, 1e-3), c + 0.2) for c in crit]
+        name = f"{entry.family}-{entry.n}"
+        for k in range(2):
+            direction = rng.normal(size=len(crit))
+            start = tuple(crit + 1e-2 * direction / np.linalg.norm(direction))
+            cases.append(pytest.param(entry.chart, start, 1e-3, 300, region, id=f"{name}-{k}"))
+        cases.append(pytest.param(entry.chart, tuple(1.05 * crit), 5e-2, 100, None,
+                                  id=f"{name}-coarse"))
+    entry = build("su2n_mod_spn", 6)
+    region = [(float(c) - 0.2, float(c) + 0.2) for c in entry.critical_point]
+    cases.append(pytest.param(entry.chart, (1.2562145573916987, 0.631906575881125), 1e-3, 200,
+                              region, id="su2n_mod_spn-6-rejecting"))
+    return cases
+
+
+class TestFloatFlowMatchesArrayFlow:
+    @pytest.mark.parametrize("chart, start, step, steps, region", _flow_cases())
+    def test_same_trajectory_as_reference(self, chart, start, step, steps, region):
+        traj = integrate_ascent(chart, start, step=step, max_steps=steps, region=region)
+        assert _bits(traj) == _bits(
+            _reference_integrate_ascent(chart, start, step=step, max_steps=steps, region=region)
+        )
+        assert all(type(x) is float for p in traj.points for x in p)
+
+    def test_rejecting_case_rejects(self):
+        (case,) = [c for c in _flow_cases() if c.id == "su2n_mod_spn-6-rejecting"]
+        chart, start, step, steps, region = case.values
+        traj = integrate_ascent(chart, start, step=step, max_steps=steps, region=region)
+        # a halved step shows as a time increment of about half the nominal step
+        assert min(np.diff(traj.times)) < 0.75 * traj.step
 
 
 class TestExport:

@@ -213,6 +213,8 @@ class TestEval:
             E6_REDUCED.eval_abs((-1.0,))
         with pytest.raises(ValueError):
             E6_REDUCED.eval_exact((F(-1),))
+        with pytest.raises(ValueError, match="coordinate 0 is not positive"):
+            E6_REDUCED.gradient_float((-1.0,))
 
     def test_irrational_power_rejected_in_exact_mode(self):
         f = sig(1, (1, {0: F(1, 2)}))
@@ -225,10 +227,14 @@ class TestEval:
             E6_REDUCED.eval_float((1e-150,))
         with pytest.raises(OverflowError):
             E6_REDUCED.eval_abs((1e-150,))
+        with pytest.raises(OverflowError):
+            E6_REDUCED.gradient_float((1e-150,))
 
     def test_wrong_point_length_rejected(self):
         with pytest.raises(ValueError, match="arity"):
             E6_REDUCED.eval_abs((1.0, 1.0))
+        with pytest.raises(ValueError, match="arity"):
+            E6_REDUCED.gradient_float((1.0, 1.0))
 
     def test_exact_and_float_values(self):
         assert E6_REDUCED.eval_exact((F(1),)) == F(45, 2)
@@ -338,6 +344,16 @@ def test_float_eval_is_bitwise_the_term_sum(f, point):
     for _ in range(2):  # the first call builds the float form, the second reuses it
         assert f.eval_float(point).hex() == reference_float_sum(f, point, False).hex()
         assert f.eval_abs(point).hex() == reference_float_sum(f, point, True).hex()
+
+
+@settings(deadline=None)
+@given(signomials(3), st.tuples(positive_floats, positive_floats, positive_floats))
+def test_gradient_float_is_bitwise_each_partial(f, point):
+    # the first call builds the gradient's float forms, the second reuses them
+    for _ in range(2):
+        assert [g.hex() for g in f.gradient_float(point)] == [
+            f.partial(i).eval_float(point).hex() for i in range(3)
+        ]
 
 
 def _pickled(obj):
