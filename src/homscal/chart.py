@@ -95,11 +95,7 @@ class SliceChart:
 
     def hessian_values(self, point: Sequence[float]) -> np.ndarray:
         m = self.arity
-        out = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                out[i, j] = out[j, i] = self.reduced.derivative((i, j)).eval_float(point)
-        return out
+        return np.array(self.reduced.hessian_float(point), dtype=float).reshape(m, m)
 
 
 def restrict(space: HomogeneousSpace, eliminated: int | None = None) -> SliceChart:
@@ -235,40 +231,71 @@ class CriticalPoint:
         return out
 
 
-def _newton_step(chart: SliceChart, u: np.ndarray, grad: np.ndarray, gnorm: float):
-    """One damped Newton step from u, whose gradient grad and norm gnorm the
-    caller holds: (trial, its gradient, its norm), or None when no step is possible.
+def vector_norm(v: list[float]) -> float:
+    """Euclidean norm with the bits of np.linalg.norm: sqrt(v0 * v0) for one
+    entry, which like numpy's sqrt(dot(v, v)) overflows to inf and underflows
+    to 0; longer vectors go to numpy, whose BLAS sums plain floats cannot match."""
+    if len(v) == 1:
+        return math.sqrt(v[0] * v[0])
+    return float(np.linalg.norm(v))
 
-    The step is halved until the iterate is strictly positive and the
-    gradient norm decreases; without the second condition the near-singular
-    Hessian at a degenerate point throws iterates out of the basin.
+
+def _newton_direction(hess: list[list[float]], grad: list[float]) -> list[float]:
+    """delta solving H delta = -grad, with the bits of np.linalg.solve.
+
+    A 1x1 system with a finite nonzero h whose quotient is finite is the
+    division -g / h; every other system goes to LAPACK's solve, and when
+    that reports singularity or returns a non-finite entry, to the
+    minimum-norm least-squares solution.
     """
-    hess = chart.hessian_values(u)
+    if len(grad) == 1:
+        h, g = hess[0][0], grad[0]
+        if h != 0 and math.isfinite(h):
+            d = -g / h
+            if math.isfinite(d):
+                return [d]
+    m = len(grad)
+    a, b = np.array(hess, dtype=float).reshape(m, m), -np.array(grad, dtype=float)
     try:
-        delta = np.linalg.solve(hess, -grad)
+        delta = np.linalg.solve(a, b)
         if not np.all(np.isfinite(delta)):
             raise np.linalg.LinAlgError
     except np.linalg.LinAlgError:
-        delta = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-    if not np.all(np.isfinite(delta)) or not delta.any():
+        delta = np.linalg.lstsq(a, b, rcond=None)[0]
+    return delta.tolist()
+
+
+def _newton_step(chart: SliceChart, u: list[float], grad: list[float], gnorm: float):
+    """One damped Newton step from u, whose gradient grad and norm gnorm the
+    caller holds: (trial, its gradient, its norm), or None when no step is possible.
+
+    Points, gradients and the direction are lists of floats; each trial
+    coordinate is x + damp * d, the operation order of the array expression
+    u + damp * delta.  The step is halved until the iterate is strictly
+    positive and the gradient norm decreases; without the second condition
+    the near-singular Hessian at a degenerate point throws iterates out of
+    the basin.
+    """
+    f = chart.reduced
+    delta = _newton_direction(f.hessian_float(u), grad)
+    if not all(math.isfinite(d) for d in delta) or not any(delta):
         return None
-    damp, here, last = 1.0, u.tolist(), None  # lists compare faster than small arrays
+    damp, last = 1.0, None
     for _ in range(60):
-        trial = u + damp * delta
-        point = trial.tolist()
-        if point == here:
+        trial = [x + damp * d for x, d in zip(u, delta)]
+        if trial == u:
             break  # every shorter step rounds to u as well
         # a trial that rounds to the last one was already rejected
-        if point != last and min(point) > 0:
-            tgrad = chart.gradient_values(trial)
-            tnorm = float(np.linalg.norm(tgrad))
+        if trial != last and min(trial) > 0:
+            tgrad = f.gradient_float(trial)
+            tnorm = vector_norm(tgrad)
             if math.isfinite(tnorm) and tnorm < gnorm:
                 return trial, tgrad, tnorm
-        damp, last = damp * 0.5, point
+        damp, last = damp * 0.5, trial
     return None
 
 
-def _try_exact_snap(chart: SliceChart, u: np.ndarray) -> "np.ndarray | None":
+def _try_exact_snap(chart: SliceChart, u: Sequence[float]) -> "np.ndarray | None":
     """Round to a nearby simple rational point and keep it only if the exact
     gradient vanishes there.
 
@@ -292,14 +319,14 @@ def _try_exact_snap(chart: SliceChart, u: np.ndarray) -> "np.ndarray | None":
     return np.array([float(s) for s in snapped])
 
 
-def _newton_converge(chart: SliceChart, u: np.ndarray) -> "np.ndarray | None":
+def _newton_converge(chart: SliceChart, u: list[float]) -> "list[float] | None":
     """Newton steps until the gradient norm is below 1e-12, at most 100, then
     polish steps while the norm keeps falling; None if the iteration fails.
     Each iterate carries its gradient from the step that accepted it."""
-    grad = chart.gradient_values(u)
-    if not np.all(np.isfinite(grad)):
+    grad = chart.reduced.gradient_float(u)
+    if not all(math.isfinite(g) for g in grad):
         return None
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = vector_norm(grad)
     for _ in range(100):
         if gnorm < 1e-12:
             break
@@ -330,12 +357,17 @@ def newton_critical(chart: SliceChart, start: Sequence[float]) -> "np.ndarray | 
     that converges.  The gradient is evaluated once per point: at the start
     and at each damping trial that rounds to a new point; an accepted trial
     keeps its gradient as the next iterate's.
+    The iteration runs on lists of floats with Signomial.gradient_float and
+    Signomial.hessian_float; numpy serves only the solve and the norm with
+    two or more unknowns, where plain floats cannot reproduce LAPACK's bits,
+    and a 1x1 solve that the division -g / h cannot settle.  Every iterate has
+    the bits of the ndarray iteration.
     A start whose iterates overflow a float in a term has failed; a gradient
     norm that overflows is inf, which the step damping already treats as no
     progress.
     """
-    u = np.array([float(x) for x in start], dtype=float)
-    if len(u) != chart.arity or not np.all((u > 0) & np.isfinite(u)):
+    u = [float(x) for x in start]
+    if len(u) != chart.arity or not all(0 < x < math.inf for x in u):
         raise ValueError("start must be a finite, strictly positive chart point")
     try:
         with np.errstate(over="ignore"):
@@ -345,7 +377,7 @@ def newton_critical(chart: SliceChart, start: Sequence[float]) -> "np.ndarray | 
     if u is None:
         return None
     snapped = _try_exact_snap(chart, u)
-    return u if snapped is None else snapped
+    return np.array(u) if snapped is None else snapped
 
 
 def find_critical_points(

@@ -19,9 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .chart import SliceChart
+from .chart import SliceChart, vector_norm
 
 
 class FlowError(RuntimeError):
@@ -117,7 +115,7 @@ def integrate_ascent(
     reason = "budget"
     for _ in range(max_steps):
         g = grad(u)
-        if float(np.linalg.norm(g)) < 1e-10:
+        if vector_norm(g) < 1e-10:
             reason = "gradient-small"
             break
         h = step

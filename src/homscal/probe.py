@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,6 +53,8 @@ class CurveSpec:
 
     base: tuple
     direction: tuple
+    # (float(b), float(c)) per coordinate, converted once for at()
+    _floats: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         base = tuple(self.base)
@@ -61,17 +63,19 @@ class CurveSpec:
             raise ValueError("base and direction must have the same length")
         if not base:
             raise ValueError("empty curve")
-        if not all(math.isfinite(float(c)) for c in base + direction):
+        floats = tuple((float(b), float(c)) for b, c in zip(base, direction))
+        if not all(math.isfinite(b) and math.isfinite(c) for b, c in floats):
             raise ValueError(f"curve coordinates must be finite, got {base}, {direction}")
-        if any(float(x) <= 0 for x in base):
+        if any(b <= 0 for b, _ in floats):
             raise ValueError(f"base point must be strictly positive, got {base}")
-        if all(float(c) == 0 for c in direction):
+        if all(c == 0 for _, c in floats):
             raise ValueError("direction must be nonzero")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "_floats", floats)
 
     def at(self, t: float) -> tuple[float, ...]:
-        return tuple(float(b) + t * float(c) for b, c in zip(self.base, self.direction))
+        return tuple(b + t * c for b, c in self._floats)
 
 
 @dataclass(frozen=True)
@@ -236,7 +240,7 @@ def fd_check(
     """Central-difference estimates of (S1, ..., S_order), order <= 3.
 
     Entirely independent of the contraction path: only float evaluations of
-    the reduced function along the curve.
+    the reduced function along the curve, one per abscissa (five at order 3).
     """
     if not 1 <= order <= 3:
         raise ValueError("order must be 1, 2 or 3")
@@ -244,11 +248,12 @@ def fd_check(
         if any(x <= 0 for x in curve.at(t)):
             raise ValueError(f"curve leaves the positive orthant within |t| <= {3 * h}")
     f = lambda t: chart.reduced.eval_float(curve.at(t))
-    out = [(f(h) - f(-h)) / (2 * h)]
+    fp, fm = f(h), f(-h)
+    out = [(fp - fm) / (2 * h)]
     if order >= 2:
-        out.append((f(h) - 2 * f(0.0) + f(-h)) / (h * h))
+        out.append((fp - 2 * f(0.0) + fm) / (h * h))
     if order >= 3:
-        out.append((f(2 * h) - 2 * f(h) + 2 * f(-h) - f(-2 * h)) / (2 * h ** 3))
+        out.append((f(2 * h) - 2 * fp + 2 * fm - f(-2 * h)) / (2 * h ** 3))
     return tuple(out)
 
 

@@ -19,8 +19,8 @@ appears) and the float path.
 
 The float path is the only float evaluator in the package: each signomial
 converts its coefficients and exponents to doubles once, on first use, and
-eval_float / eval_abs / gradient_float loop over that memoized form with
-scalar powers.
+eval_float / eval_abs / gradient_float / hessian_float loop over that
+memoized form with scalar powers.
 """
 
 from __future__ import annotations
@@ -160,7 +160,9 @@ def _float_sum(form: tuple, xs: list[float], column: int) -> float:
 class Signomial:
     """Finite rational combination of power products in `arity` variables."""
 
-    __slots__ = ("arity", "terms", "_partials", "_float_terms", "_float_gradient")
+    __slots__ = (
+        "arity", "terms", "_partials", "_float_terms", "_float_gradient", "_float_hessian"
+    )
 
     def __init__(self, arity: int, terms: Mapping[Monomial, Rat] | None = None):
         if arity < 0:
@@ -379,6 +381,20 @@ class Signomial:
             object.__setattr__(self, "_float_gradient", form)
             return form
 
+    def _hessian_form(self) -> tuple:
+        """Row i: the float forms of derivative((i, j)) for j = i, ..., arity - 1,
+        memoized like the gradient's."""
+        try:
+            return self._float_hessian
+        except AttributeError:
+            m = self.arity
+            form = tuple(
+                tuple(self.derivative((i, j))._float_form() for j in range(i, m))
+                for i in range(m)
+            )
+            object.__setattr__(self, "_float_hessian", form)
+            return form
+
     def eval_float(self, point: Sequence[float]) -> float:
         """Value at a positive point in doubles; a term that overflows raises
         OverflowError."""
@@ -396,6 +412,21 @@ class Signomial:
         """
         xs = self._float_point(point)
         return [_float_sum(form, xs, 0) for form in self._gradient_form()]
+
+    def hessian_float(self, point: Sequence[float]) -> list[list[float]]:
+        """All second partials at a positive point, as doubles, in one pass.
+
+        The point is converted and checked once; entry (i, j) has the same
+        bits as derivative((i, j)).eval_float(point).  Only the upper
+        triangle is summed; the lower triangle mirrors it.
+        """
+        xs = self._float_point(point)
+        m = self.arity
+        out = [[0.0] * m for _ in range(m)]
+        for i, row in enumerate(self._hessian_form()):
+            for j, form in enumerate(row, i):
+                out[i][j] = out[j][i] = _float_sum(form, xs, 0)
+        return out
 
     # -- comparison / display -------------------------------------------------
 

@@ -279,6 +279,51 @@ class TestNewton:
             newton_critical(chart, (bad, 1.0))
 
 
+def _reference_direction(h, g):
+    # the ndarray Newton direction: LAPACK solve, least squares when singular
+    hess, rhs = np.array([[h]]), -np.array([g])
+    try:
+        delta = np.linalg.solve(hess, rhs)
+        if not np.all(np.isfinite(delta)):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        delta = np.linalg.lstsq(hess, rhs, rcond=None)[0]
+    return delta.tolist()
+
+
+def _outcome(fn, *args):
+    try:
+        return [x.hex() for x in fn(*args)]
+    except np.linalg.LinAlgError:  # lstsq refuses a non-finite matrix
+        return "LinAlgError"
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+# g * g overflows above about 1.3e154 and underflows below about 1.5e-162
+finite_float = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e160, -1e200, 1e-170, -5e-324, 1.4e154, 1e-162]),
+)
+
+
+class TestOneUnknownOnFloats:
+    @settings(max_examples=500, deadline=None)
+    @given(h=st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), any_float),
+           g=finite_float)
+    def test_one_by_one_solve_has_the_bits_of_lapack(self, h, g):
+        with np.errstate(all="ignore"):
+            assert _outcome(chart_mod._newton_direction, [[h]], [g]) == _outcome(
+                _reference_direction, h, g
+            )
+
+    @settings(max_examples=500, deadline=None)
+    @given(g=st.one_of(finite_float, st.sampled_from([math.inf, -math.inf])))
+    def test_one_vector_norm_has_the_bits_of_numpy(self, g):
+        with np.errstate(all="ignore"):
+            want = float(np.linalg.norm(np.array([g])))
+        assert chart_mod.vector_norm([g]).hex() == want.hex()
+
+
 class TestMultiStart:
     def test_finds_unit_critical_point(self):
         chart = restrict(e6_space(), eliminated=0)
@@ -441,18 +486,18 @@ class TestNewtonCarriesGradient:
     def test_no_point_is_evaluated_twice(self, monkeypatch, name):
         chart = NEWTON_CHARTS[name]
         evaluated, labelled = [], []
-        gradient_values = SliceChart.gradient_values
+        gradient_float = Signomial.gradient_float
         at = CriticalPoint.at.__func__
 
         def counted(self, point):
             evaluated.append(tuple(float(x) for x in point))
-            return gradient_values(self, point)
+            return gradient_float(self, point)
 
         def label(cls, *args, **kwargs):
             labelled.append(args)
             return at(cls, *args, **kwargs)
 
-        monkeypatch.setattr(SliceChart, "gradient_values", counted)
+        monkeypatch.setattr(Signomial, "gradient_float", counted)
         monkeypatch.setattr(CriticalPoint, "at", classmethod(label))
         for start in itertools.product(GRID, repeat=chart.arity):
             evaluated.clear()

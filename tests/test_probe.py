@@ -203,6 +203,33 @@ class TestFiniteDifferenceOracle:
         entry = build("e6_su2_so6")
         assert len(fd_check(entry.chart, entry.curve(), order=2)) == 2
 
+    @pytest.mark.parametrize("name", ["e6_su2_so6", "su_n", "su2n_mod_spn"])
+    def test_one_evaluation_per_abscissa(self, monkeypatch, name):
+        entry = build(name) if name == "e6_su2_so6" else build(name, 4)
+        curve, f, h = entry.curve(), entry.chart.reduced, 1e-3
+
+        def at(t):
+            return f.eval_float(tuple(float(b) + t * float(c)
+                                      for b, c in zip(curve.base, curve.direction)))
+
+        # the three central-difference formulas, each evaluating its own abscissae
+        reference = (
+            (at(h) - at(-h)) / (2 * h),
+            (at(h) - 2 * at(0.0) + at(-h)) / (h * h),
+            (at(2 * h) - 2 * at(h) + 2 * at(-h) - at(-2 * h)) / (2 * h ** 3),
+        )
+        evaluated = []
+        eval_float = Signomial.eval_float
+
+        def counted(self, point):
+            evaluated.append(tuple(point))
+            return eval_float(self, point)
+
+        monkeypatch.setattr(Signomial, "eval_float", counted)
+        got = fd_check(entry.chart, curve, h=h)
+        assert len(evaluated) == len(set(evaluated)) == 5
+        assert [v.hex() for v in got] == [v.hex() for v in reference]
+
 
 class TestWitness:
     def test_positive_third_derivative_improves_forward(self):

@@ -215,6 +215,8 @@ class TestEval:
             E6_REDUCED.eval_exact((F(-1),))
         with pytest.raises(ValueError, match="coordinate 0 is not positive"):
             E6_REDUCED.gradient_float((-1.0,))
+        with pytest.raises(ValueError, match="coordinate 0 is not positive"):
+            E6_REDUCED.hessian_float((0.0,))
 
     def test_irrational_power_rejected_in_exact_mode(self):
         f = sig(1, (1, {0: F(1, 2)}))
@@ -229,12 +231,16 @@ class TestEval:
             E6_REDUCED.eval_abs((1e-150,))
         with pytest.raises(OverflowError):
             E6_REDUCED.gradient_float((1e-150,))
+        with pytest.raises(OverflowError):
+            E6_REDUCED.hessian_float((1e-150,))
 
     def test_wrong_point_length_rejected(self):
         with pytest.raises(ValueError, match="arity"):
             E6_REDUCED.eval_abs((1.0, 1.0))
         with pytest.raises(ValueError, match="arity"):
             E6_REDUCED.gradient_float((1.0, 1.0))
+        with pytest.raises(ValueError, match="arity"):
+            E6_REDUCED.hessian_float((1.0, 1.0))
 
     def test_exact_and_float_values(self):
         assert E6_REDUCED.eval_exact((F(1),)) == F(45, 2)
@@ -353,6 +359,17 @@ def test_gradient_float_is_bitwise_each_partial(f, point):
     for _ in range(2):
         assert [g.hex() for g in f.gradient_float(point)] == [
             f.partial(i).eval_float(point).hex() for i in range(3)
+        ]
+
+
+@settings(deadline=None)
+@given(signomials(3), st.tuples(positive_floats, positive_floats, positive_floats))
+def test_hessian_float_is_bitwise_each_second_partial(f, point):
+    # the first call builds the second partials' float forms, the second reuses them
+    for _ in range(2):
+        assert [[h.hex() for h in row] for row in f.hessian_float(point)] == [
+            [f.derivative((i, j)).eval_float(point).hex() for j in range(3)]
+            for i in range(3)
         ]
 
 
