@@ -249,6 +249,7 @@ def _parse_coords(extras: Mapping, key: str, path, arity: int) -> "tuple | None"
 def load_custom(path) -> CatalogEntry:
     """Read a space file with optional critical-point, kernel and S3 hints.
 
+    A file with fewer than two summands is a ValueError naming the file.
     A missing critical point or kernel direction stays None (the caller
     runs the slice search).
     """
@@ -260,6 +261,9 @@ def load_custom(path) -> CatalogEntry:
     space = space_from_dict(
         {k: v for k, v in data.items() if k not in _EXTRA_KEYS}, where=str(path)
     )
+    if len(space.dims) < 2:
+        # the unit-volume slice of one summand is a single metric: no chart to search
+        raise ValueError(f"{path}: needs at least two summands, got {len(space.dims)}")
     issues = space.validate()
     if issues:
         raise ValueError(f"{path}: " + "; ".join(issues))

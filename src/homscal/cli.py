@@ -53,18 +53,15 @@ def _s3_matches(result_s3, expected, mode: str) -> "bool | None":
 def probe_record(entry: CatalogEntry, cp: CriticalPoint, mode: str = "auto") -> dict:
     """Probe an entry along its kernel line and return a plain-dict record.
 
-    cp is the entry's critical point as the caller labelled it.
+    cp is the entry's critical point as the caller labelled it.  Only a
+    Degenerate point is probed: the third-order test settles nothing at a
+    point of any other label, whose record is Inconclusive with no S values
+    and no witness.
     """
     ch = entry.chart
     kernel = [] if cp.label is Classification.NOT_CRITICAL else cp.kernel()
     curve = entry.curve()
-    result = probe_chart(ch, curve, mode=mode)
-    witness = None
-    witness_value = None
-    if result.verdict is Verdict.NOT_LOCAL_MAX:
-        witness = improving_offset(ch, curve, result.s3)
-        witness_value = ch.reduced.eval_float(witness)
-    return {
+    record = {
         "family": entry.family,
         "n": entry.n,
         "reduced": ch.reduced.to_text(),
@@ -72,17 +69,35 @@ def probe_record(entry: CatalogEntry, cp: CriticalPoint, mode: str = "auto") -> 
         "classification": str(cp.label),
         "kernel_directions": [[fmt(float(c)) for c in v] for v in kernel],
         "direction": [fmt(c) for c in curve.direction],
-        "mode": result.mode,
-        "s1": fmt(result.s1),
-        "s2": fmt(result.s2),
-        "s3": fmt(result.s3),
+        "mode": None,
+        "s1": None,
+        "s2": None,
+        "s3": None,
         "expected_s3": fmt(entry.expected_s3),
-        "s3_matches_expected": _s3_matches(result.s3, entry.expected_s3, result.mode),
-        "verdict": str(result.verdict),
+        "s3_matches_expected": None,
+        "verdict": str(Verdict.INCONCLUSIVE),
         "value_at_critical": fmt(ch.reduced.eval_float(cp.coords)),
-        "witness": None if witness is None else [fmt(x) for x in witness],
-        "value_at_witness": fmt(witness_value),
+        "witness": None,
+        "value_at_witness": None,
     }
+    if cp.label is not Classification.DEGENERATE:
+        return record
+    result = probe_chart(ch, curve, mode=mode)
+    record.update(
+        mode=result.mode,
+        s1=fmt(result.s1),
+        s2=fmt(result.s2),
+        s3=fmt(result.s3),
+        s3_matches_expected=_s3_matches(result.s3, entry.expected_s3, result.mode),
+        verdict=str(result.verdict),
+    )
+    if result.verdict is Verdict.NOT_LOCAL_MAX:
+        witness = improving_offset(ch, curve, result.s3)
+        record.update(
+            witness=[fmt(x) for x in witness],
+            value_at_witness=fmt(ch.reduced.eval_float(witness)),
+        )
+    return record
 
 
 def _print_record(record: dict, out) -> None:

@@ -17,6 +17,13 @@ only evaluation may leave the rationals, and then the caller chooses between
 the exact path (which raises ExactEvaluationError if an irrational power
 appears) and the float path.
 
+The exact path does no work twice.  eval_exact converts and checks the point
+once per call, not once per term and factor; a coordinate equal to 1
+contributes no factor, and rational_pow returns 1 for base 1 before any root
+is taken.  A Fraction is already in lowest terms, so the constructors store
+one as is and convert only other values (int, str, bool); every stored
+coefficient and exponent is a Fraction either way.
+
 The float path is the only float evaluator in the package: each signomial
 converts its coefficients and exponents to doubles once, on first use, and
 eval_float / eval_abs / gradient_float / hessian_float loop over that
@@ -25,10 +32,19 @@ memoized form with scalar powers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 Rat = Union[int, Fraction]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _fraction(value: Rat) -> Fraction:
+    """value as a Fraction; a Fraction is already canonical and is kept as is."""
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class ExactEvaluationError(ArithmeticError):
@@ -56,12 +72,12 @@ def integer_root(value: int, k: int) -> int | None:
 
 def rational_pow(base: Rat, exp: Fraction) -> Fraction:
     """Exact base**exp for positive rational base, or raise ExactEvaluationError."""
-    base = Fraction(base)
+    base = _fraction(base)
     if base <= 0:
         raise ValueError(f"rational_pow needs a positive base, got {base}")
-    exp = Fraction(exp)
-    if exp == 0:
-        return Fraction(1)
+    exp = _fraction(exp)
+    if exp == 0 or base == 1:
+        return _ONE
     if exp < 0:
         base, exp = 1 / base, -exp
     powered = base ** exp.numerator
@@ -89,8 +105,8 @@ class Monomial:
         for idx, e in items:
             if idx < 0:
                 raise ValueError(f"negative variable index {idx}")
-            e = Fraction(e)
-            if e != 0:
+            e = _fraction(e)
+            if e:
                 cleaned.append((int(idx), e))
         cleaned.sort()
         if len({i for i, _ in cleaned}) != len(cleaned):
@@ -107,25 +123,30 @@ class Monomial:
         for idx, e in self.exps:
             if idx == var:
                 return e
-        return Fraction(0)
+        return _ZERO
 
     def mul(self, other: "Monomial") -> "Monomial":
         out = dict(self.exps)
         for idx, e in other.exps:
-            out[idx] = out.get(idx, Fraction(0)) + e
+            _accumulate(out, idx, e)
         return Monomial(out)
 
     def pow(self, c: Rat) -> "Monomial":
-        c = Fraction(c)
+        c = _fraction(c)
         return Monomial({i: e * c for i, e in self.exps})
 
     def eval_exact(self, point: Sequence[Rat]) -> Fraction:
-        out = Fraction(1)
+        if self.exps and self.exps[-1][0] >= len(point):
+            raise ValueError(f"point has {len(point)} coordinates, {self!r} needs more")
+        return self._power_product(_exact_point(point))
+
+    def _power_product(self, xs: dict[int, Fraction]) -> Fraction:
+        """The exact value at a checked point given by its non-unit coordinates."""
+        out = _ONE
         for idx, e in self.exps:
-            x = Fraction(point[idx])
-            if x <= 0:
-                raise ValueError(f"coordinate {idx} is not positive: {x}")
-            out *= rational_pow(x, e)
+            x = xs.get(idx)
+            if x is not None:
+                out *= rational_pow(x, e)
         return out
 
     def __eq__(self, other) -> bool:
@@ -139,6 +160,25 @@ class Monomial:
             return "Monomial()"
         body = ", ".join(f"{i}: {e}" for i, e in self.exps)
         return f"Monomial({{{body}}})"
+
+
+def _exact_point(point: Sequence[Rat]) -> dict[int, Fraction]:
+    """The point as Fractions, checked once: none <= 0.  Only the coordinates
+    other than 1 are kept, by index; a unit coordinate contributes no factor."""
+    xs = {}
+    for idx, x in enumerate(point):
+        x = _fraction(x)
+        if x <= 0:
+            raise ValueError(f"coordinate {idx} is not positive: {x}")
+        if x != 1:
+            xs[idx] = x
+    return xs
+
+
+def _accumulate(acc: dict, key, value: Fraction) -> None:
+    """acc[key] += value, starting from value itself for a new key."""
+    prev = acc.get(key)
+    acc[key] = value if prev is None else prev + value
 
 
 def _format_exponent(e: Fraction) -> str:
@@ -167,19 +207,18 @@ class Signomial:
     def __init__(self, arity: int, terms: Mapping[Monomial, Rat] | None = None):
         if arity < 0:
             raise ValueError("arity must be nonnegative")
+        # a mapping's keys are distinct monomials, so nothing merges here
         clean: dict[Monomial, Fraction] = {}
         for mono, coeff in (terms or {}).items():
             if mono.exps and mono.exps[-1][0] >= arity:
                 raise ValueError(
                     f"monomial {mono!r} uses variable index >= arity {arity}"
                 )
-            c = Fraction(coeff)
-            if c != 0:
-                clean[mono] = clean.get(mono, Fraction(0)) + c
+            c = _fraction(coeff)
+            if c:
+                clean[mono] = c
         object.__setattr__(self, "arity", int(arity))
-        object.__setattr__(
-            self, "terms", {m: c for m, c in clean.items() if c != 0}
-        )
+        object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_partials", {})
         object.__setattr__(self, "_float_terms", None)
 
@@ -212,8 +251,7 @@ class Signomial:
     ) -> "Signomial":
         acc: dict[Monomial, Fraction] = {}
         for coeff, exps in pairs:
-            m = Monomial(exps)
-            acc[m] = acc.get(m, Fraction(0)) + Fraction(coeff)
+            _accumulate(acc, Monomial(exps), _fraction(coeff))
         return cls(arity, acc)
 
     # -- algebra ------------------------------------------------------------
@@ -226,7 +264,7 @@ class Signomial:
         self._require_same_arity(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            _accumulate(out, m, c)
         return Signomial(self.arity, out)
 
     def __neg__(self) -> "Signomial":
@@ -242,8 +280,7 @@ class Signomial:
         out: dict[Monomial, Fraction] = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
-                m = ma.mul(mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
+                _accumulate(out, ma.mul(mb), ca * cb)
         return Signomial(self.arity, out)
 
     def __rmul__(self, other) -> "Signomial":
@@ -252,7 +289,7 @@ class Signomial:
         return NotImplemented
 
     def scale(self, c: Rat) -> "Signomial":
-        c = Fraction(c)
+        c = _fraction(c)
         return Signomial(self.arity, {m: c * v for m, v in self.terms.items()})
 
     def partial(self, var: int) -> "Signomial":
@@ -269,13 +306,17 @@ class Signomial:
             return hit
         out: dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            e = m.exponent(var)
-            if e == 0:
+            exps = m.exps
+            for pos, (idx, e) in enumerate(exps):
+                if idx == var:
+                    break
+            else:
                 continue
-            exps = dict(m.exps)
-            exps[var] = e - 1
-            nm = Monomial(exps)
-            out[nm] = out.get(nm, Fraction(0)) + c * e
+            lowered = list(exps)
+            lowered[pos] = (var, e - 1)
+            # distinct terms keep distinct monomials: x^e differs from x^e'
+            # exactly when x^(e-1) differs from x^(e'-1)
+            out[Monomial(lowered)] = c * e
         result = self._partials[var] = Signomial(self.arity, out)
         return result
 
@@ -302,7 +343,7 @@ class Signomial:
         """
         if not 0 <= var < self.arity:
             raise ValueError(f"variable index {var} out of range for arity {self.arity}")
-        coeff = Fraction(coeff)
+        coeff = _fraction(coeff)
         if coeff <= 0:
             raise ValueError(f"replacement coefficient must be positive, got {coeff}")
         repl = Monomial(exps)
@@ -314,12 +355,11 @@ class Signomial:
         for m, c in self.terms.items():
             e = m.exponent(var)
             if e == 0:
-                out[m] = out.get(m, Fraction(0)) + c
+                _accumulate(out, m, c)
                 continue
             factor = rational_pow(coeff, e)
             rest = Monomial({i: ee for i, ee in m.exps if i != var})
-            nm = rest.mul(repl.pow(e))
-            out[nm] = out.get(nm, Fraction(0)) + c * factor
+            _accumulate(out, rest.mul(repl.pow(e)), c * factor)
         return Signomial(self.arity, out)
 
     def drop_variable(self, var: int) -> "Signomial":
@@ -339,9 +379,10 @@ class Signomial:
     def eval_exact(self, point: Sequence[Rat]) -> Fraction:
         if len(point) != self.arity:
             raise ValueError(f"point has {len(point)} coordinates, arity is {self.arity}")
-        total = Fraction(0)
+        xs = _exact_point(point)
+        total = _ZERO
         for m, c in self.terms.items():
-            total += c * m.eval_exact(point)
+            total += c * m._power_product(xs)
         return total
 
     def _float_form(self) -> tuple:

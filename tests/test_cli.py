@@ -1,6 +1,7 @@
 """Command line surface: subcommands, exit codes, deterministic output."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import warnings
@@ -23,6 +24,12 @@ HALF_SPACE = {
     "triples": [{"i": 0, "j": 0, "k": 1, "value": "3"}], "eliminate": 1,
     "critical_point": ["1/2"], "kernel_direction": ["1"],
 }
+
+
+# sha256 of `report --out` over the default ranges: every record's bytes
+REPORT_SHA256 = "5fc062ac81dfd448f3003e91d9a5f7fa34ab7059ed058398c902b626a221d498"
+
+ONE_SUMMAND_SPACE = {"name": "one", "dims": [3], "triples": [{"i": 0, "j": 0, "k": 0, "value": 1}]}
 
 
 def run(capsys, *argv):
@@ -162,6 +169,35 @@ class TestProbe:
         assert len(record["kernel_directions"]) == 1
         assert len(calls) == 1
 
+    def test_non_degenerate_point_is_inconclusive_without_a_probe(self, capsys):
+        # with no kernel band the roundoff eigenvalue of su_n n=5 reads positive
+        code, out, _ = run(capsys, "probe", "--family", "su_n", "--n", "5",
+                           "--kernel-tol", "0", "--json")
+        assert code == 1
+        record = json.loads(out)
+        assert record["classification"] == "Saddle"
+        assert record["kernel_directions"] == []
+        assert record["verdict"] == "Inconclusive"
+        for key in ("mode", "s1", "s2", "s3", "s3_matches_expected", "witness",
+                    "value_at_witness"):
+            assert record[key] is None, key
+        assert record["expected_s3"] == "100/9"
+        assert record["value_at_critical"] == "6"
+
+    def test_only_a_degenerate_point_is_probed(self, monkeypatch):
+        calls = []
+        original = cli.probe_chart
+        monkeypatch.setattr(cli, "probe_chart", lambda *a, **k: calls.append(a) or original(*a, **k))
+        entry = build("e6_su2_so6")
+        not_critical = CriticalPoint.at(entry.chart, (2,))
+        assert str(not_critical.label) == "NotCritical"
+        record = probe_record(entry, not_critical)
+        assert (record["verdict"], record["s3"], record["witness"]) == ("Inconclusive", None, None)
+        assert calls == []
+        record = probe_record(entry, CriticalPoint.at(entry.chart, entry.critical_point))
+        assert (record["verdict"], record["s3"]) == ("NotLocalMax", "180")
+        assert len(calls) == 1
+
     def test_forced_exact_mode_on_irrational_point(self, capsys):
         code, _, err = run(capsys, "probe", "--family", "su2n_mod_spn", "--n", "3",
                            "--mode", "exact")
@@ -206,6 +242,12 @@ class TestReport:
         assert [(r["family"], r["n"]) for r in records] == [
             (e.family, e.n) for e in default_entries()
         ]
+
+    def test_default_report_bytes_are_pinned(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "report", "--out", str(out_path))
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == REPORT_SHA256
 
     def test_workers_option_is_gone(self):
         with pytest.raises(SystemExit) as exc:
@@ -317,6 +359,15 @@ class TestCustom:
         code, _, err = run(capsys, "custom", "--file", str(path))
         assert code == 2
         assert "permutations" in err
+
+    @pytest.mark.parametrize("search", [False, True], ids=["custom", "custom-search"])
+    def test_one_summand_file_is_usage_error(self, capsys, tmp_path, search):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(ONE_SUMMAND_SPACE))
+        code, out, err = run(capsys, "custom", "--file", str(path), *(["--search"] if search else []))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: needs at least two summands, got 1\n"
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "custom", "--file", str(tmp_path / "nope.json"))

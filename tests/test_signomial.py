@@ -247,6 +247,78 @@ class TestEval:
         assert E6_REDUCED.eval_float((1.0,)) == 22.5
 
 
+class TestCanonicalFractions:
+    """Constructors store Fractions only, whatever the input type, and drop
+    zeros; a Fraction is kept as is, anything else is converted."""
+
+    def test_monomial_exponents(self):
+        m = Monomial({3: False, 0: 2, 1: "1/2", 2: True, 4: "0", 5: F(0)})
+        assert m.exps == ((0, F(2)), (1, F(1, 2)), (2, F(1)))
+        assert all(type(e) is F for _, e in m.exps)
+
+    def test_signomial_coefficients(self):
+        f = Signomial(2, {
+            Monomial({0: 1}): 3, Monomial({1: 1}): "-2/3", Monomial(): True,
+            Monomial({0: 2}): False, Monomial({1: 2}): "0", Monomial({0: -1}): 0,
+        })
+        assert list(f.terms.items()) == [
+            (Monomial({0: 1}), F(3)), (Monomial({1: 1}), F(-2, 3)), (Monomial(), F(1)),
+        ]
+        assert all(type(c) is F for c in f.terms.values())
+
+    def test_from_terms_merges_and_drops_cancelled_terms(self):
+        f = Signomial.from_terms(1, [(1, {0: 1}), ("1/2", {0: True}), (True, {}), (-1, {})])
+        assert list(f.terms.items()) == [(Monomial({0: 1}), F(3, 2))]
+        assert all(type(c) is F for c in f.terms.values())
+
+    def test_fraction_subclass_is_converted(self):
+        class Half(F):
+            pass
+
+        m = Monomial({0: Half(1, 2)})
+        f = Signomial(1, {m: Half(3, 2)})
+        assert type(m.exps[0][1]) is F
+        assert type(f.terms[m]) is F
+
+
+class TestExactPoint:
+    """eval_exact checks the whole point once and skips unit coordinates."""
+
+    f = sig(3, (2, {0: 1, 1: F(1, 2)}), (3, {2: -2}))
+
+    def test_nonpositive_coordinate_rejected_beside_unit_ones(self):
+        with pytest.raises(ValueError, match="coordinate 2 is not positive"):
+            self.f.eval_exact((F(1), 1, F(-1)))
+        with pytest.raises(ValueError, match="coordinate 0 is not positive"):
+            self.f.eval_exact((0, 1, 1))
+        with pytest.raises(ValueError, match="coordinate 1 is not positive"):
+            sig(2, (1, {0: 1})).eval_exact((1, 0))
+        with pytest.raises(ValueError, match="coordinate 1 is not positive"):
+            Monomial({0: F(1, 2)}).eval_exact((1, -2))
+
+    def test_short_point_rejected(self):
+        with pytest.raises(ValueError, match="point has 1 coordinates"):
+            Monomial({2: 1}).eval_exact((F(2),))
+        with pytest.raises(ValueError, match="arity"):
+            self.f.eval_exact((1, 1))
+
+    def test_unit_base_root_is_exactly_one(self):
+        root = sig(1, (1, {0: F(1, 2)}))
+        assert root.eval_exact((F(1),)) == 1
+        assert type(root.eval_exact((1,))) is F
+        assert Monomial({0: F(1, 2)}).eval_exact((True,)) == 1
+        assert rational_pow(1, F(1, 2)) == 1
+        assert self.f.eval_exact((F(4), 1, F(1, 3))) == 2 * 4 + 3 * 9
+
+    def test_irrational_root_still_raises(self):
+        with pytest.raises(ExactEvaluationError):
+            sig(1, (1, {0: F(1, 2)})).eval_exact((F(2),))
+        with pytest.raises(ExactEvaluationError):
+            self.f.eval_exact((1, F(2), 1))
+        with pytest.raises(ExactEvaluationError):
+            rational_pow(2, F(1, 2))
+
+
 class TestText:
     def test_deterministic_rendering(self):
         assert E6_REDUCED.to_text(["y"]) == "-5/2 * y^-4 + 20 * y^-1 + 5 * y^2"
@@ -276,6 +348,47 @@ def signomials(arity, exponents=rat_exponents, max_terms=4):
 
 
 positive_rationals = st.fractions(min_value=F(1, 4), max_value=4).filter(lambda q: q > 0)
+# exponent 1 differentiates to a factor that disappears; the point 1 to one that is skipped
+unit_or_rat_exponents = st.one_of(st.just(F(1)), rat_exponents)
+unit_or_positive_rationals = st.one_of(st.just(F(1)), st.just(1), positive_rationals)
+
+
+def reference_partial(f, var):
+    """partial(var) by the per-term rule, built with the public constructors."""
+    out = {}
+    for m, c in f.terms.items():
+        e = m.exponent(var)
+        if e == 0:
+            continue
+        exps = dict(m.exps)
+        exps[var] = e - 1
+        nm = Monomial(exps)
+        out[nm] = out.get(nm, F(0)) + c * e
+    return Signomial(f.arity, out)
+
+
+@settings(deadline=None)
+@given(signomials(3, exponents=unit_or_rat_exponents), st.integers(0, 2))
+def test_partial_terms_match_the_reference_in_order(f, var):
+    got = list(f.partial(var).terms.items())
+    assert got == list(reference_partial(f, var).terms.items())
+    assert all(type(c) is F for _, c in got)
+    assert all(type(e) is F for m, _ in got for _, e in m.exps)
+
+
+@settings(deadline=None)
+@given(
+    signomials(2, exponents=int_exponents),
+    st.tuples(unit_or_positive_rationals, unit_or_positive_rationals),
+)
+def test_eval_exact_matches_the_term_sum(f, point):
+    reference = F(0)
+    for m, c in f.terms.items():
+        value = c
+        for idx, e in m.exps:
+            value *= F(point[idx]) ** e
+        reference += value
+    assert f.eval_exact(point) == reference
 
 
 @settings(deadline=None)
