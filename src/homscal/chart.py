@@ -75,28 +75,6 @@ class SliceChart:
         full.insert(self.eliminated, xe)
         return tuple(full)
 
-    def gradient_values(self, point: Sequence[float]) -> np.ndarray:
-        return np.array(self.reduced.gradient_float(point), dtype=float)
-
-    def gradient_scale(self, point: Sequence[float]) -> float:
-        """Magnitude reference for deciding that a gradient has cancelled."""
-        f = self.reduced
-        return math.hypot(*(f.partial(i).eval_abs(point) for i in range(self.arity)))
-
-    def hessian_scale(self, point: Sequence[float]) -> float:
-        """Magnitude reference for deciding that a Hessian entry has cancelled."""
-        m = self.arity
-        parts = [
-            self.reduced.derivative((i, j)).eval_abs(point)
-            for i in range(m)
-            for j in range(i, m)
-        ]
-        return max(parts, default=0.0)
-
-    def hessian_values(self, point: Sequence[float]) -> np.ndarray:
-        m = self.arity
-        return np.array(self.reduced.hessian_float(point), dtype=float).reshape(m, m)
-
 
 def restrict(space: HomogeneousSpace, eliminated: int | None = None) -> SliceChart:
     """Restrict the scalar curvature of `space` to the unit-volume slice.
@@ -190,16 +168,24 @@ class CriticalPoint:
         times the cancellation scale of the gradient entries.
         DEGENERATE means the Hessian is negative semidefinite with kernel:
         not settled at second order, probe along the kernel.  A point where a
-        term overflows a float is a ValueError.
+        term overflows a float, or where overflowing terms cancel to a NaN
+        gradient or Hessian entry, is a ValueError.
         """
         coords = tuple(float(x) for x in point)
         if not all(0 < x < math.inf for x in coords):
             raise ValueError(f"chart point must be finite and strictly positive, got {coords}")
+        f, m = chart.reduced, chart.arity
         try:
-            grad_norm = math.hypot(*chart.gradient_values(coords))
-            grad_scale = chart.gradient_scale(coords)
-            eigvals, eigvecs = jacobi_eigh(chart.hessian_values(coords))
-            band = kernel_tol * max(float(np.abs(eigvals).max(initial=0.0)), chart.hessian_scale(coords))
+            grad = f.partials_float(coords, 1)
+            hess = f.hessian_float(coords)
+            # terms that overflow to +-inf and cancel leave a NaN partial
+            if any(map(math.isnan, grad)) or any(math.isnan(h) for row in hess for h in row):
+                raise OverflowError
+            grad_norm = math.hypot(*grad)
+            grad_scale = math.hypot(*f.partials_float(coords, 1, absolute=True))
+            eigvals, eigvecs = jacobi_eigh(np.array(hess, dtype=float).reshape(m, m))
+            hess_scale = max(f.partials_float(coords, 2, absolute=True), default=0.0)
+            band = kernel_tol * max(float(np.abs(eigvals).max(initial=0.0)), hess_scale)
         except OverflowError:
             raise ValueError(f"chart point {coords}: a term overflows a float") from None
         if grad_norm >= 1e-8 * max(grad_scale, 1e-300):
@@ -287,7 +273,7 @@ def _newton_step(chart: SliceChart, u: list[float], grad: list[float], gnorm: fl
             break  # every shorter step rounds to u as well
         # a trial that rounds to the last one was already rejected
         if trial != last and min(trial) > 0:
-            tgrad = f.gradient_float(trial)
+            tgrad = f.partials_float(trial, 1)
             tnorm = vector_norm(tgrad)
             if math.isfinite(tnorm) and tnorm < gnorm:
                 return trial, tgrad, tnorm
@@ -323,7 +309,7 @@ def _newton_converge(chart: SliceChart, u: list[float]) -> "list[float] | None":
     """Newton steps until the gradient norm is below 1e-12, at most 100, then
     polish steps while the norm keeps falling; None if the iteration fails.
     Each iterate carries its gradient from the step that accepted it."""
-    grad = chart.reduced.gradient_float(u)
+    grad = chart.reduced.partials_float(u, 1)
     if not all(math.isfinite(g) for g in grad):
         return None
     gnorm = vector_norm(grad)
@@ -357,8 +343,8 @@ def newton_critical(chart: SliceChart, start: Sequence[float]) -> "np.ndarray | 
     that converges.  The gradient is evaluated once per point: at the start
     and at each damping trial that rounds to a new point; an accepted trial
     keeps its gradient as the next iterate's.
-    The iteration runs on lists of floats with Signomial.gradient_float and
-    Signomial.hessian_float; numpy serves only the solve and the norm with
+    The iteration runs on lists of floats with Signomial.partials_float(u, 1)
+    and Signomial.hessian_float; numpy serves only the solve and the norm with
     two or more unknowns, where plain floats cannot reproduce LAPACK's bits,
     and a 1x1 solve that the division -g / h cannot settle.  Every iterate has
     the bits of the ndarray iteration.

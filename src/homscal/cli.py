@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ExactEvaluationError as exc:
         print(f"error: exact mode impossible here ({exc}); use --mode auto", file=sys.stderr)
-    except (OSError, ValueError) as exc:  # also ParameterRangeError, JSONDecodeError
+    except (OSError, OverflowError, ValueError) as exc:  # also ParameterRangeError, JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
     return 2
 

@@ -5,7 +5,7 @@ chart coordinates.  The value of f is nondecreasing along exact solutions,
 and the integrator enforces that property per step up to a small tolerance;
 the module's claims are monotonicity and escape from degenerate critical
 points, nothing more.  Values and gradients come from the chart's own float
-evaluator (Signomial.eval_float and Signomial.gradient_float on
+evaluator (Signomial.eval_float and Signomial.partials_float(u, 1) on
 chart.reduced), so every recorded value equals chart.reduced.eval_float at
 the recorded point.  The integrator holds its point, stages and trials as
 lists of Python floats and forms each stage coordinate by coordinate in the
@@ -64,7 +64,7 @@ def integrate_ascent(
     region that does not give one interval per chart coordinate, or a step
     that is not finite and > 0 raises ValueError.
     """
-    f, grad = chart.reduced.eval_float, chart.reduced.gradient_float
+    f, partials = chart.reduced.eval_float, chart.reduced.partials_float
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
     u = [float(x) for x in start]
@@ -94,15 +94,15 @@ def integrate_ascent(
         p2 = [x + half * k for x, k in zip(u0, k1)]
         if any(x <= 0 for x in p2):
             return None
-        k2 = grad(p2)
+        k2 = partials(p2, 1)
         p3 = [x + half * k for x, k in zip(u0, k2)]
         if any(x <= 0 for x in p3):
             return None
-        k3 = grad(p3)
+        k3 = partials(p3, 1)
         p4 = [x + h * k for x, k in zip(u0, k3)]
         if any(x <= 0 for x in p4):
             return None
-        k4 = grad(p4)
+        k4 = partials(p4, 1)
         sixth = h / 6.0
         out = [
             x + sixth * (a + 2 * b + 2 * c + d)
@@ -114,7 +114,7 @@ def integrate_ascent(
 
     reason = "budget"
     for _ in range(max_steps):
-        g = grad(u)
+        g = partials(u, 1)
         if vector_norm(g) < 1e-10:
             reason = "gradient-small"
             break

@@ -126,21 +126,22 @@ def _contract(
     """Contraction of the order-th derivative tensor with direction^order, its
     absolute-value counterpart (always float) and the largest |partial| it
     evaluated (float, correctly rounded from the exact value)."""
-    fpoint = [float(x) for x in point]
+    alphas = list(itertools.combinations_with_replacement(range(len(point)), order))
     if exact:
-        num, evaluate, at = Fraction, Signomial.eval_exact, point
+        num = Fraction
+        values = [f.derivative(alpha).eval_exact(point) for alpha in alphas]
     else:
-        num, evaluate, at = float, Signomial.eval_float, fpoint
+        num = float
+        values = f.partials_float(point, order)
+    abs_values = f.partials_float(point, order, absolute=True)
     total = num(0)
     total_abs = 0.0
     peak = num(0)
-    for alpha in itertools.combinations_with_replacement(range(len(point)), order):
+    for alpha, value, abs_value in zip(alphas, values, abs_values):
         counts: dict[int, int] = {}
         for i in alpha:
             counts[i] = counts.get(i, 0) + 1
         mult = _multinomial(counts)
-        part = f.derivative(alpha)
-        value = evaluate(part, at)
         peak = max(peak, abs(value))
         dirprod = num(1)
         for i, c in counts.items():
@@ -149,7 +150,7 @@ def _contract(
         absdir = 1.0
         for i, c in counts.items():
             absdir *= abs(float(direction[i])) ** c
-        total_abs += mult * part.eval_abs(fpoint) * absdir
+        total_abs += mult * abs_value * absdir
     return total, total_abs, float(peak)
 
 
@@ -268,7 +269,7 @@ def suggest_fd_step(chart: SliceChart, curve: CurveSpec) -> float:
     curves) and clamped to [1e-4, 1e-3] divided by the direction's
     max-norm, since halving the direction doubles the useful step.
     """
-    f_abs = chart.reduced.eval_abs(curve.base)
+    f_abs = chart.reduced.partials_float(curve.base, 0, absolute=True)[0]
     _, s5_abs, _ = _contract(chart.reduced, 5, curve.base, curve.direction, exact=False)
     vmax = max(abs(float(c)) for c in curve.direction)
     if s5_abs == 0.0 or f_abs == 0.0:

@@ -26,12 +26,16 @@ coefficient and exponent is a Fraction either way.
 
 The float path is the only float evaluator in the package: each signomial
 converts its coefficients and exponents to doubles once, on first use, and
-eval_float / eval_abs / gradient_float / hessian_float loop over that
-memoized form with scalar powers.
+eval_float loops over that memoized form with scalar powers.
+partials_float(point, order) evaluates every partial of one order in one
+pass, from one memo of their float forms per order; with absolute=True it
+sums |term| values instead, the scale against which cancellation is judged.
+hessian_float is its order-2 result as a symmetric matrix.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 from typing import Union
@@ -200,9 +204,7 @@ def _float_sum(form: tuple, xs: list[float], column: int) -> float:
 class Signomial:
     """Finite rational combination of power products in `arity` variables."""
 
-    __slots__ = (
-        "arity", "terms", "_partials", "_float_terms", "_float_gradient", "_float_hessian"
-    )
+    __slots__ = ("arity", "terms", "_partials", "_float_terms", "_order_forms")
 
     def __init__(self, arity: int, terms: Mapping[Monomial, Rat] | None = None):
         if arity < 0:
@@ -411,62 +413,58 @@ class Signomial:
                 raise ValueError(f"coordinate {idx} is not positive: {x}")
         return xs
 
-    def _gradient_form(self) -> tuple:
-        """The float forms of partial(0), ..., partial(arity - 1), memoized."""
-        try:
-            return self._float_gradient
-        except AttributeError:
-            # left unset by __init__: most signomials never take a float
-            # gradient, and constructing them stays one store cheaper
-            form = tuple(self.partial(i)._float_form() for i in range(self.arity))
-            object.__setattr__(self, "_float_gradient", form)
-            return form
-
-    def _hessian_form(self) -> tuple:
-        """Row i: the float forms of derivative((i, j)) for j = i, ..., arity - 1,
-        memoized like the gradient's."""
-        try:
-            return self._float_hessian
-        except AttributeError:
-            m = self.arity
-            form = tuple(
-                tuple(self.derivative((i, j))._float_form() for j in range(i, m))
-                for i in range(m)
-            )
-            object.__setattr__(self, "_float_hessian", form)
-            return form
-
     def eval_float(self, point: Sequence[float]) -> float:
         """Value at a positive point in doubles; a term that overflows raises
         OverflowError."""
         return _float_sum(self._float_form(), self._float_point(point), 0)
 
-    def eval_abs(self, point: Sequence[float]) -> float:
-        """Sum of |term| values: the natural magnitude scale for cancellation."""
-        return _float_sum(self._float_form(), self._float_point(point), 1)
+    def partials_float(
+        self, point: Sequence[float], order: int, absolute: bool = False
+    ) -> list[float]:
+        """Every partial of the given order at a positive point, as doubles,
+        in itertools.combinations_with_replacement(range(arity), order) order.
 
-    def gradient_float(self, point: Sequence[float]) -> list[float]:
-        """All first partials at a positive point, as doubles, in one pass.
-
-        The point is converted and checked once; entry i has the same bits
-        as partial(i).eval_float(point).
+        The point is converted and checked once.  Entry alpha has the bits of
+        derivative(alpha).eval_float(point); with absolute, of the sum of
+        |term| values instead, the natural magnitude scale for cancellation.
+        Order 0 is the signomial itself.
         """
         xs = self._float_point(point)
-        return [_float_sum(form, xs, 0) for form in self._gradient_form()]
+        try:
+            forms = self._order_forms[order]
+        except (AttributeError, KeyError):
+            forms = self._build_order_forms(order)
+        column = 1 if absolute else 0
+        return [_float_sum(form, xs, column) for form in forms]
+
+    def _build_order_forms(self, order: int) -> tuple:
+        """The float forms of every partial of one order, memoized per order."""
+        try:
+            memo = self._order_forms
+        except AttributeError:
+            # left unset by __init__: most signomials never take a float
+            # partial, and constructing them stays one store cheaper
+            memo = {}
+            object.__setattr__(self, "_order_forms", memo)
+        alphas = itertools.combinations_with_replacement(range(self.arity), order)
+        forms = memo[order] = tuple(self.derivative(a)._float_form() for a in alphas)
+        return forms
 
     def hessian_float(self, point: Sequence[float]) -> list[list[float]]:
-        """All second partials at a positive point, as doubles, in one pass.
-
-        The point is converted and checked once; entry (i, j) has the same
-        bits as derivative((i, j)).eval_float(point).  Only the upper
-        triangle is summed; the lower triangle mirrors it.
-        """
+        """partials_float(point, 2) as a symmetric matrix: the order-2 forms
+        are the row-major upper triangle, and the lower triangle mirrors it."""
         xs = self._float_point(point)
+        try:
+            forms = self._order_forms[2]
+        except (AttributeError, KeyError):
+            forms = self._build_order_forms(2)
         m = self.arity
         out = [[0.0] * m for _ in range(m)]
-        for i, row in enumerate(self._hessian_form()):
-            for j, form in enumerate(row, i):
-                out[i][j] = out[j][i] = _float_sum(form, xs, 0)
+        k = 0
+        for i in range(m):
+            for j in range(i, m):
+                out[i][j] = out[j][i] = _float_sum(forms[k], xs, 0)
+                k += 1
         return out
 
     # -- comparison / display -------------------------------------------------

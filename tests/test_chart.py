@@ -219,6 +219,17 @@ class TestClassify:
             with pytest.raises(ValueError, match=r"\(1e-150,\).*overflows"):
                 CriticalPoint.at(chart, (1e-150,))
 
+    def test_cancelling_overflow_is_value_error_not_degenerate(self):
+        # at x = 1/32 terms of about +-1e308 overflow to +-inf and cancel, so the
+        # float gradient and Hessian are NaN; this was labelled Degenerate
+        space = HomogeneousSpace("nan", (1, 1), (F(10) ** 306, 1), {(0, 0, 1): F(10) ** 306})
+        chart = restrict(space)
+        assert math.isnan(chart.reduced.partial(0).eval_float((1 / 32,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"\(0\.03125,\).*overflows"):
+                CriticalPoint.at(chart, (1 / 32,))
+
     def test_large_finite_gradient_is_labelled_without_warning(self):
         # at x = 1e200 the gradient is ~1e201, whose square overflows
         chart = restrict(e6_space(), eliminated=0)
@@ -226,7 +237,7 @@ class TestClassify:
             warnings.simplefilter("error")
             cp = CriticalPoint.at(chart, (1e200,))
         assert cp.label is Classification.NOT_CRITICAL
-        assert cp.grad_norm == abs(chart.gradient_values((1e200,))[0])
+        assert cp.grad_norm == abs(chart.reduced.partials_float((1e200,), 1)[0])
 
 
 class TestNewton:
@@ -360,8 +371,8 @@ class TestMultiStart:
 
 
 def _reference_newton_step(chart, u):
-    grad = chart.gradient_values(u)
-    hess = chart.hessian_values(u)
+    grad = np.array(chart.reduced.partials_float(u, 1))
+    hess = np.array(chart.reduced.hessian_float(u))
     try:
         delta = np.linalg.solve(hess, -grad)
         if not np.all(np.isfinite(delta)):
@@ -375,7 +386,7 @@ def _reference_newton_step(chart, u):
     for _ in range(60):
         trial = u + damp * delta
         if (trial > 0).all():
-            tnorm = float(np.linalg.norm(chart.gradient_values(trial)))
+            tnorm = float(np.linalg.norm(chart.reduced.partials_float(trial, 1)))
             if math.isfinite(tnorm) and tnorm < gnorm:
                 return trial
         damp *= 0.5
@@ -385,7 +396,7 @@ def _reference_newton_step(chart, u):
 def _reference_newton_converge(chart, u, tol, max_iter):
     converged = False
     for _ in range(max_iter):
-        grad = chart.gradient_values(u)
+        grad = np.array(chart.reduced.partials_float(u, 1))
         if not np.all(np.isfinite(grad)):
             return None
         if float(np.linalg.norm(grad)) < tol:
@@ -398,12 +409,12 @@ def _reference_newton_converge(chart, u, tol, max_iter):
     if not converged:
         return None
     best_u = u
-    best_norm = float(np.linalg.norm(chart.gradient_values(u)))
+    best_norm = float(np.linalg.norm(chart.reduced.partials_float(u, 1)))
     for _ in range(12):
         nxt = _reference_newton_step(chart, best_u)
         if nxt is None:
             break
-        norm = float(np.linalg.norm(chart.gradient_values(nxt)))
+        norm = float(np.linalg.norm(chart.reduced.partials_float(nxt, 1)))
         if norm < best_norm:
             best_u, best_norm = nxt, norm
         else:
@@ -486,18 +497,19 @@ class TestNewtonCarriesGradient:
     def test_no_point_is_evaluated_twice(self, monkeypatch, name):
         chart = NEWTON_CHARTS[name]
         evaluated, labelled = [], []
-        gradient_float = Signomial.gradient_float
+        partials_float = Signomial.partials_float
         at = CriticalPoint.at.__func__
 
-        def counted(self, point):
-            evaluated.append(tuple(float(x) for x in point))
-            return gradient_float(self, point)
+        def counted(self, point, order, absolute=False):
+            if order == 1:
+                evaluated.append(tuple(float(x) for x in point))
+            return partials_float(self, point, order, absolute)
 
         def label(cls, *args, **kwargs):
             labelled.append(args)
             return at(cls, *args, **kwargs)
 
-        monkeypatch.setattr(Signomial, "gradient_float", counted)
+        monkeypatch.setattr(Signomial, "partials_float", counted)
         monkeypatch.setattr(CriticalPoint, "at", classmethod(label))
         for start in itertools.product(GRID, repeat=chart.arity):
             evaluated.clear()

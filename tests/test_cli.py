@@ -31,6 +31,51 @@ REPORT_SHA256 = "5fc062ac81dfd448f3003e91d9a5f7fa34ab7059ed058398c902b626a221d49
 
 ONE_SUMMAND_SPACE = {"name": "one", "dims": [3], "triples": [{"i": 0, "j": 0, "k": 0, "value": 1}]}
 
+# the exact third partial at (1) has coefficient 4.5e308, past the largest double
+OVERFLOW_SPACE = {
+    "name": "ovf", "dims": [1, 1], "b": ["9e307", "7.5e307"],
+    "triples": [{"i": 0, "j": 0, "k": 1, "value": "3e307"}],
+    "critical_point": ["1"], "kernel_direction": ["1"],
+}
+
+
+def flag_space(n):
+    """The two-summand collapse of SO(2n)/T^n as a space file."""
+    return {
+        "name": f"so{2 * n}_flag_collapsed", "dims": [4 * (n - 1), 2 * (n - 1) * (n - 2)],
+        "triples": [{"i": 0, "j": 0, "k": 1, "value": str(2 * (n - 2))},
+                    {"i": 1, "j": 1, "k": 1, "value": str(2 * (n - 2) * (n - 3))}],
+    }
+
+
+# two-summand space files whose `custom --search` output is pinned; every
+# chart has arity 1, so Newton never calls LAPACK and the bytes do not
+# depend on the BLAS build
+SEARCH_SPACES = {
+    **{f"flag-{n}": flag_space(n) for n in (4, 5, 9)},
+    "e6": {"name": "custom-e6", "dims": [20, 40],
+           "triples": [{"i": 0, "j": 1, "k": 1, "value": "10"}], "eliminate": 0},
+    "half": {k: v for k, v in HALF_SPACE.items() if k not in ("critical_point", "kernel_direction")},
+    # a float Saddle and a float LocalMaxCandidate
+    "random-1": {"name": "random-1", "dims": [11, 28],
+                 "triples": [{"i": 0, "j": 0, "k": 0, "value": "9/4"},
+                             {"i": 0, "j": 1, "k": 1, "value": "2"}]},
+    "random-3": {"name": "random-3", "dims": [14, 30],
+                 "triples": [{"i": 0, "j": 0, "k": 1, "value": "4"},
+                             {"i": 0, "j": 1, "k": 1, "value": "3/2"}]},
+}
+
+# sha256 of f"{exit code}\n{stdout}\n{stderr}" of `custom --file F --search`
+SEARCH_SHA256 = {
+    "flag-4": "f17ef0fe626dd9714b736a43fb7aa60a134ec89313be245ee0af39fdbe52d8bd",
+    "flag-5": "76216f04f9a51fcf403576e3e98817201c3eb7783758d8c0e6e73670e4ae588b",
+    "flag-9": "ff1df9240de0faee6c6750c5ef44cb70798612553a09b1e4ee18fc8b129e40fb",
+    "e6": "18aa93bbc7a3b0cdbd541fcad4fc5abcada974de9a4fb7cf9ed5abb026cd9faf",
+    "half": "2259a9738b6e8e7c4f7b08b0611366db615a0c7be848255da2ce872cefd6f196",
+    "random-1": "de485fc903373ef58258ca88289383861f3e6c140fddbf244cd97d2f60ffac8d",
+    "random-3": "dd9df75cb8ff98cb9d6f004ccf0c5a7174f6b800faf46bca4223ee3268ac103b",
+}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -76,11 +121,14 @@ class TestErrorExit:
 
     @pytest.mark.parametrize(
         "case", ["exact-search-at-half", "hint-leaves-orthant", "unwritable-out",
-                 "exact-at-irrational"]
+                 "exact-at-irrational", "third-partial-overflows",
+                 "third-partial-overflows-search"]
     )
     def test_one_error_line(self, capsys, tmp_path, case):
         half = tmp_path / "half.json"
         half.write_text(json.dumps(HALF_SPACE))
+        ovf = tmp_path / "ovf.json"
+        ovf.write_text(json.dumps(OVERFLOW_SPACE))
         e6 = TestCustom.write_e6(tmp_path, critical_point=["1"], kernel_direction=["1000"])
         argv = {
             "exact-search-at-half": ["custom", "--file", str(half), "--search",
@@ -89,6 +137,8 @@ class TestErrorExit:
             "unwritable-out": ["report", "--out", str(tmp_path / "missing" / "r.json")],
             "exact-at-irrational": ["probe", "--family", "su2n_mod_spn", "--n", "3",
                                     "--mode", "exact"],
+            "third-partial-overflows": ["custom", "--file", str(ovf)],
+            "third-partial-overflows-search": ["custom", "--file", str(ovf), "--search"],
         }[case]
         code, out, err = run(capsys, *argv)
         assert code == 2
@@ -465,6 +515,27 @@ class TestCustom:
         assert code == 2
         assert out == ""
         assert err == "error: chart point (1e-150,): a term overflows a float\n"
+
+    def test_cancelling_overflow_at_hinted_point_is_usage_error(self, capsys, tmp_path):
+        # terms of about +-1e308 overflow to +-inf and cancel to a NaN gradient
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({
+            "name": "nan", "dims": [1, 1], "b": ["1e306", "1"],
+            "triples": [{"i": 0, "j": 0, "k": 1, "value": "1e306"}],
+            "critical_point": ["1/32"], "kernel_direction": ["1"],
+        }))
+        code, out, err = run(capsys, "custom", "--file", str(path))
+        assert code == 2
+        assert "Degenerate" not in out
+        assert err == "error: chart point (0.03125,): a term overflows a float\n"
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_SPACES))
+    def test_search_output_bytes_are_pinned(self, capsys, tmp_path, name):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(SEARCH_SPACES[name]))
+        code, out, err = run(capsys, "custom", "--file", str(path), "--search")
+        digest = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
+        assert digest == SEARCH_SHA256[name]
 
     def test_large_hinted_point_is_labelled_without_warning(self, capsys, tmp_path):
         path = self.write_e6(tmp_path, critical_point=[1e200])

@@ -59,9 +59,14 @@ class TestAscent:
     def test_step_without_rejection_costs_four_gradients(self, monkeypatch, family, n):
         entry = build(family, n)
         calls = []
-        gradient_float = Signomial.gradient_float
-        monkeypatch.setattr(Signomial, "gradient_float",
-                            lambda self, p: calls.append(p) or gradient_float(self, p))
+        partials_float = Signomial.partials_float
+
+        def counted(self, point, order, absolute=False):
+            if order == 1:
+                calls.append(point)
+            return partials_float(self, point, order, absolute)
+
+        monkeypatch.setattr(Signomial, "partials_float", counted)
         start = tuple(float(x) * 1.01 for x in entry.critical_point)
         traj = integrate_ascent(entry.chart, start, max_steps=50)
         assert traj.reason == "budget"

@@ -1,5 +1,6 @@
 """Directional derivatives, verdicts, the finite-difference oracle, witnesses."""
 
+import copy
 import itertools
 from collections import Counter
 from fractions import Fraction as F
@@ -277,19 +278,27 @@ class TestThirdPartials:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_each_third_partial_is_evaluated_once(self, monkeypatch, name):
         entry = CATALOG[name]
-        f = entry.chart.reduced
+        chart = copy.deepcopy(entry.chart)  # a copy carries no float memo
+        f = chart.reduced
         third = {id(f.derivative(alpha))
                  for alpha in itertools.combinations_with_replacement(range(f.arity), 3)}
-        calls = Counter()
-        eval_float = Signomial.eval_float
+        calls, built = Counter(), Counter()
+        partials_float, float_form = Signomial.partials_float, Signomial._float_form
 
-        def counted(self, point):
-            calls[id(self)] += 1
-            return eval_float(self, point)
+        def counted(self, point, order, absolute=False):
+            calls[id(self), order, absolute] += 1
+            return partials_float(self, point, order, absolute)
 
-        monkeypatch.setattr(Signomial, "eval_float", counted)
-        directional_derivatives(entry.chart, entry.curve(), mode="float")
-        assert {k: calls[k] for k in third} == dict.fromkeys(third, 1)
+        def counted_form(self):
+            built[id(self)] += 1
+            return float_form(self)
+
+        monkeypatch.setattr(Signomial, "partials_float", counted)
+        monkeypatch.setattr(Signomial, "_float_form", counted_form)
+        directional_derivatives(chart, entry.curve(), mode="float")
+        assert calls == {(id(f), order, absolute): 1
+                         for order in (1, 2, 3) for absolute in (False, True)}
+        assert {k: built[k] for k in third} == dict.fromkeys(third, 1)
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_float_third_partial_max_is_the_largest_third_partial(self, name):

@@ -1,6 +1,7 @@
 """Exact signomial algebra: frozen examples and algebraic property tests."""
 
 import copy
+import itertools
 import pickle
 from fractions import Fraction as F
 
@@ -146,6 +147,7 @@ class TestPartial:
         g = sig(2, (3, {0: 2, 1: -1}), (1, {1: F(1, 2)}))
         f.derivative((0, 1, 1))
         f.eval_float((1.5, 2.0))
+        f.partials_float((1.5, 2.0), 2)
         assert f == g and hash(f) == hash(g)
         assert g.partial(0) == f.partial(0)
 
@@ -210,11 +212,13 @@ class TestEval:
         with pytest.raises(ValueError):
             E6_REDUCED.eval_float((0.0,))
         with pytest.raises(ValueError, match="coordinate 0 is not positive"):
-            E6_REDUCED.eval_abs((-1.0,))
+            E6_REDUCED.partials_float((-1.0,), 0, absolute=True)
         with pytest.raises(ValueError):
             E6_REDUCED.eval_exact((F(-1),))
         with pytest.raises(ValueError, match="coordinate 0 is not positive"):
-            E6_REDUCED.gradient_float((-1.0,))
+            E6_REDUCED.partials_float((-1.0,), 1)
+        with pytest.raises(ValueError, match="coordinate 0 is not positive"):
+            E6_REDUCED.partials_float((0.0,), 3, absolute=True)
         with pytest.raises(ValueError, match="coordinate 0 is not positive"):
             E6_REDUCED.hessian_float((0.0,))
 
@@ -228,17 +232,21 @@ class TestEval:
         with pytest.raises(OverflowError):
             E6_REDUCED.eval_float((1e-150,))
         with pytest.raises(OverflowError):
-            E6_REDUCED.eval_abs((1e-150,))
+            E6_REDUCED.partials_float((1e-150,), 0, absolute=True)
         with pytest.raises(OverflowError):
-            E6_REDUCED.gradient_float((1e-150,))
+            E6_REDUCED.partials_float((1e-150,), 1)
+        with pytest.raises(OverflowError):
+            E6_REDUCED.partials_float((1e-150,), 3, absolute=True)
         with pytest.raises(OverflowError):
             E6_REDUCED.hessian_float((1e-150,))
 
     def test_wrong_point_length_rejected(self):
         with pytest.raises(ValueError, match="arity"):
-            E6_REDUCED.eval_abs((1.0, 1.0))
+            E6_REDUCED.partials_float((1.0, 1.0), 0, absolute=True)
         with pytest.raises(ValueError, match="arity"):
-            E6_REDUCED.gradient_float((1.0, 1.0))
+            E6_REDUCED.partials_float((1.0, 1.0), 1)
+        with pytest.raises(ValueError, match="arity"):
+            E6_REDUCED.partials_float((1.0, 1.0), 3, absolute=True)
         with pytest.raises(ValueError, match="arity"):
             E6_REDUCED.hessian_float((1.0, 1.0))
 
@@ -419,7 +427,7 @@ def test_product_rule(f, g, i):
 def test_float_eval_tracks_exact_eval(f, point):
     exact = f.eval_exact(point)
     approx = f.eval_float([float(x) for x in point])
-    scale = max(abs(float(exact)), f.eval_abs([float(x) for x in point]), 1.0)
+    scale = max(abs(float(exact)), f.partials_float(point, 0, absolute=True)[0], 1.0)
     assert abs(approx - float(exact)) <= 1e-12 * scale
 
 
@@ -439,7 +447,7 @@ def test_substitute_then_eval_consistent(f, repl, point):
         x0 *= fpoint[j] ** float(a)
     direct = f.eval_float([x0, fpoint[1]])
     via_sub = substituted.eval_float(fpoint)
-    scale = max(abs(direct), f.eval_abs([x0, fpoint[1]]), 1.0)
+    scale = max(abs(direct), f.partials_float([x0, fpoint[1]], 0, absolute=True)[0], 1.0)
     assert abs(via_sub - direct) <= 1e-9 * scale
 
 
@@ -462,15 +470,16 @@ positive_floats = st.floats(min_value=1 / 16, max_value=16)
 def test_float_eval_is_bitwise_the_term_sum(f, point):
     for _ in range(2):  # the first call builds the float form, the second reuses it
         assert f.eval_float(point).hex() == reference_float_sum(f, point, False).hex()
-        assert f.eval_abs(point).hex() == reference_float_sum(f, point, True).hex()
+        abs_sum = f.partials_float(point, 0, absolute=True)[0]
+        assert abs_sum.hex() == reference_float_sum(f, point, True).hex()
 
 
 @settings(deadline=None)
 @given(signomials(3), st.tuples(positive_floats, positive_floats, positive_floats))
-def test_gradient_float_is_bitwise_each_partial(f, point):
-    # the first call builds the gradient's float forms, the second reuses them
+def test_first_partials_float_is_bitwise_each_partial(f, point):
+    # the first call builds the first partials' float forms, the second reuses them
     for _ in range(2):
-        assert [g.hex() for g in f.gradient_float(point)] == [
+        assert [g.hex() for g in f.partials_float(point, 1)] == [
             f.partial(i).eval_float(point).hex() for i in range(3)
         ]
 
@@ -484,6 +493,26 @@ def test_hessian_float_is_bitwise_each_second_partial(f, point):
             [f.derivative((i, j)).eval_float(point).hex() for j in range(3)]
             for i in range(3)
         ]
+
+
+@settings(deadline=None)
+@given(
+    signomials(3),
+    st.tuples(positive_floats, positive_floats, positive_floats),
+    st.integers(0, 3),
+    st.booleans(),
+)
+def test_partials_float_is_bitwise_the_term_sum_of_each_partial(f, point, order, absolute):
+    alphas = list(itertools.combinations_with_replacement(range(3), order))
+    want = [reference_float_sum(f.derivative(a), point, absolute).hex() for a in alphas]
+    # the first call builds the order's float forms, the second reuses them
+    for _ in range(2):
+        assert [v.hex() for v in f.partials_float(point, order, absolute)] == want
+    upper = [v.hex() for v in f.partials_float(point, 2)]
+    hess = f.hessian_float(point)
+    pairs = itertools.combinations_with_replacement(range(3), 2)
+    assert [hess[i][j].hex() for i, j in pairs] == upper
+    assert all(hess[i][j].hex() == hess[j][i].hex() for i in range(3) for j in range(3))
 
 
 def _pickled(obj):
@@ -502,9 +531,12 @@ class TestCopy:
         point = (1.3, 0.7)
         f = sig(2, (3, {0: 2}), (F(-1, 3), {0: -1, 1: F(1, 2)}), (5, {}))
         f.partial(0).eval_float(point)  # fill the memos the copy must not carry
+        f.partials_float(point, 2)
         c = copier(f)
         assert c == f and hash(c) == hash(f)
         assert c.eval_float(point).hex() == f.eval_float(point).hex()
+        for order in range(3):
+            assert c.partials_float(point, order) == f.partials_float(point, order)
         assert c.partial(0).eval_float(point).hex() == f.partial(0).eval_float(point).hex()
         with pytest.raises(AttributeError, match="immutable"):
             c.arity = 3
@@ -515,4 +547,4 @@ class TestCopy:
         c = copier(chart)
         assert c == chart
         assert c.reduced.eval_float(point).hex() == chart.reduced.eval_float(point).hex()
-        assert c.gradient_values(point).tolist() == chart.gradient_values(point).tolist()
+        assert c.reduced.partials_float(point, 1) == chart.reduced.partials_float(point, 1)
