@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -298,7 +299,10 @@ def _tolerance(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parse_args
+    leaves it unchanged, and building it costs more than parsing."""
     parser = argparse.ArgumentParser(
         prog="homscal",
         description="Scalar curvature probes for homogeneous Einstein metrics",

@@ -93,6 +93,19 @@ def test_parser_defaults_are_the_library_constants():
     assert report.families.split(",") == sorted(FAMILIES)
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--family", "su_n", "--n", "5", "--kernel-tol", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    args = build_parser().parse_args(["probe", "--family", "su_n"])
+    assert (args.n, args.mode, args.kernel_tol, args.json) == (None, "auto", KERNEL_TOL, False)
+    args = build_parser().parse_args(["report"])
+    assert (args.range_su, args.mode, args.out) == (None, "auto", None)
+    assert args.families.split(",") == sorted(FAMILIES)
+
+
 TOLERANCE_OPTIONS = [
     ["probe", "--family", "su_n", "--n", "5", "--kernel-tol"],
     ["custom", "--file", "space.json", "--kernel-tol"],
@@ -149,6 +162,8 @@ class TestErrorExit:
             assert err.endswith("; use --mode auto\n")
         if argv[0] == "custom":  # the labelled point printed before the probe failed
             assert out.startswith("critical point (")
+        if case.startswith("third-partial-overflows"):
+            assert "partial (0, 0, 0) of order 3 has coefficient -2.7e+308" in err
 
 
 class TestList:

@@ -1,5 +1,6 @@
 """Gradient ascent on slice charts: monotonicity, escape, termination."""
 
+import hashlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -237,6 +238,27 @@ class TestFloatFlowMatchesArrayFlow:
         traj = integrate_ascent(chart, start, step=step, max_steps=steps, region=region)
         # a halved step shows as a time increment of about half the nominal step
         assert min(np.diff(traj.times)) < 0.75 * traj.step
+
+
+# sha256 of the .hex() of every point and value of the three trajectories below
+FLOW_BITS_SHA256 = "224cbbbb63bb4cfbfe428b4a7865d5c8b4d656701dadbc0e3d159689a6f0b7fc"
+
+
+def test_flow_bits_are_pinned():
+    # starts 1e-2 off the catalog point, region +-0.2, as in acceptance
+    # criterion 8: one chart of arity 1 and two of arity 2, 400 steps each
+    digest = hashlib.sha256()
+    for family, n, direction in [("so2n_flag", 6, (1.0,)), ("su_n", 5, (0.6, -0.8)),
+                                 ("su2n_mod_spn", 4, (-0.8, 0.6))]:
+        entry = build(family, n)
+        crit = [float(x) for x in entry.critical_point]
+        start = tuple(c + 1e-2 * d for c, d in zip(crit, direction))
+        region = [(max(c - 0.2, 1e-3), c + 0.2) for c in crit]
+        traj = integrate_ascent(entry.chart, start, max_steps=400, region=region)
+        assert (len(traj.values), traj.reason) == (401, "budget")
+        for p, v in zip(traj.points, traj.values):
+            digest.update((" ".join(x.hex() for x in p) + " " + v.hex() + "\n").encode())
+    assert digest.hexdigest() == FLOW_BITS_SHA256
 
 
 class TestExport:

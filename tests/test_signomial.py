@@ -25,6 +25,15 @@ def sig(arity, *pairs):
 E6_REDUCED = sig(1, (5, {0: 2}), (20, {0: -1}), (F(-5, 2), {0: -4}))
 
 
+def _pickled(obj):
+    return pickle.loads(pickle.dumps(obj))
+
+
+def _fresh(f):
+    """A copy of f without its memos: its first float call takes the loop."""
+    return _pickled(f)
+
+
 class TestIntegerRoot:
     def test_exact_roots(self):
         assert integer_root(27, 3) == 3
@@ -146,8 +155,10 @@ class TestPartial:
         f = sig(2, (3, {0: 2, 1: -1}), (1, {1: F(1, 2)}))
         g = sig(2, (3, {0: 2, 1: -1}), (1, {1: F(1, 2)}))
         f.derivative((0, 1, 1))
-        f.eval_float((1.5, 2.0))
-        f.partials_float((1.5, 2.0), 2)
+        for _ in range(2):  # the second calls compile kernels
+            f.eval_float((1.5, 2.0))
+            f.partials_float((1.5, 2.0), 2)
+        assert f._kernels[0, False] is not None and f._kernels[2, False] is not None
         assert f == g and hash(f) == hash(g)
         assert g.partial(0) == f.partial(0)
 
@@ -208,19 +219,28 @@ class TestEval:
         third = E6_REDUCED.partial(0).partial(0).partial(0)
         assert third.eval_exact((F(1),)) == 180
 
+    @staticmethod
+    def raises_on_both_paths(calls, exc, match=None):
+        # each call runs three times on a fresh copy of E6_REDUCED, whose
+        # shared memos would make the path depend on test order: the first
+        # call loops over the float forms, the second compiles the kernel and
+        # the third runs the compiled kernel
+        for call in calls:
+            f = _fresh(E6_REDUCED)
+            for _ in range(3):
+                with pytest.raises(exc, match=match):
+                    call(f)
+
     def test_nonpositive_point_rejected(self):
-        with pytest.raises(ValueError):
-            E6_REDUCED.eval_float((0.0,))
-        with pytest.raises(ValueError, match="coordinate 0 is not positive"):
-            E6_REDUCED.partials_float((-1.0,), 0, absolute=True)
+        self.raises_on_both_paths([
+            lambda f: f.eval_float((0.0,)),
+            lambda f: f.partials_float((-1.0,), 0, absolute=True),
+            lambda f: f.partials_float((-1.0,), 1),
+            lambda f: f.partials_float((0.0,), 3, absolute=True),
+            lambda f: f.hessian_float((0.0,)),
+        ], ValueError, "coordinate 0 is not positive: -?[01]\\.0$")
         with pytest.raises(ValueError):
             E6_REDUCED.eval_exact((F(-1),))
-        with pytest.raises(ValueError, match="coordinate 0 is not positive"):
-            E6_REDUCED.partials_float((-1.0,), 1)
-        with pytest.raises(ValueError, match="coordinate 0 is not positive"):
-            E6_REDUCED.partials_float((0.0,), 3, absolute=True)
-        with pytest.raises(ValueError, match="coordinate 0 is not positive"):
-            E6_REDUCED.hessian_float((0.0,))
 
     def test_irrational_power_rejected_in_exact_mode(self):
         f = sig(1, (1, {0: F(1, 2)}))
@@ -229,30 +249,87 @@ class TestEval:
         assert f.eval_float((2.0,)) == pytest.approx(2 ** 0.5)
 
     def test_overflowing_term_raises(self):
-        with pytest.raises(OverflowError):
-            E6_REDUCED.eval_float((1e-150,))
-        with pytest.raises(OverflowError):
-            E6_REDUCED.partials_float((1e-150,), 0, absolute=True)
-        with pytest.raises(OverflowError):
-            E6_REDUCED.partials_float((1e-150,), 1)
-        with pytest.raises(OverflowError):
-            E6_REDUCED.partials_float((1e-150,), 3, absolute=True)
-        with pytest.raises(OverflowError):
-            E6_REDUCED.hessian_float((1e-150,))
+        self.raises_on_both_paths([
+            lambda f: f.eval_float((1e-150,)),
+            lambda f: f.partials_float((1e-150,), 0, absolute=True),
+            lambda f: f.partials_float((1e-150,), 1),
+            lambda f: f.partials_float((1e-150,), 3, absolute=True),
+            lambda f: f.hessian_float((1e-150,)),
+        ], OverflowError)
 
     def test_wrong_point_length_rejected(self):
-        with pytest.raises(ValueError, match="arity"):
-            E6_REDUCED.partials_float((1.0, 1.0), 0, absolute=True)
-        with pytest.raises(ValueError, match="arity"):
-            E6_REDUCED.partials_float((1.0, 1.0), 1)
-        with pytest.raises(ValueError, match="arity"):
-            E6_REDUCED.partials_float((1.0, 1.0), 3, absolute=True)
-        with pytest.raises(ValueError, match="arity"):
-            E6_REDUCED.hessian_float((1.0, 1.0))
+        self.raises_on_both_paths([
+            lambda f: f.eval_float((1.0, 1.0)),
+            lambda f: f.partials_float((1.0, 1.0), 0, absolute=True),
+            lambda f: f.partials_float((1.0, 1.0), 1),
+            lambda f: f.partials_float((1.0, 1.0), 3, absolute=True),
+            lambda f: f.hessian_float((1.0, 1.0)),
+        ], ValueError, "^point has 2 coordinates, arity is 1$")
+
+    def test_coefficient_beyond_the_double_range_is_named(self):
+        f = sig(1, (F(3, 2) * 10 ** 308, {0: 3}), (1, {}))
+        with pytest.raises(OverflowError, match=r"partial \(0,\) of order 1 has "
+                                                r"coefficient 4.5e\+308"):
+            f.partials_float((1.0,), 1)
 
     def test_exact_and_float_values(self):
         assert E6_REDUCED.eval_exact((F(1),)) == F(45, 2)
         assert E6_REDUCED.eval_float((1.0,)) == 22.5
+
+
+class TestKernels:
+    """The loop path (first call per order and absolute) and the compiled
+    kernel (every later call) give the same bits."""
+
+    @staticmethod
+    def values_on_both_paths(f, point, order, absolute):
+        f = _fresh(f)
+        return [
+            [v.hex() for v in f.partials_float(point, order, absolute)] for _ in range(3)
+        ]
+
+    def test_five_thousand_terms_compile_and_match_the_term_sum(self):
+        f = Signomial.from_terms(2, [
+            (F((-1) ** k * (k + 1), 13), {0: F(k % 71 - 35, 7), 1: F(k // 71 - 35, 5)})
+            for k in range(5000)
+        ])
+        assert len(f) == 5000
+        point = (1.1, 0.95)
+        for order, absolute in ((0, False), (0, True)):
+            want = [
+                reference_float_sum(f.derivative(a), point, absolute).hex()
+                for a in itertools.combinations_with_replacement(range(2), order)
+            ]
+            assert self.values_on_both_paths(f, point, order, absolute) == [want] * 3
+
+    def test_coefficient_underflowing_to_negative_zero(self):
+        tiny = F(-1, 10 ** 400)
+        f = sig(1, (tiny, {0: 2}), (tiny, {}))
+        assert float(tiny).hex() == "-0x0.0p+0"
+        for order in range(3):
+            for absolute in (False, True):
+                got = self.values_on_both_paths(f, (1.5,), order, absolute)
+                assert got == [["0x0.0p+0"]] * 3  # 0.0 + -0.0 is +0.0
+
+    def test_source_holds_no_coefficient_or_exponent(self):
+        f = _fresh(sig(2, (F(7, 3), {0: F(5, 11)}), (F(-13, 17), {0: 2, 1: F(-19, 23)})))
+        for _ in range(2):
+            f.partials_float((1.3, 0.7), 1)
+        kernel = f._kernels[1, False]
+        consts = {c for c in kernel.__code__.co_consts if not isinstance(c, (int, str))}
+        assert consts <= {None, 0.0, 1.0}
+        assert float(F(-6, 11)) in kernel.__defaults__
+        assert float(F(-19, 23)) in kernel.__defaults__
+
+    def test_charts_of_one_shape_share_the_compiled_code(self):
+        kernels = []
+        for n in (5, 6):
+            f = _fresh(build("su_n", n).chart.reduced)
+            for _ in range(2):
+                f.partials_float((1.1, 0.9), 1)
+            kernels.append(f._kernels[1, False])
+        assert kernels[0] is not kernels[1]
+        assert kernels[0].__code__ is kernels[1].__code__
 
 
 class TestCanonicalFractions:
@@ -385,6 +462,15 @@ def test_partial_terms_match_the_reference_in_order(f, var):
 
 
 @settings(deadline=None)
+@given(signomials(3, exponents=unit_or_rat_exponents), st.integers(0, 2))
+def test_partial_monomials_equal_and_hash_as_constructed_ones(f, var):
+    for m in f.partial(var).terms:
+        for other in (Monomial(m.exps), Monomial(dict(m.exps)), _pickled(m)):
+            assert other == m and hash(other) == hash(m) == hash(m.exps)
+            assert other.exps == m.exps
+
+
+@settings(deadline=None)
 @given(
     signomials(2, exponents=int_exponents),
     st.tuples(unit_or_positive_rationals, unit_or_positive_rationals),
@@ -468,7 +554,7 @@ positive_floats = st.floats(min_value=1 / 16, max_value=16)
 @settings(deadline=None)
 @given(signomials(3), st.tuples(positive_floats, positive_floats, positive_floats))
 def test_float_eval_is_bitwise_the_term_sum(f, point):
-    for _ in range(2):  # the first call builds the float form, the second reuses it
+    for _ in range(3):  # the first call loops, the second compiles, the third reruns
         assert f.eval_float(point).hex() == reference_float_sum(f, point, False).hex()
         abs_sum = f.partials_float(point, 0, absolute=True)[0]
         assert abs_sum.hex() == reference_float_sum(f, point, True).hex()
@@ -477,8 +563,8 @@ def test_float_eval_is_bitwise_the_term_sum(f, point):
 @settings(deadline=None)
 @given(signomials(3), st.tuples(positive_floats, positive_floats, positive_floats))
 def test_first_partials_float_is_bitwise_each_partial(f, point):
-    # the first call builds the first partials' float forms, the second reuses them
-    for _ in range(2):
+    # the first call loops over the float forms, the second compiles the kernel
+    for _ in range(3):
         assert [g.hex() for g in f.partials_float(point, 1)] == [
             f.partial(i).eval_float(point).hex() for i in range(3)
         ]
@@ -487,8 +573,8 @@ def test_first_partials_float_is_bitwise_each_partial(f, point):
 @settings(deadline=None)
 @given(signomials(3), st.tuples(positive_floats, positive_floats, positive_floats))
 def test_hessian_float_is_bitwise_each_second_partial(f, point):
-    # the first call builds the second partials' float forms, the second reuses them
-    for _ in range(2):
+    # the first call loops over the float forms, the second compiles the kernel
+    for _ in range(3):
         assert [[h.hex() for h in row] for row in f.hessian_float(point)] == [
             [f.derivative((i, j)).eval_float(point).hex() for j in range(3)]
             for i in range(3)
@@ -505,8 +591,8 @@ def test_hessian_float_is_bitwise_each_second_partial(f, point):
 def test_partials_float_is_bitwise_the_term_sum_of_each_partial(f, point, order, absolute):
     alphas = list(itertools.combinations_with_replacement(range(3), order))
     want = [reference_float_sum(f.derivative(a), point, absolute).hex() for a in alphas]
-    # the first call builds the order's float forms, the second reuses them
-    for _ in range(2):
+    # the first call loops over the float forms, the second compiles the kernel
+    for _ in range(3):
         assert [v.hex() for v in f.partials_float(point, order, absolute)] == want
     upper = [v.hex() for v in f.partials_float(point, 2)]
     hess = f.hessian_float(point)
@@ -515,8 +601,6 @@ def test_partials_float_is_bitwise_the_term_sum_of_each_partial(f, point, order,
     assert all(hess[i][j].hex() == hess[j][i].hex() for i in range(3) for j in range(3))
 
 
-def _pickled(obj):
-    return pickle.loads(pickle.dumps(obj))
 
 
 @pytest.mark.parametrize("copier", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
@@ -530,13 +614,16 @@ class TestCopy:
     def test_signomial(self, copier):
         point = (1.3, 0.7)
         f = sig(2, (3, {0: 2}), (F(-1, 3), {0: -1, 1: F(1, 2)}), (5, {}))
-        f.partial(0).eval_float(point)  # fill the memos the copy must not carry
-        f.partials_float(point, 2)
+        for _ in range(2):  # fill the memos the copy must not carry, kernels too
+            f.partial(0).eval_float(point)
+            f.partials_float(point, 2)
         c = copier(f)
+        assert not hasattr(c, "_kernels") and not hasattr(c, "_order_forms")
         assert c == f and hash(c) == hash(f)
-        assert c.eval_float(point).hex() == f.eval_float(point).hex()
-        for order in range(3):
-            assert c.partials_float(point, order) == f.partials_float(point, order)
+        for _ in range(3):  # the copy's loop path, then its own kernels
+            assert c.eval_float(point).hex() == f.eval_float(point).hex()
+            for order in range(3):
+                assert c.partials_float(point, order) == f.partials_float(point, order)
         assert c.partial(0).eval_float(point).hex() == f.partial(0).eval_float(point).hex()
         with pytest.raises(AttributeError, match="immutable"):
             c.arity = 3
