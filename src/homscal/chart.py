@@ -109,12 +109,12 @@ def jacobi_eigh(matrix: np.ndarray):
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if np.abs(a - a.T).max(initial=0.0) > 1e-12 * max(1.0, np.abs(a).max()):
+    scale = np.abs(a).max(initial=0.0)
+    if np.abs(a - a.T).max(initial=0.0) > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not symmetric")
     m = a.shape[0]
     v = np.eye(m)
-    scale = np.abs(a).max()
-    if m == 1 or scale == 0.0:
+    if m <= 1 or scale == 0.0:
         order = np.argsort(np.diag(a))
         return np.diag(a)[order], v[:, order]
     threshold = 1e-13 * scale
@@ -281,9 +281,9 @@ def _newton_step(chart: SliceChart, u: list[float], grad: list[float], gnorm: fl
     return None
 
 
-def _try_exact_snap(chart: SliceChart, u: Sequence[float]) -> "np.ndarray | None":
-    """Round to a nearby simple rational point and keep it only if the exact
-    gradient vanishes there.
+def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] | None":
+    """Round to a nearby simple rational point and return it, as Fractions,
+    only if the exact gradient vanishes there; None otherwise.
 
     A converged float iterate near a degenerate critical point still carries
     an offset ~sqrt(eps) along the kernel direction, because the gradient is
@@ -292,7 +292,7 @@ def _try_exact_snap(chart: SliceChart, u: Sequence[float]) -> "np.ndarray | None
     verification recovers it precisely.
     """
     try:
-        snapped = [Fraction(float(x)).limit_denominator(1000) for x in u]
+        snapped = tuple(Fraction(float(x)).limit_denominator(1000) for x in u)
         if any(s <= 0 for s in snapped):
             return None
         if max(abs(float(s) - float(x)) for s, x in zip(snapped, u)) > 1e-6:
@@ -302,7 +302,7 @@ def _try_exact_snap(chart: SliceChart, u: Sequence[float]) -> "np.ndarray | None
                 return None
     except ArithmeticError:
         return None
-    return np.array([float(s) for s in snapped])
+    return snapped
 
 
 def _newton_converge(chart: SliceChart, u: list[float]) -> "list[float] | None":
@@ -362,8 +362,8 @@ def newton_critical(chart: SliceChart, start: Sequence[float]) -> "np.ndarray | 
         return None
     if u is None:
         return None
-    snapped = _try_exact_snap(chart, u)
-    return np.array(u) if snapped is None else snapped
+    snapped = exact_snap(chart, u)
+    return np.array(u) if snapped is None else np.array([float(s) for s in snapped])
 
 
 def find_critical_points(

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import catalog, lie_constants
 from .catalog import CatalogEntry
-from .chart import KERNEL_TOL, Classification, CriticalPoint, find_critical_points
+from .chart import KERNEL_TOL, Classification, CriticalPoint, exact_snap, find_critical_points
 from .probe import Verdict, improving_offset, probe_chart
 from .signomial import ExactEvaluationError
 
@@ -260,10 +260,14 @@ def cmd_custom(args) -> int:
             directions = [entry.kernel_direction]
         else:
             directions = [tuple(float(c) for c in v) for v in cp.kernel()]
+        # a search point that newton_critical snapped to a rational is
+        # verified again and probed as its Fractions
+        point = entry.critical_point if hinted else (
+            exact_snap(entry.chart, cp.coords) or cp.coords)
         for direction in directions:
             probe_entry = dataclasses.replace(
                 entry,
-                critical_point=_rationalize(entry.critical_point if hinted else cp.coords),
+                critical_point=_rationalize(point),
                 kernel_direction=_rationalize(direction),
                 expected_s3=entry.expected_s3 if hinted else None,
             )

@@ -28,18 +28,16 @@ The float path is the only float evaluator in the package.
 partials_float(point, order) evaluates every partial of one order in one
 pass; with absolute=True it sums |term| values instead, the scale against
 which cancellation is judged.  eval_float is its order-0 value and
-hessian_float its order-2 result as a symmetric matrix.  Each partial's
-coefficients and exponents are converted to doubles once, on first use.
-The first evaluation of an (order, absolute) pair on a signomial loops over
-those float forms; from the second on, a kernel compiled for the pair runs
-instead: one generated Python function whose body writes out the term sum
-of every partial, one statement per term, in the loop's operation order
-(sum from 0.0 in term order, product of scalar powers left to right), so
-both paths give the same bits.  The generated source holds only integer
-indices, the arity and generated names; the coefficients and exponents are
-bound as the kernel's parameter defaults.  The compiled code is cached per
-shape (the arity and the variable indices of each term), so charts of one
-structure compile once.
+hessian_float its order-2 result as a symmetric matrix.  The first call for
+an (order, absolute) pair on a signomial compiles its kernel, which every
+call runs from then on: one generated Python function whose body writes out
+the term sum of every partial, one statement per term (sum from 0.0 in term
+order, product of scalar powers left to right).  The generated source holds
+only integer indices, the arity and generated names; the coefficients and
+exponents, converted to doubles from derivative(alpha) when the kernel is
+built, are bound as the kernel's parameter defaults.  The compiled code is
+cached per shape (the arity and the variable indices of each term), so
+charts of one structure compile once.
 """
 
 from __future__ import annotations
@@ -215,69 +213,20 @@ def _format_exponent(e: Fraction) -> str:
     return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
 
 
-def _float_point(point: Sequence[float], arity: int) -> list[float]:
-    """The point as doubles, checked once: arity coordinates, none <= 0."""
-    if len(point) != arity:
-        raise ValueError(f"point has {len(point)} coordinates, arity is {arity}")
-    xs = [float(x) for x in point]
-    for idx, x in enumerate(xs):
-        if x <= 0:
-            raise ValueError(f"coordinate {idx} is not positive: {x}")
-    return xs
-
-
-def _float_sum(form: tuple, xs: list[float], column: int) -> float:
-    """Sum over the terms of a float form, in term order, of column (0: c,
-    1: |c|) times the power product at the checked point xs."""
-    total = 0.0
-    for term in form:
-        prod = 1.0
-        for idx, e in term[2]:
-            prod *= xs[idx] ** e
-        total += term[column] * prod
-    return total
-
-
-def _loop_kernel(arity: int, forms: tuple, column: int):
-    """The evaluator of the float forms that loops over their terms: the
-    cold path, which costs no compilation."""
-
-    def loop(point: Sequence[float]) -> list[float]:
-        xs = _float_point(point, arity)
-        return [_float_sum(form, xs, column) for form in forms]
-
-    return loop
-
-
-def _compiled_kernel(arity: int, forms: tuple, column: int):
-    """The straight-line evaluator of the float forms: the template of their
-    shape, with their constants as the defaults of its parameters after the
-    point, in the order the source names them."""
-    shape = tuple(tuple(tuple(i for i, _ in term[2]) for term in form) for form in forms)
-    constants = tuple(
-        value
-        for form in forms
-        for term in form
-        for value in (term[column], *(e for _, e in term[2]))
-    )
-    template = _kernel_template(arity, shape)
-    return types.FunctionType(template.__code__, template.__globals__, "kernel", constants)
-
-
 @functools.lru_cache(maxsize=256)
 def _kernel_template(arity: int, shape: tuple):
     """Compile the kernel of one shape: per partial, per term, the variable
     indices of its factors.
 
     The kernel takes a point, then the constants (per term its coefficient,
-    then the exponent of each factor), checks the point as _float_point does
-    and returns the term sum of every partial.  A term is written
-    `t += k * (x0 ** k' * x1 ** k'')`, one statement per term: the loop's
-    operation order, since 1.0 * a == a, and no expression nests deeper than
-    the arity however many terms there are.  The source is built from
-    integers and generated names only.  The constants are parameters rather
-    than closure cells: compiling 30,000 cells took seconds, the parameters
-    a tenth of that.
+    then the exponent of each factor).  It checks the point's length, then
+    each coordinate in turn (a double > 0), and returns the term sum of every
+    partial.  A term is written `t += k * (x0 ** k' * x1 ** k'')`, one
+    statement per term: the product of scalar powers from 1.0 left to right,
+    since 1.0 * a == a, and no expression nests deeper than the arity however
+    many terms there are.  The source is built from integers and generated
+    names only.  The constants are parameters rather than closure cells:
+    compiling 30,000 cells took seconds, the parameters a tenth of that.
     """
     lines = [
         f"    if len(p) != {arity}:",
@@ -307,7 +256,7 @@ def _kernel_template(arity: int, shape: tuple):
 class Signomial:
     """Finite rational combination of power products in `arity` variables."""
 
-    __slots__ = ("arity", "terms", "_partials", "_float_terms", "_order_forms", "_kernels")
+    __slots__ = ("arity", "terms", "_partials", "_kernels")
 
     def __init__(self, arity: int, terms: Mapping[Monomial, Rat] | None = None):
         if arity < 0:
@@ -328,7 +277,6 @@ class Signomial:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_partials", {})
-        object.__setattr__(self, "_float_terms", None)
 
     @classmethod
     def _unchecked(cls, arity: int, terms: dict) -> "Signomial":
@@ -504,29 +452,14 @@ class Signomial:
             total += c * m._power_product(xs)
         return total
 
-    def _float_form(self) -> tuple:
-        """Per term, in term order: (float(c), |float(c)|, ((idx, float(e)), ...)).
-
-        Built on the first float evaluation and kept on this (immutable)
-        instance, so signomials that are only used exactly never build it.
-        """
-        form = self._float_terms
-        if form is None:
-            form = tuple(
-                (float(c), abs(float(c)), tuple((i, float(e)) for i, e in m.exps))
-                for m, c in self.terms.items()
-            )
-            object.__setattr__(self, "_float_terms", form)
-        return form
-
     def eval_float(self, point: Sequence[float]) -> float:
         """Value at a positive point in doubles; a term that overflows raises
         OverflowError."""
         try:
             kernel = self._kernels[0, False]
         except (AttributeError, KeyError):
-            kernel = None
-        return (kernel or self._kernel(0, False))(point)[0]
+            kernel = self._kernel(0, False)
+        return kernel(point)[0]
 
     def partials_float(
         self, point: Sequence[float], order: int, absolute: bool = False
@@ -544,8 +477,8 @@ class Signomial:
         try:
             kernel = self._kernels[order, absolute]
         except (AttributeError, KeyError):
-            kernel = None
-        return (kernel or self._kernel(order, absolute))(point)
+            kernel = self._kernel(order, absolute)
+        return kernel(point)
 
     def hessian_float(self, point: Sequence[float]) -> list[list[float]]:
         """partials_float(point, 2) as a symmetric matrix: the order-2 values
@@ -561,55 +494,52 @@ class Signomial:
         return out
 
     def _kernel(self, order: int, absolute: bool):
-        """The evaluator of every partial of one order: point -> values.
+        """The compiled evaluator of every partial of one order: point -> values.
 
-        The first request for (order, absolute) gets the loop over the float
-        forms and leaves None in the memo; the second compiles the kernel and
-        memoizes it.  A fresh chart evaluated once per key so pays for no
-        compilation.
+        Built on the first request for (order, absolute) and memoized on this
+        (immutable) instance: the template of the partials' shape, with their
+        constants as the defaults of its parameters after the point, in the
+        order the source names them.
         """
         try:
-            kernel = self._kernels[order, absolute]
-        except AttributeError:
-            # left unset by __init__, as _order_forms is
-            object.__setattr__(self, "_kernels", {})
-            return self._kernel(order, absolute)
-        except KeyError:
-            forms = self._order_forms_of(order)
-            self._kernels[order, absolute] = None
-            return _loop_kernel(self.arity, forms, int(absolute))
-        if kernel is None:
-            forms = self._order_forms[order]
-            kernel = self._kernels[order, absolute] = _compiled_kernel(
-                self.arity, forms, int(absolute)
-            )
-        return kernel
-
-    def _order_forms_of(self, order: int) -> tuple:
-        """The float forms of every partial of one order, memoized per order.
-
-        A coefficient or exponent beyond the range of a double raises
-        OverflowError naming the partial and the value.
-        """
-        try:
-            memo = self._order_forms
+            memo = self._kernels
         except AttributeError:
             # left unset by __init__: most signomials never take a float
             # partial, and constructing them stays one store cheaper
             memo = {}
-            object.__setattr__(self, "_order_forms", memo)
-        forms = memo.get(order)
-        if forms is None:
+            object.__setattr__(self, "_kernels", memo)
+        kernel = memo.get((order, absolute))
+        if kernel is None:
             alphas = itertools.combinations_with_replacement(range(self.arity), order)
-            forms = memo[order] = tuple(self._partial_form(a) for a in alphas)
-        return forms
+            partials = [(alpha, self.derivative(alpha)) for alpha in alphas]
+            shape = tuple(
+                tuple(tuple(i for i, _ in m.exps) for m in partial.terms)
+                for _, partial in partials
+            )
+            constants = tuple(
+                value
+                for alpha, partial in partials
+                for value in partial._float_constants(alpha, absolute)
+            )
+            template = _kernel_template(self.arity, shape)
+            kernel = memo[order, absolute] = types.FunctionType(
+                template.__code__, template.__globals__, "kernel", constants
+            )
+        return kernel
 
-    def _partial_form(self, alpha: tuple) -> tuple:
-        partial = self.derivative(alpha)
+    def _float_constants(self, alpha: tuple, absolute: bool) -> list[float]:
+        """Per term, in term order: float(c) (|float(c)| with absolute), then
+        float(e) of each factor.  This signomial is the partial alpha of the
+        one being compiled; a value beyond the range of a double raises
+        OverflowError naming alpha and the value.
+        """
+        out = []
         try:
-            return partial._float_form()
+            for m, c in self.terms.items():
+                out.append(abs(float(c)) if absolute else float(c))
+                out.extend(float(e) for _, e in m.exps)
         except OverflowError:
-            for m, c in partial.terms.items():
+            for m, c in self.terms.items():
                 for kind, value in (("coefficient", c), *(("exponent", e) for _, e in m.exps)):
                     try:
                         float(value)
@@ -620,6 +550,7 @@ class Signomial:
                             f"{approx.normalize():g}, beyond the range of a double"
                         ) from None
             raise
+        return out
 
     # -- comparison / display -------------------------------------------------
 

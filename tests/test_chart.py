@@ -21,7 +21,7 @@ from homscal.chart import (
     restrict,
 )
 from homscal.signomial import Signomial
-from homscal.space import HomogeneousSpace
+from homscal.space import HomogeneousSpace, space_from_dict
 
 
 def sig(arity, *pairs):
@@ -125,6 +125,10 @@ class TestJacobiEigensolver:
         with pytest.raises(ValueError):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_empty_matrix_has_empty_eigenpairs(self):
+        vals, vecs = jacobi_eigh(np.zeros((0, 0)))
+        assert vals.shape == (0,) and vecs.shape == (0, 0)
+
 
 class TestSpectrumAndKernel:
     def test_su4_kernel_direction(self):
@@ -185,6 +189,16 @@ class TestClassify:
     def test_local_max_candidate(self):
         chart = synthetic_chart(sig(1, (2, {0: 1}), (-1, {0: 2})))
         assert CriticalPoint.at(chart, (1.0,)).label is Classification.LOCAL_MAX_CANDIDATE
+
+    def test_point_of_a_one_summand_slice_is_labelled(self):
+        # the slice is one metric: an empty spectrum, so no eigenvalue is
+        # above the band and every one is below it
+        space = space_from_dict({"name": "one", "dims": [3],
+                                 "triples": [{"i": 0, "j": 0, "k": 0, "value": 1}]})
+        cp = CriticalPoint.at(restrict(space), ())
+        assert (cp.coords, cp.grad_norm, cp.eigenvalues) == ((), 0.0, ())
+        assert cp.label is Classification.LOCAL_MAX_CANDIDATE
+        assert cp.kernel() == []
 
     def test_saddle_label_for_positive_eigenvalue(self):
         chart = synthetic_chart(sig(1, (1, {0: 1}), (1, {0: -1})))  # x + 1/x
@@ -431,7 +445,7 @@ def _reference_newton_critical(chart, start):
         return None
     if best_u is None:
         return None
-    snapped = chart_mod._try_exact_snap(chart, best_u)
+    snapped = chart_mod.exact_snap(chart, best_u)
     return CriticalPoint.at(chart, best_u if snapped is None else snapped)
 
 

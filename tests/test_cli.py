@@ -71,7 +71,7 @@ SEARCH_SHA256 = {
     "flag-5": "76216f04f9a51fcf403576e3e98817201c3eb7783758d8c0e6e73670e4ae588b",
     "flag-9": "ff1df9240de0faee6c6750c5ef44cb70798612553a09b1e4ee18fc8b129e40fb",
     "e6": "18aa93bbc7a3b0cdbd541fcad4fc5abcada974de9a4fb7cf9ed5abb026cd9faf",
-    "half": "2259a9738b6e8e7c4f7b08b0611366db615a0c7be848255da2ce872cefd6f196",
+    "half": "9ca9a3987ec13f9a08d5c18b16e769d379a6af3a81cf4f33667b8a7372e20981",
     "random-1": "de485fc903373ef58258ca88289383861f3e6c140fddbf244cd97d2f60ffac8d",
     "random-3": "dd9df75cb8ff98cb9d6f004ccf0c5a7174f6b800faf46bca4223ee3268ac103b",
 }
@@ -133,19 +133,20 @@ class TestErrorExit:
     one `error:` line on stderr."""
 
     @pytest.mark.parametrize(
-        "case", ["exact-search-at-half", "hint-leaves-orthant", "unwritable-out",
+        "case", ["exact-search-along-float-kernel", "hint-leaves-orthant", "unwritable-out",
                  "exact-at-irrational", "third-partial-overflows",
                  "third-partial-overflows-search"]
     )
     def test_one_error_line(self, capsys, tmp_path, case):
-        half = tmp_path / "half.json"
-        half.write_text(json.dumps(HALF_SPACE))
         ovf = tmp_path / "ovf.json"
         ovf.write_text(json.dumps(OVERFLOW_SPACE))
+        su5 = tmp_path / "su5.json"
+        su5.write_text(json.dumps(space_to_dict(build("su_n", 5).space)))
         e6 = TestCustom.write_e6(tmp_path, critical_point=["1"], kernel_direction=["1000"])
         argv = {
-            "exact-search-at-half": ["custom", "--file", str(half), "--search",
-                                     "--mode", "exact"],
+            # the search snaps to (1, 1), but the kernel direction is irrational
+            "exact-search-along-float-kernel": ["custom", "--file", str(su5), "--search",
+                                                "--mode", "exact"],
             "hint-leaves-orthant": ["custom", "--file", str(e6)],
             "unwritable-out": ["report", "--out", str(tmp_path / "missing" / "r.json")],
             "exact-at-irrational": ["probe", "--family", "su2n_mod_spn", "--n", "3",
@@ -497,6 +498,20 @@ class TestCustom:
         assert "mode: exact" in out
         assert "s3: 1152" in out
         assert "verdict: NotLocalMax" in out
+
+    def test_search_at_rational_point_is_probed_exactly(self, capsys, tmp_path):
+        # the search snaps to 1/2 and verifies it exactly; the record goes on
+        # from that Fraction, as the hinted run's does
+        path = tmp_path / "half.json"
+        path.write_text(json.dumps(HALF_SPACE))
+        code, hinted, _ = run(capsys, "custom", "--file", str(path))
+        code_search, out, err = run(capsys, "custom", "--file", str(path), "--search")
+        assert (code, code_search, err) == (0, 0, "")
+        assert "critical_point: ['1/2']" in out
+        assert "mode: exact" in out
+        assert "s3: 1152" in out
+        assert "verdict: NotLocalMax" in out
+        assert out.split("\n", 1)[1] == hinted.split("\n", 1)[1]
 
     def test_search_that_overflows_finds_nothing(self, capsys, tmp_path):
         path = tmp_path / "overflow.json"

@@ -30,7 +30,7 @@ def _pickled(obj):
 
 
 def _fresh(f):
-    """A copy of f without its memos: its first float call takes the loop."""
+    """A copy of f without its memos: its first float call compiles a kernel."""
     return _pickled(f)
 
 
@@ -155,7 +155,7 @@ class TestPartial:
         f = sig(2, (3, {0: 2, 1: -1}), (1, {1: F(1, 2)}))
         g = sig(2, (3, {0: 2, 1: -1}), (1, {1: F(1, 2)}))
         f.derivative((0, 1, 1))
-        for _ in range(2):  # the second calls compile kernels
+        for _ in range(2):  # the first calls compile kernels, the second rerun them
             f.eval_float((1.5, 2.0))
             f.partials_float((1.5, 2.0), 2)
         assert f._kernels[0, False] is not None and f._kernels[2, False] is not None
@@ -220,11 +220,10 @@ class TestEval:
         assert third.eval_exact((F(1),)) == 180
 
     @staticmethod
-    def raises_on_both_paths(calls, exc, match=None):
+    def raises_on_every_call(calls, exc, match=None):
         # each call runs three times on a fresh copy of E6_REDUCED, whose
-        # shared memos would make the path depend on test order: the first
-        # call loops over the float forms, the second compiles the kernel and
-        # the third runs the compiled kernel
+        # shared memos would make the first call depend on test order: the
+        # first call compiles the kernel and runs it, the later ones rerun it
         for call in calls:
             f = _fresh(E6_REDUCED)
             for _ in range(3):
@@ -232,7 +231,7 @@ class TestEval:
                     call(f)
 
     def test_nonpositive_point_rejected(self):
-        self.raises_on_both_paths([
+        self.raises_on_every_call([
             lambda f: f.eval_float((0.0,)),
             lambda f: f.partials_float((-1.0,), 0, absolute=True),
             lambda f: f.partials_float((-1.0,), 1),
@@ -249,7 +248,7 @@ class TestEval:
         assert f.eval_float((2.0,)) == pytest.approx(2 ** 0.5)
 
     def test_overflowing_term_raises(self):
-        self.raises_on_both_paths([
+        self.raises_on_every_call([
             lambda f: f.eval_float((1e-150,)),
             lambda f: f.partials_float((1e-150,), 0, absolute=True),
             lambda f: f.partials_float((1e-150,), 1),
@@ -258,7 +257,7 @@ class TestEval:
         ], OverflowError)
 
     def test_wrong_point_length_rejected(self):
-        self.raises_on_both_paths([
+        self.raises_on_every_call([
             lambda f: f.eval_float((1.0, 1.0)),
             lambda f: f.partials_float((1.0, 1.0), 0, absolute=True),
             lambda f: f.partials_float((1.0, 1.0), 1),
@@ -278,11 +277,11 @@ class TestEval:
 
 
 class TestKernels:
-    """The loop path (first call per order and absolute) and the compiled
-    kernel (every later call) give the same bits."""
+    """The kernel compiled on the first call per order and absolute gives the
+    bits of the term sum on that call and on every later one."""
 
     @staticmethod
-    def values_on_both_paths(f, point, order, absolute):
+    def values_of_three_calls(f, point, order, absolute):
         f = _fresh(f)
         return [
             [v.hex() for v in f.partials_float(point, order, absolute)] for _ in range(3)
@@ -300,7 +299,7 @@ class TestKernels:
                 reference_float_sum(f.derivative(a), point, absolute).hex()
                 for a in itertools.combinations_with_replacement(range(2), order)
             ]
-            assert self.values_on_both_paths(f, point, order, absolute) == [want] * 3
+            assert self.values_of_three_calls(f, point, order, absolute) == [want] * 3
 
     def test_coefficient_underflowing_to_negative_zero(self):
         tiny = F(-1, 10 ** 400)
@@ -308,7 +307,7 @@ class TestKernels:
         assert float(tiny).hex() == "-0x0.0p+0"
         for order in range(3):
             for absolute in (False, True):
-                got = self.values_on_both_paths(f, (1.5,), order, absolute)
+                got = self.values_of_three_calls(f, (1.5,), order, absolute)
                 assert got == [["0x0.0p+0"]] * 3  # 0.0 + -0.0 is +0.0
 
     def test_source_holds_no_coefficient_or_exponent(self):
@@ -330,6 +329,21 @@ class TestKernels:
             kernels.append(f._kernels[1, False])
         assert kernels[0] is not kernels[1]
         assert kernels[0].__code__ is kernels[1].__code__
+
+    @pytest.mark.parametrize("order, absolute, call", [
+        (0, False, lambda f: f.eval_float((1.5,))),
+        (1, True, lambda f: f.partials_float((1.5,), 1, absolute=True)),
+        (2, False, lambda f: f.hessian_float((1.5,))),
+        (3, False, lambda f: f.partials_float((1.5,), 3)),
+    ])
+    def test_first_call_compiles_and_the_next_reuses_the_kernel(self, order, absolute, call):
+        f = _fresh(E6_REDUCED)
+        first = call(f)
+        kernel = f._kernels[order, absolute]
+        assert list(f._kernels) == [(order, absolute)]
+        assert kernel.__code__.co_filename == "<signomial kernel, arity 1>"
+        assert call(f) == first
+        assert f._kernels[order, absolute] is kernel
 
 
 class TestCanonicalFractions:
@@ -554,7 +568,7 @@ positive_floats = st.floats(min_value=1 / 16, max_value=16)
 @settings(deadline=None)
 @given(signomials(3), st.tuples(positive_floats, positive_floats, positive_floats))
 def test_float_eval_is_bitwise_the_term_sum(f, point):
-    for _ in range(3):  # the first call loops, the second compiles, the third reruns
+    for _ in range(3):  # the first call compiles the kernels, the later ones rerun them
         assert f.eval_float(point).hex() == reference_float_sum(f, point, False).hex()
         abs_sum = f.partials_float(point, 0, absolute=True)[0]
         assert abs_sum.hex() == reference_float_sum(f, point, True).hex()
@@ -563,7 +577,7 @@ def test_float_eval_is_bitwise_the_term_sum(f, point):
 @settings(deadline=None)
 @given(signomials(3), st.tuples(positive_floats, positive_floats, positive_floats))
 def test_first_partials_float_is_bitwise_each_partial(f, point):
-    # the first call loops over the float forms, the second compiles the kernel
+    # the first call compiles the kernel, the later ones rerun it
     for _ in range(3):
         assert [g.hex() for g in f.partials_float(point, 1)] == [
             f.partial(i).eval_float(point).hex() for i in range(3)
@@ -573,7 +587,7 @@ def test_first_partials_float_is_bitwise_each_partial(f, point):
 @settings(deadline=None)
 @given(signomials(3), st.tuples(positive_floats, positive_floats, positive_floats))
 def test_hessian_float_is_bitwise_each_second_partial(f, point):
-    # the first call loops over the float forms, the second compiles the kernel
+    # the first call compiles the kernel, the later ones rerun it
     for _ in range(3):
         assert [[h.hex() for h in row] for row in f.hessian_float(point)] == [
             [f.derivative((i, j)).eval_float(point).hex() for j in range(3)]
@@ -591,7 +605,7 @@ def test_hessian_float_is_bitwise_each_second_partial(f, point):
 def test_partials_float_is_bitwise_the_term_sum_of_each_partial(f, point, order, absolute):
     alphas = list(itertools.combinations_with_replacement(range(3), order))
     want = [reference_float_sum(f.derivative(a), point, absolute).hex() for a in alphas]
-    # the first call loops over the float forms, the second compiles the kernel
+    # the first call compiles the kernel, the later ones rerun it
     for _ in range(3):
         assert [v.hex() for v in f.partials_float(point, order, absolute)] == want
     upper = [v.hex() for v in f.partials_float(point, 2)]
@@ -618,9 +632,9 @@ class TestCopy:
             f.partial(0).eval_float(point)
             f.partials_float(point, 2)
         c = copier(f)
-        assert not hasattr(c, "_kernels") and not hasattr(c, "_order_forms")
+        assert not hasattr(c, "_kernels")
         assert c == f and hash(c) == hash(f)
-        for _ in range(3):  # the copy's loop path, then its own kernels
+        for _ in range(3):  # the copy compiles its own kernels, then reruns them
             assert c.eval_float(point).hex() == f.eval_float(point).hex()
             for order in range(3):
                 assert c.partials_float(point, order) == f.partials_float(point, order)
