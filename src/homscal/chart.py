@@ -295,7 +295,7 @@ def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] |
         snapped = tuple(Fraction(float(x)).limit_denominator(1000) for x in u)
         if any(s <= 0 for s in snapped):
             return None
-        if max(abs(float(s) - float(x)) for s, x in zip(snapped, u)) > 1e-6:
+        if max((abs(float(s) - float(x)) for s, x in zip(snapped, u)), default=0.0) > 1e-6:
             return None
         for i in range(chart.arity):
             if chart.reduced.partial(i).eval_exact(snapped) != 0:

@@ -4,22 +4,29 @@ Classical fixed-step fourth-order (RK4) integration of u' = grad f(u) in
 chart coordinates.  The value of f is nondecreasing along exact solutions,
 and the integrator enforces that property per step up to a small tolerance;
 the module's claims are monotonicity and escape from degenerate critical
-points, nothing more.  Values and gradients come from the chart's own float
-evaluator (Signomial.eval_float and Signomial.partials_float(u, 1) on
-chart.reduced), so every recorded value equals chart.reduced.eval_float at
-the recorded point.  The integrator holds its point, stages and trials as
-lists of Python floats and forms each stage coordinate by coordinate in the
-operation order of the array expression u + 0.5*h*k, so it takes the same
-doubles an ndarray RK4 would, without per-stage array dispatch.
+points, nothing more.  The gradient at each accepted point comes from the
+chart's own float evaluator, Signomial.partials_float(u, 1) on
+chart.reduced.  Each RK4 attempt from u runs as one generated function per
+chart: its three stage points, their positivity checks and gradients, the
+endpoint and the endpoint's value, written out with the statements of the
+signomial kernels (signomial._partial_sums) and run with the constants of
+the chart's memoized gradient and value kernels.  Its code is cached per
+shape, like the kernels'.  Each coordinate is formed in the operation order
+of the array expression (u + 0.5*h*k and so on), so the integrator takes
+the same doubles an ndarray RK4 would, and every recorded value equals
+chart.reduced.eval_float at the recorded point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass
 from typing import Sequence
 
 from .chart import SliceChart, vector_norm
+from .signomial import Signomial, _define, _partial_sums, _shape
 
 
 class FlowError(RuntimeError):
@@ -41,6 +48,70 @@ class Trajectory:
         ]
 
 
+@functools.lru_cache(maxsize=256)
+def _rk4_template(arity: int, gradient_shape: tuple, value_shape: tuple):
+    """Compile one RK4 attempt for charts of one shape (see signomial._shape):
+    (u, k1, h, constants) -> (endpoint, value there), or None when a stage
+    point or the endpoint is not positive.
+
+    The constants are the gradient kernel's (k0, k1, ...), then the value
+    kernel's (m0, m1, ...).  Each coordinate is formed in the operation
+    order of the array expressions u + half*k, u + h*k and
+    u + sixth*(k1 + 2*k2 + 2*k3 + k4), and the three stage gradients and the
+    endpoint's value are written out with the kernels' own term statements,
+    so every double is the one the kernels would return.
+    """
+
+    def point(name: str, increment: str) -> list[str]:
+        # u{i} + increment with {i} filled in, then the positivity check
+        positive = " or ".join(f"{name}{i} <= 0" for i in range(arity)) or "False"
+        return [
+            *(f"    {name}{i} = u{i} + {increment.format(i=i)}" for i in range(arity)),
+            f"    if {positive}:",
+            "        return None",
+        ]
+
+    def coords(name: str) -> str:
+        return ", ".join(f"{name}{i}" for i in range(arity))
+
+    lines = [f"    [{coords('u')}] = u", f"    [{coords('a')}] = g", "    half = 0.5 * h"]
+    for name, increment, slope in (("p", "half * a{i}", "b"), ("q", "half * b{i}", "c"),
+                                   ("r", "h * c{i}", "d")):
+        gradient, k_count = _partial_sums(gradient_shape, slope, name, "k")
+        lines += point(name, increment) + gradient
+    lines.append("    sixth = h / 6.0")
+    lines += point("x", "sixth * (a{i} + 2 * b{i} + 2 * c{i} + d{i})")
+    value, m_count = _partial_sums(value_shape, "v", "x", "m")
+    lines += [*value, f"    return [{coords('x')}], v0"]
+    params = "".join(f", k{n}" for n in range(k_count)) + "".join(f", m{n}" for n in range(m_count))
+    return _define("rk4", f"u, g, h{params}", lines, f"<rk4 attempt, arity {arity}>")
+
+
+def _gradient_small(g: list[float]) -> bool:
+    """vector_norm(g) < 1e-10, the stop test.  math.hypot(g) is within a few
+    ulps of numpy's sqrt(dot(g, g)), so it decides alone outside +-0.1% of
+    the threshold, and numpy decides inside that band, where the two norms
+    may fall on either side of it."""
+    norm = math.hypot(*g)
+    return (vector_norm(g) if 0.999e-10 <= norm <= 1.001e-10 else norm) < 1e-10
+
+
+def _rk4_attempt(reduced: Signomial):
+    """The compiled RK4 attempt of one reduced function: the template of its
+    gradient's and value's shapes, with the constants of its memoized
+    gradient and value kernels as the defaults after (u, k1, h)."""
+    gradient, value = reduced._kernel(1, False), reduced._kernel(0, False)
+    template = _rk4_template(
+        reduced.arity,
+        _shape(reduced.partial(i) for i in range(reduced.arity)),
+        _shape([reduced]),
+    )
+    return types.FunctionType(
+        template.__code__, template.__globals__, "rk4",
+        gradient.__defaults__ + value.__defaults__,
+    )
+
+
 def integrate_ascent(
     chart: SliceChart,
     start: Sequence[float],
@@ -59,12 +130,15 @@ def integrate_ascent(
     exact and consecutive recorded values never differ by less than -1e-10.
     The nominal step is restored after every accepted step.  The gradient at
     u is evaluated once and serves as the first RK4 stage of every attempt
-    from u, so an accepted step without rejections costs four gradient
-    evaluations.  A start that is not a finite positive chart point, a
+    from u, and each attempt evaluates three stage gradients and, once its
+    endpoint is positive, the value there, so an accepted step without
+    rejections costs four gradient evaluations.  The stop test has the
+    decisions of np.linalg.norm(g) < 1e-10 (see _gradient_small).  A start that is not a finite positive chart point, a
     region that does not give one interval per chart coordinate, or a step
     that is not finite and > 0 raises ValueError.
     """
-    f, partials = chart.reduced.eval_float, chart.reduced.partials_float
+    reduced = chart.reduced
+    f, partials = reduced.eval_float, reduced.partials_float
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
     u = [float(x) for x in start]
@@ -86,43 +160,21 @@ def integrate_ascent(
     points = [tuple(u)]
     values = [f(u)]
     t = 0.0
-
-    def rk4(u0: list[float], k1: list[float], h: float) -> "list[float] | None":
-        # per coordinate in the order of u0 + (0.5*h)*k1 and
-        # u0 + (h/6)*(((k1 + 2*k2) + 2*k3) + k4): another order changes last bits
-        half = 0.5 * h
-        p2 = [x + half * k for x, k in zip(u0, k1)]
-        if any(x <= 0 for x in p2):
-            return None
-        k2 = partials(p2, 1)
-        p3 = [x + half * k for x, k in zip(u0, k2)]
-        if any(x <= 0 for x in p3):
-            return None
-        k3 = partials(p3, 1)
-        p4 = [x + h * k for x, k in zip(u0, k3)]
-        if any(x <= 0 for x in p4):
-            return None
-        k4 = partials(p4, 1)
-        sixth = h / 6.0
-        out = [
-            x + sixth * (a + 2 * b + 2 * c + d)
-            for x, a, b, c, d in zip(u0, k1, k2, k3, k4)
-        ]
-        if any(x <= 0 for x in out):
-            return None
-        return out
+    # built after the value kernel and only when a step is taken, so a
+    # coefficient beyond a double raises where the gradient kernel would
+    rk4 = _rk4_attempt(reduced) if max_steps > 0 else None
 
     reason = "budget"
     for _ in range(max_steps):
         g = partials(u, 1)
-        if vector_norm(g) < 1e-10:
+        if _gradient_small(g):
             reason = "gradient-small"
             break
         h = step
         for _rej in range(20):
-            nxt = rk4(u, g, h)
-            if nxt is not None:
-                new_val = f(nxt)
+            attempt = rk4(u, g, h)
+            if attempt is not None:
+                nxt, new_val = attempt
                 if new_val - values[-1] >= -1e-10:
                     break
             h *= 0.5

@@ -32,7 +32,9 @@ hessian_float its order-2 result as a symmetric matrix.  The first call for
 an (order, absolute) pair on a signomial compiles its kernel, which every
 call runs from then on: one generated Python function whose body writes out
 the term sum of every partial, one statement per term (sum from 0.0 in term
-order, product of scalar powers left to right).  The generated source holds
+order, product of scalar powers left to right).  Those statements have one
+source, _partial_sums, which the flow's compiled RK4 attempt shares with the
+kernels, as it shares _shape and _define.  The generated source holds
 only integer indices, the arity and generated names; the coefficients and
 exponents, converted to doubles from derivative(alpha) when the kernel is
 built, are bound as the kernel's parameter defaults.  The compiled code is
@@ -213,20 +215,50 @@ def _format_exponent(e: Fraction) -> str:
     return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
 
 
+def _shape(partials: Iterable["Signomial"]) -> tuple:
+    """Per partial, per term, the variable indices of its factors: with the
+    arity, all that a compiled template depends on."""
+    return tuple(tuple(tuple(i for i, _ in m.exps) for m in p.terms) for p in partials)
+
+
+def _partial_sums(shape: tuple, target: str, point: str, const: str) -> tuple[list[str], int]:
+    """The statements that sum every partial of shape at the coordinates
+    point0, point1, ...: the number of constants they use, and per partial j
+    `target{j} = 0.0`, then one statement per term,
+    `target{j} += const0 * (point0 ** const1 * point1 ** const2)`.
+
+    The constants are numbered from 0 in term order, per term its
+    coefficient, then the exponent of each factor.  The product of scalar
+    powers runs left to right from 1.0, since 1.0 * a == a, and no
+    expression nests deeper than the arity however many terms there are.
+    """
+    lines, names = [], itertools.count()
+    for j, form in enumerate(shape):
+        lines.append(f"    {target}{j} = 0.0")
+        for indices in form:
+            c = next(names)
+            factors = " * ".join(f"{point}{i} ** {const}{next(names)}" for i in indices) or "1.0"
+            lines.append(f"    {target}{j} += {const}{c} * ({factors})")
+    return lines, next(names)
+
+
+def _define(name: str, params: str, lines: list[str], filename: str):
+    """Compile `def name(params):` with the given body lines and return it."""
+    namespace: dict = {}
+    exec(compile("\n".join([f"def {name}({params}):", *lines]), filename, "exec"), namespace)
+    return namespace[name]
+
+
 @functools.lru_cache(maxsize=256)
 def _kernel_template(arity: int, shape: tuple):
-    """Compile the kernel of one shape: per partial, per term, the variable
-    indices of its factors.
+    """Compile the kernel of one shape (see _shape).
 
-    The kernel takes a point, then the constants (per term its coefficient,
-    then the exponent of each factor).  It checks the point's length, then
-    each coordinate in turn (a double > 0), and returns the term sum of every
-    partial.  A term is written `t += k * (x0 ** k' * x1 ** k'')`, one
-    statement per term: the product of scalar powers from 1.0 left to right,
-    since 1.0 * a == a, and no expression nests deeper than the arity however
-    many terms there are.  The source is built from integers and generated
-    names only.  The constants are parameters rather than closure cells:
-    compiling 30,000 cells took seconds, the parameters a tenth of that.
+    The kernel takes a point, then the constants of _partial_sums.  It checks
+    the point's length, then each coordinate in turn (a double > 0), and
+    returns the term sum of every partial.  The source is built from
+    integers and generated names only.  The constants are parameters rather
+    than closure cells: compiling 30,000 cells took seconds, the parameters
+    a tenth of that.
     """
     lines = [
         f"    if len(p) != {arity}:",
@@ -238,19 +270,11 @@ def _kernel_template(arity: int, shape: tuple):
             f"    if x{i} <= 0:",
             f"        raise ValueError(f'coordinate {i} is not positive: {{x{i}}}')",
         ]
-    names = itertools.count()
-    for t, form in enumerate(shape):
-        lines.append(f"    t{t} = 0.0")
-        for indices in form:
-            c = next(names)
-            factors = " * ".join(f"x{i} ** k{next(names)}" for i in indices) or "1.0"
-            lines.append(f"    t{t} += k{c} * ({factors})")
+    sums, count = _partial_sums(shape, "t", "x", "k")
+    lines += sums
     lines.append(f"    return [{', '.join(f't{t}' for t in range(len(shape)))}]")
-    params = "".join(f", k{n}" for n in range(next(names)))
-    source = "\n".join([f"def kernel(p{params}):", *lines])
-    namespace: dict = {}
-    exec(compile(source, f"<signomial kernel, arity {arity}>", "exec"), namespace)
-    return namespace["kernel"]
+    params = "".join(f", k{n}" for n in range(count))
+    return _define("kernel", f"p{params}", lines, f"<signomial kernel, arity {arity}>")
 
 
 class Signomial:
@@ -512,10 +536,7 @@ class Signomial:
         if kernel is None:
             alphas = itertools.combinations_with_replacement(range(self.arity), order)
             partials = [(alpha, self.derivative(alpha)) for alpha in alphas]
-            shape = tuple(
-                tuple(tuple(i for i, _ in m.exps) for m in partial.terms)
-                for _, partial in partials
-            )
+            shape = _shape(partial for _, partial in partials)
             constants = tuple(
                 value
                 for alpha, partial in partials

@@ -367,6 +367,20 @@ class TestMultiStart:
         assert points[0].coords[0] == pytest.approx(1.0, abs=1e-10)
         assert points[0].label is Classification.SADDLE
 
+    def test_one_summand_slice_is_one_labelled_point(self):
+        # arity 0: the grid holds the empty start only, Newton converges at
+        # once, and the snap has no coordinate to compare
+        space = space_from_dict({"name": "one", "dims": [3],
+                                 "triples": [{"i": 0, "j": 0, "k": 0, "value": 1}]})
+        chart = restrict(space)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            point = newton_critical(chart, ())
+            points = find_critical_points(chart)
+        assert point.shape == (0,)
+        assert points == [CriticalPoint.at(chart, ())]
+        assert points[0].label is Classification.LOCAL_MAX_CANDIDATE
+
     def test_kernel_method_on_result(self):
         chart = restrict(su_n_space(4))
         (cp,) = [

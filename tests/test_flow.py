@@ -1,13 +1,18 @@
 """Gradient ascent on slice charts: monotonicity, escape, termination."""
 
+import dis
 import hashlib
+import itertools
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from homscal import flow
 from homscal.catalog import build, default_entries
-from homscal.chart import SliceChart
+from homscal.chart import SliceChart, vector_norm
 from homscal.flow import FlowError, Trajectory, integrate_ascent, write_trajectory_csv
 from homscal.signomial import Signomial
 
@@ -19,6 +24,13 @@ def sig(arity, *pairs):
 def synthetic_chart(reduced):
     return SliceChart(label="synthetic", dims=(1,) * (reduced.arity + 1),
                       eliminated=reduced.arity, reduced=reduced)
+
+
+def _powers(fn):
+    """The number of ** operations in a compiled kernel or RK4 attempt
+    (BINARY_POWER before Python 3.11, BINARY_OP ** from 3.11 on)."""
+    return sum(ins.opname == "BINARY_POWER" or (ins.opname == "BINARY_OP" and ins.argrepr == "**")
+               for ins in dis.get_instructions(fn))
 
 
 class TestAscent:
@@ -59,21 +71,51 @@ class TestAscent:
     @pytest.mark.parametrize("family, n", [("e6_su2_so6", None), ("su_n", 4)])
     def test_step_without_rejection_costs_four_gradients(self, monkeypatch, family, n):
         entry = build(family, n)
-        calls = []
-        partials_float = Signomial.partials_float
+        calls, attempts = [], []
+        partials_float, eval_float = Signomial.partials_float, Signomial.eval_float
+        hessian_float, build_attempt = Signomial.hessian_float, flow._rk4_attempt
 
-        def counted(self, point, order, absolute=False):
-            if order == 1:
-                calls.append(point)
+        def counted_partials(self, point, order, absolute=False):
+            calls.append(("partials", order, absolute))
             return partials_float(self, point, order, absolute)
 
-        monkeypatch.setattr(Signomial, "partials_float", counted)
+        def counted_value(self, point):
+            calls.append(("value",))
+            return eval_float(self, point)
+
+        def counted_hessian(self, point):
+            calls.append(("hessian",))
+            return hessian_float(self, point)
+
+        def counted_build(reduced):
+            rk4 = build_attempt(reduced)
+            attempts.append(rk4)
+
+            def counted(u, g, h):
+                out = rk4(u, g, h)
+                attempts.append(out is not None)
+                return out
+            return counted
+
+        monkeypatch.setattr(Signomial, "partials_float", counted_partials)
+        monkeypatch.setattr(Signomial, "eval_float", counted_value)
+        monkeypatch.setattr(Signomial, "hessian_float", counted_hessian)
+        monkeypatch.setattr(flow, "_rk4_attempt", counted_build)
         start = tuple(float(x) * 1.01 for x in entry.critical_point)
         traj = integrate_ascent(entry.chart, start, max_steps=50)
         assert traj.reason == "budget"
-        # a rejected step would be halved and leave t short of 50 steps
-        assert traj.times[-1] == pytest.approx(50 * traj.step, rel=1e-12)
-        assert len(calls) == 4 * 50
+        # no step was halved: the times are the running sums of 50 full steps
+        assert traj.times == list(itertools.accumulate([traj.step] * 50, initial=0.0))
+        # the value at the start, then one gradient at u and one attempt per step
+        assert calls == [("value",)] + [("partials", 1, False)] * 50
+        rk4, *completed = attempts
+        assert completed == [True] * 50
+        # an attempt that returns a point has run every statement of its
+        # code: three times the gradient kernel's powers, once the value's
+        f = entry.chart.reduced
+        gradient, value = (_powers(f._kernels[order, False]) for order in (1, 0))
+        assert gradient > 0
+        assert _powers(rk4) == 3 * gradient + value
 
     def test_start_at_critical_point_terminates_immediately(self):
         entry = build("su_n", 3)
@@ -238,6 +280,104 @@ class TestFloatFlowMatchesArrayFlow:
         traj = integrate_ascent(chart, start, step=step, max_steps=steps, region=region)
         # a halved step shows as a time increment of about half the nominal step
         assert min(np.diff(traj.times)) < 0.75 * traj.step
+
+
+def _outcome(integrate, chart, start, step, steps, region):
+    """The trajectory's bits, or the type of the error it ended with."""
+    try:
+        with np.errstate(all="ignore"):
+            return _bits(integrate(chart, start, step=step, max_steps=steps, region=region))
+    except (FlowError, OverflowError) as exc:
+        return type(exc)
+
+
+@st.composite
+def _synthetic_flows(draw):
+    arity = draw(st.integers(0, 4))
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    pairs = [
+        (draw(rational.filter(bool)),
+         {i: draw(rational) for i in range(arity) if draw(st.booleans())})
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    start = tuple(draw(st.floats(0.25, 4.0)) for _ in range(arity))
+    step = draw(st.sampled_from([1e-3, 1e-2, 0.1, 0.5, 2.0]))
+    region = draw(st.none() | st.tuples(*(
+        st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 1.0)) for _ in range(arity))))
+    if region is not None:
+        region = [(x - lo, x + hi) for x, (lo, hi) in zip(start, region)]
+    steps = draw(st.integers(0, 40))
+    return synthetic_chart(Signomial.from_terms(arity, pairs)), start, step, steps, region
+
+
+class TestCompiledAttemptMatchesArrayFlow:
+    # rational exponents on charts of arity 0 to 4, with rejected and halved
+    # steps, region exits, orthant collapse and overflowing stage terms
+    @settings(max_examples=150, deadline=None)
+    @given(_synthetic_flows())
+    @example((synthetic_chart(sig(0, (F(5, 4), {}))), (), 1e-3, 10, None))
+    @example((synthetic_chart(sig(1, (1, {0: -1}))), (0.05,), 1.0, 30, None))
+    @example((synthetic_chart(sig(2, (F(-1, 2), {0: 2}), (F(3, 2), {1: F(-1, 3)}))),
+              (1.0, 0.5), 0.5, 40, [(0.5, 1.5), (0.25, 0.75)]))
+    def test_same_outcome_as_reference(self, case):
+        assert _outcome(integrate_ascent, *case) == _outcome(_reference_integrate_ascent, *case)
+
+    def test_arity_zero_chart_stops_at_once(self):
+        chart = synthetic_chart(sig(0, (F(5, 4), {})))
+        traj = integrate_ascent(chart, (), max_steps=10)
+        assert (traj.reason, traj.points, traj.values) == ("gradient-small", [()], [1.25])
+
+    def test_overflowing_stage_term_raises_in_both_paths(self):
+        # f = x^400 / 400 has gradient x^399: 1 at the start, but the first
+        # stage point 1 + 0.5 * 10 = 6 raises it beyond a double
+        chart = synthetic_chart(sig(1, (F(1, 400), {0: 400})))
+        for integrate in (integrate_ascent, _reference_integrate_ascent):
+            with pytest.raises(OverflowError):
+                integrate(chart, (1.0,), step=10.0, max_steps=5)
+        assert integrate_ascent(chart, (1.0,), step=1e-4, max_steps=5).reason == "budget"
+
+    def test_gradient_coefficient_beyond_a_double_names_its_partial(self):
+        # the value's coefficient 1e308 is a double, the gradient's 2e308 is not
+        chart = synthetic_chart(sig(1, (10 ** 308, {0: 2})))
+        with pytest.raises(OverflowError, match=r"partial \(0,\) of order 1 has coefficient 2e\+308"):
+            integrate_ascent(chart, (1.0,), max_steps=5)
+        assert integrate_ascent(chart, (1.0,), max_steps=0).values == [1e308]
+
+
+class TestStopTest:
+    # math.hypot decides outside +-0.1% of 1e-10 and numpy's norm inside it
+    @pytest.mark.parametrize("arity", [1, 2, 3, 4])
+    @pytest.mark.parametrize("rel", [-2e-3, -1.0001e-3, -0.9999e-3, -1e-6, 0.0,
+                                     1e-6, 0.9999e-3, 1.0001e-3, 2e-3])
+    def test_decisions_are_numpys(self, monkeypatch, arity, rel):
+        rng = np.random.default_rng(arity)
+        norms = []
+        monkeypatch.setattr(flow, "vector_norm",
+                            lambda g: norms.append(g) or vector_norm(g))
+        for _ in range(300):
+            d = rng.normal(size=arity)
+            g = [float(x) for x in d / np.linalg.norm(d) * (1e-10 * (1 + rel))]
+            assert flow._gradient_small(g) == (float(np.linalg.norm(g)) < 1e-10)
+        assert len(norms) == (300 if abs(rel) < 1e-3 else 0)
+
+    @pytest.mark.parametrize("g", [
+        ["0x1.2f3517d243854p-34", "-0x1.3e948e79d01b3p-34"],
+        ["0x1.2a129530c1074p-34", "0x1.b1da0a099cde8p-35", "-0x1.dfaef1a91a6b5p-35"],
+        ["0x1.68897a2f346ccp-34", "-0x1.9c2c466eb28b6p-38", "-0x1.0c13c94193742p-37",
+         "0x1.f09b6fb92eefcp-35"],
+    ])
+    def test_hypot_and_numpy_disagree_at_the_threshold(self, g):
+        # gradients of norm 1e-10 up to roundoff, where the two norms fall on
+        # either side of it: numpy's decides
+        g = [float.fromhex(x) for x in g]
+        assert (math.hypot(*g) < 1e-10) != (float(np.linalg.norm(g)) < 1e-10)
+        assert flow._gradient_small(g) == (float(np.linalg.norm(g)) < 1e-10)
+
+    @pytest.mark.parametrize("g", [[], [0.0], [1e-200, -1e-200], [1e200, 1e200, 1.0],
+                                   [float("nan"), 1.0], [float("inf"), float("nan")]])
+    def test_extremes(self, g):
+        with np.errstate(all="ignore"):
+            assert flow._gradient_small(g) == (float(np.linalg.norm(g)) < 1e-10)
 
 
 # sha256 of the .hex() of every point and value of the three trajectories below
