@@ -198,7 +198,7 @@ def integrate_ascent(
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     width = len(traj.points[0])
-    header = "t," + ",".join(f"x{i}" for i in range(width)) + ",value"
+    header = ",".join(["t", *(f"x{i}" for i in range(width)), "value"])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for row in traj.rows():

@@ -12,8 +12,11 @@ with a larger value exists on the S3 side.
 
 Contractions are evaluated exactly (Fractions) whenever the base point,
 direction and all powered coordinates are rational, e.g. at an all-ones
-point; otherwise in floating point.  A central-difference oracle (fd_check)
-is provided to cross-examine the contraction path.
+point; otherwise in floating point.  One contraction (_contract) serves S_m,
+its cancellation scale (the same sum over absolute-valued partials and |v|)
+and suggest_fd_step's fifth-order scale.  A float S_m is judged against its
+own scale, so the verdict does not depend on the length of v.  A
+central-difference oracle (fd_check) cross-examines the contraction path.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chart import SliceChart
-from .signomial import ExactEvaluationError, Signomial
+from .signomial import ExactEvaluationError
 
-# float-mode verdict thresholds, relative to max(|S3|, largest third partial):
+# float-mode verdict thresholds, each relative to its own S_m's scale:
 # |S1|, |S2| below TOL_LOW count as zero, |S3| or -S2 above TOL_HIGH as signal
 TOL_LOW = 1e-8
 TOL_HIGH = 1e-6
@@ -82,10 +85,11 @@ class CurveSpec:
 class ProbeResult:
     """Directional derivatives (S1, S2, S3) along a curve, plus context.
 
-    scales holds the same contractions with every factor replaced by its
-    absolute value: the natural magnitude against which a vanishing S is
-    judged.  third_partial_max is the largest |f_ijk| at the base point
-    (in exact mode the exact value, correctly rounded).
+    scales holds the same contractions, in floats, with every term of every
+    partial and every direction component replaced by its absolute value:
+    the cancellation scale of each S_m.  scales[m-1] grows like |v|^m when
+    the direction v is rescaled, just as S_m does, so a float S_m judged
+    against it is judged the same along every multiple of v.
     """
 
     s1: "Fraction | float"
@@ -93,7 +97,6 @@ class ProbeResult:
     s3: "Fraction | float"
     mode: str
     scales: tuple[float, float, float]
-    third_partial_max: float
     verdict: Verdict | None = None
 
     def relative(self) -> tuple[float, float, float]:
@@ -104,54 +107,24 @@ class ProbeResult:
         return tuple(out)
 
 
-def _multinomial(counts: dict[int, int]) -> int:
-    total = sum(counts.values())
-    out = math.factorial(total)
-    for c in counts.values():
-        out //= math.factorial(c)
-    return out
-
-
 def _is_rational_tuple(values: Sequence) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def _contract(
-    f: Signomial,
-    order: int,
-    point: Sequence,
-    direction: Sequence,
-    exact: bool,
-):
-    """Contraction of the order-th derivative tensor with direction^order, its
-    absolute-value counterpart (always float) and the largest |partial| it
-    evaluated (float, correctly rounded from the exact value)."""
-    alphas = list(itertools.combinations_with_replacement(range(len(point)), order))
-    if exact:
-        num = Fraction
-        values = [f.derivative(alpha).eval_exact(point) for alpha in alphas]
-    else:
-        num = float
-        values = f.partials_float(point, order)
-    abs_values = f.partials_float(point, order, absolute=True)
-    total = num(0)
-    total_abs = 0.0
-    peak = num(0)
-    for alpha, value, abs_value in zip(alphas, values, abs_values):
-        counts: dict[int, int] = {}
-        for i in alpha:
-            counts[i] = counts.get(i, 0) + 1
-        mult = _multinomial(counts)
-        peak = max(peak, abs(value))
-        dirprod = num(1)
-        for i, c in counts.items():
-            dirprod *= num(direction[i]) ** c
+def _contract(values: Sequence, direction: Sequence, order: int):
+    """sum_alpha multinomial(alpha) * values[alpha] * direction^alpha, with
+    values listed in combinations_with_replacement(range(arity), order) order,
+    the layout of Signomial.partials_float."""
+    total = 0
+    alphas = itertools.combinations_with_replacement(range(len(direction)), order)
+    for alpha, value in zip(alphas, values):
+        mult, dirprod = math.factorial(order), 1
+        for i, run in itertools.groupby(alpha):
+            count = len(tuple(run))
+            mult //= math.factorial(count)
+            dirprod *= direction[i] ** count
         total += mult * value * dirprod
-        absdir = 1.0
-        for i, c in counts.items():
-            absdir *= abs(float(direction[i])) ** c
-        total_abs += mult * abs_value * absdir
-    return total, total_abs, float(peak)
+    return total
 
 
 def directional_derivatives(
@@ -182,25 +155,37 @@ def directional_derivatives(
             "exact mode needs int/Fraction base and direction coordinates"
         )
     exact = mode == "exact" or (mode == "auto" and rational_curve)
-    contract = lambda exact: [
-        _contract(chart.reduced, order, curve.base, curve.direction, exact)
-        for order in (1, 2, 3)
-    ]
+    f = chart.reduced
+
+    def derivatives(exact):
+        direction = tuple(map(Fraction if exact else float, curve.direction))
+        out = []
+        for m in (1, 2, 3):
+            if exact:
+                alphas = itertools.combinations_with_replacement(range(chart.arity), m)
+                values = [f.derivative(alpha).eval_exact(curve.base) for alpha in alphas]
+            else:
+                values = f.partials_float(curve.base, m)
+            out.append(_contract(values, direction, m))
+        return out
+
     try:
-        parts = contract(exact)
+        s1, s2, s3 = derivatives(exact)
     except ExactEvaluationError:
         if mode == "exact":
             raise
         exact = False
-        parts = contract(exact)
-    (s1, a1, _), (s2, a2, _), (s3, a3, third_max) = parts
+        s1, s2, s3 = derivatives(exact)
+    absdir = tuple(abs(float(c)) for c in curve.direction)
     return ProbeResult(
         s1=s1,
         s2=s2,
         s3=s3,
         mode="exact" if exact else "float",
-        scales=(a1, a2, a3),
-        third_partial_max=third_max,
+        scales=tuple(
+            _contract(f.partials_float(curve.base, m, absolute=True), absdir, m)
+            for m in (1, 2, 3)
+        ),
     )
 
 
@@ -208,9 +193,10 @@ def inflection_verdict(result: ProbeResult) -> Verdict:
     """Decide what (S1, S2, S3) say about local maximality along the curve.
 
     In exact mode the tolerances collapse to exact zero tests.  In float mode
-    magnitudes are measured against max(|S3|, largest third partial), with
-    TOL_LOW and TOL_HIGH, so that numerical noise in a cancelling S1 or S2 is
-    not mistaken for signal.
+    each S_m is measured against its own scale, scales[m-1], with TOL_LOW and
+    TOL_HIGH, so that numerical noise in a cancelling S1 or S2 is not
+    mistaken for signal, and rescaling the direction does not move the
+    verdict.
     """
     s1, s2, s3 = result.s1, result.s2, result.s3
     if result.mode == "exact":
@@ -219,12 +205,12 @@ def inflection_verdict(result: ProbeResult) -> Verdict:
         if s1 == 0 and s2 < 0:
             return Verdict.STRICT_DESCENT
         return Verdict.INCONCLUSIVE
-    scale = max(abs(float(s3)), result.third_partial_max)
-    small1 = abs(float(s1)) < TOL_LOW * scale
-    small2 = abs(float(s2)) < TOL_LOW * scale
-    if small1 and small2 and abs(float(s3)) > TOL_HIGH * scale:
+    a1, a2, a3 = result.scales
+    small1 = abs(float(s1)) < TOL_LOW * a1
+    small2 = abs(float(s2)) < TOL_LOW * a2
+    if small1 and small2 and abs(float(s3)) > TOL_HIGH * a3:
         return Verdict.NOT_LOCAL_MAX
-    if small1 and float(s2) < -TOL_HIGH * scale:
+    if small1 and float(s2) < -TOL_HIGH * a2:
         return Verdict.STRICT_DESCENT
     return Verdict.INCONCLUSIVE
 
@@ -263,15 +249,17 @@ def suggest_fd_step(chart: SliceChart, curve: CurveSpec) -> float:
 
     The error model is |S5| h^2 / 4 + eps |f| / h^3, minimized at
     h = (6 eps |f| / |S5|)^(1/5), with |S5| estimated by the absolute-value
-    contraction of the exact fifth derivative tensor.  That contraction
-    ignores sign cancellation and so overstates the truncation term; the
-    optimum is shifted up by 4x to compensate (calibrated on the catalog
-    curves) and clamped to [1e-4, 1e-3] divided by the direction's
-    max-norm, since halving the direction doubles the useful step.
+    contraction of the fifth partials (every term made positive) with |v|.
+    That contraction ignores sign cancellation and so overstates the
+    truncation term; the optimum is shifted up by 4x to compensate
+    (calibrated on the catalog curves) and clamped to [1e-4, 1e-3] divided
+    by the direction's max-norm, since halving the direction doubles the
+    useful step.
     """
     f_abs = chart.reduced.partials_float(curve.base, 0, absolute=True)[0]
-    _, s5_abs, _ = _contract(chart.reduced, 5, curve.base, curve.direction, exact=False)
-    vmax = max(abs(float(c)) for c in curve.direction)
+    absdir = tuple(abs(float(c)) for c in curve.direction)
+    s5_abs = _contract(chart.reduced.partials_float(curve.base, 5, absolute=True), absdir, 5)
+    vmax = max(absdir)
     if s5_abs == 0.0 or f_abs == 0.0:
         return 1e-3 / vmax
     eps = 2.2e-16

@@ -382,6 +382,20 @@ class TestCustom:
         assert len(kernels) == 2
         assert all(line.count("], [") == 1 for line in kernels)
 
+    @pytest.mark.parametrize("direction", [[-0.025, 0.1], [-0.25, 1.0]])
+    def test_float_verdict_does_not_depend_on_the_hinted_direction_length(
+        self, capsys, tmp_path, direction
+    ):
+        # float hints force a float probe of su_n n=10 along its kernel line
+        path = tmp_path / "su10.json"
+        path.write_text(json.dumps({**space_to_dict(build("su_n", 10).space),
+                                    "critical_point": [1.0, 1.0],
+                                    "kernel_direction": direction}))
+        code, out, _ = run(capsys, "custom", "--file", str(path))
+        assert "mode: float" in out
+        assert "verdict: NotLocalMax" in out
+        assert code == 0
+
     def test_hinted_entry_without_search(self, capsys, tmp_path):
         path = self.write_e6(tmp_path, critical_point=["1"], kernel_direction=["1"],
                              expected_s3="180")

@@ -12,9 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from homscal import flow
 from homscal.catalog import build, default_entries
-from homscal.chart import SliceChart, vector_norm
+from homscal.chart import SliceChart, restrict, vector_norm
 from homscal.flow import FlowError, Trajectory, integrate_ascent, write_trajectory_csv
 from homscal.signomial import Signomial
+from homscal.space import space_from_dict
 
 
 def sig(arity, *pairs):
@@ -414,3 +415,21 @@ class TestExport:
         assert first[0] == 0.0
         assert first[1] == pytest.approx(1.02)
         assert first[3] == pytest.approx(entry.chart.reduced.eval_float((1.02, 0.99)))
+
+    @pytest.mark.parametrize("arity", [0, 1, 2])
+    def test_header_and_rows_have_one_width(self, tmp_path, arity):
+        if arity == 0:
+            space = space_from_dict({"name": "one", "dims": [3],
+                                     "triples": [{"i": 0, "j": 0, "k": 0, "value": 1}]})
+            chart, start = restrict(space), ()
+        else:
+            entry = build("so2n_flag", 4) if arity == 1 else build("su_n", 3)
+            chart = entry.chart
+            start = tuple(float(x) + 1e-2 for x in entry.critical_point)
+        traj = integrate_ascent(chart, start, max_steps=5)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(["t", *(f"x{i}" for i in range(arity)), "value"])
+        assert len(lines) == len(traj.points) + 1
+        assert {len(line.split(",")) for line in lines} == {arity + 2}

@@ -1,12 +1,15 @@
 """Directional derivatives, verdicts, the finite-difference oracle, witnesses."""
 
 import copy
+import hashlib
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homscal.catalog import build, default_entries, su2n_volume_normalizer
 from homscal.chart import SliceChart
@@ -32,6 +35,9 @@ def sig(arity, *pairs):
 def synthetic_chart(reduced):
     return SliceChart(label="synthetic", dims=(1,) * (reduced.arity + 1),
                       eliminated=reduced.arity, reduced=reduced)
+
+
+CATALOG = {f"{e.family}-{e.n}": e for e in default_entries()}
 
 
 def rel_gap(got, want):
@@ -132,6 +138,21 @@ class TestDirectionScaling:
         assert res_c.s2 == c * c * res.s2
         assert res_c.s3 == c ** 3 * res.s3
 
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_float_verdict_invariant_under_decades_of_scaling(self, name):
+        # the catalog direction at max-norm 1e-2, times 10^k for k = -3..3, so
+        # the largest still stays positive for |t| <= 1e-2
+        entry = CATALOG[name]
+        curve = entry.curve()
+        vmax = max(abs(float(v)) for v in curve.direction)
+        verdicts = set()
+        for k in range(-3, 4):
+            direction = tuple(10.0 ** k * float(v) / (100 * vmax) for v in curve.direction)
+            res = probe_chart(entry.chart, CurveSpec(base=curve.base, direction=direction),
+                              mode="float")
+            verdicts.add(res.verdict)
+        assert verdicts == {Verdict.NOT_LOCAL_MAX}
+
     def test_verdict_invariant_under_scaling_and_flip(self):
         entry = build("su_n", 4)
         base = entry.curve()
@@ -148,8 +169,7 @@ class TestDirectionScaling:
 class TestVerdictRules:
     @staticmethod
     def exact_result(s1, s2, s3):
-        return ProbeResult(s1=s1, s2=s2, s3=s3, mode="exact",
-                           scales=(1.0, 1.0, 1.0), third_partial_max=1.0)
+        return ProbeResult(s1=s1, s2=s2, s3=s3, mode="exact", scales=(1.0, 1.0, 1.0))
 
     def test_inflection(self):
         assert inflection_verdict(self.exact_result(F(0), F(0), F(180))) is Verdict.NOT_LOCAL_MAX
@@ -161,9 +181,32 @@ class TestVerdictRules:
         assert inflection_verdict(self.exact_result(F(0), F(0), F(0))) is Verdict.INCONCLUSIVE
 
     def test_float_noise_does_not_fake_an_inflection(self):
+        # S3 is 2e-11 of its own cancellation scale: roundoff, not a signal
         res = ProbeResult(s1=1e-20, s2=-1e-20, s3=1e-9, mode="float",
-                          scales=(1.0, 1.0, 1.0), third_partial_max=50.0)
+                          scales=(1.0, 1.0, 50.0))
         assert inflection_verdict(res) is Verdict.INCONCLUSIVE
+
+    def test_each_float_s_is_judged_on_its_own_scale(self):
+        # S1 and S2 are roundoff of their own scales and S3 is a signal of its own
+        res = ProbeResult(s1=1e-12, s2=1e-20, s3=1e-5, mode="float",
+                          scales=(1e3, 1e-6, 1e-4))
+        assert inflection_verdict(res) is Verdict.NOT_LOCAL_MAX
+        # a large S3 does not excuse an S1 that is large on its own scale
+        res = ProbeResult(s1=1e-6, s2=0.0, s3=1e3, mode="float",
+                          scales=(1e-3, 1.0, 1e3))
+        assert inflection_verdict(res) is Verdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("s", [(1e-14, -1e-16, 3.0), (1e-14, -2.0, 3.0), (0.0, 0.0, 1e-9)])
+    def test_float_verdict_is_invariant_under_scaling(self, s):
+        # S_m and its scale both grow like c^m when the direction grows by c
+        scales = (1.0, 4.0, 9.0)
+        verdicts = {
+            inflection_verdict(ProbeResult(
+                *(v * c ** m for m, v in enumerate(s, 1)), mode="float",
+                scales=tuple(a * c ** m for m, a in enumerate(scales, 1))))
+            for c in (2.0 ** k for k in range(-20, 21, 4))
+        }
+        assert len(verdicts) == 1
 
 
 class TestPositivityGuards:
@@ -270,8 +313,18 @@ class TestLattice:
         h = suggest_fd_step(entry.chart, entry.curve())
         assert 1e-5 <= h <= 1e-3
 
+    def test_step_suggestion_runs_no_signed_fifth_order_kernel(self, monkeypatch):
+        entry = CATALOG["su_n-5"]
+        calls = []
+        partials_float = Signomial.partials_float
 
-CATALOG = {f"{e.family}-{e.n}": e for e in default_entries()}
+        def counted(self, point, order, absolute=False):
+            calls.append((order, absolute))
+            return partials_float(self, point, order, absolute)
+
+        monkeypatch.setattr(Signomial, "partials_float", counted)
+        suggest_fd_step(entry.chart, entry.curve())
+        assert calls == [(0, True), (5, True)]
 
 
 class TestThirdPartials:
@@ -304,13 +357,128 @@ class TestThirdPartials:
             (k, absolute): 1 for k in third for absolute in (False, True)
         }
 
-    @pytest.mark.parametrize("name", sorted(CATALOG))
-    def test_float_third_partial_max_is_the_largest_third_partial(self, name):
-        entry = CATALOG[name]
-        f = entry.chart.reduced
-        point = [float(x) for x in entry.critical_point]
-        want = 0.0
-        for alpha in itertools.combinations_with_replacement(range(f.arity), 3):
-            want = max(want, abs(f.derivative(alpha).eval_float(point)))
-        res = directional_derivatives(entry.chart, entry.curve(), mode="float")
-        assert res.third_partial_max.hex() == want.hex()
+
+# -- the contraction against the two-branch loop it replaced -----------------------
+
+def _reference_multinomial(counts):
+    total = sum(counts.values())
+    out = math.factorial(total)
+    for c in counts.values():
+        out //= math.factorial(c)
+    return out
+
+
+def _reference_contract(f, order, point, direction, exact):
+    """The signed contraction (exact or float), its absolute-value counterpart
+    and the largest |partial|, in one interleaved loop."""
+    alphas = list(itertools.combinations_with_replacement(range(len(point)), order))
+    if exact:
+        num = F
+        values = [f.derivative(alpha).eval_exact(point) for alpha in alphas]
+    else:
+        num = float
+        values = f.partials_float(point, order)
+    abs_values = f.partials_float(point, order, absolute=True)
+    total = num(0)
+    total_abs = 0.0
+    peak = num(0)
+    for alpha, value, abs_value in zip(alphas, values, abs_values):
+        counts = {}
+        for i in alpha:
+            counts[i] = counts.get(i, 0) + 1
+        mult = _reference_multinomial(counts)
+        peak = max(peak, abs(value))
+        dirprod = num(1)
+        for i, c in counts.items():
+            dirprod *= num(direction[i]) ** c
+        total += mult * value * dirprod
+        absdir = 1.0
+        for i, c in counts.items():
+            absdir *= abs(float(direction[i])) ** c
+        total_abs += mult * abs_value * absdir
+    return total, total_abs, float(peak)
+
+
+def _reference_probe(chart, curve, mode):
+    """(mode, (S1, S2, S3), scales) as the two-branch loop gave them."""
+    rational = all(isinstance(v, (int, F)) for v in curve.base + curve.direction)
+    exact = mode == "exact" or (mode == "auto" and rational)
+    contract = lambda exact: [
+        _reference_contract(chart.reduced, order, curve.base, curve.direction, exact)
+        for order in (1, 2, 3)
+    ]
+    try:
+        parts = contract(exact)
+    except ExactEvaluationError:
+        exact = False
+        parts = contract(exact)
+    return "exact" if exact else "float", tuple(p[0] for p in parts), tuple(p[1] for p in parts)
+
+
+def _reference_fd_step(chart, curve):
+    f_abs = chart.reduced.partials_float(curve.base, 0, absolute=True)[0]
+    _, s5_abs, _ = _reference_contract(chart.reduced, 5, curve.base, curve.direction, False)
+    vmax = max(abs(float(c)) for c in curve.direction)
+    if s5_abs == 0.0 or f_abs == 0.0:
+        return 1e-3 / vmax
+    h = 4.0 * (6.0 * 2.2e-16 * f_abs / s5_abs) ** 0.2
+    return min(1e-3 / vmax, max(1e-4 / vmax, h))
+
+
+probe_coeffs = st.fractions(min_value=-8, max_value=8).filter(lambda c: c != 0)
+# integers keep the exact path open at rational points; thirds close it
+probe_exponents = st.one_of(st.integers(-4, 4).map(F), st.sampled_from([F(1, 3), F(-5, 3)]))
+
+
+@st.composite
+def probe_cases(draw):
+    arity = draw(st.integers(1, 3))
+    terms = draw(st.lists(
+        st.tuples(probe_coeffs, st.dictionaries(st.integers(0, arity - 1), probe_exponents,
+                                                max_size=arity)),
+        max_size=5))
+    rational = draw(st.booleans())
+    # base >= 1/4 and |direction| <= 4 keep the line positive for |t| <= 1e-2
+    if rational:
+        base = st.fractions(min_value=F(1, 4), max_value=4)
+        component = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    else:
+        base = st.floats(min_value=0.25, max_value=4.0)
+        component = st.floats(min_value=-4.0, max_value=4.0)
+    direction = draw(st.lists(component, min_size=arity, max_size=arity)
+                     .filter(lambda v: any(c != 0 for c in v)))
+    curve = CurveSpec(base=tuple(draw(st.lists(base, min_size=arity, max_size=arity))),
+                      direction=tuple(direction))
+    return synthetic_chart(Signomial.from_terms(arity, terms)), curve
+
+
+@settings(deadline=None, max_examples=150)
+@given(probe_cases(), st.sampled_from(["auto", "float"]))
+def test_contraction_matches_the_two_branch_reference(case, mode):
+    chart, curve = case
+    res = directional_derivatives(chart, curve, mode=mode)
+    want_mode, want_s, want_scales = _reference_probe(chart, curve, mode)
+    got_s = (res.s1, res.s2, res.s3)
+    assert res.mode == want_mode
+    if want_mode == "exact":
+        assert all(isinstance(v, F) for v in got_s)
+        assert got_s == want_s
+    else:
+        assert [v.hex() for v in got_s] == [v.hex() for v in want_s]
+    assert [a.hex() for a in res.scales] == [a.hex() for a in want_scales]
+    assert suggest_fd_step(chart, curve).hex() == _reference_fd_step(chart, curve).hex()
+
+
+# sha256 of the .hex() of float-mode S1, S2, S3, the three scales and
+# suggest_fd_step along every catalog curve, in default_entries() order
+PROBE_BITS_SHA256 = "b867d9c1fa6d458a7001424ba65fe9bba2e599338519f5cf0a394356e56ae796"
+
+
+def test_probe_bits_are_pinned():
+    digest = hashlib.sha256()
+    for entry in default_entries():
+        curve = entry.curve()
+        res = directional_derivatives(entry.chart, curve, mode="float")
+        bits = [res.s1, res.s2, res.s3, *res.scales, suggest_fd_step(entry.chart, curve)]
+        digest.update((" ".join(x.hex() for x in bits) + "\n").encode())
+    assert digest.hexdigest() == PROBE_BITS_SHA256
