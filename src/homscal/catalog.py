@@ -229,11 +229,14 @@ _EXTRA_KEYS = {"critical_point", "kernel_direction", "expected_s3", "eliminate"}
 
 
 def _parse_coord(value, where: str):
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"{where}: expected a finite number, got {value}")
-        return value
-    return _as_fraction(value, where)
+    """A hint entry, a float as given or else a Fraction, whose double is finite."""
+    number = value if isinstance(value, float) else _as_fraction(value, where)
+    try:
+        if math.isfinite(float(number)):
+            return number
+    except OverflowError:
+        pass
+    raise ValueError(f"{where}: expected a finite number (as a double), got {value}")
 
 
 def _parse_coords(extras: Mapping, key: str, path, arity: int) -> "tuple | None":
@@ -250,8 +253,10 @@ def load_custom(path) -> CatalogEntry:
     """Read a space file with optional critical-point, kernel and S3 hints.
 
     A file with fewer than two summands is a ValueError naming the file.
-    A missing critical point or kernel direction stays None (the caller
-    runs the slice search).
+    Each hint entry must be a finite double, the critical point positive and
+    the kernel direction nonzero as doubles, or the ValueError names the field.
+    A missing critical point or kernel direction stays None (the caller runs
+    the slice search).
     """
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -271,9 +276,11 @@ def load_custom(path) -> CatalogEntry:
     sl = restrict(space, None if eliminated is None else _as_int(eliminated, f"{path}.eliminate"))
 
     point = _parse_coords(extras, "critical_point", path, sl.arity)
+    if point is not None and min(map(float, point)) <= 0:
+        raise ValueError(f"{path}.critical_point: must be strictly positive as doubles")
     direction = _parse_coords(extras, "kernel_direction", path, sl.arity)
-    if direction is not None and not any(direction):
-        raise ValueError(f"{path}.kernel_direction: direction must be nonzero")
+    if direction is not None and not any(map(float, direction)):
+        raise ValueError(f"{path}.kernel_direction: direction must be nonzero as a double")
 
     expected = None
     if "expected_s3" in extras:

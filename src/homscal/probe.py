@@ -17,6 +17,8 @@ its cancellation scale (the same sum over absolute-valued partials and |v|)
 and suggest_fd_step's fifth-order scale.  A float S_m is judged against its
 own scale, so the verdict does not depend on the length of v.  A
 central-difference oracle (fd_check) cross-examines the contraction path.
+A probe needs only a positive base point: every step off it keeps within one
+bound, _reach, and the evaluator is the one positivity check along the line.
 """
 
 from __future__ import annotations
@@ -137,18 +139,14 @@ def directional_derivatives(
     mode "exact" insists on rational arithmetic (raising ExactEvaluationError
     if an irrational power appears), "float" forces doubles, and "auto" takes
     the exact path when the base point and direction are rationals, falling
-    back to floats otherwise.  The curve must stay positive for |t| <= 1e-2.
+    back to floats otherwise.  S1, S2 and S3 are evaluated at the base point
+    only, so any nonzero direction of any length will do.
     """
     if len(curve.base) != chart.arity:
         raise ValueError(f"curve lives in {len(curve.base)} variables, chart in {chart.arity}")
-    for t in (1e-2, -1e-2):
-        if any(x <= 0 for x in curve.at(t)):
-            raise ValueError("curve leaves the positive orthant within |t| <= 0.01")
     if mode not in ("auto", "exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
-    rational_curve = _is_rational_tuple(curve.base) and _is_rational_tuple(
-        curve.direction
-    )
+    rational_curve = _is_rational_tuple(curve.base + curve.direction)
     if mode == "exact" and not rational_curve:
         # exact arithmetic at a float-rounded point would be precision theater
         raise ExactEvaluationError(
@@ -227,13 +225,12 @@ def fd_check(
     """Central-difference estimates of (S1, ..., S_order), order <= 3.
 
     Entirely independent of the contraction path: only float evaluations of
-    the reduced function along the curve, one per abscissa (five at order 3).
+    the reduced function along the curve, one per abscissa (five at order 3,
+    at t = 0, +-h and +-2h).  At an abscissa that is not positive the
+    evaluator raises ValueError, naming the first non-positive coordinate.
     """
     if not 1 <= order <= 3:
         raise ValueError("order must be 1, 2 or 3")
-    for t in (3 * h, -3 * h):
-        if any(x <= 0 for x in curve.at(t)):
-            raise ValueError(f"curve leaves the positive orthant within |t| <= {3 * h}")
     f = lambda t: chart.reduced.eval_float(curve.at(t))
     fp, fm = f(h), f(-h)
     out = [(fp - fm) / (2 * h)]
@@ -267,6 +264,16 @@ def suggest_fd_step(chart: SliceChart, curve: CurveSpec) -> float:
     return min(1e-3 / vmax, max(1e-4 / vmax, h))
 
 
+def _reach(curve: CurveSpec) -> float:
+    """The one bound on a step t off the base: |t v| <= 2e-2 in max-norm and
+    |t v_i| <= 0.3 b_i, so fd_check_auto and improving_offset stay positive."""
+    reach = 2e-2 / max(abs(c) for _, c in curve._floats)
+    for b, c in curve._floats:
+        if c != 0.0:
+            reach = min(reach, 0.3 * b / abs(c))
+    return reach
+
+
 def fd_check_auto(chart: SliceChart, curve: CurveSpec) -> tuple[float, float, float]:
     """fd_check with an internally chosen step size.
 
@@ -280,14 +287,9 @@ def fd_check_auto(chart: SliceChart, curve: CurveSpec) -> tuple[float, float, fl
     of the chosen rung.  Everything here uses only float evaluations of the
     reduced function, independent of the contraction path.
     """
-    vmax = max(abs(float(c)) for c in curve.direction)
     base = suggest_fd_step(chart, curve) / 4.0  # raw model optimum
-    # the curve must stay positive on [-3h, 3h]
-    h_cap = 2e-2 / vmax
-    for b, v in zip(curve.base, curve.direction):
-        if float(v) != 0.0:
-            h_cap = min(h_cap, 0.3 * float(b) / abs(float(v)))
-    h0 = min(base, h_cap / 2)
+    h_cap = _reach(curve)
+    h0 = min(base, h_cap / 2)  # so 2 * h0 <= h_cap: the ladder has a second rung
     rungs = [(h0, fd_check(chart, curve, h=h0))]
     h = h0
     for _ in range(9):
@@ -295,9 +297,6 @@ def fd_check_auto(chart: SliceChart, curve: CurveSpec) -> tuple[float, float, fl
             break
         h *= 2
         rungs.append((h, fd_check(chart, curve, h=h)))
-    if len(rungs) == 1:
-        s1, s2 = fd_check(chart, curve, h=h0 / 4, order=2)
-        return s1, s2, rungs[0][1][2]
     gaps = [abs(rungs[k + 1][1][2] - rungs[k][1][2]) for k in range(len(rungs) - 1)]
     k = min(range(len(gaps)), key=gaps.__getitem__)
     # below the best pair the estimates are roundoff-noisy, above they drift
@@ -316,22 +315,20 @@ def improving_offset(
 ) -> tuple[float, ...]:
     """A nearby point with a strictly larger value, witnessing NotLocalMax.
 
-    Steps to base + sign(S3) * t * direction for t = 1e-2 and up to 20
-    halvings of it until the value exceeds the base value (the cubic term
-    dominates for small offsets).  Raises ProbeInconsistency if no offset
-    works, which would contradict a NotLocalMax verdict.
+    Steps to base + sign(S3) * t * direction for t = min(1e-2, _reach(curve))
+    and its halvings until the value exceeds the base value (the cubic term
+    dominates for small offsets), so the witness lies within max-norm 2e-2 of
+    the base.  Raises ProbeInconsistency if no step improves before the step
+    rounds to the base point, which would contradict a NotLocalMax verdict.
     """
     if float(s3) == 0.0:
         raise ValueError("S3 must be nonzero to pick a side")
     sign = 1.0 if float(s3) > 0 else -1.0
-    base_value = chart.reduced.eval_float([float(x) for x in curve.base])
-    step = 1e-2
-    for _ in range(21):
-        witness = curve.at(sign * step)
-        if all(x > 0 for x in witness):
-            if chart.reduced.eval_float(witness) > base_value:
-                return witness
+    base = curve.at(0.0)
+    base_value = chart.reduced.eval_float(base)
+    step = min(1e-2, _reach(curve))
+    while (witness := curve.at(sign * step)) != base:
+        if chart.reduced.eval_float(witness) > base_value:
+            return witness
         step *= 0.5
-    raise ProbeInconsistency(
-        f"no improving offset within 0.01 of the base point; S3 = {s3}"
-    )
+    raise ProbeInconsistency(f"no improving step before the step rounds to the base; S3 = {s3}")

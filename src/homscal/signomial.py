@@ -301,6 +301,7 @@ class Signomial:
         object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_partials", {})
+        object.__setattr__(self, "_kernels", {})
 
     @classmethod
     def _unchecked(cls, arity: int, terms: dict) -> "Signomial":
@@ -314,7 +315,7 @@ class Signomial:
         raise AttributeError("Signomial is immutable")
 
     def __reduce__(self):
-        # the memos are not carried; a copy rebuilds them on first use
+        # the memos are not carried; _fill gives a copy empty ones
         return Signomial, (self.arity, self.terms)
 
     # -- constructors -------------------------------------------------------
@@ -481,7 +482,7 @@ class Signomial:
         OverflowError."""
         try:
             kernel = self._kernels[0, False]
-        except (AttributeError, KeyError):
+        except KeyError:
             kernel = self._kernel(0, False)
         return kernel(point)[0]
 
@@ -500,7 +501,7 @@ class Signomial:
         # _kernel: the saved call is a fifth of a small kernel's time
         try:
             kernel = self._kernels[order, absolute]
-        except (AttributeError, KeyError):
+        except KeyError:
             kernel = self._kernel(order, absolute)
         return kernel(point)
 
@@ -520,19 +521,13 @@ class Signomial:
     def _kernel(self, order: int, absolute: bool):
         """The compiled evaluator of every partial of one order: point -> values.
 
-        Built on the first request for (order, absolute) and memoized on this
-        (immutable) instance: the template of the partials' shape, with their
+        Built on the first request for (order, absolute) and memoized in this
+        (immutable) instance's _kernels, which _fill creates empty as it
+        does _partials: the template of the partials' shape, with their
         constants as the defaults of its parameters after the point, in the
         order the source names them.
         """
-        try:
-            memo = self._kernels
-        except AttributeError:
-            # left unset by __init__: most signomials never take a float
-            # partial, and constructing them stays one store cheaper
-            memo = {}
-            object.__setattr__(self, "_kernels", memo)
-        kernel = memo.get((order, absolute))
+        kernel = self._kernels.get((order, absolute))
         if kernel is None:
             alphas = itertools.combinations_with_replacement(range(self.arity), order)
             partials = [(alpha, self.derivative(alpha)) for alpha in alphas]
@@ -543,7 +538,7 @@ class Signomial:
                 for value in partial._float_constants(alpha, absolute)
             )
             template = _kernel_template(self.arity, shape)
-            kernel = memo[order, absolute] = types.FunctionType(
+            kernel = self._kernels[order, absolute] = types.FunctionType(
                 template.__code__, template.__globals__, "kernel", constants
             )
         return kernel

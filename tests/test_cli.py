@@ -133,21 +133,18 @@ class TestErrorExit:
     one `error:` line on stderr."""
 
     @pytest.mark.parametrize(
-        "case", ["exact-search-along-float-kernel", "hint-leaves-orthant", "unwritable-out",
-                 "exact-at-irrational", "third-partial-overflows",
-                 "third-partial-overflows-search"]
+        "case", ["exact-search-along-float-kernel", "unwritable-out", "exact-at-irrational",
+                 "third-partial-overflows", "third-partial-overflows-search"]
     )
     def test_one_error_line(self, capsys, tmp_path, case):
         ovf = tmp_path / "ovf.json"
         ovf.write_text(json.dumps(OVERFLOW_SPACE))
         su5 = tmp_path / "su5.json"
         su5.write_text(json.dumps(space_to_dict(build("su_n", 5).space)))
-        e6 = TestCustom.write_e6(tmp_path, critical_point=["1"], kernel_direction=["1000"])
         argv = {
             # the search snaps to (1, 1), but the kernel direction is irrational
             "exact-search-along-float-kernel": ["custom", "--file", str(su5), "--search",
                                                 "--mode", "exact"],
-            "hint-leaves-orthant": ["custom", "--file", str(e6)],
             "unwritable-out": ["report", "--out", str(tmp_path / "missing" / "r.json")],
             "exact-at-irrational": ["probe", "--family", "su2n_mod_spn", "--n", "3",
                                     "--mode", "exact"],
@@ -396,6 +393,16 @@ class TestCustom:
         assert "verdict: NotLocalMax" in out
         assert code == 0
 
+    def test_long_hinted_direction_is_probed(self, capsys, tmp_path):
+        # S1-S3 need only the base point; the witness stays within 2e-2 of it
+        path = self.write_e6(tmp_path, critical_point=["1"], kernel_direction=["1000"])
+        code, out, err = run(capsys, "custom", "--file", str(path))
+        assert (code, err) == (0, "")
+        assert "s3: 180000000000" in out
+        assert "verdict: NotLocalMax" in out
+        witness = next(line for line in out.splitlines() if line.startswith("  witness:"))
+        assert 1 < float(witness.split("'")[1]) <= 1.02
+
     def test_hinted_entry_without_search(self, capsys, tmp_path):
         path = self.write_e6(tmp_path, critical_point=["1"], kernel_direction=["1"],
                              expected_s3="180")
@@ -489,6 +496,14 @@ class TestCustom:
             ("su_n", {"critical_point": "11"}, "critical_point"),
             ("e6", {"critical_point": ["1"], "kernel_direction": ["1", "2"]}, "kernel_direction"),
             ("e6", {"critical_point": ["1"], "kernel_direction": ["0"]}, "kernel_direction"),
+            # hints beyond the range of a double, or that round to 0 as one
+            ("e6", {"critical_point": ["1e400"]}, "critical_point[0]"),
+            ("e6", {"critical_point": ["1e-400"]}, "critical_point"),
+            ("e6", {"critical_point": ["1"], "kernel_direction": ["1e400"]},
+             "kernel_direction[0]"),
+            ("e6", {"critical_point": ["1"], "kernel_direction": ["1e-400"]},
+             "kernel_direction"),
+            ("e6", {"critical_point": [1.0000000001], "expected_s3": "1e400"}, "expected_s3"),
         ],
     )
     def test_malformed_field_is_usage_error(self, capsys, tmp_path, family, extra, field):

@@ -18,8 +18,10 @@ from homscal.probe import (
     ProbeInconsistency,
     ProbeResult,
     Verdict,
+    _reach,
     directional_derivatives,
     fd_check,
+    fd_check_auto,
     improving_offset,
     inflection_verdict,
     probe_chart,
@@ -42,6 +44,15 @@ CATALOG = {f"{e.family}-{e.n}": e for e in default_entries()}
 
 def rel_gap(got, want):
     return abs(float(got) - float(want)) / max(abs(float(got)), abs(float(want)), 1e-300)
+
+
+# README: the fd oracle agrees with the contractions to these relative gaps
+FD_TOL = (1e-6, 1e-6, 1e-4)
+
+
+def fd_gaps(fd, res):
+    s = (res.s1, res.s2, res.s3)
+    return [abs(f - float(v)) / max(abs(float(v)), a) for f, v, a in zip(fd, s, res.scales)]
 
 
 class TestCurveSpec:
@@ -140,17 +151,23 @@ class TestDirectionScaling:
 
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_float_verdict_invariant_under_decades_of_scaling(self, name):
-        # the catalog direction at max-norm 1e-2, times 10^k for k = -3..3, so
-        # the largest still stays positive for |t| <= 1e-2
+        # the catalog direction times 10^k, k = -3..6: the verdict, a witness
+        # within max-norm 2e-2 of the base and the fd oracle at every length
         entry = CATALOG[name]
-        curve = entry.curve()
-        vmax = max(abs(float(v)) for v in curve.direction)
+        base = entry.curve()
+        base_floats = [float(b) for b in base.base]
+        slack = 2 * math.ulp(max(base_floats))
         verdicts = set()
-        for k in range(-3, 4):
-            direction = tuple(10.0 ** k * float(v) / (100 * vmax) for v in curve.direction)
-            res = probe_chart(entry.chart, CurveSpec(base=curve.base, direction=direction),
-                              mode="float")
+        for k in range(-3, 7):
+            direction = tuple(10.0 ** k * float(v) for v in base.direction)
+            curve = CurveSpec(base=base.base, direction=direction)
+            res = probe_chart(entry.chart, curve, mode="float")
             verdicts.add(res.verdict)
+            witness = improving_offset(entry.chart, curve, res.s3)
+            # up to the rounding of base + t * v
+            assert max(abs(w - b) for w, b in zip(witness, base_floats)) <= 2e-2 + slack
+            gaps = fd_gaps(fd_check_auto(entry.chart, curve), res)
+            assert all(g <= t for g, t in zip(gaps, FD_TOL)), (k, gaps)
         assert verdicts == {Verdict.NOT_LOCAL_MAX}
 
     def test_verdict_invariant_under_scaling_and_flip(self):
@@ -211,12 +228,16 @@ class TestVerdictRules:
 
 class TestPositivityGuards:
     def test_curve_leaving_orthant_rejected(self):
+        # at h = 1e-3 the abscissa -2h is 1 - 1.2: the evaluator refuses it
         entry = build("e6_su2_so6")
-        curve = CurveSpec(base=(F(1),), direction=(F(-200),))
-        with pytest.raises(ValueError, match="positive orthant"):
-            directional_derivatives(entry.chart, curve)
-        with pytest.raises(ValueError, match="positive orthant"):
-            fd_check(entry.chart, CurveSpec(base=(F(1),), direction=(F(-400),)), h=1e-3)
+        with pytest.raises(ValueError, match="is not positive"):
+            fd_check(entry.chart, CurveSpec(base=(F(1),), direction=(F(-600),)), h=1e-3)
+
+    def test_fd_check_evaluates_only_out_to_two_steps(self):
+        # +-2h stay positive (1 -+ 0.8) although +-3h would not (1 - 1.2)
+        entry = build("e6_su2_so6")
+        got = fd_check(entry.chart, CurveSpec(base=(F(1),), direction=(F(-400),)), h=1e-3)
+        assert all(math.isfinite(v) for v in got)
 
 
 class TestFiniteDifferenceOracle:
@@ -293,6 +314,16 @@ class TestWitness:
         entry = build("e6_su2_so6")
         with pytest.raises(ValueError, match="nonzero"):
             improving_offset(entry.chart, entry.curve(), s3=0)
+
+    @pytest.mark.parametrize("k", [300, 1000])
+    def test_halvings_match_the_fixed_start_reference(self, k):
+        # (x - 1)^3 - k (x - 1)^4 improves on f(1) = 0 only for 0 < x - 1 < 1/k
+        chart = synthetic_chart(sig(1, (-1 - k, {}), (3 + 4 * k, {0: 1}), (-3 - 6 * k, {0: 2}),
+                                    (1 + 4 * k, {0: 3}), (-k, {0: 4})))
+        curve = CurveSpec(base=(F(1),), direction=(F(1),))
+        witness = improving_offset(chart, curve, s3=6)
+        assert 0 < witness[0] - 1 < 1 / k < 1e-2
+        assert witness[0].hex() == _reference_improving_offset(chart, curve, 6)[0].hex()
 
     def test_descent_curve_never_improves(self):
         # strict local maximum: every offset decreases the value
@@ -425,20 +456,38 @@ def _reference_fd_step(chart, curve):
     return min(1e-3 / vmax, max(1e-4 / vmax, h))
 
 
+def _reference_improving_offset(chart, curve, s3):
+    """The witness search with a fixed start, 21 tries and a positivity skip."""
+    sign = 1.0 if float(s3) > 0 else -1.0
+    base_value = chart.reduced.eval_float([float(x) for x in curve.base])
+    step = 1e-2
+    for _ in range(21):
+        witness = curve.at(sign * step)
+        if all(x > 0 for x in witness):
+            if chart.reduced.eval_float(witness) > base_value:
+                return witness
+        step *= 0.5
+    raise ProbeInconsistency(f"no improving offset within 0.01 of the base point; S3 = {s3}")
+
+
 probe_coeffs = st.fractions(min_value=-8, max_value=8).filter(lambda c: c != 0)
 # integers keep the exact path open at rational points; thirds close it
 probe_exponents = st.one_of(st.integers(-4, 4).map(F), st.sampled_from([F(1, 3), F(-5, 3)]))
 
 
-@st.composite
-def probe_cases(draw):
-    arity = draw(st.integers(1, 3))
+def draw_chart(draw, arity, min_terms=0):
     terms = draw(st.lists(
         st.tuples(probe_coeffs, st.dictionaries(st.integers(0, arity - 1), probe_exponents,
                                                 max_size=arity)),
-        max_size=5))
+        min_size=min_terms, max_size=5))
+    return synthetic_chart(Signomial.from_terms(arity, terms))
+
+
+@st.composite
+def probe_cases(draw):
+    arity = draw(st.integers(1, 3))
+    chart = draw_chart(draw, arity)
     rational = draw(st.booleans())
-    # base >= 1/4 and |direction| <= 4 keep the line positive for |t| <= 1e-2
     if rational:
         base = st.fractions(min_value=F(1, 4), max_value=4)
         component = st.fractions(min_value=-4, max_value=4, max_denominator=12)
@@ -449,7 +498,22 @@ def probe_cases(draw):
                      .filter(lambda v: any(c != 0 for c in v)))
     curve = CurveSpec(base=tuple(draw(st.lists(base, min_size=arity, max_size=arity))),
                       direction=tuple(direction))
-    return synthetic_chart(Signomial.from_terms(arity, terms)), curve
+    return chart, curve
+
+
+@st.composite
+def witness_cases(draw):
+    # coordinates >= 1/30 and a direction of max-norm <= 1 give _reach >= 1e-2,
+    # as on every catalog curve and every unit kernel vector
+    arity = draw(st.integers(1, 3))
+    base = draw(st.lists(st.floats(min_value=1 / 30, max_value=4.0),
+                         min_size=arity, max_size=arity))
+    component = st.floats(min_value=-1.0, max_value=1.0).filter(lambda c: abs(c) >= 1e-3)
+    direction = draw(st.lists(st.one_of(st.just(0.0), component), min_size=arity,
+                              max_size=arity).filter(any))
+    curve = CurveSpec(base=tuple(base), direction=tuple(direction))
+    assert _reach(curve) >= 1e-2
+    return draw_chart(draw, arity, min_terms=1), curve, draw(st.sampled_from([1.0, -1.0]))
 
 
 @settings(deadline=None, max_examples=150)
@@ -482,3 +546,35 @@ def test_probe_bits_are_pinned():
         bits = [res.s1, res.s2, res.s3, *res.scales, suggest_fd_step(entry.chart, curve)]
         digest.update((" ".join(x.hex() for x in bits) + "\n").encode())
     assert digest.hexdigest() == PROBE_BITS_SHA256
+
+
+@settings(deadline=None, max_examples=150)
+@given(witness_cases())
+def test_witness_matches_the_fixed_start_reference(case):
+    chart, curve, s3 = case
+    try:
+        want = _reference_improving_offset(chart, curve, s3)
+    except ProbeInconsistency:
+        # the search goes on below 1e-2 / 2^20, down to where the step rounds away
+        vmax = max(abs(c) for c in curve.direction)
+        try:
+            got = improving_offset(chart, curve, s3)
+        except ProbeInconsistency:
+            return
+        assert max(abs(w - b) for w, b in zip(got, curve.base)) <= 1e-2 * 2.0 ** -20 * vmax
+        return
+    got = improving_offset(chart, curve, s3)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+# sha256 of the .hex() of fd_check_auto along every catalog curve, in
+# default_entries() order
+FD_AUTO_BITS_SHA256 = "9ff867ff1d4f8b308d68dc4fdb1098c72bac660c38c44c7b329944fe2c4b70f0"
+
+
+def test_fd_check_auto_bits_are_pinned():
+    digest = hashlib.sha256()
+    for entry in default_entries():
+        bits = fd_check_auto(entry.chart, entry.curve())
+        digest.update((" ".join(x.hex() for x in bits) + "\n").encode())
+    assert digest.hexdigest() == FD_AUTO_BITS_SHA256
