@@ -154,10 +154,13 @@ def su2n_reduced_chart(n: int) -> SliceChart:
 
 
 def build(family: str, n: "int | None" = None) -> CatalogEntry:
-    """Construct a catalog entry; raises ParameterRangeError outside validity."""
+    """Construct a catalog entry; raises ParameterRangeError outside validity
+    (an n given to a fixed-size family included)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
     if family == "e6_su2_so6":
+        if n is not None:
+            raise ParameterRangeError(f"{family} has a fixed size and takes no n, got {n}")
         space = e6_space()
         return CatalogEntry(
             family=family,

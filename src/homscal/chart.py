@@ -2,9 +2,11 @@
 
 Fixing one summand index e and solving prod x_k^{d_k} = 1 for x_e gives a
 global parametrization of the unit-volume slice by the remaining r-1
-coordinates.  The restricted scalar curvature stays an exact signomial
-because the eliminated coordinate is a pure monomial in the others (with
-rational exponents -d_k/d_e).
+coordinates: x_e = prod x_k^{-d_k/d_e} over the retained k, exponents that
+elimination_exponents alone computes.  The restricted scalar curvature stays
+an exact signomial: in one pass over the terms of scal, a power x_e^p adds
+p * (-d_k/d_e) to the exponent of each retained x_k, and the indices above e
+shift down by one.
 
 Critical points of the reduced function are Einstein metrics.  At a critical
 point the Hessian spectrum decides between a strict local maximum candidate,
@@ -59,21 +61,23 @@ class SliceChart:
     def arity(self) -> int:
         return self.reduced.arity
 
-    def eliminated_exponents(self) -> tuple[Fraction, ...]:
-        """Exponents a_k with x_e = prod over retained k of x_k^{a_k}."""
-        de = self.dims[self.eliminated]
-        return tuple(Fraction(-self.dims[k], de) for k in self.retained)
-
     def inflate(self, point: Sequence[float]) -> tuple[float, ...]:
         """Chart point -> full metric point, restoring the eliminated coordinate."""
         if len(point) != self.arity:
             raise ValueError(f"chart point needs {self.arity} coordinates")
         xe = 1.0
-        for x, a in zip(point, self.eliminated_exponents()):
+        for x, a in zip(point, elimination_exponents(self.dims, self.eliminated)):
             xe *= float(x) ** float(a)
         full = list(float(x) for x in point)
         full.insert(self.eliminated, xe)
         return tuple(full)
+
+
+def elimination_exponents(dims: Sequence[int], eliminated: int) -> tuple[Fraction, ...]:
+    """Exponents a_k = -d_k/d_e with x_e = prod over retained k of x_k^{a_k}
+    on the unit-volume slice, in the order of the retained indices."""
+    de = dims[eliminated]
+    return tuple(Fraction(-d, de) for k, d in enumerate(dims) if k != eliminated)
 
 
 def restrict(space: HomogeneousSpace, eliminated: int | None = None) -> SliceChart:
@@ -81,19 +85,24 @@ def restrict(space: HomogeneousSpace, eliminated: int | None = None) -> SliceCha
 
     By default the last summand is eliminated (for the catalog families it
     has d_e = 1, which keeps all exponents integral); any index works, the
-    exponents just become rationals.
+    exponents just become rationals.  The reduced terms are scal's, in its
+    order: scal is homogeneous, so no two of its terms meet on the slice.
     """
     r = space.r
     if eliminated is None:
         eliminated = r - 1
     if not 0 <= eliminated < r:
         raise ValueError(f"eliminated index {eliminated} out of range for r = {r}")
-    scal = space.scalar_curvature()
-    de = space.dims[eliminated]
-    repl = {
-        k: Fraction(-space.dims[k], de) for k in range(r) if k != eliminated
-    }
-    reduced = scal.substitute_monomial(eliminated, 1, repl).drop_variable(eliminated)
+    a = elimination_exponents(space.dims, eliminated)
+    pairs = []
+    for mono, c in space.scalar_curvature().terms.items():
+        p = mono.exponent(eliminated)
+        exps = [p * ak for ak in a]
+        for k, e in mono.exps:
+            if k != eliminated:
+                exps[k - (k > eliminated)] += e
+        pairs.append((c, dict(enumerate(exps))))
+    reduced = Signomial.from_terms(r - 1, pairs)
     return SliceChart(
         label=space.name, dims=space.dims, eliminated=eliminated, reduced=reduced
     )

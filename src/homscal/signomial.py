@@ -11,11 +11,11 @@ their term maps are equal.  A Monomial stores only its nonzero exponents as a
 sorted tuple of (variable index, exponent) pairs, which makes it hashable.
 
 Exponents are Fractions rather than ints because eliminating a coordinate
-against a volume constraint produces powers like x^(n/(n-2)).  All algebra
-(addition, multiplication, differentiation, monomial substitution) is exact;
-only evaluation may leave the rationals, and then the caller chooses between
-the exact path (which raises ExactEvaluationError if an irrational power
-appears) and the float path.
+against a volume constraint (chart.restrict) produces powers like
+x^(n/(n-2)).  All algebra (addition, multiplication, differentiation) is
+exact; only evaluation may leave the rationals, and then the caller chooses
+between the exact path (which raises ExactEvaluationError if an irrational
+power appears) and the float path.
 
 The exact path does no work twice.  eval_exact converts and checks the point
 once per call, not once per term and factor; a coordinate equal to 1
@@ -160,10 +160,6 @@ class Monomial:
         for idx, e in other.exps:
             _accumulate(out, idx, e)
         return Monomial(out)
-
-    def pow(self, c: Rat) -> "Monomial":
-        c = _fraction(c)
-        return Monomial({i: e * c for i, e in self.exps})
 
     def eval_exact(self, point: Sequence[Rat]) -> Fraction:
         if self.exps and self.exps[-1][0] >= len(point):
@@ -422,49 +418,6 @@ class Signomial:
         for var in sorted(alpha):
             out = out.partial(var)
         return out
-
-    def substitute_monomial(
-        self, var: int, coeff: Rat, exps: Mapping[int, Rat]
-    ) -> "Signomial":
-        """Replace x_var by coeff * prod_j x_j^{exps[j]} everywhere, exactly.
-
-        The replacement may not mention var itself and coeff must be positive.
-        Each occurrence x_var^e turns into coeff^e * prod x_j^{e*exps[j]};
-        if coeff^e is irrational for some term, the substitution is refused
-        (evaluate in float mode instead of substituting in that case).
-        """
-        if not 0 <= var < self.arity:
-            raise ValueError(f"variable index {var} out of range for arity {self.arity}")
-        coeff = _fraction(coeff)
-        if coeff <= 0:
-            raise ValueError(f"replacement coefficient must be positive, got {coeff}")
-        repl = Monomial(exps)
-        if repl.exponent(var) != 0:
-            raise ValueError("replacement monomial mentions the substituted variable")
-        if repl.exps and repl.exps[-1][0] >= self.arity:
-            raise ValueError("replacement monomial uses an out-of-range variable")
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            e = m.exponent(var)
-            if e == 0:
-                _accumulate(out, m, c)
-                continue
-            factor = rational_pow(coeff, e)
-            rest = Monomial({i: ee for i, ee in m.exps if i != var})
-            _accumulate(out, rest.mul(repl.pow(e)), c * factor)
-        return Signomial(self.arity, out)
-
-    def drop_variable(self, var: int) -> "Signomial":
-        """Remove an unused variable and shift higher indices down by one."""
-        if not 0 <= var < self.arity:
-            raise ValueError(f"variable index {var} out of range for arity {self.arity}")
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            if m.exponent(var) != 0:
-                raise ValueError(f"variable {var} still occurs in {m!r}")
-            nm = Monomial({(i if i < var else i - 1): e for i, e in m.exps})
-            out[nm] = c
-        return Signomial(self.arity - 1, out)
 
     # -- evaluation ----------------------------------------------------------
 

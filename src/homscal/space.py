@@ -57,12 +57,12 @@ class HomogeneousSpace:
 
     name: str
     dims: tuple[int, ...]
-    b: tuple[Fraction, ...] = ()
+    b: "tuple[Fraction, ...] | None" = None  # None: all ones
     triples: Mapping[TripleKey, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        b = self.b or tuple(Fraction(1) for _ in self.dims)
+        b = (1,) * len(self.dims) if self.b is None else self.b
         object.__setattr__(self, "b", tuple(Fraction(v) for v in b))
         object.__setattr__(
             self,
@@ -162,19 +162,22 @@ def space_from_dict(data: Mapping, where: str = "space") -> HomogeneousSpace:
     if not isinstance(dims, (list, tuple)) or not dims:
         raise ValueError(f"{where}.dims: expected a nonempty list of integers")
     dims = tuple(_as_int(d, f"{where}.dims[{k}]") for k, d in enumerate(dims))
-    b_raw = data.get("b")
-    if b_raw is None:
-        b = tuple(Fraction(1) for _ in dims)
-    else:
+    b = data.get("b")
+    if b is not None:  # an explicit b, even an empty one, is checked by validate
         b = tuple(_as_fraction(v, f"{where}.b[{i}]")
-                  for i, v in enumerate(_as_array(b_raw, f"{where}.b")))
-    triples: dict[TripleKey, Fraction] = {}
+                  for i, v in enumerate(_as_array(b, f"{where}.b")))
+    seen: dict[TripleKey, tuple[int, Fraction]] = {}  # key -> (first entry, value)
     for t, entry in enumerate(_as_array(data.get("triples", []), f"{where}.triples")):
         loc = f"{where}.triples[{t}]"
         if not isinstance(entry, Mapping) or not {"i", "j", "k", "value"} <= set(entry):
             raise ValueError(f"{loc}: expected an object with keys i, j, k, value")
         key = tuple(_as_int(entry[c], f"{loc}.{c}") for c in "ijk")
-        triples[key] = _as_fraction(entry["value"], f"{loc}.value")
+        value = _as_fraction(entry["value"], f"{loc}.value")
+        t0, v0 = seen.setdefault(key, (t, value))
+        if v0 != value:
+            raise ValueError(f"{where}: triples[{t0}] and triples[{t}] repeat {key} "
+                             f"with different values {v0} != {value}")
+    triples = {key: v for key, (_, v) in seen.items()}
     return HomogeneousSpace(name=str(name), dims=dims, b=b, triples=triples)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import homscal.chart as chart_mod
-from homscal.catalog import build, e6_space, so2n_flag_space, su_n_space
+from homscal.catalog import build, default_entries, e6_space, so2n_flag_space, su_n_space
 from homscal.chart import (
     Classification,
     CriticalPoint,
@@ -20,7 +20,7 @@ from homscal.chart import (
     newton_critical,
     restrict,
 )
-from homscal.signomial import Signomial
+from homscal.signomial import Monomial, Signomial
 from homscal.space import HomogeneousSpace, space_from_dict
 
 
@@ -91,6 +91,108 @@ class TestRestrict:
     def test_inflate_two_summand_chart(self):
         chart = restrict(e6_space(), eliminated=0)
         assert chart.inflate((1.1,)) == pytest.approx((1.1 ** -2, 1.1), rel=1e-15)
+
+    def test_volume_elimination_two_summands(self):
+        # x := y^-2 in 5/x + 20/y - 5x/(2y^2) gives 5y^2 + 20/y - 5/(2y^4)
+        space = e6_space()
+        assert space.scalar_curvature() == sig(
+            2, (5, {0: -1}), (20, {1: -1}), (F(-5, 2), {0: 1, 1: -2})
+        )
+        assert restrict(space, eliminated=0).reduced == sig(
+            1, (5, {0: 2}), (20, {0: -1}), (F(-5, 2), {0: -4})
+        )
+
+    def test_three_variable_elimination(self):
+        # z := x^-3 y^-4 in 1/(2x) + 2/y - x/(4y^2) - z/(4y^2), where the
+        # 1/z terms of b_2 and [112] cancel; the last term becomes -1/4 x^-3 y^-6
+        space = HomogeneousSpace(name="three", dims=(3, 4, 1), b=(F(2, 3), 1, 1),
+                                 triples={(0, 1, 1): F(1), (1, 1, 2): F(1)})
+        assert space.scalar_curvature() == sig(
+            3,
+            (F(1, 2), {0: -1}),
+            (2, {1: -1}),
+            (F(-1, 4), {0: 1, 1: -2}),
+            (F(-1, 4), {1: -2, 2: 1}),
+        )
+        assert restrict(space, eliminated=2).reduced == sig(
+            2,
+            (F(1, 2), {0: -1}),
+            (2, {1: -1}),
+            (F(-1, 4), {0: 1, 1: -2}),
+            (F(-1, 4), {0: -3, 1: -6}),
+        )
+
+
+def _reference_restricted_terms(space, e):
+    """The reduced term map of restrict(space, e), in order, by two steps.
+
+    First x_e := prod over k != e of x_k^(-d_k/d_e) is substituted in scal,
+    merging equal monomials into the first one's place and dropping zero
+    coefficients; then x_e, now unused, is dropped and the indices above it
+    shift down by one.  Built with the public constructors only.
+    """
+    scal = space.scalar_curvature()
+    repl = {k: F(-d, space.dims[e]) for k, d in enumerate(space.dims) if k != e}
+    substituted = {}
+    for m, c in scal.terms.items():
+        p = m.exponent(e)
+        exps = {i: x for i, x in m.exps if i != e}
+        for k, a in repl.items():
+            exps[k] = exps.get(k, 0) + p * a
+        key = Monomial(exps)
+        substituted[key] = substituted.get(key, 0) + c
+    substituted = Signomial(space.r, substituted)
+    dropped = {
+        Monomial({(i if i < e else i - 1): x for i, x in m.exps}): c
+        for m, c in substituted.terms.items()
+    }
+    return list(Signomial(space.r - 1, dropped).terms.items())
+
+
+@st.composite
+def spaces(draw):
+    """Valid spaces with 2 to 5 summands, small dims, rational b and
+    triples, zero values among them."""
+    r = draw(st.integers(2, 5))
+    dims = draw(st.lists(st.integers(1, 6), min_size=r, max_size=r))
+    rationals = st.fractions(min_value=0, max_value=6, max_denominator=4)
+    b = draw(st.lists(rationals.filter(bool), min_size=r, max_size=r))
+    keys = st.lists(st.integers(0, r - 1), min_size=3, max_size=3).map(lambda t: tuple(sorted(t)))
+    triples = draw(st.dictionaries(keys, rationals, max_size=6))
+    return HomogeneousSpace(name="drawn", dims=dims, b=b, triples=triples)
+
+
+class TestRestrictedTermOrder:
+    """The float kernels sum in term order, so restrict must give the term
+    map of the two-step reference item for item, in insertion order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(spaces())
+    def test_drawn_spaces_match_the_two_step_reference(self, space):
+        for e in range(space.r):
+            assert list(restrict(space, e).reduced.terms.items()) == _reference_restricted_terms(space, e)
+
+    @pytest.mark.parametrize(
+        "space, e",
+        [(entry.space, e) for entry in default_entries() if entry.space is not None
+         for e in range(entry.space.r)],
+        ids=lambda v: v.name if isinstance(v, HomogeneousSpace) else str(v),
+    )
+    def test_catalog_spaces_match_the_two_step_reference(self, space, e):
+        assert list(restrict(space, e).reduced.terms.items()) == _reference_restricted_terms(space, e)
+
+
+@settings(deadline=None)
+@given(spaces(), st.data())
+def test_restrict_then_eval_consistent(space, data):
+    # the chart's value at p is scal's value at the inflated point
+    e = data.draw(st.integers(0, space.r - 1))
+    chart = restrict(space, e)
+    point = data.draw(st.lists(st.floats(0.25, 4.0), min_size=chart.arity, max_size=chart.arity))
+    full, scal = chart.inflate(point), space.scalar_curvature()
+    direct = scal.eval_float(full)
+    scale = max(abs(direct), scal.partials_float(full, 0, absolute=True)[0], 1.0)
+    assert abs(chart.reduced.eval_float(point) - direct) <= 1e-9 * scale
 
 
 class TestJacobiEigensolver:

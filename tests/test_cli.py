@@ -208,6 +208,11 @@ class TestProbe:
         assert code == 2
         assert "requires n >= 3" in err
 
+    def test_fixed_size_family_rejects_a_parameter(self, capsys):
+        code, out, err = run(capsys, "probe", "--family", "e6_su2_so6", "--n", "7")
+        assert (code, out) == (2, "")
+        assert err == "error: e6_su2_so6 has a fixed size and takes no n, got 7\n"
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "probe", "--family", "su_n", "--n", "5", "--json")
         assert code == 0
@@ -446,6 +451,31 @@ class TestCustom:
         code, _, err = run(capsys, "custom", "--file", str(path))
         assert code == 2
         assert "permutations" in err
+
+    def test_repeated_triple_with_another_value_is_usage_error(self, capsys, tmp_path):
+        path = self.write_e6(tmp_path, critical_point=["1"])
+        payload = json.loads(path.read_text())
+        payload["triples"].append({"i": 0, "j": 1, "k": 1, "value": "3"})
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "custom", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: triples[0] and triples[1] repeat (0, 1, 1) "
+                       "with different values 10 != 3\n")
+
+    def test_repeated_triple_with_the_same_value_is_accepted(self, capsys, tmp_path):
+        path = self.write_e6(tmp_path, critical_point=["1"], kernel_direction=["1"])
+        payload = json.loads(path.read_text())
+        code, once, _ = run(capsys, "custom", "--file", str(path))
+        payload["triples"].append({"i": 0, "j": 1, "k": 1, "value": "10"})
+        path.write_text(json.dumps(payload))
+        assert run(capsys, "custom", "--file", str(path)) == (code, once, "")
+        assert code == 0
+
+    def test_empty_b_is_not_all_ones(self, capsys, tmp_path):
+        path = self.write_e6(tmp_path, b=[], critical_point=["1"])
+        code, out, err = run(capsys, "custom", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: b has 0 entries for 2 summands\n"
 
     @pytest.mark.parametrize("search", [False, True], ids=["custom", "custom-search"])
     def test_one_summand_file_is_usage_error(self, capsys, tmp_path, search):

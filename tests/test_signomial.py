@@ -163,50 +163,6 @@ class TestPartial:
         assert g.partial(0) == f.partial(0)
 
 
-class TestSubstituteMonomial:
-    def test_volume_elimination_two_summands(self):
-        # x := y^-2 in 5/x + 20/y - 5x/(2y^2) gives 5y^2 + 20/y - 5/(2y^4)
-        scal = sig(2, (5, {0: -1}), (20, {1: -1}), (F(-5, 2), {0: 1, 1: -2}))
-        reduced = scal.substitute_monomial(0, 1, {1: -2})
-        expected = sig(2, (5, {1: 2}), (20, {1: -1}), (F(-5, 2), {1: -4}))
-        assert reduced == expected
-        assert reduced.drop_variable(0) == E6_REDUCED
-
-    def test_three_variable_elimination(self):
-        # z := x^-3 y^-4 in the three-summand reduced form; last term -1/4 x^-3 y^-6
-        scal = sig(
-            3,
-            (F(1, 2), {0: -1}),
-            (2, {1: -1}),
-            (F(-1, 4), {0: 1, 1: -2}),
-            (F(-1, 4), {1: -2, 2: 1}),
-        )
-        reduced = scal.substitute_monomial(2, 1, {0: -3, 1: -4}).drop_variable(2)
-        expected = sig(
-            2,
-            (F(1, 2), {0: -1}),
-            (2, {1: -1}),
-            (F(-1, 4), {0: 1, 1: -2}),
-            (F(-1, 4), {0: -3, 1: -6}),
-        )
-        assert reduced == expected
-
-    def test_replacement_mentioning_variable_rejected(self):
-        with pytest.raises(ValueError):
-            E6_REDUCED.substitute_monomial(0, 1, {0: 1})
-
-    def test_irrational_coefficient_power_rejected(self):
-        f = sig(1, (1, {0: F(1, 2)}))
-        with pytest.raises(ExactEvaluationError):
-            f.substitute_monomial(0, 2, {})
-        # a perfect square works: x^(1/2) with x := 4 gives the constant 2
-        assert f.substitute_monomial(0, 4, {}) == Signomial.constant(1, 2)
-
-    def test_nonpositive_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            E6_REDUCED.substitute_monomial(0, 0, {})
-
-
 class TestEval:
     def test_exact_value_at_one(self):
         assert E6_REDUCED.eval_exact((F(1),)) == F(45, 2)
@@ -529,26 +485,6 @@ def test_float_eval_tracks_exact_eval(f, point):
     approx = f.eval_float([float(x) for x in point])
     scale = max(abs(float(exact)), f.partials_float(point, 0, absolute=True)[0], 1.0)
     assert abs(approx - float(exact)) <= 1e-12 * scale
-
-
-@settings(deadline=None)
-@given(
-    signomials(2),
-    st.dictionaries(st.just(1), st.integers(-3, 3), min_size=0, max_size=1),
-    st.tuples(positive_rationals, positive_rationals),
-)
-def test_substitute_then_eval_consistent(f, repl, point):
-    # replacing x0 by the monomial prod x_j^{a_j} (coefficient 1), then
-    # evaluating, must agree with evaluating f at the substituted coordinate
-    substituted = f.substitute_monomial(0, 1, repl)
-    fpoint = [float(x) for x in point]
-    x0 = 1.0
-    for j, a in repl.items():
-        x0 *= fpoint[j] ** float(a)
-    direct = f.eval_float([x0, fpoint[1]])
-    via_sub = substituted.eval_float(fpoint)
-    scale = max(abs(direct), f.partials_float([x0, fpoint[1]], 0, absolute=True)[0], 1.0)
-    assert abs(via_sub - direct) <= 1e-9 * scale
 
 
 def reference_float_sum(f, point, absolute):

@@ -62,6 +62,11 @@ class TestValidate:
         space = HomogeneousSpace(name="bad", dims=(2, 3), b=(F(1),))
         assert any("b has" in msg for msg in space.validate())
 
+    def test_empty_b_is_not_the_default(self):
+        space = HomogeneousSpace(name="bad", dims=(2, 3), b=())
+        assert space.validate() == ["b has 0 entries for 2 summands"]
+        assert HomogeneousSpace(name="ok", dims=(2, 3), b=None).b == (F(1), F(1))
+
 
 class TestScalarCurvature:
     def test_two_summand_example(self):
