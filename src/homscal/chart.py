@@ -54,10 +54,6 @@ class SliceChart:
     reduced: Signomial
 
     @property
-    def retained(self) -> tuple[int, ...]:
-        return tuple(k for k in range(len(self.dims)) if k != self.eliminated)
-
-    @property
     def arity(self) -> int:
         return self.reduced.arity
 

@@ -5,7 +5,7 @@ Subcommands:
   list               families and validity ranges
   probe              full pipeline for one entry: restrict, classify, kernel,
                      third-order probe, witness
-  verify-constants   brute-force bracket oracle vs the catalog constants
+  verify-constants   exact bracket oracle vs the catalog constants
   report             batch reproduction table over parameter ranges
   custom             ingest a space file, classify its critical points and
                      probe the degenerate ones
@@ -157,7 +157,7 @@ def cmd_probe(args) -> int:
 
 def cmd_verify_constants(args) -> int:
     if args.algebra == "so8":
-        table, partition, pairs = lie_constants.so8_table()
+        basis, partition, pairs = lie_constants.so2n_basis(4)
         expected = {}
         for i in range(4):
             for j in range(i + 1, 4):
@@ -169,26 +169,25 @@ def cmd_verify_constants(args) -> int:
                     )
                     expected[key] = Fraction(2, 3)
     elif args.algebra == "su2":
-        table, partition = lie_constants.su2_abstract_table()
+        basis, partition = lie_constants.su_n_basis(2)
         expected = {(0, 0, 0): Fraction(3)}
     else:
-        table, partition = lie_constants.su_n_table(3)
+        basis, partition = lie_constants.su_n_basis(3)
         expected = catalog.su_n_space(3).triples
-    computed = lie_constants.structural_constants(
-        lie_constants.orthonormalize(table, partition), partition
-    )
+    computed = lie_constants.structural_constants(basis, partition)
     dims = lie_constants.summand_dims(partition)
     print(f"algebra {args.algebra}: summand dims {dims}")
-    worst = 0.0
+    worst = Fraction(0)
     for key in sorted(set(expected) | set(computed)):
-        want = float(expected.get(key, 0))
-        got = computed.get(key, 0.0)
+        want = expected.get(key, Fraction(0))
+        got = computed.get(key, Fraction(0))
         dev = abs(got - want)
         worst = max(worst, dev)
-        print(f"  [{key[0]}{key[1]}{key[2]}] computed {got:.12f}  expected {want:.12f}  |dev| {dev:.2e}")
-    print(f"max deviation: {worst:.3e}")
-    if worst > args.tol:
-        print(f"FAIL: deviation exceeds {args.tol}", file=sys.stderr)
+        print(f"  [{key[0]}{key[1]}{key[2]}] computed {float(got):.12f}  "
+              f"expected {float(want):.12f}  |dev| {float(dev):.2e}")
+    print(f"max deviation: {float(worst):.3e}")
+    if computed != expected:
+        print("FAIL: computed constants differ from the catalog", file=sys.stderr)
         return 1
     return 0
 
@@ -325,9 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_probe)
 
-    p = sub.add_parser("verify-constants", help="bracket oracle vs catalog constants")
+    p = sub.add_parser("verify-constants", help="exact bracket oracle vs catalog constants")
     p.add_argument("--algebra", choices=("su2", "su3", "so8"), required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(func=cmd_verify_constants)
 
     p = sub.add_parser("report", help="batch reproduction table")

@@ -1,96 +1,41 @@
-"""Brute-force structural constants from bracket tables.
+"""Exact structural constants from integer matrix bases.
 
-Given a basis e_1, ..., e_m of a compact Lie algebra with bracket coordinates
-and a positive definite invariant inner product Q, the constant attached to
-summands (i, j, k) of a decomposition is the sum of squared bracket
-projections
+Take a basis X_1, ..., X_m of a compact simple matrix Lie algebra that is
+orthogonal for Q(X, Y) = -tr(XY), and a partition of it into the summands of
+a reductive decomposition.  For the normal metric -B (B the Killing form) the
+constant attached to summands (i, j, k) is
 
-    [ijk] = sum over alpha in block i, beta in block j, gamma in block k
-            of Q([e_alpha, e_beta], e_gamma)^2
+    [ijk] = λ⁻¹ Σ Q([X_a, X_b], X_c)² / (Q_a Q_b Q_c)
 
-computed over Q-orthonormal bases of the blocks.  This module is a floating
-point oracle: it validates the closed-form constants used by the catalog for
-algebras small enough to enumerate (su(2), su(3), su(4) and so(8)).
+summed over a in summand i, b in summand j and c in summand k, where
+Q_a = Q(X_a, X_a) and λ = -B/Q is the Killing factor.  Only squared bracket
+norms enter, so an integer basis gives rational constants and no basis is
+normalised: every constant is a Fraction.  λ comes from the same brackets,
 
-Basis indices assigned None in a partition are isotropy directions; they are
-orthonormalized along with everything else but excluded from the triple sums.
+    -B(X_a, X_a) / Q_a = Σ_b Q([X_a, X_b], [X_a, X_b]) / (Q_a Q_b),
+
+which is one number for every a when the algebra is simple.
+
+A matrix is a sparse dict {(row, col): int}; complex matrices are realified
+entrywise by x + iy -> [[x, -y], [y, x]].  Basis elements labelled None in a
+partition are isotropy directions: they enter every bracket and λ but no
+triple sum.  The built-in bases are su(n) ⊃ su(n-1) for n >= 2 and so(2n) in
+its four-dimensional root-plane blocks for n >= 4.
+
+The module imports only the standard library, so it shares no code with the
+signomial pipeline whose constants it checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from collections import defaultdict
+from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
+Matrix = dict[tuple[int, int], int]
 Partition = Sequence["int | None"]
-
-
-@dataclass(frozen=True)
-class BracketTable:
-    """Bracket coordinates and Gram matrix of a finite-dimensional Lie algebra.
-
-    brackets[a, b, :] holds the coordinates of [e_a, e_b] in the same basis;
-    gram[a, b] = Q(e_a, e_b).
-    """
-
-    brackets: np.ndarray
-    gram: np.ndarray
-
-    def __post_init__(self):
-        br = np.asarray(self.brackets, dtype=float)
-        g = np.asarray(self.gram, dtype=float)
-        if br.ndim != 3 or len({br.shape[0], br.shape[1], br.shape[2]}) != 1:
-            raise ValueError(f"brackets must be (m, m, m), got {br.shape}")
-        if g.shape != br.shape[:2]:
-            raise ValueError(f"gram shape {g.shape} does not match dimension {br.shape[0]}")
-        object.__setattr__(self, "brackets", br)
-        object.__setattr__(self, "gram", g)
-
-    @property
-    def dim(self) -> int:
-        return self.brackets.shape[0]
-
-    def check(self) -> list[str]:
-        """Report violations of antisymmetry, the Jacobi identity, gram
-        symmetry, beyond 1e-9 (the Jacobi identity relative to max |bracket|^2)."""
-        tol = 1e-9
-        issues = []
-        br = self.brackets
-        anti = np.abs(br + np.swapaxes(br, 0, 1)).max()
-        if anti > tol:
-            issues.append(f"bracket antisymmetry violated by {anti:.2e}")
-        if np.abs(self.gram - self.gram.T).max() > tol:
-            issues.append("gram matrix is not symmetric")
-        # [a,[b,c]] + [b,[c,a]] + [c,[a,b]] = 0 on basis triples
-        abc = np.einsum("bcx,axk->abck", br, br, optimize=True)
-        jac = abc + np.einsum("abck->bcak", abc) + np.einsum("abck->cabk", abc)
-        worst = np.abs(jac).max()
-        if worst > tol * max(1.0, np.abs(br).max() ** 2):
-            issues.append(f"Jacobi identity violated by {worst:.2e}")
-        return issues
-
-
-def killing_gram(brackets: np.ndarray) -> np.ndarray:
-    """Minus the Killing form: entry (a, b) = -trace(ad e_a o ad e_b).
-
-    brackets is laid out as BracketTable.brackets.  The form is positive
-    definite exactly when the algebra is compact semisimple; an abelian
-    algebra gives the zero matrix, which is not usable as Q.
-    """
-    ad = np.swapaxes(brackets, 1, 2)  # ad[a][k, b] = coord k of [e_a, e_b]
-    return -np.einsum("aij,bji->ab", ad, ad)
-
-
-def _blocks(partition: Partition, dim: int) -> list[list[int]]:
-    if len(partition) != dim:
-        raise ValueError(f"partition length {len(partition)} != dimension {dim}")
-    labels = sorted({s for s in partition if s is not None})
-    if labels and labels != list(range(len(labels))):
-        raise ValueError(f"summand labels must be 0..r-1, got {labels}")
-    groups = [[a for a, s in enumerate(partition) if s == lab] for lab in labels]
-    iso = [a for a, s in enumerate(partition) if s is None]
-    return groups + ([iso] if iso else [])
 
 
 def summand_dims(partition: Partition) -> tuple[int, ...]:
@@ -98,199 +43,166 @@ def summand_dims(partition: Partition) -> tuple[int, ...]:
     return tuple(sum(1 for s in partition if s == lab) for lab in labels)
 
 
-def orthonormalize(table: BracketTable, partition: Partition | None = None) -> BracketTable:
-    """Gram-Schmidt within each summand block; the result has identity gram.
-
-    Blocks must already be Q-orthogonal to each other (true for any
-    Q-orthogonal reductive decomposition); this is checked.
-    """
-    dim = table.dim
-    part = list(partition) if partition is not None else [0] * dim
-    blocks = _blocks(part, dim)
-    gram = table.gram
-    # cross-block orthogonality
-    for bi in range(len(blocks)):
-        for bj in range(bi + 1, len(blocks)):
-            cross = np.abs(gram[np.ix_(blocks[bi], blocks[bj])]).max(initial=0.0)
-            if cross > 1e-9 * max(1.0, np.abs(gram).max()):
-                raise ValueError(
-                    f"blocks {bi} and {bj} are not Q-orthogonal (max {cross:.2e})"
-                )
-    S = np.zeros((dim, dim))
-    for idx in blocks:
-        sub = gram[np.ix_(idx, idx)]
-        try:
-            lower = np.linalg.cholesky(sub)
-        except np.linalg.LinAlgError:
-            raise ValueError("gram matrix is not positive definite") from None
-        sblk = np.linalg.inv(lower).T  # classical Gram-Schmidt transform
-        for jj, j in enumerate(idx):
-            for ii, i in enumerate(idx):
-                S[i, j] = sblk[ii, jj]
-    sinv = np.linalg.inv(S)
-    # new basis f_j = sum_a S[a, j] e_a
-    new_brackets = np.einsum("ai,bj,abk,ck->ijc", S, S, table.brackets, sinv, optimize=True)
-    new_gram = S.T @ gram @ S
-    return BracketTable(brackets=new_brackets, gram=new_gram)
-
-
-def structural_constants(
-    table: BracketTable, partition: Partition
-) -> dict[tuple[int, int, int], float]:
-    """Triple sums of squared bracket projections over a Q-orthonormal table.
-
-    Returns the nonzero constants keyed by ascending index triples.  The full
-    ordered table is checked for permutation symmetry to 1e-9 (relative to
-    the largest entry).
-    """
-    dim = table.dim
-    if np.abs(table.gram - np.eye(dim)).max() > 1e-10:
-        raise ValueError("basis is not Q-orthonormal; call orthonormalize first")
-    part = list(partition)
-    labels = sorted({s for s in part if s is not None})
-    r = len(labels)
-    indicator = np.zeros((r, dim))
-    for a, s in enumerate(part):
-        if s is not None:
-            indicator[s, a] = 1.0
-    sq = table.brackets ** 2
-    full = np.einsum("abc,ia,jb,kc->ijk", sq, indicator, indicator, indicator, optimize=True)
-    scale = max(1.0, np.abs(full).max())
-    for perm in ((0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        dev = np.abs(full - np.transpose(full, perm)).max()
-        if dev > 1e-9 * scale:
-            raise ValueError(f"triple table is not permutation symmetric (dev {dev:.2e})")
-    out: dict[tuple[int, int, int], float] = {}
-    for i in range(r):
-        for j in range(i, r):
-            for k in range(j, r):
-                v = float(full[i, j, k])
-                if abs(v) > 1e-10 * scale:
-                    out[(i, j, k)] = v
+def _pairings(x: Matrix, at: dict) -> dict[int, int]:
+    """Q(x, X_c) for every basis element X_c sharing a transposed position
+    with x; `at` lists the basis entries (c, value) at each position."""
+    out: dict[int, int] = defaultdict(int)
+    for (r, s), v in x.items():
+        for c, w in at.get((s, r), ()):
+            out[c] -= v * w
     return out
 
 
-# -- built-in generators ---------------------------------------------------------
+def _bracket(x: Matrix, y: Matrix, x_rows: dict, y_rows: dict) -> Matrix:
+    """[x, y] = xy - yx; *_rows map a row index to that row's (col, value)."""
+    out: dict[tuple[int, int], int] = defaultdict(int)
+    for (r, k), v in x.items():
+        for c, w in y_rows.get(k, ()):
+            out[(r, c)] += v * w
+    for (r, k), v in y.items():
+        for c, w in x_rows.get(k, ()):
+            out[(r, c)] -= v * w
+    return {pos: v for pos, v in out.items() if v}
 
 
-def _coords_from_matrices(mats: list[np.ndarray]) -> np.ndarray:
-    """Bracket coordinates of a matrix Lie algebra basis, via least squares.
+def structural_constants(
+    basis: Sequence[Matrix], partition: Partition
+) -> dict[tuple[int, int, int], Fraction]:
+    """The nonzero [ijk], keyed by ascending summand triples.
 
-    One row a at a time: the commutators [mats[a], mats[b]] for b > a are
-    solved with one matmul against the pseudo-inverse, and the lower triangle
-    is filled by antisymmetry, so coords[a, b] == -coords[b, a] exactly.
+    Raises ValueError when the basis is not Q-orthogonal with positive norms,
+    when a bracket leaves its span, or when -B(X_a, X_a)/Q_a is not one
+    number for every a (the algebra is not simple).
     """
-    dim = len(mats)
-    stack = np.array(mats)
-    flat = stack.reshape(dim, -1)
-    basis = np.hstack([flat.real, flat.imag])  # row a: real then imaginary entries
-    pinv = np.linalg.pinv(basis)
-    coords = np.zeros((dim, dim, dim))
-    for a in range(dim - 1):
-        rest = stack[a + 1:]
-        comm = (mats[a] @ rest - rest @ mats[a]).reshape(len(rest), -1)
-        vecs = np.hstack([comm.real, comm.imag])
-        sol = vecs @ pinv
-        if np.abs(sol @ basis - vecs).max() > 1e-9:
-            raise ValueError("bracket left the span of the basis")
-        coords[a, a + 1:] = sol
-        coords[a + 1:, a] = -sol
-    return coords
+    if len(partition) != len(basis):
+        raise ValueError(f"partition length {len(partition)} != basis size {len(basis)}")
+    at: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    rows: list[dict[int, list[tuple[int, int]]]] = []
+    for c, x in enumerate(basis):
+        by_row = defaultdict(list)
+        for (r, s), v in x.items():
+            at[(r, s)].append((c, v))
+            by_row[r].append((s, v))
+        rows.append(by_row)
+    norms = []
+    for a, x in enumerate(basis):
+        gram_row = _pairings(x, at)
+        norm = gram_row.pop(a, 0)
+        if norm <= 0 or any(gram_row.values()):
+            raise ValueError(f"basis is not Q-orthogonal with positive norms at element {a}")
+        norms.append(norm)
+    # every sum below is kept as an integer over a power of the lcm L of the
+    # norms: 1/Q_a = scale[a]/L
+    lcm = math.lcm(*norms)
+    scale = [lcm // q for q in norms]
+    killing = [0] * len(basis)  # L² · (-B(X_a, X_a) / Q_a)
+    table: dict[tuple[int, int, int], int] = defaultdict(int)  # L³ · λ[ijk]
+    for a, b in combinations(range(len(basis)), 2):
+        y = _bracket(basis[a], basis[b], rows[a], rows[b])
+        if not y:
+            continue
+        by_label: dict["int | None", int] = defaultdict(int)
+        for c, coord in _pairings(y, at).items():
+            if coord:
+                by_label[partition[c]] += coord * coord * scale[c]
+        # Bessel's inequality is an equality exactly when y is in the span,
+        # as Q is positive definite on real skew-symmetric matrices
+        norm_y = -sum(v * y.get((s, r), 0) for (r, s), v in y.items())
+        if sum(by_label.values()) != norm_y * lcm:
+            raise ValueError(f"bracket of basis elements {a} and {b} leaves their span")
+        weight = scale[a] * scale[b]
+        killing[a] += norm_y * weight
+        killing[b] += norm_y * weight
+        sa, sb = partition[a], partition[b]
+        if sa is None or sb is None:
+            continue
+        for sc, value in by_label.items():
+            if sc is None:
+                continue
+            # the ordered sum runs over (a, b, c) and (b, a, c); the table is
+            # symmetric, so only ascending keys are kept
+            for key in ((sa, sb, sc), (sb, sa, sc)):
+                if key[0] <= key[1] <= key[2]:
+                    table[key] += value * weight
+    factors = set(killing)
+    if len(factors) != 1 or 0 in factors:
+        lam = ", ".join(str(Fraction(k, lcm * lcm)) for k in sorted(factors))
+        raise ValueError(f"-B/Q is not one positive number on the basis: {lam}")
+    (killing_l2,) = factors
+    return {key: Fraction(value, lcm * killing_l2) for key, value in sorted(table.items())}
 
 
-def su2_abstract_table() -> tuple[BracketTable, list[int]]:
-    """su(2) given abstractly by [e1,e2] = 2 e3 cyclic, with Q = -Killing (= 8 I)."""
-    br = np.zeros((3, 3, 3))
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        br[a, b, c] = 2.0
-        br[b, a, c] = -2.0
-    return BracketTable(brackets=br, gram=killing_gram(br)), [0, 0, 0]
+# -- built-in bases ---------------------------------------------------------------
 
 
-def su_n_table(n: int) -> tuple[BracketTable, list[int]]:
-    """su(n) with Q = -Killing, block-partitioned for the subgroup SU(n-1).
+def _realify(entries: dict[tuple[int, int], tuple[int, int]]) -> Matrix:
+    """The real form of the complex matrix {(row, col): (x, y)} = x + iy."""
+    out = {}
+    for (r, c), (x, y) in entries.items():
+        for dr, dc, v in ((0, 0, x), (0, 1, -y), (1, 0, y), (1, 1, x)):
+            if v:
+                out[(2 * r + dr, 2 * c + dc)] = v
+    return out
 
-    Basis order: the su(n-1) top-left block (summand 0), then the 2(n-1)
-    last-row/column directions (summand 1), then the traceless diagonal
-    direction commuting with the subgroup (summand 2).  For n = 2 the
-    subgroup is trivial and everything is one summand.
+
+def su_n_basis(n: int) -> tuple[list[Matrix], list[int]]:
+    """su(n) partitioned for the subgroup SU(n-1).
+
+    Summand 0 is the su(n-1) in the top-left block, summand 1 the 2(n-1)
+    last-row/column directions, summand 2 the diagonal u(1) commuting with
+    su(n-1).  The diagonals are the Gell-Mann ones i·diag(1, ..., 1, -k, 0, ...),
+    so the basis is Q-orthogonal with integer entries.  For n = 2 the
+    subgroup is trivial and su(2) is one summand.
     """
-    if not 2 <= n <= 4:
-        raise ValueError("built-in su(n) tables cover 2 <= n <= 4")
-    mats: list[np.ndarray] = []
+    if n < 2:
+        raise ValueError(f"su(n) needs n >= 2, got {n}")
+
+    def off(i: int, j: int) -> list[Matrix]:
+        return [
+            _realify({(i, j): (1, 0), (j, i): (-1, 0)}),
+            _realify({(i, j): (0, 1), (j, i): (0, 1)}),
+        ]
+
+    def diag(k: int) -> Matrix:
+        return _realify({**{(t, t): (0, 1) for t in range(k)}, (k, k): (0, -k)})
+
     m = n - 1
-
-    def zero() -> np.ndarray:
-        return np.zeros((n, n), dtype=complex)
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = zero(); e[i, j] = 1;  e[j, i] = -1
-            mats.append(e)
-    for i in range(m):
-        for j in range(i + 1, m):
-            e = zero(); e[i, j] = 1j; e[j, i] = 1j
-            mats.append(e)
-    for k in range(m - 1):
-        e = zero(); e[k, k] = 1j; e[k + 1, k + 1] = -1j
-        mats.append(e)
-    d1 = len(mats)
-    for i in range(m):
-        e = zero(); e[i, n - 1] = 1;  e[n - 1, i] = -1
-        mats.append(e)
-        e = zero(); e[i, n - 1] = 1j; e[n - 1, i] = 1j
-        mats.append(e)
-    e = zero()
-    for i in range(m):
-        e[i, i] = 1j
-    e[n - 1, n - 1] = -1j * m
-    mats.append(e)
-
-    coords = _coords_from_matrices(mats)
-    table = BracketTable(brackets=coords, gram=killing_gram(coords))
+    sub = [x for i, j in combinations(range(m), 2) for x in off(i, j)]
+    sub += [diag(k) for k in range(1, m)]
+    column = [x for i in range(m) for x in off(i, m)]
+    basis = sub + column + [diag(m)]
     if n == 2:
-        partition = [0] * len(mats)
-    else:
-        partition = [0] * d1 + [1] * (2 * m) + [2]
-    return table, partition
+        return basis, [0] * len(basis)
+    return basis, [0] * len(sub) + [1] * len(column) + [2]
 
 
-def so8_table() -> tuple[BracketTable, list["int | None"], list[tuple[int, int]]]:
-    """so(8) with Q = -Killing, partitioned into the six 4-dimensional blocks
-    p_{ij} of the full flag quotient by the maximal torus.
+def so2n_basis(n: int) -> tuple[list[Matrix], list["int | None"], list[tuple[int, int]]]:
+    """so(2n) split by its maximal torus T^n into root-plane blocks.
 
-    Returns (table, partition, block pairs); torus directions carry None.
-    Block t corresponds to pairs[t] = (i, j) with 0 <= i < j < 4.
+    Returns (basis, partition, pairs).  Block t is p_ij for (i, j) = pairs[t],
+    i < j in combinations order: the four E_ab - E_ba with a in {2i, 2i+1}
+    and b in {2j, 2j+1}.  The n torus directions carry None.
     """
-    size = 8
+    if n < 4:
+        raise ValueError(f"so(2n) root-plane bases need n >= 4, got {n}")
 
-    def skew(a: int, b: int) -> np.ndarray:
-        e = np.zeros((size, size), dtype=complex)
-        e[a, b] = 1.0
-        e[b, a] = -1.0
-        return e
+    def skew(a: int, b: int) -> Matrix:
+        return {(a, b): 1, (b, a): -1}
 
-    mats: list[np.ndarray] = []
-    partition: list["int | None"] = []
-    for i in range(4):
-        mats.append(skew(2 * i, 2 * i + 1))
-        partition.append(None)
-    pairs: list[tuple[int, int]] = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            t = len(pairs)
-            pairs.append((i, j))
-            for a in (2 * i, 2 * i + 1):
-                for b in (2 * j, 2 * j + 1):
-                    mats.append(skew(a, b))
-                    partition.append(t)
-    coords = _coords_from_matrices(mats)
-    table = BracketTable(brackets=coords, gram=killing_gram(coords))
-    return table, partition, pairs
+    basis = [skew(2 * i, 2 * i + 1) for i in range(n)]
+    partition: list["int | None"] = [None] * n
+    pairs = list(combinations(range(n), 2))
+    for t, (i, j) in enumerate(pairs):
+        for a in (2 * i, 2 * i + 1):
+            for b in (2 * j, 2 * j + 1):
+                basis.append(skew(a, b))
+                partition.append(t)
+    return basis, partition, pairs
 
 
-def so8_collapsed_partition() -> list["int | None"]:
-    """Two-summand coarsening of the so(8) block partition: the blocks touching
+def so2n_collapsed_partition(
+    partition: Partition, pairs: Sequence[tuple[int, int]]
+) -> list["int | None"]:
+    """Two-summand coarsening of an so2n_basis partition: the blocks touching
     the first torus factor form summand 0, the rest summand 1."""
-    _, partition, pairs = so8_table()
     return [None if s is None else (0 if pairs[s][0] == 0 else 1) for s in partition]

@@ -92,19 +92,14 @@ class TestCollapsedConstants:
 
     def test_oracle_cross_check_at_four(self):
         from homscal.lie_constants import (
-            orthonormalize,
-            so8_collapsed_partition,
-            so8_table,
+            so2n_basis,
+            so2n_collapsed_partition,
             structural_constants,
         )
 
-        table, _, _ = so8_table()
-        partition = so8_collapsed_partition()
-        got = structural_constants(orthonormalize(table, partition), partition)
-        want = collapsed_so2n_constants(4)
-        assert set(got) == set(want)
-        for key, value in want.items():
-            assert got[key] == pytest.approx(float(value), abs=1e-9)
+        basis, partition, pairs = so2n_basis(4)
+        got = structural_constants(basis, so2n_collapsed_partition(partition, pairs))
+        assert got == collapsed_so2n_constants(4)
 
     def test_range_floor(self):
         with pytest.raises(ParameterRangeError):

@@ -50,7 +50,6 @@ class TestRestrict:
     def test_two_summand_chart_eliminating_first(self):
         chart = restrict(e6_space(), eliminated=0)
         assert chart.reduced == sig(1, (5, {0: 2}), (20, {0: -1}), (F(-5, 2), {0: -4}))
-        assert chart.retained == (1,)
 
     def test_flag_family_fractional_exponents(self):
         # reduced value matches [4(n-1) + (n^2-3n+2) x^(n/(n-2)) + (2-n) x^(-n/(n-2))]/(2x)

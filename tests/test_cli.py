@@ -109,7 +109,6 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
 TOLERANCE_OPTIONS = [
     ["probe", "--family", "su_n", "--n", "5", "--kernel-tol"],
     ["custom", "--file", "space.json", "--kernel-tol"],
-    ["verify-constants", "--algebra", "su3", "--tol"],
 ]
 
 
@@ -273,18 +272,38 @@ class TestProbe:
         assert "exact mode" in err
 
 
-class TestVerifyConstants:
-    @pytest.mark.parametrize("algebra", ["su2", "su3", "so8"])
-    def test_builtin_algebras_match(self, capsys, algebra):
-        code, out, _ = run(capsys, "verify-constants", "--algebra", algebra)
-        assert code == 0
-        assert "max deviation" in out
+VERIFY_CONSTANTS_STDOUT = {
+    "su2": """algebra su2: summand dims (3,)
+  [000] computed 3.000000000000  expected 3.000000000000  |dev| 0.00e+00
+max deviation: 0.000e+00
+""",
+    "su3": """algebra su3: summand dims (3, 4, 1)
+  [000] computed 2.000000000000  expected 2.000000000000  |dev| 0.00e+00
+  [011] computed 1.000000000000  expected 1.000000000000  |dev| 0.00e+00
+  [112] computed 1.000000000000  expected 1.000000000000  |dev| 0.00e+00
+max deviation: 0.000e+00
+""",
+    "so8": """algebra so8: summand dims (4, 4, 4, 4, 4, 4)
+  [013] computed 0.666666666667  expected 0.666666666667  |dev| 0.00e+00
+  [024] computed 0.666666666667  expected 0.666666666667  |dev| 0.00e+00
+  [125] computed 0.666666666667  expected 0.666666666667  |dev| 0.00e+00
+  [345] computed 0.666666666667  expected 0.666666666667  |dev| 0.00e+00
+max deviation: 0.000e+00
+""",
+}
 
-    def test_tight_tolerance_fails(self, capsys):
-        code, _, err = run(capsys, "verify-constants", "--algebra", "su3",
-                           "--tol", "1e-20")
-        assert code == 1
-        assert "FAIL" in err
+
+class TestVerifyConstants:
+    @pytest.mark.parametrize("algebra", sorted(VERIFY_CONSTANTS_STDOUT))
+    def test_builtin_algebras_match_byte_for_byte(self, capsys, algebra):
+        code, out, err = run(capsys, "verify-constants", "--algebra", algebra)
+        assert (code, out, err) == (0, VERIFY_CONSTANTS_STDOUT[algebra], "")
+
+    def test_tolerance_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-constants", "--algebra", "su3", "--tol", "1e-8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_su3_checks_the_catalog_constants(self, capsys, monkeypatch):
         space = catalog.su_n_space(3)

@@ -1,268 +1,171 @@
-"""Brute-force bracket oracle against the closed-form constants."""
+"""Exact bracket oracle against the closed-form catalog constants."""
 
+import ast
 import itertools
+import sys
+from fractions import Fraction
+from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homscal import lie_constants
+from homscal.catalog import collapsed_so2n_constants, su_n_space
 from homscal.lie_constants import (
-    BracketTable,
-    _coords_from_matrices,
-    killing_gram,
-    orthonormalize,
-    so8_collapsed_partition,
-    so8_table,
+    _bracket,
+    so2n_basis,
+    so2n_collapsed_partition,
     structural_constants,
-    su2_abstract_table,
-    su_n_table,
+    su_n_basis,
     summand_dims,
 )
 
 
-def constants(table, partition):
-    return structural_constants(orthonormalize(table, partition), partition)
+def triangles(n, pairs):
+    """Block triples (p_ij, p_ik, p_jk) of so(2n), as ascending block indices."""
+    return {
+        tuple(sorted((pairs.index((i, j)), pairs.index((i, k)), pairs.index((j, k)))))
+        for i, j, k in itertools.combinations(range(n), 3)
+    }
 
 
-def block_matrix(rng, partition, spd):
-    """Random block-diagonal matrix over the blocks of a partition: symmetric
-    positive definite when spd, else invertible and well conditioned."""
-    dim = len(partition)
-    out = np.zeros((dim, dim))
-    for label in set(partition):
-        idx = [a for a, s in enumerate(partition) if s == label]
-        a = rng.standard_normal((len(idx), len(idx)))
-        eye = np.eye(len(idx))
-        out[np.ix_(idx, idx)] = a @ a.T + len(idx) * eye if spd else a + 3 * len(idx) * eye
-    return out
-
-
-def random_table(rng, partition):
-    """Antisymmetric random brackets with a non-diagonal, block-SPD gram."""
-    dim = len(partition)
-    br = rng.standard_normal((dim, dim, dim))
-    br = br - np.swapaxes(br, 0, 1)
-    return BracketTable(brackets=br, gram=block_matrix(rng, partition, spd=True))
-
-
-def change_basis(table, p):
-    """The same algebra in the basis f_j = sum_a p[a, j] e_a."""
-    pinv = np.linalg.inv(p)
-    br = np.einsum("ai,bj,abk,ck->ijc", p, p, table.brackets, pinv, optimize=True)
-    return BracketTable(brackets=br, gram=p.T @ table.gram @ p)
-
-
-def reference_orthonormalize(table, partition):
-    """orthonormalize with the brackets transformed by one 4-operand einsum."""
-    dim = table.dim
-    s = np.zeros((dim, dim))
-    for label in sorted(set(partition), key=lambda x: (x is None, x)):
-        idx = [a for a, lab in enumerate(partition) if lab == label]
-        lower = np.linalg.cholesky(table.gram[np.ix_(idx, idx)])
-        s[np.ix_(idx, idx)] = np.linalg.inv(lower).T
-    sinv = np.linalg.inv(s)
-    brackets = np.einsum("ai,bj,abk,ck->ijc", s, s, table.brackets, sinv)
-    return BracketTable(brackets=brackets, gram=s.T @ table.gram @ s)
-
-
-class TestKillingGram:
-    def test_abelian_algebra_gives_zero(self):
-        assert np.abs(killing_gram(np.zeros((3, 3, 3)))).max() == 0.0
-
-    def test_cyclic_su2_gram_is_8I(self):
-        table, _ = su2_abstract_table()
-        assert np.allclose(table.gram, 8 * np.eye(3), atol=1e-12)
-
-    def test_su3_gram_matches_trace_form(self):
-        # -B(X, Y) = -2n tr(XY): diagonal 12 on the tr(X^2) = -2 directions
-        table, _ = su_n_table(3)
-        diag = np.diag(table.gram)
-        assert np.allclose(diag[:7], 12.0, atol=1e-9)
-
-
-class TestTableChecks:
-    def test_builtin_tables_are_lie_algebras(self):
-        for table, _ in (su2_abstract_table(), su_n_table(3), su_n_table(4), so8_table()[:2]):
-            assert table.check() == []
-
-    def test_broken_jacobi_reported(self):
-        # [e0,e1] = e2 and [e1,e2] = e1 leave [e0,[e1,e2]] + cyclic = e2 != 0
-        br = np.zeros((3, 3, 3))
-        br[0, 1, 2], br[1, 0, 2] = 1.0, -1.0
-        br[1, 2, 1], br[2, 1, 1] = 1.0, -1.0
-        table = BracketTable(brackets=br, gram=np.eye(3))
-        assert any("Jacobi" in msg for msg in table.check())
-
-    def test_broken_antisymmetry_reported(self):
-        br = np.zeros((2, 2, 2))
-        br[0, 1, 0] = 1.0
-        table = BracketTable(brackets=br, gram=np.eye(2))
-        assert any("antisymmetry" in msg for msg in table.check())
-
-
-class TestOrthonormalize:
-    def test_gram_becomes_identity(self):
-        table, partition = su_n_table(3)
-        ortho = orthonormalize(table, partition)
-        assert np.abs(ortho.gram - np.eye(table.dim)).max() < 1e-12
-
-    def test_idempotent_on_orthonormal_basis(self):
-        table, partition = su2_abstract_table()
-        once = orthonormalize(table, partition)
-        twice = orthonormalize(once, partition)
-        assert np.abs(once.brackets - twice.brackets).max() < 1e-12
-
-    def test_diagonal_gram_rescales_basis(self):
-        # abelian with Q = 4I: new basis is the old one over 2, brackets stay 0
-        table = BracketTable(brackets=np.zeros((2, 2, 2)), gram=4 * np.eye(2))
-        ortho = orthonormalize(table, [0, 0])
-        assert np.allclose(ortho.gram, np.eye(2), atol=1e-12)
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_four_operand_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        partition = [0, 0, 0, 1, 1, None, 2, 2, 2, 2, None][: 7 + seed]
-        table = random_table(rng, partition)
-        assert np.abs(table.gram - np.diag(np.diag(table.gram))).max() > 0.1
-        got = orthonormalize(table, partition)
-        want = reference_orthonormalize(table, partition)
-        assert np.abs(got.brackets - want.brackets).max() < 1e-12
-        assert np.abs(got.gram - want.gram).max() < 1e-12
-        assert np.abs(got.gram - np.eye(table.dim)).max() < 1e-12
-
-    def test_zero_gram_rejected(self):
-        table = BracketTable(brackets=np.zeros((2, 2, 2)), gram=np.zeros((2, 2)))
-        with pytest.raises(ValueError, match="positive definite"):
-            orthonormalize(table, [0, 0])
-
-    def test_non_orthogonal_blocks_rejected(self):
-        gram = np.array([[1.0, 0.5], [0.5, 1.0]])
-        table = BracketTable(brackets=np.zeros((2, 2, 2)), gram=gram)
-        with pytest.raises(ValueError, match="orthogonal"):
-            orthonormalize(table, [0, 1])
-
-
-class TestCoordsFromMatrices:
-    @staticmethod
-    def so4_basis(rng):
-        """A random basis of so(4): invertible mixes of the six E_ab - E_ba."""
-        std = []
-        for a, b in itertools.combinations(range(4), 2):
-            e = np.zeros((4, 4), dtype=complex)
-            e[a, b], e[b, a] = 1.0, -1.0
-            std.append(e)
-        mix = rng.standard_normal((6, 6)) + 6 * np.eye(6)
-        return [sum(mix[i, j] * std[j] for j in range(6)) for i in range(6)]
-
-    def test_coordinates_are_exactly_antisymmetric(self):
-        coords = _coords_from_matrices(self.so4_basis(np.random.default_rng(1)))
-        assert np.array_equal(coords, -np.swapaxes(coords, 0, 1))
-
-    def test_coordinates_reproduce_the_commutators(self):
-        mats = self.so4_basis(np.random.default_rng(2))
-        coords = _coords_from_matrices(mats)
-        for a, b in itertools.product(range(6), repeat=2):
-            bracket = mats[a] @ mats[b] - mats[b] @ mats[a]
-            rebuilt = sum(coords[a, b, c] * mats[c] for c in range(6))
-            assert np.abs(rebuilt - bracket).max() < 1e-10
-
-    @pytest.mark.parametrize("build", [lambda: su_n_table(4)[0], lambda: so8_table()[0]])
-    def test_builtin_tables_are_exactly_antisymmetric(self, build):
-        br = build().brackets
-        assert np.array_equal(br, -np.swapaxes(br, 0, 1))
-
-    def test_bracket_outside_the_span_rejected(self):
-        # two symmetric matrices: their commutator is antisymmetric
-        x = np.array([[1, 0], [0, -1]], dtype=complex)
-        y = np.array([[0, 1], [1, 0]], dtype=complex)
-        with pytest.raises(ValueError, match="span"):
-            _coords_from_matrices([x, y])
-
-
-class TestStructuralConstants:
-    def test_requires_orthonormal_basis(self):
-        table, partition = su2_abstract_table()
-        with pytest.raises(ValueError, match="orthonormal"):
-            structural_constants(table, partition)
-
-    def test_abelian_gives_empty_table(self):
-        table = BracketTable(brackets=np.zeros((4, 4, 4)), gram=np.eye(4))
-        assert structural_constants(table, [0, 0, 1, 1]) == {}
-
+class TestReach:
     def test_su2_single_summand(self):
-        table, partition = su2_abstract_table()
-        got = constants(table, partition)
-        assert set(got) == {(0, 0, 0)}
-        assert got[(0, 0, 0)] == pytest.approx(3.0, abs=1e-9)
+        basis, partition = su_n_basis(2)
+        assert summand_dims(partition) == (3,)
+        assert structural_constants(basis, partition) == {(0, 0, 0): 3}
 
-    def test_su3_standard_blocks(self):
-        table, partition = su_n_table(3)
-        got = constants(table, partition)
-        assert summand_dims(partition) == (3, 4, 1)
-        assert got[(0, 0, 0)] == pytest.approx(2.0, abs=1e-8)
-        assert got[(0, 1, 1)] == pytest.approx(1.0, abs=1e-8)
-        assert got[(1, 1, 2)] == pytest.approx(1.0, abs=1e-8)
-        assert set(got) == {(0, 0, 0), (0, 1, 1), (1, 1, 2)}
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_su_n_matches_the_catalog(self, n):
+        basis, partition = su_n_basis(n)
+        assert summand_dims(partition) == su_n_space(n).dims
+        assert structural_constants(basis, partition) == su_n_space(n).triples
 
-    def test_su4_standard_blocks(self):
-        table, partition = su_n_table(4)
-        got = constants(table, partition)
-        assert summand_dims(partition) == (8, 6, 1)
-        assert got[(0, 0, 0)] == pytest.approx(6.0, abs=1e-8)
-        assert got[(0, 1, 1)] == pytest.approx(2.0, abs=1e-8)
-        assert got[(1, 1, 2)] == pytest.approx(1.0, abs=1e-8)
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_collapsed_so2n_matches_the_catalog(self, n):
+        basis, partition, pairs = so2n_basis(n)
+        collapsed = so2n_collapsed_partition(partition, pairs)
+        assert summand_dims(collapsed) == (4 * (n - 1), 2 * (n - 1) * (n - 2))
+        assert structural_constants(basis, collapsed) == collapsed_so2n_constants(n)
 
-    def test_so8_block_constants(self):
-        table, partition, pairs = so8_table()
-        assert summand_dims(partition) == (4,) * 6
-        got = constants(table, partition)
-        triangles = set()
-        for i, j, k in itertools.combinations(range(4), 3):
-            triangles.add(
-                tuple(sorted((pairs.index((i, j)), pairs.index((i, k)), pairs.index((j, k)))))
-            )
-        assert set(got) == triangles
-        for key in triangles:
-            assert got[key] == pytest.approx(2.0 / 3.0, abs=1e-14)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    def test_invariant_under_change_of_basis_within_blocks(self, seed):
-        table, partition = su_n_table(3)
-        p = block_matrix(np.random.default_rng(seed), partition, spd=False)
-        moved = change_basis(table, p)
-        assert np.abs(moved.gram - np.diag(np.diag(moved.gram))).max() > 0.0
-        want = constants(table, partition)
-        got = constants(moved, partition)
-        assert set(got) == set(want)
-        for key, value in want.items():
-            assert got[key] == pytest.approx(value, rel=1e-10)
-
-    def test_so8_collapsed_two_summands(self):
-        table, _, _ = so8_table()
-        partition = so8_collapsed_partition()
-        assert summand_dims(partition) == (12, 12)
-        got = constants(table, partition)
-        assert got[(0, 0, 1)] == pytest.approx(4.0, abs=1e-9)
-        assert got[(1, 1, 1)] == pytest.approx(4.0, abs=1e-9)
-        assert set(got) == {(0, 0, 1), (1, 1, 1)}
+    @pytest.mark.parametrize("n", (4, 5, 6))
+    def test_so2n_blocks_carry_2_over_n_minus_1_on_triangles(self, n):
+        # n = 4 is so(8)'s six-block table: 2/3 on exactly 4 triangles
+        basis, partition, pairs = so2n_basis(n)
+        assert summand_dims(partition) == (4,) * (n * (n - 1) // 2)
+        got = structural_constants(basis, partition)
+        assert got == {key: Fraction(2, n - 1) for key in triangles(n, pairs)}
 
     def test_merging_summands_adds_constants(self):
         # the one-block total equals the orbit-weighted sum of the block table
-        table, partition = su_n_table(3)
-        ortho = orthonormalize(table, partition)
-        fine = structural_constants(ortho, partition)
-        coarse = structural_constants(ortho, [0] * table.dim)
-        orbit_total = 0.0
-        for (i, j, k), v in fine.items():
-            orbit_total += v * len(set(itertools.permutations((i, j, k))))
-        assert coarse[(0, 0, 0)] == pytest.approx(orbit_total, abs=1e-9)
-        assert coarse[(0, 0, 0)] == pytest.approx(8.0, abs=1e-9)
+        basis, partition = su_n_basis(3)
+        fine = structural_constants(basis, partition)
+        coarse = structural_constants(basis, [0] * len(basis))
+        orbit_total = sum(v * len(set(itertools.permutations(k))) for k, v in fine.items())
+        assert coarse == {(0, 0, 0): orbit_total} == {(0, 0, 0): 8}
 
-    def test_scaling_q_scales_constants_inversely(self):
-        table, partition = su2_abstract_table()
-        baseline = constants(table, partition)[(0, 0, 0)]
-        for c in (2.0, 0.25):
-            scaled = BracketTable(brackets=table.brackets, gram=c * table.gram)
-            got = constants(scaled, partition)[(0, 0, 0)]
-            assert got == pytest.approx(baseline / c, rel=1e-9)
+    def test_isotropy_directions_enter_no_triple(self):
+        # su(3) with the u(1) direction as isotropy: the [112] leg drops, the
+        # Killing factor and the other constants stay
+        basis, partition = su_n_basis(3)
+        got = structural_constants(basis, partition[:-1] + [None])
+        assert got == {(0, 0, 0): 2, (0, 1, 1): 1}
+
+    @pytest.mark.parametrize(
+        "basis", [su_n_basis(n)[0] for n in range(2, 7)] + [so2n_basis(n)[0] for n in (4, 5, 6)],
+        ids=[f"su{n}" for n in range(2, 7)] + [f"so{2 * n}" for n in (4, 5, 6)],
+    )
+    def test_builtin_bases_are_skew_and_integer(self, basis):
+        # Q = -tr(XY) is positive definite on skew matrices, which the span
+        # test (Bessel's inequality as an equality) relies on
+        for x in basis:
+            assert x and all(isinstance(v, int) and v for v in x.values())
+            assert all(x.get((c, r)) == -v for (r, c), v in x.items())
+
+    def test_su_n_range_floor(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            su_n_basis(1)
+
+    def test_so2n_range_floor(self):
+        with pytest.raises(ValueError, match="n >= 4"):
+            so2n_basis(3)
+
+
+class TestRejected:
+    def test_non_orthogonal_basis(self):
+        basis, partition = su_n_basis(2)
+        mixed = {pos: basis[0].get(pos, 0) + basis[1].get(pos, 0)
+                 for pos in basis[0].keys() | basis[1].keys()}
+        with pytest.raises(ValueError, match="not Q-orthogonal"):
+            structural_constants([mixed] + basis[1:], partition)
+
+    def test_bracket_outside_the_span(self):
+        # su(3) less one off-diagonal direction: two remaining ones bracket onto it
+        basis, partition = su_n_basis(3)
+        with pytest.raises(ValueError, match="leaves their span"):
+            structural_constants(basis[1:], partition[1:])
+
+    def test_non_simple_algebra(self):
+        # su(2) + su(2), one copy realified from 2x2 complex matrices (-B = 2Q),
+        # the other as so(3) on rows 4..6 (-B = Q): two values of lambda
+        su2, _ = su_n_basis(2)
+        so3 = [{(4 + a, 4 + b): 1, (4 + b, 4 + a): -1}
+               for a, b in itertools.combinations(range(3), 2)]
+        with pytest.raises(ValueError, match="basis: 1, 2$"):
+            structural_constants(su2 + so3, [0] * 6)
+
+    def test_abelian_algebra(self):
+        with pytest.raises(ValueError, match="not one positive number"):
+            structural_constants([{(0, 1): 1, (1, 0): -1}], [0])
+
+    def test_partition_length(self):
+        basis, partition = su_n_basis(2)
+        with pytest.raises(ValueError, match="partition length"):
+            structural_constants(basis, partition + [0])
+
+
+class TestInvariance:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.integers(-5, 5).filter(bool), min_size=8, max_size=8))
+    def test_integer_scaling_of_basis_elements(self, factors):
+        basis, partition = su_n_basis(3)
+        scaled = [{pos: c * v for pos, v in x.items()} for c, x in zip(factors, basis)]
+        want = structural_constants(basis, partition)
+        assert structural_constants(scaled, partition) == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_bracket_matches_the_dense_commutator(self, data):
+        def matrix():
+            entries = st.dictionaries(
+                st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                st.integers(-3, 3).filter(bool), max_size=8)
+            return data.draw(entries)
+
+        def rows(x):
+            out = {}
+            for (r, c), v in x.items():
+                out.setdefault(r, []).append((c, v))
+            return out
+
+        x, y = matrix(), matrix()
+        dense = {}
+        for r, c in itertools.product(range(4), repeat=2):
+            v = sum(x.get((r, k), 0) * y.get((k, c), 0) - y.get((r, k), 0) * x.get((k, c), 0)
+                    for k in range(4))
+            if v:
+                dense[(r, c)] = v
+        assert _bracket(x, y, rows(x), rows(y)) == dense
+
+
+def test_module_imports_only_the_standard_library():
+    tree = ast.parse(Path(lie_constants.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            imported.add(node.module.split(".")[0])
+    assert imported
+    assert imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
