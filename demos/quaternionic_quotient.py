@@ -1,8 +1,10 @@
 """The symmetric metric on SU(2n)/Sp(n) through a smaller transitive group.
 
 Presenting the quotient with a group one rank down yields three summands of
-dimensions ((2n-1)(n-2), 4(n-1), 1).  Only the reduced two-variable form of
-the scalar curvature is modeled; the symmetric metric sits at (a, a/2) where
+dimensions ((2n-1)(n-2), 4(n-1), 1), with every b_k = 4(2n-1),
+[011] = 4(2n-1)(n-2) and [112] = 4(2n-1) for the invariant form Q/(4(2n-1))
+(catalog.su2n_space).  Restricted to the unit-volume slice with the last
+summand eliminated, the symmetric metric sits at (a, a/2) where
 
     a = (16 n / ((2n-1) 16^n))^(1/(n+1-2n^2))
 

@@ -31,7 +31,7 @@ def main():
     )
     scal = space.scalar_curvature()
     print("scalar curvature:", scal.to_text(["x", "y"]))
-    vol = " ".join(f"x{i}^{e}" for i, e in space.volume_monomial().exps)
+    vol = " ".join(f"x{i}^{d}" for i, d in enumerate(space.dims))
     print("unit-volume monomial:", vol)
 
     chart = restrict(space, eliminated=0)

@@ -1,14 +1,16 @@
 """Built-in parametric families with their designated critical points.
 
-Each entry bundles a model (structural-constant data, or a pre-reduced chart
-when only the reduced form is known), the critical point in chart
-coordinates, the Hessian-kernel direction to probe along, and the expected
-third derivative in closed form.  Four families are provided:
+Each entry bundles a space (summand dimensions, Casimir coefficients and
+structural constants), its chart on the unit-volume slice from
+chart.restrict, the critical point in chart coordinates, the Hessian-kernel
+direction to probe along, and the expected third derivative in closed form.
+Four families are provided:
 
   e6_su2_so6      two-summand quotient of E6; one chart variable
   su_n            the compact unitary group, n >= 3, as a three-summand space
-  su2n_mod_spn    the quaternionic quotient SU(2n)/Sp(n), n >= 3, in reduced
-                  form at its irrational unit-volume normalizer a
+  su2n_mod_spn    the quaternionic quotient SU(2n)/Sp(n), n >= 3, as a
+                  three-summand space, at its irrational unit-volume
+                  normalizer a
   so2n_flag       the full flag manifold SO(2n)/T^n, n >= 4, collapsed to the
                   two-parameter subfamily that carries the computation
 
@@ -27,7 +29,6 @@ from typing import Mapping
 
 from .chart import SliceChart, restrict
 from .probe import CurveSpec
-from .signomial import Signomial
 from .space import HomogeneousSpace, space_from_dict, _as_array, _as_fraction, _as_int
 
 FAMILIES: dict[str, dict] = {
@@ -58,7 +59,7 @@ class ParameterRangeError(ValueError):
 class CatalogEntry:
     family: str
     n: "int | None"
-    space: "HomogeneousSpace | None"
+    space: HomogeneousSpace
     chart: SliceChart
     critical_point: tuple
     kernel_direction: tuple
@@ -122,34 +123,23 @@ def so2n_flag_space(n: int) -> HomogeneousSpace:
     )
 
 
+def su2n_space(n: int) -> HomogeneousSpace:
+    """SU(2n)/Sp(n) presented by a group one rank down, with Q divided by
+    4(2n-1): every b_k and [ijk] of the table b = 1, [011] = n-2, [112] = 1
+    is multiplied by 4(2n-1)."""
+    c = 4 * (2 * n - 1)
+    return HomogeneousSpace(
+        name=f"su{2 * n}_mod_sp{n}",
+        dims=((2 * n - 1) * (n - 2), 4 * (n - 1), 1),
+        b=(c, c, c),
+        triples={(0, 1, 1): Fraction(c * (n - 2)), (1, 1, 2): Fraction(c)},
+    )
+
+
 def su2n_volume_normalizer(n: int) -> float:
     """The scale a with unit volume at the symmetric metric (a, a/2, na/(2n-1))."""
     return float(Fraction(16 * n, (2 * n - 1) * 16 ** n)) ** (
         1.0 / (n + 1 - 2 * n * n)
-    )
-
-
-def su2n_reduced_chart(n: int) -> SliceChart:
-    """Reduced scalar curvature of SU(2n)/Sp(n) with the one-dimensional
-    summand eliminated; only this reduced form is modeled, the full
-    three-summand constant table is not reconstructible from it."""
-    d1 = (2 * n - 1) * (n - 2)
-    d2 = 4 * (n - 1)
-    c = Fraction(2 * n - 1)
-    reduced = Signomial.from_terms(
-        2,
-        [
-            (c * 4 * (n - 1) * (n - 2), {0: -1}),
-            (c * 8 * (n - 1), {1: -1}),
-            (-c * (n - 2), {0: 1, 1: -2}),
-            (-c, {0: -d1, 1: -(4 * n - 2)}),
-        ],
-    )
-    return SliceChart(
-        label=f"su{2 * n}_mod_sp{n}",
-        dims=(d1, d2, 1),
-        eliminated=2,
-        reduced=reduced,
     )
 
 
@@ -195,13 +185,14 @@ def build(family: str, n: "int | None" = None) -> CatalogEntry:
             expected_s3=Fraction(2 * n * n * (n - 1), (n - 2) ** 2),
         )
     # su2n_mod_spn
+    space = su2n_space(n)
     a = su2n_volume_normalizer(n)
     expected = -2.0 * n * n * (n - 2) * (2 * n - 1) * (n - 1) / a ** 4
     return CatalogEntry(
         family=family,
         n=n,
-        space=None,
-        chart=su2n_reduced_chart(n),
+        space=space,
+        chart=restrict(space, eliminated=2),
         critical_point=(a, a / 2.0),
         kernel_direction=(Fraction(1), Fraction(-(n - 2), 4)),
         expected_s3=expected,

@@ -12,10 +12,11 @@ sorted tuple of (variable index, exponent) pairs, which makes it hashable.
 
 Exponents are Fractions rather than ints because eliminating a coordinate
 against a volume constraint (chart.restrict) produces powers like
-x^(n/(n-2)).  All algebra (addition, multiplication, differentiation) is
-exact; only evaluation may leave the rationals, and then the caller chooses
-between the exact path (which raises ExactEvaluationError if an irrational
-power appears) and the float path.
+x^(n/(n-2)).  A signomial is built from (coefficient, exponents) pairs by
+from_terms, and differentiation (partial) is exact; only evaluation may
+leave the rationals, and then the caller chooses between the exact path
+(which raises ExactEvaluationError if an irrational power appears) and the
+float path.
 
 The exact path does no work twice.  eval_exact converts and checks the point
 once per call, not once per term and factor; a coordinate equal to 1
@@ -154,17 +155,6 @@ class Monomial:
             if idx == var:
                 return e
         return _ZERO
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        out = dict(self.exps)
-        for idx, e in other.exps:
-            _accumulate(out, idx, e)
-        return Monomial(out)
-
-    def eval_exact(self, point: Sequence[Rat]) -> Fraction:
-        if self.exps and self.exps[-1][0] >= len(point):
-            raise ValueError(f"point has {len(point)} coordinates, {self!r} needs more")
-        return self._power_product(_exact_point(point))
 
     def _power_product(self, xs: dict[int, Fraction]) -> Fraction:
         """The exact value at a checked point given by its non-unit coordinates."""
@@ -317,20 +307,6 @@ class Signomial:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, arity: int) -> "Signomial":
-        return cls(arity)
-
-    @classmethod
-    def constant(cls, arity: int, value: Rat) -> "Signomial":
-        return cls(arity, {Monomial(): Fraction(value)})
-
-    @classmethod
-    def variable(cls, arity: int, idx: int) -> "Signomial":
-        if not 0 <= idx < arity:
-            raise ValueError(f"variable index {idx} out of range for arity {arity}")
-        return cls(arity, {Monomial({idx: 1}): Fraction(1)})
-
-    @classmethod
     def from_terms(
         cls, arity: int, pairs: Iterable[tuple[Rat, Mapping[int, Rat]]]
     ) -> "Signomial":
@@ -339,43 +315,7 @@ class Signomial:
             _accumulate(acc, Monomial(exps), _fraction(coeff))
         return cls(arity, acc)
 
-    # -- algebra ------------------------------------------------------------
-
-    def _require_same_arity(self, other: "Signomial") -> None:
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
-    def __add__(self, other: "Signomial") -> "Signomial":
-        self._require_same_arity(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            _accumulate(out, m, c)
-        return Signomial(self.arity, out)
-
-    def __neg__(self) -> "Signomial":
-        return Signomial(self.arity, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "Signomial") -> "Signomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Signomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        self._require_same_arity(other)
-        out: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                _accumulate(out, ma.mul(mb), ca * cb)
-        return Signomial(self.arity, out)
-
-    def __rmul__(self, other) -> "Signomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c: Rat) -> "Signomial":
-        c = _fraction(c)
-        return Signomial(self.arity, {m: c * v for m, v in self.terms.items()})
+    # -- differentiation ----------------------------------------------------
 
     def partial(self, var: int) -> "Signomial":
         """Exact partial derivative: c*x^e per term goes to (c*e)*x^(e-1).

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .signomial import Monomial, Rat, Signomial
+from .signomial import Rat, Signomial
 
 TripleKey = tuple[int, int, int]
 
@@ -77,10 +77,6 @@ class HomogeneousSpace:
     def r(self) -> int:
         return len(self.dims)
 
-    @property
-    def dimension(self) -> int:
-        return sum(self.dims)
-
     def validate(self) -> list[str]:
         """Check all type invariants; return a list of violations (empty = ok)."""
         issues: list[str] = []
@@ -133,19 +129,13 @@ class HomogeneousSpace:
         for k in range(r):
             pairs.append((Fraction(self.b[k]) * self.dims[k] / 2, {k: -1}))
         for key, v in self.canonical_triples().items():
+            c = -v / 4
             for i, j, k in set(itertools.permutations(key)):
-                exps: dict[int, Fraction] = {}
-                for idx, delta in ((k, Fraction(1)), (i, Fraction(-1)), (j, Fraction(-1))):
-                    exps[idx] = exps.get(idx, Fraction(0)) + delta
-                pairs.append((-v / 4, exps))
+                exps = {k: 1}
+                exps[i] = exps.get(i, 0) - 1
+                exps[j] = exps.get(j, 0) - 1
+                pairs.append((c, exps))
         return Signomial.from_terms(r, pairs)
-
-    def volume_monomial(self) -> Monomial:
-        """prod x_k^{d_k}; the unit-volume slice is where this equals 1."""
-        issues = self.validate()
-        if issues:
-            raise ValueError("invalid space: " + "; ".join(issues))
-        return Monomial({k: d for k, d in enumerate(self.dims)})
 
 
 # -- structured-text space files ------------------------------------------------

@@ -15,12 +15,13 @@ from homscal.catalog import (
     collapsed_so2n_constants,
     default_entries,
     load_custom,
+    su2n_space,
     su2n_volume_normalizer,
 )
-from homscal.chart import Classification, find_critical_points
+from homscal.chart import Classification, find_critical_points, restrict
 from homscal.probe import CurveSpec, directional_derivatives, probe_chart
 from homscal.signomial import Signomial
-from homscal.space import space_to_dict
+from homscal.space import HomogeneousSpace, space_to_dict
 
 
 def sig(arity, *pairs):
@@ -88,7 +89,8 @@ class TestCollapsedConstants:
                 (F((n - 1) * (n - 2), 2), {1: -1}),
                 (F(-(n - 2), 2), {0: -2, 1: 1}),
             )
-            assert space.scalar_curvature() - display == Signomial.zero(2)
+            # term maps hold no zero coefficient, so equal maps leave no residual
+            assert space.scalar_curvature() == display
 
     def test_oracle_cross_check_at_four(self):
         from homscal.lie_constants import (
@@ -106,7 +108,44 @@ class TestCollapsedConstants:
             collapsed_so2n_constants(3)
 
 
+def su2n_reference_terms(n):
+    """The reduced scalar curvature of SU(2n)/Sp(n), the last summand
+    eliminated, as the closed form it was once typed in by hand."""
+    d1 = (2 * n - 1) * (n - 2)
+    c = F(2 * n - 1)
+    return list(Signomial.from_terms(2, [
+        (c * 4 * (n - 1) * (n - 2), {0: -1}),
+        (c * 8 * (n - 1), {1: -1}),
+        (-c * (n - 2), {0: 1, 1: -2}),
+        (-c, {0: -d1, 1: -(4 * n - 2)}),
+    ]).terms.items())
+
+
 class TestQuaternionicEntry:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_restricted_space_is_the_closed_form_bit_for_bit(self, n):
+        # the float kernels sum in term order, so the order is checked too
+        chart = restrict(su2n_space(n), eliminated=2)
+        assert list(chart.reduced.terms.items()) == su2n_reference_terms(n)
+        assert chart.label == f"su{2 * n}_mod_sp{n}"
+        assert chart.dims == ((2 * n - 1) * (n - 2), 4 * (n - 1), 1)
+        assert chart.eliminated == 2
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_symmetric_metric_is_einstein(self, n):
+        # critical for scal on the unit-volume slice (Einstein) exactly when
+        # x_k * d scal / d x_k / d_k is one value for every k
+        space = su2n_space(n)
+        scal = space.scalar_curvature()
+        metric = (F(2 * n - 1, n), F(2 * n - 1, 2 * n), F(1))
+        for k, d in enumerate(space.dims):
+            assert metric[k] * scal.partial(k).eval_exact(metric) / d == F(-4 * n * n, 2 * n - 1)
+        a = su2n_volume_normalizer(n)
+        inflated = build("su2n_mod_spn", n).chart.inflate((a, a / 2))
+        ratio = inflated[2]  # the metric's last coordinate is 1
+        for x, g in zip(inflated, metric):
+            assert x == pytest.approx(ratio * float(g), rel=1e-12)
+
     def test_normalizer_closed_form_at_three(self):
         assert su2n_volume_normalizer(3) == pytest.approx((1280 / 3) ** (1 / 14), rel=1e-15)
 
@@ -130,6 +169,11 @@ class TestQuaternionicEntry:
 
 
 class TestEntryInvariants:
+    def test_every_chart_is_its_space_restricted(self):
+        for entry in default_entries():
+            assert isinstance(entry.space, HomogeneousSpace)
+            assert entry.chart == restrict(entry.space, entry.chart.eliminated)
+
     def test_gradient_vanishes_at_critical_points(self):
         for entry in default_entries():
             ch = entry.chart

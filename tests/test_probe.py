@@ -260,7 +260,7 @@ class TestFiniteDifferenceOracle:
         assert rel_gap(f3, 24) < 1e-4
 
     def test_constant_chart(self):
-        chart = synthetic_chart(Signomial.constant(1, F(7)))
+        chart = synthetic_chart(Signomial.from_terms(1, [(F(7), {})]))
         s1, s2, s3 = fd_check(chart, CurveSpec(base=(F(1),), direction=(F(1),)))
         assert (s1, s2, s3) == (0.0, 0.0, 0.0)
 

@@ -72,56 +72,17 @@ class TestMonomial:
     def test_zero_exponents_dropped(self):
         assert Monomial({0: 0, 1: 2}).exps == ((1, F(2)),)
 
-    def test_mul_adds_exponents(self):
-        m = Monomial({0: F(1, 2)}).mul(Monomial({0: F(1, 2)}))
-        assert m == Monomial({0: 1})
-
     def test_hashable_key(self):
         assert {Monomial({0: 1}): 1}[Monomial({0: F(2, 2)})] == 1
 
 
 class TestAdd:
-    def test_additive_inverse_cancels(self):
-        f = sig(1, (5, {0: -1}))
-        assert f + (-f) == Signomial.zero(1)
-
     def test_assembles_two_summand_curvature(self):
         # 1/2 (20/x + 40/y) - 10/4 (2/x + x/y^2) collected termwise
-        f = sig(2, (10, {0: -1}), (20, {1: -1}))
-        g = sig(2, (-5, {0: -1}), (F(-5, 2), {0: 1, 1: -2}))
+        f = [(10, {0: -1}), (20, {1: -1})]
+        g = [(-5, {0: -1}), (F(-5, 2), {0: 1, 1: -2})]
         expected = sig(2, (5, {0: -1}), (20, {1: -1}), (F(-5, 2), {0: 1, 1: -2}))
-        assert f + g == expected
-
-    def test_zero_is_identity(self):
-        assert E6_REDUCED + Signomial.zero(1) == E6_REDUCED
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            sig(1, (1, {0: 1})) + sig(2, (1, {0: 1}))
-
-
-class TestMul:
-    def test_half_powers_combine(self):
-        f = sig(1, (1, {0: F(1, 2)}))
-        assert f * f == sig(1, (1, {0: 1}))
-
-    def test_inverse_cancels_variable(self):
-        f = sig(2, (1, {0: -1}))
-        g = sig(2, (1, {0: 1, 1: -2}))
-        assert f * g == sig(2, (1, {1: -2}))
-
-    def test_matches_direct_evaluation(self):
-        # (2/y)(y/x^2) = 2/x^2; both sides at (x, y) = (2, 3) give 1/2
-        f = sig(2, (2, {1: -1}))
-        g = sig(2, (1, {0: -2, 1: 1}))
-        prod = f * g
-        assert prod == sig(2, (2, {0: -2}))
-        point = (F(2), F(3))
-        assert prod.eval_exact(point) == F(1, 2)
-        assert f.eval_exact(point) * g.eval_exact(point) == F(1, 2)
-
-    def test_scalar_multiple(self):
-        assert 3 * E6_REDUCED == E6_REDUCED.scale(3)
+        assert Signomial.from_terms(2, f + g) == expected
 
 
 class TestPartial:
@@ -134,7 +95,7 @@ class TestPartial:
         assert f.partial(0) == sig(1, (F(3, 2), {0: F(1, 2)}))
 
     def test_constant_derivative_vanishes(self):
-        assert Signomial.constant(2, F(7, 3)).partial(1) == Signomial.zero(2)
+        assert sig(2, (F(7, 3), {})).partial(1) == Signomial(2)
 
     def test_partial_is_memoized(self):
         f = sig(2, (3, {0: 2, 1: -1}), (1, {1: F(1, 2)}))
@@ -168,8 +129,8 @@ class TestEval:
         assert E6_REDUCED.eval_exact((F(1),)) == F(45, 2)
 
     def test_empty_signomial(self):
-        assert Signomial.zero(3).eval_exact((F(1), F(2), F(3))) == 0
-        assert Signomial.zero(3).eval_float((0.5, 1.0, 2.0)) == 0.0
+        assert Signomial(3).eval_exact((F(1), F(2), F(3))) == 0
+        assert Signomial(3).eval_float((0.5, 1.0, 2.0)) == 0.0
 
     def test_third_derivative_value(self):
         third = E6_REDUCED.partial(0).partial(0).partial(0)
@@ -349,11 +310,11 @@ class TestExactPoint:
         with pytest.raises(ValueError, match="coordinate 1 is not positive"):
             sig(2, (1, {0: 1})).eval_exact((1, 0))
         with pytest.raises(ValueError, match="coordinate 1 is not positive"):
-            Monomial({0: F(1, 2)}).eval_exact((1, -2))
+            sig(2, (1, {0: F(1, 2)})).eval_exact((1, -2))
 
     def test_short_point_rejected(self):
-        with pytest.raises(ValueError, match="point has 1 coordinates"):
-            Monomial({2: 1}).eval_exact((F(2),))
+        with pytest.raises(ValueError, match="^point has 1 coordinates, arity is 3$"):
+            sig(3, (1, {2: 1})).eval_exact((F(2),))
         with pytest.raises(ValueError, match="arity"):
             self.f.eval_exact((1, 1))
 
@@ -361,7 +322,7 @@ class TestExactPoint:
         root = sig(1, (1, {0: F(1, 2)}))
         assert root.eval_exact((F(1),)) == 1
         assert type(root.eval_exact((1,))) is F
-        assert Monomial({0: F(1, 2)}).eval_exact((True,)) == 1
+        assert sig(1, (1, {0: F(1, 2)})).eval_exact((True,)) == 1
         assert rational_pow(1, F(1, 2)) == 1
         assert self.f.eval_exact((F(4), 1, F(1, 3))) == 2 * 4 + 3 * 9
 
@@ -383,7 +344,7 @@ class TestText:
         assert f.to_text() == "1/3 * x0^2/3 * x1^-1"
 
     def test_zero(self):
-        assert Signomial.zero(2).to_text() == "0"
+        assert Signomial(2).to_text() == "0"
 
 
 # -- property tests ---------------------------------------------------------------
@@ -456,23 +417,9 @@ def test_eval_exact_matches_the_term_sum(f, point):
 
 
 @settings(deadline=None)
-@given(signomials(2))
-def test_add_neg_cancels(f):
-    assert f + (-f) == Signomial.zero(2)
-
-
-@settings(deadline=None)
 @given(signomials(3), st.integers(0, 2), st.integers(0, 2))
 def test_partials_commute(f, i, j):
     assert f.partial(i).partial(j) == f.partial(j).partial(i)
-
-
-@settings(deadline=None)
-@given(signomials(2), signomials(2), st.integers(0, 1))
-def test_product_rule(f, g, i):
-    lhs = (f * g).partial(i)
-    rhs = f.partial(i) * g + f * g.partial(i)
-    assert lhs == rhs
 
 
 @settings(deadline=None)
@@ -559,7 +506,8 @@ class TestCopy:
         m = Monomial({0: F(3, 2), 2: -1})
         c = copier(m)
         assert c == m and hash(c) == hash(m)
-        assert c.eval_exact((F(4), 7, F(1, 2))) == m.eval_exact((F(4), 7, F(1, 2)))
+        point = (F(4), 7, F(1, 2))
+        assert Signomial(3, {c: 1}).eval_exact(point) == Signomial(3, {m: 1}).eval_exact(point) == 16
 
     def test_signomial(self, copier):
         point = (1.3, 0.7)
