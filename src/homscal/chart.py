@@ -8,7 +8,11 @@ an exact signomial: in one pass over the terms of scal, a power x_e^p adds
 p * (-d_k/d_e) to the exponent of each retained x_k, and the indices above e
 shift down by one.
 
-Critical points of the reduced function are Einstein metrics.  At a critical
+Critical points of the reduced function are Einstein metrics.  The
+multi-start Newton search finds them; each damped Newton step runs as one
+generated function per chart, written with the term statements that also
+serve the signomial kernels and the flow's RK4 attempt
+(signomial._partial_sums), and cached per shape.  At a critical
 point the Hessian spectrum decides between a strict local maximum candidate,
 a saddle, and the degenerate case (semidefinite with kernel) that second
 order information cannot settle; degenerate points are referred to the probe
@@ -18,15 +22,17 @@ module for a third-order verdict.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .signomial import Signomial
+from .signomial import Signomial, _define, _partial_sums, _shape
 from .space import HomogeneousSpace
 
 # |eigenvalue| at most KERNEL_TOL times the Hessian's scale counts as kernel
@@ -256,34 +262,82 @@ def _newton_direction(hess: list[list[float]], grad: list[float]) -> list[float]
     return delta.tolist()
 
 
-def _newton_step(chart: SliceChart, u: list[float], grad: list[float], gnorm: float):
-    """One damped Newton step from u, whose gradient grad and norm gnorm the
-    caller holds: (trial, its gradient, its norm), or None when no step is possible.
+@functools.lru_cache(maxsize=256)
+def _newton_template(arity: int, hessian_shape: tuple, gradient_shape: tuple):
+    """Compile one damped Newton step for charts of one shape (see
+    signomial._shape): (u, g, gnorm, constants) -> (trial, its gradient,
+    its norm), or None when no step is possible.
 
-    Points, gradients and the direction are lists of floats; each trial
-    coordinate is x + damp * d, the operation order of the array expression
-    u + damp * delta.  The step is halved until the iterate is strictly
-    positive and the gradient norm decreases; without the second condition
-    the near-singular Hessian at a degenerate point throws iterates out of
-    the basin.
+    u is the iterate as a list, g its gradient and gnorm that gradient's
+    norm.  The constants are the Hessian kernel's (k0, k1, ...), then the
+    gradient kernel's (m0, m1, ...).  The Hessian at u and each trial's
+    gradient are written out with the kernels' own term statements, so
+    every double is the one the kernels would return; the direction is
+    _newton_direction's and the norm has the bits of vector_norm.  Each
+    trial coordinate is x + damp * d, the operation order of the array
+    expression u + damp * delta.  The step is halved until the trial is
+    strictly positive and its gradient norm is below gnorm; without the
+    second condition the near-singular Hessian at a degenerate point throws
+    iterates out of the basin.
     """
-    f = chart.reduced
-    delta = _newton_direction(f.hessian_float(u), grad)
-    if not all(math.isfinite(d) for d in delta) or not any(delta):
-        return None
-    damp, last = 1.0, None
-    for _ in range(60):
-        trial = [x + damp * d for x, d in zip(u, delta)]
-        if trial == u:
-            break  # every shorter step rounds to u as well
-        # a trial that rounds to the last one was already rejected
-        if trial != last and min(trial) > 0:
-            tgrad = f.partials_float(trial, 1)
-            tnorm = vector_norm(tgrad)
-            if math.isfinite(tnorm) and tnorm < gnorm:
-                return trial, tgrad, tnorm
-        damp, last = damp * 0.5, trial
-    return None
+
+    def coords(name: str) -> str:
+        return ", ".join(f"{name}{i}" for i in range(arity))
+
+    upper = {}
+    for n, (i, j) in enumerate(itertools.combinations_with_replacement(range(arity), 2)):
+        upper[i, j] = upper[j, i] = n
+    matrix = ", ".join(f"[{', '.join(f'h{upper[i, j]}' for j in range(arity))}]" for i in range(arity))
+    finite = " and ".join(f"isfinite(d{i})" for i in range(arity)) or "True"
+    nonzero = " or ".join(f"d{i}" for i in range(arity)) or "False"
+    hessian, k_count = _partial_sums(hessian_shape, "h", "u", "k")
+    gradient, m_count = _partial_sums(gradient_shape, "t", "p", "m")
+    norm = "sqrt(t0 * t0)" if arity == 1 else f"vector_norm([{coords('t')}])"
+    lines = [
+        f"    [{coords('u')}] = u",
+        *hessian,
+        f"    [{coords('d')}] = _newton_direction([{matrix}], g)",
+        f"    if not ({finite}) or not ({nonzero}):",
+        "        return None",
+        "    damp, last = 1.0, None",
+        "    for _ in range(60):",
+        f"        trial = [{', '.join(f'u{i} + damp * d{i}' for i in range(arity))}]",
+        "        if trial == u:",
+        "            break  # every shorter step rounds to u as well",
+        "        # a trial that rounds to the last one was already rejected",
+        "        if trial != last and min(trial) > 0:",
+        f"            [{coords('p')}] = trial",
+        *(f"        {line}" for line in gradient),
+        f"            tnorm = {norm}",
+        "            if isfinite(tnorm) and tnorm < gnorm:",
+        f"                return trial, [{coords('t')}], tnorm",
+        "        damp, last = damp * 0.5, trial",
+        "    return None",
+    ]
+    params = "".join(f", k{n}" for n in range(k_count)) + "".join(f", m{n}" for n in range(m_count))
+    names = {"_newton_direction": _newton_direction, "isfinite": math.isfinite,
+             "sqrt": math.sqrt, "vector_norm": vector_norm}
+    return _define("newton_step", f"u, g, gnorm{params}", lines,
+                   f"<newton step, arity {arity}>", names)
+
+
+def _compiled_newton_step(reduced: Signomial):
+    """The compiled damped Newton step of one reduced function: the template
+    of its Hessian's and gradient's shapes, with the constants of its
+    memoized Hessian and gradient kernels as the defaults after (u, g, gnorm).
+    A coefficient beyond the range of a double raises OverflowError here,
+    naming its partial."""
+    hessian, gradient = reduced._kernel(2, False), reduced._kernel(1, False)
+    m = reduced.arity
+    template = _newton_template(
+        m,
+        _shape(reduced.derivative(a) for a in itertools.combinations_with_replacement(range(m), 2)),
+        _shape(reduced.partial(i) for i in range(m)),
+    )
+    return types.FunctionType(
+        template.__code__, template.__globals__, "newton_step",
+        hessian.__defaults__ + gradient.__defaults__,
+    )
 
 
 def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] | None":
@@ -313,25 +367,36 @@ def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] |
 def _newton_converge(chart: SliceChart, u: list[float]) -> "list[float] | None":
     """Newton steps until the gradient norm is below 1e-12, at most 100, then
     polish steps while the norm keeps falling; None if the iteration fails.
-    Each iterate carries its gradient from the step that accepted it."""
-    grad = chart.reduced.partials_float(u, 1)
-    if not all(math.isfinite(g) for g in grad):
-        return None
-    gnorm = vector_norm(grad)
-    for _ in range(100):
-        if gnorm < 1e-12:
-            break
-        step = _newton_step(chart, u, grad, gnorm)
-        if step is None:
+    Each iterate carries its gradient from the step that accepted it.
+
+    The step is compiled once per call, before the iteration, so a
+    coefficient beyond the range of a double raises OverflowError naming
+    its partial; an iterate at which a term overflows a float fails the
+    start.  The step and the kernels share _partial_sums' term statements.
+    """
+    reduced = chart.reduced
+    step = _compiled_newton_step(reduced)
+    try:
+        grad = reduced.partials_float(u, 1)
+        if not all(math.isfinite(g) for g in grad):
             return None
-        u, grad, gnorm = step
-    else:
+        gnorm = vector_norm(grad)
+        for _ in range(100):
+            if gnorm < 1e-12:
+                break
+            taken = step(u, grad, gnorm)
+            if taken is None:
+                return None
+            u, grad, gnorm = taken
+        else:
+            return None
+        for _ in range(12):
+            taken = step(u, grad, gnorm)
+            if taken is None:
+                break
+            u, grad, gnorm = taken
+    except OverflowError:
         return None
-    for _ in range(12):
-        step = _newton_step(chart, u, grad, gnorm)
-        if step is None:
-            break
-        u, grad, gnorm = step
     return u
 
 
@@ -348,23 +413,24 @@ def newton_critical(chart: SliceChart, start: Sequence[float]) -> "np.ndarray | 
     that converges.  The gradient is evaluated once per point: at the start
     and at each damping trial that rounds to a new point; an accepted trial
     keeps its gradient as the next iterate's.
-    The iteration runs on lists of floats with Signomial.partials_float(u, 1)
-    and Signomial.hessian_float; numpy serves only the solve and the norm with
-    two or more unknowns, where plain floats cannot reproduce LAPACK's bits,
-    and a 1x1 solve that the division -g / h cannot settle.  Every iterate has
-    the bits of the ndarray iteration.
+    The iteration runs on lists of floats.  The start's gradient comes from
+    Signomial.partials_float(u, 1); each step, its Hessian and its trials'
+    gradients run as one generated function per chart, written with the
+    kernels' term statements (signomial._partial_sums) and cached per shape.
+    numpy serves only the solve and the norm with two or more unknowns, where
+    plain floats cannot reproduce LAPACK's bits, and a 1x1 solve that the
+    division -g / h cannot settle.  Every iterate has the bits of the ndarray
+    iteration.
     A start whose iterates overflow a float in a term has failed; a gradient
     norm that overflows is inf, which the step damping already treats as no
-    progress.
+    progress.  A coefficient beyond the range of a double raises
+    OverflowError naming its partial.
     """
     u = [float(x) for x in start]
     if len(u) != chart.arity or not all(0 < x < math.inf for x in u):
         raise ValueError("start must be a finite, strictly positive chart point")
-    try:
-        with np.errstate(over="ignore"):
-            u = _newton_converge(chart, u)
-    except OverflowError:
-        return None
+    with np.errstate(over="ignore"):
+        u = _newton_converge(chart, u)
     if u is None:
         return None
     snapped = exact_snap(chart, u)

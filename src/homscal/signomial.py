@@ -34,8 +34,9 @@ an (order, absolute) pair on a signomial compiles its kernel, which every
 call runs from then on: one generated Python function whose body writes out
 the term sum of every partial, one statement per term (sum from 0.0 in term
 order, product of scalar powers left to right).  Those statements have one
-source, _partial_sums, which the flow's compiled RK4 attempt shares with the
-kernels, as it shares _shape and _define.  The generated source holds
+source, _partial_sums, which serves the kernels, the flow's compiled RK4
+attempt and the chart's compiled Newton step, as _shape and _define serve
+all three.  The generated source holds
 only integer indices, the arity and generated names; the coefficients and
 exponents, converted to doubles from derivative(alpha) when the kernel is
 built, are bound as the kernel's parameter defaults.  The compiled code is
@@ -228,9 +229,10 @@ def _partial_sums(shape: tuple, target: str, point: str, const: str) -> tuple[li
     return lines, next(names)
 
 
-def _define(name: str, params: str, lines: list[str], filename: str):
-    """Compile `def name(params):` with the given body lines and return it."""
-    namespace: dict = {}
+def _define(name: str, params: str, lines: list[str], filename: str, names: Mapping | None = None):
+    """Compile `def name(params):` with the given body lines and return it;
+    names are the globals the body reads besides the builtins."""
+    namespace = dict(names or {})
     exec(compile("\n".join([f"def {name}({params}):", *lines]), filename, "exec"), namespace)
     return namespace[name]
 

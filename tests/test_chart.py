@@ -1,6 +1,7 @@
 """Slice charts: restriction, eigensolver, Newton search, classification."""
 
 import ast
+import dis
 import itertools
 import math
 import warnings
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import homscal.chart as chart_mod
 from homscal.catalog import build, default_entries, e6_space, so2n_flag_space, su_n_space
@@ -424,6 +425,13 @@ class TestNewton:
             assert newton_critical(chart, (4.0,)) is None
             assert find_critical_points(chart) == []
 
+    def test_coefficient_beyond_a_double_names_its_partial(self):
+        # f = 1e400 x^2 is exact, but the step's Hessian coefficient is not a
+        # double: that is an error in the chart, not a failed start
+        chart = synthetic_chart(sig(1, (10 ** 400, {0: 2})))
+        with pytest.raises(OverflowError, match=r"partial \(0, 0\) of order 2 has coefficient 2e\+400"):
+            newton_critical(chart, (1.0,))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_start_rejected(self, bad):
         chart = restrict(su_n_space(4))
@@ -606,6 +614,10 @@ NEWTON_CHARTS = {
     "two-4-9": _two_summand((4, 9), {(0, 1, 1): F(2)}),
     "two-7-7": _two_summand((7, 7), {(0, 0, 1): F(2), (0, 1, 1): F(1)}),
     "two-8-3": _two_summand((8, 3), {(0, 0, 1): F(2)}),
+    # arity 3, so the step solves with numpy: one LocalMaxCandidate near
+    # (0.876, 1.141, 1.141)
+    "four-1-1-1-1": restrict(HomogeneousSpace(name="four", dims=(1, 1, 1, 1),
+                                              triples={(0, 1, 2): F(1), (1, 2, 3): F(1)})),
 }
 GRID = np.exp(np.linspace(math.log(0.25), math.log(4.0), 5))
 
@@ -700,3 +712,99 @@ class TestSearchLabelsOnce:
         points = find_critical_points(chart)
         assert points
         assert {cp.coords for cp in points} <= {cp.coords for cp in labels}
+
+
+# -- the compiled Newton step against the list-based step it replaced ---------------
+
+
+def _list_newton_step(chart, u, grad, gnorm):
+    """One damped Newton step from u on lists of floats, with the gradient
+    and the norm of every trial from Signomial.partials_float and
+    vector_norm: (trial, its gradient, its norm), or None when no step is
+    possible.  This is the step as it ran before it was compiled."""
+    f = chart.reduced
+    delta = chart_mod._newton_direction(f.hessian_float(u), grad)
+    if not all(math.isfinite(d) for d in delta) or not any(delta):
+        return None
+    damp, last = 1.0, None
+    for _ in range(60):
+        trial = [x + damp * d for x, d in zip(u, delta)]
+        if trial == u:
+            break
+        if trial != last and min(trial) > 0:
+            tgrad = f.partials_float(trial, 1)
+            tnorm = chart_mod.vector_norm(tgrad)
+            if math.isfinite(tnorm) and tnorm < gnorm:
+                return trial, tgrad, tnorm
+        damp, last = damp * 0.5, trial
+    return None
+
+
+def _step_bits(step, chart, u):
+    """The bits of one step from u with u's gradient and norm, None, or the
+    type of the error the step ended with."""
+    grad = chart.reduced.partials_float(u, 1)
+    try:
+        with np.errstate(all="ignore"):
+            out = step(list(u), grad, chart_mod.vector_norm(grad))
+    except (OverflowError, np.linalg.LinAlgError) as exc:  # lstsq refuses a non-finite matrix
+        return type(exc)
+    if out is None:
+        return None
+    trial, tgrad, tnorm = out
+    return [x.hex() for x in trial], [x.hex() for x in tgrad], tnorm.hex()
+
+
+@st.composite
+def _synthetic_steps(draw):
+    arity = draw(st.integers(0, 3))
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    pairs = [
+        (draw(rational.filter(bool)),
+         {i: draw(rational) for i in range(arity) if draw(st.booleans())})
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    u = [draw(st.floats(0.25, 4.0)) for _ in range(arity)]
+    return synthetic_chart(Signomial.from_terms(arity, pairs)), u
+
+
+def _powers(fn):
+    """The number of ** operations in a compiled kernel or Newton step
+    (BINARY_POWER before Python 3.11, BINARY_OP ** from 3.11 on)."""
+    return sum(ins.opname == "BINARY_POWER" or (ins.opname == "BINARY_OP" and ins.argrepr == "**")
+               for ins in dis.get_instructions(fn))
+
+
+class TestCompiledStepMatchesListStep:
+    # rational exponents on charts of arity 0 to 3
+    @settings(max_examples=200, deadline=None)
+    @given(_synthetic_steps())
+    @example((synthetic_chart(sig(0, (F(5, 4), {}))), []))
+    # singular Hessian [[-2, 0], [0, 0]]: the least-squares direction (-1, 0)
+    @example((synthetic_chart(sig(2, (-1, {0: 2}), (2, {0: 1}), (1, {1: 1}))), [2.0, 1.0]))
+    # f = x^3 - 3x^2 at 1: a 1x1 system with h = 0
+    @example((synthetic_chart(sig(1, (1, {0: 3}), (-3, {0: 2}))), [1.0]))
+    # the full step lands at -10, outside the orthant
+    @example((synthetic_chart(sig(1, (-10, {0: 1}), (F(-1, 2), {0: 2}))), [1.0]))
+    # next to the maximum at 1 no trial lowers the roundoff gradient, and the
+    # halved trials round to u
+    @example((synthetic_chart(sig(1, (1, {0: F(1, 3)}), (F(-1, 3), {0: 1}))),
+              [float.fromhex("0x1.ffffffffffffcp-1")]))
+    # the gradient 4e159 squares beyond a double: the norm is inf at u and
+    # at every trial, so no trial is progress
+    @example((synthetic_chart(sig(1, (F(-1, 400), {0: -400}))), [0.4]))
+    # the Hessian 399 * 2^-398 sends the trial to about 8e116, where x^399 overflows
+    @example((synthetic_chart(sig(1, (-1, {0: 1}), (F(1, 400), {0: 400}))), [0.5]))
+    def test_same_outcome(self, case):
+        chart, u = case
+        compiled = chart_mod._compiled_newton_step(chart.reduced)
+        assert _step_bits(compiled, chart, u) == _step_bits(
+            lambda *args: _list_newton_step(chart, *args), chart, u
+        )
+
+    @pytest.mark.parametrize("name", sorted(NEWTON_CHARTS))
+    def test_step_writes_each_power_once(self, name):
+        # the Hessian's statements once and the trial gradient's once
+        f = NEWTON_CHARTS[name].reduced
+        step = chart_mod._compiled_newton_step(f)
+        assert _powers(step) == _powers(f._kernel(2, False)) + _powers(f._kernel(1, False))

@@ -606,6 +606,19 @@ class TestCustom:
         assert out == ""
         assert err == f"error: {path}: no critical points found on the slice\n"
 
+    def test_search_with_a_coefficient_beyond_a_double_names_its_partial(self, capsys, tmp_path):
+        # the chart's coefficients are about 1e400: the search stops with the
+        # kernel's own message, not as a search that found nothing
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({
+            "dims": [2, 3], "triples": [{"i": 0, "j": 1, "k": 1, "value": "1e400"}],
+        }))
+        code, out, err = run(capsys, "custom", "--file", str(path), "--search")
+        assert code == 2
+        assert out == ""
+        assert err == ("error: partial (0, 0) of order 2 has coefficient -1e+400, "
+                       "beyond the range of a double\n")
+
     def test_hinted_search_that_finds_nothing_is_usage_error(self, capsys, tmp_path,
                                                              monkeypatch):
         path = self.write_e6(tmp_path, critical_point=["1"])
