@@ -10,13 +10,12 @@ shift down by one.
 
 Critical points of the reduced function are Einstein metrics.  The
 multi-start Newton search finds them; each damped Newton step runs as one
-generated function per chart, written with the term statements that also
-serve the signomial kernels and the flow's RK4 attempt
-(signomial._partial_sums), and cached per shape.  At a critical
-point the Hessian spectrum decides between a strict local maximum candidate,
-a saddle, and the degenerate case (semidefinite with kernel) that second
-order information cannot settle; degenerate points are referred to the probe
-module for a third-order verdict.
+generated function with the kernels' term statements, bound once per chart
+by Signomial._compiled.  At a critical point the Hessian spectrum decides
+between a strict local maximum candidate, a saddle, and the degenerate case
+(semidefinite with kernel) that second order information cannot settle;
+degenerate points are referred to the probe module for a third-order
+verdict.
 """
 
 from __future__ import annotations
@@ -25,14 +24,13 @@ import enum
 import functools
 import itertools
 import math
-import types
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .signomial import Signomial, _define, _partial_sums, _shape
+from .signomial import Signomial, _define, _names, _partial_sums
 from .space import HomogeneousSpace
 
 # |eigenvalue| at most KERNEL_TOL times the Hessian's scale counts as kernel
@@ -115,11 +113,14 @@ def jacobi_eigh(matrix: np.ndarray):
 
     Sweeps run until the largest off-diagonal entry falls below 1e-13 times
     the largest entry of the input, at most 60 sweeps.  Returns (eigenvalues
-    ascending, eigenvector columns in matching order).
+    ascending, eigenvector columns in matching order).  A matrix that is not
+    square, not finite or not symmetric is a ValueError.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has a non-finite entry")
     scale = np.abs(a).max(initial=0.0)
     if np.abs(a - a.T).max(initial=0.0) > 1e-12 * max(1.0, scale):
         raise ValueError("matrix is not symmetric")
@@ -179,8 +180,9 @@ class CriticalPoint:
         times the cancellation scale of the gradient entries.
         DEGENERATE means the Hessian is negative semidefinite with kernel:
         not settled at second order, probe along the kernel.  A point where a
-        term overflows a float, or where overflowing terms cancel to a NaN
-        gradient or Hessian entry, is a ValueError.
+        term overflows a float, or where a gradient or Hessian entry is not
+        finite (a sum that overflows, or overflowing terms that cancel to a
+        NaN), is a ValueError.
         """
         coords = tuple(float(x) for x in point)
         if not all(0 < x < math.inf for x in coords):
@@ -189,8 +191,8 @@ class CriticalPoint:
         try:
             grad = f.partials_float(coords, 1)
             hess = f.hessian_float(coords)
-            # terms that overflow to +-inf and cancel leave a NaN partial
-            if any(map(math.isnan, grad)) or any(math.isnan(h) for row in hess for h in row):
+            # an overflowing sum is +-inf; overflowing terms that cancel, NaN
+            if not all(map(math.isfinite, grad + [h for row in hess for h in row])):
                 raise OverflowError
             grad_norm = math.hypot(*grad)
             grad_scale = math.hypot(*f.partials_float(coords, 1, absolute=True))
@@ -266,37 +268,33 @@ def _newton_direction(hess: list[list[float]], grad: list[float]) -> list[float]
 def _newton_template(arity: int, hessian_shape: tuple, gradient_shape: tuple):
     """Compile one damped Newton step for charts of one shape (see
     signomial._shape): (u, g, gnorm, constants) -> (trial, its gradient,
-    its norm), or None when no step is possible.
+    its norm), or None when no step is possible.  Bound per chart by
+    Signomial._compiled(_newton_template, 2, 1).
 
     u is the iterate as a list, g its gradient and gnorm that gradient's
-    norm.  The constants are the Hessian kernel's (k0, k1, ...), then the
-    gradient kernel's (m0, m1, ...).  The Hessian at u and each trial's
-    gradient are written out with the kernels' own term statements, so
-    every double is the one the kernels would return; the direction is
-    _newton_direction's and the norm has the bits of vector_norm.  Each
-    trial coordinate is x + damp * d, the operation order of the array
-    expression u + damp * delta.  The step is halved until the trial is
-    strictly positive and its gradient norm is below gnorm; without the
-    second condition the near-singular Hessian at a degenerate point throws
-    iterates out of the basin.
+    norm.  The constants are the Hessian kernel's, then the gradient
+    kernel's.  The Hessian at u and each trial's gradient are written out
+    with the kernels' own term statements, so every double is the one the
+    kernels would return; the direction is _newton_direction's and the norm
+    has the bits of vector_norm.  Each trial coordinate is x + damp * d, the
+    operation order of the array expression u + damp * delta.  The step is
+    halved until the trial is strictly positive and its gradient norm is
+    below gnorm; without the second condition the near-singular Hessian at a
+    degenerate point throws iterates out of the basin.
     """
-
-    def coords(name: str) -> str:
-        return ", ".join(f"{name}{i}" for i in range(arity))
-
     upper = {}
     for n, (i, j) in enumerate(itertools.combinations_with_replacement(range(arity), 2)):
         upper[i, j] = upper[j, i] = n
     matrix = ", ".join(f"[{', '.join(f'h{upper[i, j]}' for j in range(arity))}]" for i in range(arity))
     finite = " and ".join(f"isfinite(d{i})" for i in range(arity)) or "True"
     nonzero = " or ".join(f"d{i}" for i in range(arity)) or "False"
-    hessian, k_count = _partial_sums(hessian_shape, "h", "u", "k")
-    gradient, m_count = _partial_sums(gradient_shape, "t", "p", "m")
-    norm = "sqrt(t0 * t0)" if arity == 1 else f"vector_norm([{coords('t')}])"
+    hessian, count = _partial_sums(hessian_shape, "h", "u")
+    gradient, count = _partial_sums(gradient_shape, "t", "p", count)
+    norm = "sqrt(t0 * t0)" if arity == 1 else f"vector_norm([{_names('t', arity)}])"
     lines = [
-        f"    [{coords('u')}] = u",
+        f"    [{_names('u', arity)}] = u",
         *hessian,
-        f"    [{coords('d')}] = _newton_direction([{matrix}], g)",
+        f"    [{_names('d', arity)}] = _newton_direction([{matrix}], g)",
         f"    if not ({finite}) or not ({nonzero}):",
         "        return None",
         "    damp, last = 1.0, None",
@@ -306,38 +304,18 @@ def _newton_template(arity: int, hessian_shape: tuple, gradient_shape: tuple):
         "            break  # every shorter step rounds to u as well",
         "        # a trial that rounds to the last one was already rejected",
         "        if trial != last and min(trial) > 0:",
-        f"            [{coords('p')}] = trial",
+        f"            [{_names('p', arity)}] = trial",
         *(f"        {line}" for line in gradient),
         f"            tnorm = {norm}",
         "            if isfinite(tnorm) and tnorm < gnorm:",
-        f"                return trial, [{coords('t')}], tnorm",
+        f"                return trial, [{_names('t', arity)}], tnorm",
         "        damp, last = damp * 0.5, trial",
         "    return None",
     ]
-    params = "".join(f", k{n}" for n in range(k_count)) + "".join(f", m{n}" for n in range(m_count))
     names = {"_newton_direction": _newton_direction, "isfinite": math.isfinite,
              "sqrt": math.sqrt, "vector_norm": vector_norm}
-    return _define("newton_step", f"u, g, gnorm{params}", lines,
+    return _define("newton_step", "u, g, gnorm", count, lines,
                    f"<newton step, arity {arity}>", names)
-
-
-def _compiled_newton_step(reduced: Signomial):
-    """The compiled damped Newton step of one reduced function: the template
-    of its Hessian's and gradient's shapes, with the constants of its
-    memoized Hessian and gradient kernels as the defaults after (u, g, gnorm).
-    A coefficient beyond the range of a double raises OverflowError here,
-    naming its partial."""
-    hessian, gradient = reduced._kernel(2, False), reduced._kernel(1, False)
-    m = reduced.arity
-    template = _newton_template(
-        m,
-        _shape(reduced.derivative(a) for a in itertools.combinations_with_replacement(range(m), 2)),
-        _shape(reduced.partial(i) for i in range(m)),
-    )
-    return types.FunctionType(
-        template.__code__, template.__globals__, "newton_step",
-        hessian.__defaults__ + gradient.__defaults__,
-    )
 
 
 def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] | None":
@@ -369,13 +347,13 @@ def _newton_converge(chart: SliceChart, u: list[float]) -> "list[float] | None":
     polish steps while the norm keeps falling; None if the iteration fails.
     Each iterate carries its gradient from the step that accepted it.
 
-    The step is compiled once per call, before the iteration, so a
+    The chart's bound step is fetched before the iteration, so a
     coefficient beyond the range of a double raises OverflowError naming
     its partial; an iterate at which a term overflows a float fails the
-    start.  The step and the kernels share _partial_sums' term statements.
+    start.
     """
     reduced = chart.reduced
-    step = _compiled_newton_step(reduced)
+    step = reduced._compiled(_newton_template, 2, 1)
     try:
         grad = reduced.partials_float(u, 1)
         if not all(math.isfinite(g) for g in grad):
@@ -415,8 +393,8 @@ def newton_critical(chart: SliceChart, start: Sequence[float]) -> "np.ndarray | 
     keeps its gradient as the next iterate's.
     The iteration runs on lists of floats.  The start's gradient comes from
     Signomial.partials_float(u, 1); each step, its Hessian and its trials'
-    gradients run as one generated function per chart, written with the
-    kernels' term statements (signomial._partial_sums) and cached per shape.
+    gradients run as one generated function with the kernels' term
+    statements, bound once per chart (Signomial._compiled).
     numpy serves only the solve and the norm with two or more unknowns, where
     plain floats cannot reproduce LAPACK's bits, and a 1x1 solve that the
     division -g / h cannot settle.  Every iterate has the bits of the ndarray

@@ -6,27 +6,25 @@ and the integrator enforces that property per step up to a small tolerance;
 the module's claims are monotonicity and escape from degenerate critical
 points, nothing more.  The gradient at each accepted point comes from the
 chart's own float evaluator, Signomial.partials_float(u, 1) on
-chart.reduced.  Each RK4 attempt from u runs as one generated function per
-chart: its three stage points, their positivity checks and gradients, the
-endpoint and the endpoint's value, written out with the statements of the
-signomial kernels (signomial._partial_sums) and run with the constants of
-the chart's memoized gradient and value kernels.  Its code is cached per
-shape, like the kernels'.  Each coordinate is formed in the operation order
-of the array expression (u + 0.5*h*k and so on), so the integrator takes
-the same doubles an ndarray RK4 would, and every recorded value equals
-chart.reduced.eval_float at the recorded point.
+chart.reduced.  Each RK4 attempt from u runs as one generated function: its
+three stage points, their positivity checks and gradients, the endpoint and
+the endpoint's value, written out with the kernels' term statements and
+bound once per chart by Signomial._compiled to the constants of the chart's
+gradient and value kernels.  Each coordinate is formed in the operation
+order of the array expression (u + 0.5*h*k and so on), so the integrator
+takes the same doubles an ndarray RK4 would, and every recorded value
+equals chart.reduced.eval_float at the recorded point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import types
 from dataclasses import dataclass
 from typing import Sequence
 
 from .chart import SliceChart, vector_norm
-from .signomial import Signomial, _define, _partial_sums, _shape
+from .signomial import _define, _names, _partial_sums
 
 
 class FlowError(RuntimeError):
@@ -52,14 +50,15 @@ class Trajectory:
 def _rk4_template(arity: int, gradient_shape: tuple, value_shape: tuple):
     """Compile one RK4 attempt for charts of one shape (see signomial._shape):
     (u, k1, h, constants) -> (endpoint, value there), or None when a stage
-    point or the endpoint is not positive.
+    point or the endpoint is not positive.  Bound per chart by
+    Signomial._compiled(_rk4_template, 1, 0).
 
-    The constants are the gradient kernel's (k0, k1, ...), then the value
-    kernel's (m0, m1, ...).  Each coordinate is formed in the operation
-    order of the array expressions u + half*k, u + h*k and
-    u + sixth*(k1 + 2*k2 + 2*k3 + k4), and the three stage gradients and the
-    endpoint's value are written out with the kernels' own term statements,
-    so every double is the one the kernels would return.
+    The constants are the gradient kernel's, then the value kernel's.  Each
+    coordinate is formed in the operation order of the array expressions
+    u + half*k, u + h*k and u + sixth*(k1 + 2*k2 + 2*k3 + k4), and the three
+    stage gradients and the endpoint's value are written out with the
+    kernels' own term statements, so every double is the one the kernels
+    would return.
     """
 
     def point(name: str, increment: str) -> list[str]:
@@ -71,20 +70,17 @@ def _rk4_template(arity: int, gradient_shape: tuple, value_shape: tuple):
             "        return None",
         ]
 
-    def coords(name: str) -> str:
-        return ", ".join(f"{name}{i}" for i in range(arity))
-
-    lines = [f"    [{coords('u')}] = u", f"    [{coords('a')}] = g", "    half = 0.5 * h"]
+    lines = [f"    [{_names('u', arity)}] = u", f"    [{_names('a', arity)}] = g",
+             "    half = 0.5 * h"]
     for name, increment, slope in (("p", "half * a{i}", "b"), ("q", "half * b{i}", "c"),
                                    ("r", "h * c{i}", "d")):
-        gradient, k_count = _partial_sums(gradient_shape, slope, name, "k")
+        gradient, count = _partial_sums(gradient_shape, slope, name)
         lines += point(name, increment) + gradient
     lines.append("    sixth = h / 6.0")
     lines += point("x", "sixth * (a{i} + 2 * b{i} + 2 * c{i} + d{i})")
-    value, m_count = _partial_sums(value_shape, "v", "x", "m")
-    lines += [*value, f"    return [{coords('x')}], v0"]
-    params = "".join(f", k{n}" for n in range(k_count)) + "".join(f", m{n}" for n in range(m_count))
-    return _define("rk4", f"u, g, h{params}", lines, f"<rk4 attempt, arity {arity}>")
+    value, count = _partial_sums(value_shape, "v", "x", count)
+    lines += [*value, f"    return [{_names('x', arity)}], v0"]
+    return _define("rk4", "u, g, h", count, lines, f"<rk4 attempt, arity {arity}>")
 
 
 def _gradient_small(g: list[float]) -> bool:
@@ -94,22 +90,6 @@ def _gradient_small(g: list[float]) -> bool:
     may fall on either side of it."""
     norm = math.hypot(*g)
     return (vector_norm(g) if 0.999e-10 <= norm <= 1.001e-10 else norm) < 1e-10
-
-
-def _rk4_attempt(reduced: Signomial):
-    """The compiled RK4 attempt of one reduced function: the template of its
-    gradient's and value's shapes, with the constants of its memoized
-    gradient and value kernels as the defaults after (u, k1, h)."""
-    gradient, value = reduced._kernel(1, False), reduced._kernel(0, False)
-    template = _rk4_template(
-        reduced.arity,
-        _shape(reduced.partial(i) for i in range(reduced.arity)),
-        _shape([reduced]),
-    )
-    return types.FunctionType(
-        template.__code__, template.__globals__, "rk4",
-        gradient.__defaults__ + value.__defaults__,
-    )
 
 
 def integrate_ascent(
@@ -133,9 +113,10 @@ def integrate_ascent(
     from u, and each attempt evaluates three stage gradients and, once its
     endpoint is positive, the value there, so an accepted step without
     rejections costs four gradient evaluations.  The stop test has the
-    decisions of np.linalg.norm(g) < 1e-10 (see _gradient_small).  A start that is not a finite positive chart point, a
-    region that does not give one interval per chart coordinate, or a step
-    that is not finite and > 0 raises ValueError.
+    decisions of np.linalg.norm(g) < 1e-10 (see _gradient_small).  A start
+    that is not a finite positive chart point, a region that does not give
+    one interval per chart coordinate, or a step that is not finite and > 0
+    raises ValueError.
     """
     reduced = chart.reduced
     f, partials = reduced.eval_float, reduced.partials_float
@@ -162,7 +143,7 @@ def integrate_ascent(
     t = 0.0
     # built after the value kernel and only when a step is taken, so a
     # coefficient beyond a double raises where the gradient kernel would
-    rk4 = _rk4_attempt(reduced) if max_steps > 0 else None
+    rk4 = reduced._compiled(_rk4_template, 1, 0) if max_steps > 0 else None
 
     reason = "budget"
     for _ in range(max_steps):

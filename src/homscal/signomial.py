@@ -34,14 +34,14 @@ an (order, absolute) pair on a signomial compiles its kernel, which every
 call runs from then on: one generated Python function whose body writes out
 the term sum of every partial, one statement per term (sum from 0.0 in term
 order, product of scalar powers left to right).  Those statements have one
-source, _partial_sums, which serves the kernels, the flow's compiled RK4
-attempt and the chart's compiled Newton step, as _shape and _define serve
-all three.  The generated source holds
-only integer indices, the arity and generated names; the coefficients and
-exponents, converted to doubles from derivative(alpha) when the kernel is
-built, are bound as the kernel's parameter defaults.  The compiled code is
-cached per shape (the arity and the variable indices of each term), so
-charts of one structure compile once.
+source, _partial_sums, and the generated functions one binder, this module:
+_kernel binds a kernel, and _compiled(template, *orders) binds the chart's
+Newton step and the flow's RK4 attempt to those orders' kernel constants,
+each memoized on the signomial.  The generated source holds only integer
+indices, the arity and generated names; the coefficients and exponents,
+converted to doubles from derivative(alpha) when a kernel is built, are
+parameter defaults.  Templates are cached per shape (the arity and the
+variable indices of each term), so charts of one structure compile once.
 """
 
 from __future__ import annotations
@@ -208,32 +208,40 @@ def _shape(partials: Iterable["Signomial"]) -> tuple:
     return tuple(tuple(tuple(i for i, _ in m.exps) for m in p.terms) for p in partials)
 
 
-def _partial_sums(shape: tuple, target: str, point: str, const: str) -> tuple[list[str], int]:
-    """The statements that sum every partial of shape at the coordinates
-    point0, point1, ...: the number of constants they use, and per partial j
-    `target{j} = 0.0`, then one statement per term,
-    `target{j} += const0 * (point0 ** const1 * point1 ** const2)`.
+def _names(prefix: str, count: int) -> str:
+    """`prefix0, prefix1, ...`, count names; empty for none."""
+    return ", ".join(f"{prefix}{i}" for i in range(count))
 
-    The constants are numbered from 0 in term order, per term its
+
+def _partial_sums(shape: tuple, target: str, point: str, first: int = 0) -> tuple[list[str], int]:
+    """The statements that sum every partial of shape at the coordinates
+    point0, point1, ...: the number after the last constant they use, and per
+    partial j `target{j} = 0.0`, then one statement per term,
+    `target{j} += k{first} * (point0 ** k{first+1} * ...)`.
+
+    One counter numbers the constants from first in term order, per term its
     coefficient, then the exponent of each factor.  The product of scalar
     powers runs left to right from 1.0, since 1.0 * a == a, and no
     expression nests deeper than the arity however many terms there are.
     """
-    lines, names = [], itertools.count()
+    lines, names = [], itertools.count(first)
     for j, form in enumerate(shape):
         lines.append(f"    {target}{j} = 0.0")
         for indices in form:
             c = next(names)
-            factors = " * ".join(f"{point}{i} ** {const}{next(names)}" for i in indices) or "1.0"
-            lines.append(f"    {target}{j} += {const}{c} * ({factors})")
+            factors = " * ".join(f"{point}{i} ** k{next(names)}" for i in indices) or "1.0"
+            lines.append(f"    {target}{j} += k{c} * ({factors})")
     return lines, next(names)
 
 
-def _define(name: str, params: str, lines: list[str], filename: str, names: Mapping | None = None):
-    """Compile `def name(params):` with the given body lines and return it;
-    names are the globals the body reads besides the builtins."""
+def _define(name: str, params: str, count: int, lines: list[str], filename: str,
+            names: Mapping | None = None):
+    """Compile `def name(params, k0, k1, ...):` with count constants and the
+    given body lines and return it; names are the globals the body reads
+    besides the builtins."""
+    signature = ", ".join(filter(None, (params, _names("k", count))))
     namespace = dict(names or {})
-    exec(compile("\n".join([f"def {name}({params}):", *lines]), filename, "exec"), namespace)
+    exec(compile("\n".join([f"def {name}({signature}):", *lines]), filename, "exec"), namespace)
     return namespace[name]
 
 
@@ -258,11 +266,16 @@ def _kernel_template(arity: int, shape: tuple):
             f"    if x{i} <= 0:",
             f"        raise ValueError(f'coordinate {i} is not positive: {{x{i}}}')",
         ]
-    sums, count = _partial_sums(shape, "t", "x", "k")
+    sums, count = _partial_sums(shape, "t", "x")
     lines += sums
-    lines.append(f"    return [{', '.join(f't{t}' for t in range(len(shape)))}]")
-    params = "".join(f", k{n}" for n in range(count))
-    return _define("kernel", f"p{params}", lines, f"<signomial kernel, arity {arity}>")
+    lines.append(f"    return [{_names('t', len(shape))}]")
+    return _define("kernel", "p", count, lines, f"<signomial kernel, arity {arity}>")
+
+
+def _bind(template, constants: tuple):
+    """template's code with constants as the defaults of k0, k1, ..."""
+    code = template.__code__
+    return types.FunctionType(code, template.__globals__, code.co_name, constants)
 
 
 class Signomial:
@@ -413,30 +426,46 @@ class Signomial:
                 k += 1
         return out
 
+    def _of_order(self, order: int) -> list[tuple[tuple, "Signomial"]]:
+        """(alpha, derivative(alpha)) for every partial of one order, in
+        itertools.combinations_with_replacement(range(arity), order) order."""
+        alphas = itertools.combinations_with_replacement(range(self.arity), order)
+        return [(alpha, self.derivative(alpha)) for alpha in alphas]
+
     def _kernel(self, order: int, absolute: bool):
         """The compiled evaluator of every partial of one order: point -> values.
 
         Built on the first request for (order, absolute) and memoized in this
         (immutable) instance's _kernels, which _fill creates empty as it
         does _partials: the template of the partials' shape, with their
-        constants as the defaults of its parameters after the point, in the
-        order the source names them.
+        constants as the defaults of its parameters after the point.
         """
         kernel = self._kernels.get((order, absolute))
         if kernel is None:
-            alphas = itertools.combinations_with_replacement(range(self.arity), order)
-            partials = [(alpha, self.derivative(alpha)) for alpha in alphas]
-            shape = _shape(partial for _, partial in partials)
+            partials = self._of_order(order)
             constants = tuple(
                 value
                 for alpha, partial in partials
                 for value in partial._float_constants(alpha, absolute)
             )
-            template = _kernel_template(self.arity, shape)
-            kernel = self._kernels[order, absolute] = types.FunctionType(
-                template.__code__, template.__globals__, "kernel", constants
-            )
+            template = _kernel_template(self.arity, _shape(partial for _, partial in partials))
+            kernel = self._kernels[order, absolute] = _bind(template, constants)
         return kernel
+
+    def _compiled(self, template, *orders: int):
+        """template(arity, *shapes of the orders' partials) bound to those
+        orders' kernel constants in turn, memoized in _kernels under
+        (template, *orders).  The kernels are built first, in order, so a
+        constant beyond a double raises the first such kernel's
+        OverflowError, and a failed bind memoizes nothing."""
+        key = (template, *orders)
+        bound = self._kernels.get(key)
+        if bound is None:
+            kernels = [self._kernel(order, False) for order in orders]
+            constants = tuple(c for kernel in kernels for c in kernel.__defaults__)
+            shapes = (_shape(partial for _, partial in self._of_order(order)) for order in orders)
+            bound = self._kernels[key] = _bind(template(self.arity, *shapes), constants)
+        return bound
 
     def _float_constants(self, alpha: tuple, absolute: bool) -> list[float]:
         """Per term, in term order: float(c) (|float(c)| with absolute), then

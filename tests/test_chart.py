@@ -253,6 +253,16 @@ class TestJacobiEigensolver:
         with pytest.raises(ValueError):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, entry):
+        # not left to the symmetry check, where inf - inf is a NaN that warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                jacobi_eigh([[entry]])
+            with pytest.raises(ValueError, match="non-finite"):
+                jacobi_eigh([[1.0, 0.0], [0.0, entry]])
+
     def test_empty_matrix_has_empty_eigenpairs(self):
         vals, vecs = jacobi_eigh(np.zeros((0, 0)))
         assert vals.shape == (0,) and vecs.shape == (0, 0)
@@ -797,7 +807,7 @@ class TestCompiledStepMatchesListStep:
     @example((synthetic_chart(sig(1, (-1, {0: 1}), (F(1, 400), {0: 400}))), [0.5]))
     def test_same_outcome(self, case):
         chart, u = case
-        compiled = chart_mod._compiled_newton_step(chart.reduced)
+        compiled = chart.reduced._compiled(chart_mod._newton_template, 2, 1)
         assert _step_bits(compiled, chart, u) == _step_bits(
             lambda *args: _list_newton_step(chart, *args), chart, u
         )
@@ -806,5 +816,31 @@ class TestCompiledStepMatchesListStep:
     def test_step_writes_each_power_once(self, name):
         # the Hessian's statements once and the trial gradient's once
         f = NEWTON_CHARTS[name].reduced
-        step = chart_mod._compiled_newton_step(f)
+        step = f._compiled(chart_mod._newton_template, 2, 1)
         assert _powers(step) == _powers(f._kernel(2, False)) + _powers(f._kernel(1, False))
+
+    @pytest.mark.parametrize("name", ["e6", "su_n-5", "four-1-1-1-1"])
+    def test_search_binds_the_step_once(self, name):
+        # a fresh chart of the same terms: its memo holds no bound step yet
+        reduced = NEWTON_CHARTS[name].reduced
+        chart = synthetic_chart(Signomial(reduced.arity, reduced.terms))
+        before = chart_mod._newton_template.cache_info()
+        find_critical_points(chart)
+        after = chart_mod._newton_template.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == 1
+        step = chart.reduced._kernels[chart_mod._newton_template, 2, 1]
+        assert chart.reduced._compiled(chart_mod._newton_template, 2, 1) is step
+
+    @pytest.mark.parametrize("exponent, message, kept", [
+        # the Hessian's coefficient 2e400 is beyond a double: it is bound
+        # first, so its partial is named even though the gradient's is too
+        (2, r"partial \(0, 0\) of order 2 has coefficient 2e\+400,", []),
+        # the Hessian has no term; the gradient's coefficient 1e400 fails
+        (1, r"partial \(0,\) of order 1 has coefficient 1e\+400,", [(2, False)]),
+    ])
+    def test_failed_bind_memoizes_no_step(self, exponent, message, kept):
+        f = sig(1, (F(10 ** 400), {0: exponent}))
+        for _ in range(2):
+            with pytest.raises(OverflowError, match=message):
+                f._compiled(chart_mod._newton_template, 2, 1)
+        assert list(f._kernels) == kept

@@ -637,6 +637,17 @@ class TestCustom:
         assert out == ""
         assert err == "error: chart point (1e-150,): a term overflows a float\n"
 
+    def test_hessian_entry_overflowing_at_hinted_point_is_usage_error(self, capsys, tmp_path):
+        # -50 * x^-6 is finite as a power but overflows to -inf in the
+        # coefficient multiply: an infinite Hessian entry, not a label
+        path = self.write_e6(tmp_path, critical_point=[5.9e-52])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "custom", "--file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: chart point (5.9e-52,): a term overflows a float\n"
+
     def test_cancelling_overflow_at_hinted_point_is_usage_error(self, capsys, tmp_path):
         # terms of about +-1e308 overflow to +-inf and cancel to a NaN gradient
         path = tmp_path / "nan.json"

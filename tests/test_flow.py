@@ -74,7 +74,7 @@ class TestAscent:
         entry = build(family, n)
         calls, attempts = [], []
         partials_float, eval_float = Signomial.partials_float, Signomial.eval_float
-        hessian_float, build_attempt = Signomial.hessian_float, flow._rk4_attempt
+        hessian_float, compiled = Signomial.hessian_float, Signomial._compiled
 
         def counted_partials(self, point, order, absolute=False):
             calls.append(("partials", order, absolute))
@@ -88,8 +88,9 @@ class TestAscent:
             calls.append(("hessian",))
             return hessian_float(self, point)
 
-        def counted_build(reduced):
-            rk4 = build_attempt(reduced)
+        def counted_build(self, template, *orders):
+            assert (template, *orders) == (flow._rk4_template, 1, 0)
+            rk4 = compiled(self, template, *orders)
             attempts.append(rk4)
 
             def counted(u, g, h):
@@ -101,7 +102,7 @@ class TestAscent:
         monkeypatch.setattr(Signomial, "partials_float", counted_partials)
         monkeypatch.setattr(Signomial, "eval_float", counted_value)
         monkeypatch.setattr(Signomial, "hessian_float", counted_hessian)
-        monkeypatch.setattr(flow, "_rk4_attempt", counted_build)
+        monkeypatch.setattr(Signomial, "_compiled", counted_build)
         start = tuple(float(x) * 1.01 for x in entry.critical_point)
         traj = integrate_ascent(entry.chart, start, max_steps=50)
         assert traj.reason == "budget"
@@ -343,6 +344,17 @@ class TestCompiledAttemptMatchesArrayFlow:
         with pytest.raises(OverflowError, match=r"partial \(0,\) of order 1 has coefficient 2e\+308"):
             integrate_ascent(chart, (1.0,), max_steps=5)
         assert integrate_ascent(chart, (1.0,), max_steps=0).values == [1e308]
+
+    def test_three_ascents_on_one_chart_bind_the_attempt_once(self):
+        # a fresh chart of su_n n=4's terms: its memo holds no bound attempt yet
+        reduced = build("su_n", 4).chart.reduced
+        chart = synthetic_chart(Signomial(reduced.arity, reduced.terms))
+        before = flow._rk4_template.cache_info()
+        trajectories = [integrate_ascent(chart, (1.01, 0.99), max_steps=20) for _ in range(3)]
+        after = flow._rk4_template.cache_info()
+        assert after.hits + after.misses - before.hits - before.misses == 1
+        assert all(len(traj.points) == 21 for traj in trajectories)
+        assert chart.reduced._kernels[flow._rk4_template, 1, 0] is not None
 
 
 class TestStopTest:

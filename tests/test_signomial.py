@@ -1,14 +1,19 @@
 """Exact signomial algebra: frozen examples and algebraic property tests."""
 
+import ast
 import copy
 import itertools
 import pickle
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homscal import chart as chart_mod, flow as flow_mod
 from homscal.catalog import build
+from homscal.chart import _newton_template
+from homscal.flow import _rk4_template
 from homscal.signomial import (
     ExactEvaluationError,
     Monomial,
@@ -32,6 +37,12 @@ def _pickled(obj):
 def _fresh(f):
     """A copy of f without its memos: its first float call compiles a kernel."""
     return _pickled(f)
+
+
+def _gradient_kernel(f):
+    """The kernel that partials_float(point, 1) runs, after running it."""
+    f.partials_float((1.3, 0.7), 1)
+    return f._kernels[1, False]
 
 
 class TestIntegerRoot:
@@ -119,7 +130,11 @@ class TestPartial:
         for _ in range(2):  # the first calls compile kernels, the second rerun them
             f.eval_float((1.5, 2.0))
             f.partials_float((1.5, 2.0), 2)
+            f._compiled(_newton_template, 2, 1)
+            f._compiled(_rk4_template, 1, 0)
         assert f._kernels[0, False] is not None and f._kernels[2, False] is not None
+        assert f._kernels[_newton_template, 2, 1] is not None
+        assert f._kernels[_rk4_template, 1, 0] is not None
         assert f == g and hash(f) == hash(g)
         assert g.partial(0) == f.partial(0)
 
@@ -227,15 +242,25 @@ class TestKernels:
                 got = self.values_of_three_calls(f, (1.5,), order, absolute)
                 assert got == [["0x0.0p+0"]] * 3  # 0.0 + -0.0 is +0.0
 
-    def test_source_holds_no_coefficient_or_exponent(self):
+    @pytest.mark.parametrize("compiled, literals", [
+        # the kernel's own floats: each sum's start and the empty product
+        (_gradient_kernel, {0.0, 1.0}),
+        # the Newton step's damping factor 1.0, halved by 0.5
+        (lambda f: f._compiled(_newton_template, 2, 1), {0.0, 1.0, 0.5}),
+        # the RK4 attempt's half and sixth steps
+        (lambda f: f._compiled(_rk4_template, 1, 0), {0.0, 1.0, 0.5, 6.0}),
+    ], ids=["kernel", "newton-step", "rk4-attempt"])
+    def test_source_holds_no_coefficient_or_exponent(self, compiled, literals):
         f = _fresh(sig(2, (F(7, 3), {0: F(5, 11)}), (F(-13, 17), {0: 2, 1: F(-19, 23)})))
         for _ in range(2):
-            f.partials_float((1.3, 0.7), 1)
-        kernel = f._kernels[1, False]
-        consts = {c for c in kernel.__code__.co_consts if not isinstance(c, (int, str))}
-        assert consts <= {None, 0.0, 1.0}
-        assert float(F(-6, 11)) in kernel.__defaults__
-        assert float(F(-19, 23)) in kernel.__defaults__
+            fn = compiled(f)
+        # a constant tuple such as (1.0, None) is folded from its items
+        items = [c for const in fn.__code__.co_consts
+                 for c in (const if isinstance(const, tuple) else (const,))]
+        consts = {c for c in items if not isinstance(c, (int, str))}
+        assert consts <= {None} | literals
+        assert float(F(-6, 11)) in fn.__defaults__
+        assert float(F(-19, 23)) in fn.__defaults__
 
     def test_charts_of_one_shape_share_the_compiled_code(self):
         kernels = []
@@ -515,8 +540,15 @@ class TestCopy:
         for _ in range(2):  # fill the memos the copy must not carry, kernels too
             f.partial(0).eval_float(point)
             f.partials_float(point, 2)
+            step = f._compiled(_newton_template, 2, 1)
+            attempt = f._compiled(_rk4_template, 1, 0)
         c = copier(f)
         assert c._kernels == {} and c._partials == {}
+        # the copy binds its own step and attempt, to the same doubles
+        assert c._compiled(_newton_template, 2, 1) is not step
+        assert c._compiled(_newton_template, 2, 1).__defaults__ == step.__defaults__
+        assert c._compiled(_rk4_template, 1, 0).__defaults__ == attempt.__defaults__
+        c = copier(f)
         assert c == f and hash(c) == hash(f)
         for _ in range(3):  # the copy compiles its own kernels, then reruns them
             assert c.eval_float(point).hex() == f.eval_float(point).hex()
@@ -533,3 +565,22 @@ class TestCopy:
         assert c == chart
         assert c.reduced.eval_float(point).hex() == chart.reduced.eval_float(point).hex()
         assert c.reduced.partials_float(point, 1) == chart.reduced.partials_float(point, 1)
+
+
+@pytest.mark.parametrize("module", [chart_mod, flow_mod], ids=["chart", "flow"])
+def test_compiled_functions_are_bound_only_in_signomial(module):
+    # Signomial._compiled is the one place that lays out, numbers and binds
+    # the constants of a generated function; a module that builds functions
+    # from code objects or reads shapes itself has a second copy of that
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = (node.module or "").split(".")[-1]
+            imported.add(source)
+            imported.update(f"{source}.{alias.name}" for alias in node.names)
+    assert "signomial._define" in imported
+    assert not {name for name in imported if name.split(".")[0] == "types"}
+    assert "signomial._shape" not in imported
