@@ -1,10 +1,12 @@
 """Built-in parametric families with their designated critical points.
 
-Each entry bundles a space (summand dimensions, Casimir coefficients and
-structural constants), its chart on the unit-volume slice from
-chart.restrict, the critical point in chart coordinates, the Hessian-kernel
+FAMILIES is the one table of the catalog: each family is one Family record
+with its floor on n, the description `list` prints, the n of the default
+report, and make(n), which gives the space, the summand its chart
+eliminates, the critical point in chart coordinates, the Hessian-kernel
 direction to probe along, and the expected third derivative in closed form.
-Four families are provided:
+build, default_entries and the CLI read nothing else.  Four families are
+provided:
 
   e6_su2_so6      two-summand quotient of E6; one chart variable
   su_n            the compact unitary group, n >= 3, as a three-summand space
@@ -23,32 +25,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .chart import SliceChart, restrict
 from .probe import CurveSpec
 from .space import HomogeneousSpace, space_from_dict, _as_array, _as_fraction, _as_int
-
-FAMILIES: dict[str, dict] = {
-    "e6_su2_so6": {
-        "min_n": None,
-        "description": "two-summand E6 quotient, standard metric; fixed size",
-    },
-    "su_n": {
-        "min_n": 3,
-        "description": "compact unitary group, left-invariant metrics, n >= 3",
-    },
-    "su2n_mod_spn": {
-        "min_n": 3,
-        "description": "quaternionic quotient SU(2n)/Sp(n), symmetric metric, n >= 3",
-    },
-    "so2n_flag": {
-        "min_n": 4,
-        "description": "full flag manifold SO(2n)/T^n, standard metric, n >= 4",
-    },
-}
 
 
 class ParameterRangeError(ValueError):
@@ -67,18 +51,6 @@ class CatalogEntry:
 
     def curve(self) -> CurveSpec:
         return CurveSpec(base=self.critical_point, direction=self.kernel_direction)
-
-
-def _require_n(family: str, n: "int | None") -> int:
-    info = FAMILIES[family]
-    if n is None:
-        raise ParameterRangeError(f"{family} needs a parameter n >= {info['min_n']}")
-    n = int(n)
-    if n < info["min_n"]:
-        raise ParameterRangeError(
-            f"{family} requires n >= {info['min_n']}, got {n}"
-        )
-    return n
 
 
 def e6_space() -> HomogeneousSpace:
@@ -143,78 +115,90 @@ def su2n_volume_normalizer(n: int) -> float:
     )
 
 
-def build(family: str, n: "int | None" = None) -> CatalogEntry:
-    """Construct a catalog entry; raises ParameterRangeError outside validity
-    (an n given to a fixed-size family included)."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-    if family == "e6_su2_so6":
-        if n is not None:
-            raise ParameterRangeError(f"{family} has a fixed size and takes no n, got {n}")
-        space = e6_space()
-        return CatalogEntry(
-            family=family,
-            n=None,
-            space=space,
-            chart=restrict(space, eliminated=0),
-            critical_point=(Fraction(1),),
-            kernel_direction=(Fraction(1),),
-            expected_s3=Fraction(180),
-        )
-    n = _require_n(family, n)
-    if family == "su_n":
-        space = su_n_space(n)
-        return CatalogEntry(
-            family=family,
-            n=n,
-            space=space,
-            chart=restrict(space, eliminated=2),
-            critical_point=(Fraction(1), Fraction(1)),
-            kernel_direction=(Fraction(-2, n - 2), Fraction(1)),
-            expected_s3=Fraction(n * n * (n - 1), (n - 2) ** 2),
-        )
-    if family == "so2n_flag":
-        space = so2n_flag_space(n)
-        return CatalogEntry(
-            family=family,
-            n=n,
-            space=space,
-            chart=restrict(space, eliminated=1),
-            critical_point=(Fraction(1),),
-            kernel_direction=(Fraction(1),),
-            expected_s3=Fraction(2 * n * n * (n - 1), (n - 2) ** 2),
-        )
-    # su2n_mod_spn
-    space = su2n_space(n)
+class Family(NamedTuple):
+    """One catalog family.  min_n is the floor on n, None for a fixed size
+    that takes no n; defaults are the n of the default report; make(n)
+    returns (space, eliminated summand, critical point, kernel direction,
+    expected S3)."""
+
+    min_n: "int | None"
+    description: str
+    defaults: tuple
+    make: Callable
+
+
+def _e6_su2_so6(n):
+    return e6_space(), 0, (Fraction(1),), (Fraction(1),), Fraction(180)
+
+
+def _su_n(n):
+    return (su_n_space(n), 2, (Fraction(1), Fraction(1)), (Fraction(-2, n - 2), Fraction(1)),
+            Fraction(n * n * (n - 1), (n - 2) ** 2))
+
+
+def _so2n_flag(n):
+    return (so2n_flag_space(n), 1, (Fraction(1),), (Fraction(1),),
+            Fraction(2 * n * n * (n - 1), (n - 2) ** 2))
+
+
+def _su2n_mod_spn(n):
     a = su2n_volume_normalizer(n)
     expected = -2.0 * n * n * (n - 2) * (2 * n - 1) * (n - 1) / a ** 4
+    return su2n_space(n), 2, (a, a / 2.0), (Fraction(1), Fraction(-(n - 2), 4)), expected
+
+
+FAMILIES: dict[str, Family] = {
+    "e6_su2_so6": Family(
+        None, "two-summand E6 quotient, standard metric; fixed size", (None,), _e6_su2_so6
+    ),
+    "su_n": Family(
+        3, "compact unitary group, left-invariant metrics, n >= 3", tuple(range(3, 11)), _su_n
+    ),
+    "su2n_mod_spn": Family(
+        3, "quaternionic quotient SU(2n)/Sp(n), symmetric metric, n >= 3", tuple(range(3, 7)),
+        _su2n_mod_spn,
+    ),
+    "so2n_flag": Family(
+        4, "full flag manifold SO(2n)/T^n, standard metric, n >= 4", tuple(range(4, 9)), _so2n_flag
+    ),
+}
+
+
+def build(family: str, n: "int | None" = None) -> CatalogEntry:
+    """Construct a catalog entry; raises ParameterRangeError outside validity
+    (an n given to a fixed-size family, or an n that is not an integer,
+    included)."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    floor = FAMILIES[family].min_n
+    if floor is None:
+        if n is not None:
+            raise ParameterRangeError(f"{family} has a fixed size and takes no n, got {n}")
+    elif n is None:
+        raise ParameterRangeError(f"{family} needs a parameter n >= {floor}")
+    elif isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        # int() would truncate 3.7 to 3 and read "5" as 5
+        raise ParameterRangeError(f"{family} needs an integer n, got {n!r}")
+    elif n < floor:
+        raise ParameterRangeError(f"{family} requires n >= {floor}, got {n}")
+    else:
+        n = int(n)
+    space, eliminated, point, direction, expected = FAMILIES[family].make(n)
     return CatalogEntry(
         family=family,
         n=n,
         space=space,
-        chart=restrict(space, eliminated=2),
-        critical_point=(a, a / 2.0),
-        kernel_direction=(Fraction(1), Fraction(-(n - 2), 4)),
+        chart=restrict(space, eliminated),
+        critical_point=point,
+        kernel_direction=direction,
         expected_s3=expected,
     )
 
 
-def default_parameters(family: str) -> list["int | None"]:
-    return {
-        "e6_su2_so6": [None],
-        "su_n": list(range(3, 11)),
-        "so2n_flag": list(range(4, 9)),
-        "su2n_mod_spn": list(range(3, 7)),
-    }[family]
-
-
 def default_entries() -> list[CatalogEntry]:
-    """The standard reproduction set: one entry per in-range (family, n)."""
-    out = []
-    for family in sorted(FAMILIES):
-        for n in default_parameters(family):
-            out.append(build(family, n))
-    return out
+    """The standard reproduction set: one entry per (family, n) of the
+    families' defaults."""
+    return [build(family, n) for family in sorted(FAMILIES) for n in FAMILIES[family].defaults]
 
 
 # -- custom entries from space files ---------------------------------------------

@@ -132,15 +132,10 @@ def _record_ok(record: dict) -> bool:
 
 
 def cmd_list(args) -> int:
-    rows = []
-    for family in sorted(catalog.FAMILIES):
-        if args.family and family != args.family:
-            continue
-        info = catalog.FAMILIES[family]
-        rng = "fixed size" if info["min_n"] is None else f"n >= {info['min_n']}"
-        rows.append((family, rng, info["description"]))
-    for family, rng, desc in rows:
-        print(f"{family:16s} {rng:12s} {desc}")
+    for family, info in sorted(catalog.FAMILIES.items()):
+        if args.family in (None, family):
+            rng = "fixed size" if info.min_n is None else f"n >= {info.min_n}"
+            print(f"{family:16s} {rng:12s} {info.description}")
     return 0
 
 
@@ -218,7 +213,7 @@ def cmd_report(args) -> int:
     jobs = set()
     for family in families:
         rng = ranges.get(family)
-        jobs.update((family, n) for n in (catalog.default_parameters(family) if rng is None else rng))
+        jobs.update((family, n) for n in (catalog.FAMILIES[family].defaults if rng is None else rng))
     records = []
     for f, n in sorted(jobs, key=lambda fn: (fn[0], -1 if fn[1] is None else fn[1])):
         entry = catalog.build(f, n)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
@@ -39,9 +40,12 @@ def _as_fraction(value, where: str) -> Fraction:
 
 def _as_int(value, where: str) -> int:
     # bool is an int subclass, and int() would truncate floats and split strings
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{where}: expected an integer, got {value!r}")
-    return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)  # an int, or an integer type such as numpy's
+        except TypeError:
+            pass
+    raise ValueError(f"{where}: expected an integer, got {value!r}")
 
 
 def _as_array(value, where: str) -> list:
@@ -61,14 +65,14 @@ class HomogeneousSpace:
     triples: Mapping[TripleKey, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", tuple(_as_int(d, f"{self.name}.dims") for d in self.dims))
         b = (1,) * len(self.dims) if self.b is None else self.b
         object.__setattr__(self, "b", tuple(Fraction(v) for v in b))
         object.__setattr__(
             self,
             "triples",
             {
-                tuple(int(i) for i in key): Fraction(v)
+                tuple(_as_int(i, f"{self.name}.triples") for i in key): Fraction(v)
                 for key, v in self.triples.items()
             },
         )

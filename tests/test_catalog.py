@@ -67,6 +67,34 @@ class TestBuild:
         with pytest.raises(ValueError, match="unknown family"):
             build("nope", 3)
 
+    @pytest.mark.parametrize("family, n, error, message", [
+        ("nope", 3, ValueError,
+         "unknown family 'nope'; known: ['e6_su2_so6', 'so2n_flag', 'su2n_mod_spn', 'su_n']"),
+        ("su_n", 2, ParameterRangeError, "su_n requires n >= 3, got 2"),
+        ("su2n_mod_spn", 2, ParameterRangeError, "su2n_mod_spn requires n >= 3, got 2"),
+        ("so2n_flag", 3, ParameterRangeError, "so2n_flag requires n >= 4, got 3"),
+        ("su_n", None, ParameterRangeError, "su_n needs a parameter n >= 3"),
+        ("su2n_mod_spn", None, ParameterRangeError, "su2n_mod_spn needs a parameter n >= 3"),
+        ("so2n_flag", None, ParameterRangeError, "so2n_flag needs a parameter n >= 4"),
+        ("e6_su2_so6", 7, ParameterRangeError, "e6_su2_so6 has a fixed size and takes no n, got 7"),
+    ], ids=["unknown", "su_n-floor", "su2n_mod_spn-floor", "so2n_flag-floor", "su_n-missing",
+            "su2n_mod_spn-missing", "so2n_flag-missing", "e6_su2_so6-given"])
+    def test_error_messages_are_pinned(self, family, n, error, message):
+        with pytest.raises(ValueError) as exc:
+            build(family, n)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [3.7, 4.0, "5", True])
+    def test_non_integer_parameter_is_not_truncated(self, n):
+        with pytest.raises(ParameterRangeError) as exc:
+            build("su_n", n)
+        assert str(exc.value) == f"su_n needs an integer n, got {n!r}"
+
+    def test_integral_parameter_is_a_python_int(self):
+        entry = build("su_n", np.int64(4))
+        assert type(entry.n) is int and entry == build("su_n", 4)
+
     def test_default_entries_census(self):
         entries = default_entries()
         assert len(entries) == 18  # 1 + 5 + 4 + 8

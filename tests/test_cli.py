@@ -163,7 +163,22 @@ class TestErrorExit:
             assert "partial (0, 0, 0) of order 3 has coefficient -2.7e+308" in err
 
 
+# stdout of `list`: one line per family, in name order
+LIST_STDOUT = (
+    "e6_su2_so6       fixed size   two-summand E6 quotient, standard metric; fixed size\n"
+    "so2n_flag        n >= 4       full flag manifold SO(2n)/T^n, standard metric, n >= 4\n"
+    "su2n_mod_spn     n >= 3       quaternionic quotient SU(2n)/Sp(n), symmetric metric, n >= 3\n"
+    "su_n             n >= 3       compact unitary group, left-invariant metrics, n >= 3\n"
+)
+
+
 class TestList:
+    def test_stdout_bytes_are_pinned(self, capsys):
+        assert run(capsys, "list") == (0, LIST_STDOUT, "")
+
+    def test_single_family_bytes_are_pinned(self, capsys):
+        assert run(capsys, "list", "--family", "su_n") == (0, LIST_STDOUT.splitlines(True)[3], "")
+
     def test_all_families(self, capsys):
         code, out, _ = run(capsys, "list")
         assert code == 0
@@ -180,6 +195,23 @@ class TestList:
         with pytest.raises(SystemExit) as exc:
             main(["list", "--family", "nope"])
         assert exc.value.code == 2
+
+
+def test_a_family_is_one_record(capsys, monkeypatch):
+    # build, default_entries, list and report all read the one FAMILIES table
+    toy = catalog.Family(None, "a copy of the E6 quotient", (None,), FAMILIES["e6_su2_so6"].make)
+    monkeypatch.setitem(catalog.FAMILIES, "toy", toy)
+    entry = build("toy")
+    assert (entry.family, entry.n, entry.expected_s3) == ("toy", None, 180)
+    entries = default_entries()
+    assert len(entries) == 19 and [e.family for e in entries].count("toy") == 1
+    code, out, _ = run(capsys, "list")
+    assert code == 0
+    assert "toy              fixed size   a copy of the E6 quotient\n" in out
+    code, out, _ = run(capsys, "report", "--families", "toy", "--out", "-")
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert (record["family"], record["n"], record["s3"]) == ("toy", None, "180")
 
 
 class TestProbe:

@@ -67,6 +67,23 @@ class TestValidate:
         assert space.validate() == ["b has 0 entries for 2 summands"]
         assert HomogeneousSpace(name="ok", dims=(2, 3), b=None).b == (F(1), F(1))
 
+    @pytest.mark.parametrize("dims, message", [
+        ((20.9, 40), "x.dims: expected an integer, got 20.9"),
+        ((20, "40"), "x.dims: expected an integer, got '40'"),
+        ((True, 40), "x.dims: expected an integer, got True"),
+    ], ids=["float", "str", "bool"])
+    def test_non_integer_dim_is_not_truncated(self, dims, message):
+        with pytest.raises(ValueError) as exc:
+            HomogeneousSpace(name="x", dims=dims, triples={(0, 1, 1): 10})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("key, value", [((0.5, 1, 1), "0.5"), ((0, "1", 1), "'1'"),
+                                            ((0, 1, True), "True")], ids=["float", "str", "bool"])
+    def test_non_integer_triple_index_is_not_truncated(self, key, value):
+        with pytest.raises(ValueError) as exc:
+            HomogeneousSpace(name="x", dims=(20, 40), triples={key: 10})
+        assert str(exc.value) == f"x.triples: expected an integer, got {value}"
+
 
 class TestScalarCurvature:
     def test_two_summand_example(self):
