@@ -79,8 +79,9 @@ def collapsed_so2n_constants(n: int) -> dict[tuple[int, int, int], Fraction]:
     constant 2/(n-1) over the triangles meeting each block combination gives
     [xxy] = 2(n-2) and [yyy] = 2(n-2)(n-3); all other triples vanish.
     """
-    if n < 4:
-        raise ParameterRangeError(f"so2n_flag requires n >= 4, got {n}")
+    floor = FAMILIES["so2n_flag"].min_n
+    if n < floor:
+        raise ParameterRangeError(f"so2n_flag requires n >= {floor}, got {n}")
     return {
         (0, 0, 1): Fraction(2 * (n - 2)),
         (1, 1, 1): Fraction(2 * (n - 2) * (n - 3)),

@@ -4,22 +4,23 @@ Classical fixed-step fourth-order (RK4) integration of u' = grad f(u) in
 chart coordinates.  The value of f is nondecreasing along exact solutions,
 and the integrator enforces that property per step up to a small tolerance;
 the module's claims are monotonicity and escape from degenerate critical
-points, nothing more.  The gradient at each accepted point comes from the
-chart's own float evaluator, Signomial.partials_float(u, 1) on
-chart.reduced.  Each RK4 attempt from u runs as one generated function: its
-three stage points, their positivity checks and gradients, the endpoint and
-the endpoint's value, written out with the kernels' term statements and
-bound once per chart by Signomial._compiled to the constants of the chart's
-gradient and value kernels.  Each coordinate is formed in the operation
-order of the array expression (u + 0.5*h*k and so on), so the integrator
-takes the same doubles an ndarray RK4 would, and every recorded value
-equals chart.reduced.eval_float at the recorded point.
+points, nothing more.  The whole ascent runs as one generated function: per
+step the gradient at u, the stop test and each RK4 attempt's three stage
+points, their positivity checks and gradients, the endpoint and its value,
+written out with the kernels' term statements and bound once per chart by
+Signomial._compiled to the constants of the chart's gradient and value
+kernels; a step without rejections costs four gradient evaluations.  Each
+coordinate is formed in the operation order of the array expression
+(u + 0.5*h*k and so on), so the integrator takes the same doubles an ndarray
+RK4 would, and every recorded value equals chart.reduced.eval_float at the
+recorded point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,49 +48,70 @@ class Trajectory:
 
 
 @functools.lru_cache(maxsize=256)
-def _rk4_template(arity: int, gradient_shape: tuple, value_shape: tuple):
-    """Compile one RK4 attempt for charts of one shape (see signomial._shape):
-    (u, k1, h, constants) -> (endpoint, value there), or None when a stage
-    point or the endpoint is not positive.  Bound per chart by
-    Signomial._compiled(_rk4_template, 1, 0).
+def _ascent_template(arity: int, gradient_shape: tuple, value_shape: tuple):
+    """Compile the ascent loop for charts of one shape (see signomial._shape):
+    (u, step, max_steps, region, times, points, values, constants) -> reason,
+    appending each accepted step to the three lists.  Bound per chart by
+    Signomial._compiled(_ascent_template, 1, 0).
 
     The constants are the gradient kernel's, then the value kernel's.  Each
-    coordinate is formed in the operation order of the array expressions
-    u + half*k, u + h*k and u + sixth*(k1 + 2*k2 + 2*k3 + k4), and the three
-    stage gradients and the endpoint's value are written out with the
-    kernels' own term statements, so every double is the one the kernels
-    would return.
+    step writes out the gradient at u, takes the stop test, then tries up to
+    20 RK4 attempts, halving h after each rejection.  Each coordinate is
+    formed in the operation order of the array expressions u + half*k,
+    u + h*k and u + sixth*(k1 + 2*k2 + 2*k3 + k4), and the four gradients and
+    the endpoint's value are written out with the kernels' own term
+    statements, so every double is the one the kernels would return.
     """
 
     def point(name: str, increment: str) -> list[str]:
         # u{i} + increment with {i} filled in, then the positivity check
         positive = " or ".join(f"{name}{i} <= 0" for i in range(arity)) or "False"
-        return [
-            *(f"    {name}{i} = u{i} + {increment.format(i=i)}" for i in range(arity)),
-            f"    if {positive}:",
-            "        return None",
-        ]
+        return [*(f"    {name}{i} = u{i} + {increment.format(i=i)}" for i in range(arity)),
+                f"    if {positive}:", "        h *= 0.5", "        continue"]
 
-    lines = [f"    [{_names('u', arity)}] = u", f"    [{_names('a', arity)}] = g",
-             "    half = 0.5 * h"]
+    attempt = ["    half = 0.5 * h"]
     for name, increment, slope in (("p", "half * a{i}", "b"), ("q", "half * b{i}", "c"),
                                    ("r", "h * c{i}", "d")):
-        gradient, count = _partial_sums(gradient_shape, slope, name)
-        lines += point(name, increment) + gradient
-    lines.append("    sixth = h / 6.0")
-    lines += point("x", "sixth * (a{i} + 2 * b{i} + 2 * c{i} + d{i})")
+        attempt += point(name, increment) + _partial_sums(gradient_shape, slope, name)[0]
+    attempt.append("    sixth = h / 6.0")
+    attempt += point("x", "sixth * (a{i} + 2 * b{i} + 2 * c{i} + d{i})")
+    gradient, count = _partial_sums(gradient_shape, "a", "u")
     value, count = _partial_sums(value_shape, "v", "x", count)
-    lines += [*value, f"    return [{_names('x', arity)}], v0"]
-    return _define("rk4", "u, g, h", count, lines, f"<rk4 attempt, arity {arity}>")
-
-
-def _gradient_small(g: list[float]) -> bool:
-    """vector_norm(g) < 1e-10, the stop test.  math.hypot(g) is within a few
-    ulps of numpy's sqrt(dot(g, g)), so it decides alone outside +-0.1% of
-    the threshold, and numpy decides inside that band, where the two norms
-    may fall on either side of it."""
-    norm = math.hypot(*g)
-    return (vector_norm(g) if 0.999e-10 <= norm <= 1.001e-10 else norm) < 1e-10
+    attempt += [*value, "    if v0 - last >= -1e-10:", "        break", "    h *= 0.5"]
+    k1 = _names("a", arity)
+    lines = [
+        f"    [{_names('u', arity)}] = u",
+        "    if region is not None:",
+        f"        [{', '.join(f'(lo{i}, hi{i})' for i in range(arity))}] = region",
+        "    t, last = 0.0, values[-1]",
+        "    for _ in range(max_steps):",
+        *(f"    {line}" for line in gradient),
+        # the stop test: math.hypot decides outside +-0.1% of 1e-10, and
+        # vector_norm, with numpy's bits, inside it, where the two may fall
+        # on either side of the threshold
+        f"        norm = hypot({k1})",
+        f"        if (vector_norm([{k1}]) if 0.999e-10 <= norm <= 1.001e-10 else norm) < 1e-10:",
+        "            return 'gradient-small'",
+        "        h = step",
+        "        for _ in range(20):",
+        *(f"        {line}" for line in attempt),
+        "        else:",
+        "            raise FlowError('step rejected 20 times (positivity or monotonicity); '",
+        "                            'the ascent field is too stiff for the requested step')",
+        f"        [{_names('u', arity)}] = [{_names('x', arity)}]",
+        "        t += h",
+        "        times.append(t)",
+        f"        points.append(({''.join(f'x{i}, ' for i in range(arity))}))",
+        "        values.append(v0)",
+        "        last = v0",
+        "        if region is not None and not ({}):".format(
+            " and ".join(f"lo{i} < x{i} < hi{i}" for i in range(arity)) or "True"),
+        "            return 'left-region'",
+        "    return 'budget'",
+    ]
+    names = {"FlowError": FlowError, "hypot": math.hypot, "vector_norm": vector_norm}
+    return _define("ascent", "u, step, max_steps, region, times, points, values", count,
+                   lines, f"<rk4 ascent, arity {arity}>", names)
 
 
 def integrate_ascent(
@@ -113,15 +135,17 @@ def integrate_ascent(
     from u, and each attempt evaluates three stage gradients and, once its
     endpoint is positive, the value there, so an accepted step without
     rejections costs four gradient evaluations.  The stop test has the
-    decisions of np.linalg.norm(g) < 1e-10 (see _gradient_small).  A start
+    decisions of np.linalg.norm(g) < 1e-10 (see _ascent_template).  A start
     that is not a finite positive chart point, a region that does not give
-    one interval per chart coordinate, or a step that is not finite and > 0
-    raises ValueError.
+    one interval per chart coordinate, a step that is not finite and > 0, or
+    a max_steps that is not an integer >= 0 raises ValueError.
     """
     reduced = chart.reduced
-    f, partials = reduced.eval_float, reduced.partials_float
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
+    # bool is an int subclass, and range() would reject a float with a TypeError
+    if isinstance(max_steps, bool) or not isinstance(max_steps, numbers.Integral) or max_steps < 0:
+        raise ValueError(f"max_steps must be an integer >= 0, got {max_steps!r}")
     u = [float(x) for x in start]
     if len(u) != chart.arity:
         raise ValueError(f"start has {len(u)} coordinates, chart arity is {chart.arity}")
@@ -137,43 +161,13 @@ def integrate_ascent(
         if any(not lo < x < hi for x, (lo, hi) in zip(u, region)):
             raise ValueError("start lies outside the region")
 
-    times = [0.0]
-    points = [tuple(u)]
-    values = [f(u)]
-    t = 0.0
-    # built after the value kernel and only when a step is taken, so a
-    # coefficient beyond a double raises where the gradient kernel would
-    rk4 = reduced._compiled(_rk4_template, 1, 0) if max_steps > 0 else None
-
+    times, points, values = [0.0], [tuple(u)], [reduced.eval_float(u)]
     reason = "budget"
-    for _ in range(max_steps):
-        g = partials(u, 1)
-        if _gradient_small(g):
-            reason = "gradient-small"
-            break
-        h = step
-        for _rej in range(20):
-            attempt = rk4(u, g, h)
-            if attempt is not None:
-                nxt, new_val = attempt
-                if new_val - values[-1] >= -1e-10:
-                    break
-            h *= 0.5
-        else:
-            raise FlowError(
-                "step rejected 20 times (positivity or monotonicity); "
-                "the ascent field is too stiff for the requested step"
-            )
-        u = nxt
-        t += h
-        times.append(t)
-        points.append(tuple(u))
-        values.append(new_val)
-        if region is not None and any(
-            not lo < x < hi for x, (lo, hi) in zip(u, region)
-        ):
-            reason = "left-region"
-            break
+    if max_steps:
+        # bound after the value kernel, so a coefficient beyond a double
+        # raises where the gradient kernel would
+        ascent = reduced._compiled(_ascent_template, 1, 0)
+        reason = ascent(u, step, max_steps, region, times, points, values)
     return Trajectory(times=times, points=points, values=values, step=step, reason=reason)
 
 

@@ -36,12 +36,13 @@ the term sum of every partial, one statement per term (sum from 0.0 in term
 order, product of scalar powers left to right).  Those statements have one
 source, _partial_sums, and the generated functions one binder, this module:
 _kernel binds a kernel, and _compiled(template, *orders) binds the chart's
-Newton step and the flow's RK4 attempt to those orders' kernel constants,
-each memoized on the signomial.  The generated source holds only integer
-indices, the arity and generated names; the coefficients and exponents,
-converted to doubles from derivative(alpha) when a kernel is built, are
-parameter defaults.  Templates are cached per shape (the arity and the
-variable indices of each term), so charts of one structure compile once.
+Newton step and the flow's whole RK4 ascent to those orders' kernel
+constants, each memoized on the signomial.  The generated source holds only
+integer indices, the arity and generated names; the coefficients and
+exponents, converted to doubles from derivative(alpha) when a kernel is
+built, are parameter defaults.  Templates are cached per shape (the arity
+and the variable indices of each term), so charts of one structure compile
+once.
 """
 
 from __future__ import annotations

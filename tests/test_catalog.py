@@ -135,6 +135,18 @@ class TestCollapsedConstants:
         with pytest.raises(ParameterRangeError):
             collapsed_so2n_constants(3)
 
+    def test_floor_is_the_family_record(self, monkeypatch):
+        with pytest.raises(ParameterRangeError) as direct:
+            collapsed_so2n_constants(3)
+        with pytest.raises(ParameterRangeError) as built:
+            build("so2n_flag", 3)
+        assert str(direct.value) == str(built.value) == "so2n_flag requires n >= 4, got 3"
+        # one floor: a record with a higher one moves the message too
+        monkeypatch.setitem(catalog.FAMILIES, "so2n_flag",
+                            catalog.FAMILIES["so2n_flag"]._replace(min_n=5))
+        with pytest.raises(ParameterRangeError, match=r"^so2n_flag requires n >= 5, got 4$"):
+            collapsed_so2n_constants(4)
+
 
 def su2n_reference_terms(n):
     """The reduced scalar curvature of SU(2n)/Sp(n), the last summand

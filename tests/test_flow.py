@@ -28,7 +28,7 @@ def synthetic_chart(reduced):
 
 
 def _powers(fn):
-    """The number of ** operations in a compiled kernel or RK4 attempt
+    """The number of ** operations in a compiled kernel or RK4 ascent
     (BINARY_POWER before Python 3.11, BINARY_OP ** from 3.11 on)."""
     return sum(ins.opname == "BINARY_POWER" or (ins.opname == "BINARY_OP" and ins.argrepr == "**")
                for ins in dis.get_instructions(fn))
@@ -72,7 +72,7 @@ class TestAscent:
     @pytest.mark.parametrize("family, n", [("e6_su2_so6", None), ("su_n", 4)])
     def test_step_without_rejection_costs_four_gradients(self, monkeypatch, family, n):
         entry = build(family, n)
-        calls, attempts = [], []
+        calls, bound = [], []
         partials_float, eval_float = Signomial.partials_float, Signomial.eval_float
         hessian_float, compiled = Signomial.hessian_float, Signomial._compiled
 
@@ -89,15 +89,9 @@ class TestAscent:
             return hessian_float(self, point)
 
         def counted_build(self, template, *orders):
-            assert (template, *orders) == (flow._rk4_template, 1, 0)
-            rk4 = compiled(self, template, *orders)
-            attempts.append(rk4)
-
-            def counted(u, g, h):
-                out = rk4(u, g, h)
-                attempts.append(out is not None)
-                return out
-            return counted
+            assert (template, *orders) == (flow._ascent_template, 1, 0)
+            bound.append(compiled(self, template, *orders))
+            return bound[-1]
 
         monkeypatch.setattr(Signomial, "partials_float", counted_partials)
         monkeypatch.setattr(Signomial, "eval_float", counted_value)
@@ -108,16 +102,16 @@ class TestAscent:
         assert traj.reason == "budget"
         # no step was halved: the times are the running sums of 50 full steps
         assert traj.times == list(itertools.accumulate([traj.step] * 50, initial=0.0))
-        # the value at the start, then one gradient at u and one attempt per step
-        assert calls == [("value",)] + [("partials", 1, False)] * 50
-        rk4, *completed = attempts
-        assert completed == [True] * 50
-        # an attempt that returns a point has run every statement of its
-        # code: three times the gradient kernel's powers, once the value's
+        # the value at the start, then the one bound ascent: no evaluator
+        # call per step
+        assert calls == [("value",)]
+        (ascent,) = bound
+        # each pass of the loop writes out the gradient at u, the three
+        # stage gradients and the endpoint's value
         f = entry.chart.reduced
         gradient, value = (_powers(f._kernels[order, False]) for order in (1, 0))
         assert gradient > 0
-        assert _powers(rk4) == 3 * gradient + value
+        assert _powers(ascent) == 4 * gradient + value
 
     def test_start_at_critical_point_terminates_immediately(self):
         entry = build("su_n", 3)
@@ -157,6 +151,9 @@ class TestAscent:
         ({"step": 0.0}, "step must be finite and > 0"),
         ({"step": float("nan")}, "step must be finite and > 0"),
         ({"step": float("inf")}, "step must be finite and > 0"),
+        ({"max_steps": 2.5}, "max_steps must be an integer >= 0, got 2.5"),
+        ({"max_steps": True}, "max_steps must be an integer >= 0, got True"),
+        ({"max_steps": -3}, "max_steps must be an integer >= 0, got -3"),
     ])
     def test_malformed_input_rejected(self, kwargs, match):
         entry = build("su_n", 3)
@@ -346,31 +343,70 @@ class TestCompiledAttemptMatchesArrayFlow:
         assert integrate_ascent(chart, (1.0,), max_steps=0).values == [1e308]
 
     def test_three_ascents_on_one_chart_bind_the_attempt_once(self):
-        # a fresh chart of su_n n=4's terms: its memo holds no bound attempt yet
+        # a fresh chart of su_n n=4's terms: its memo holds no bound ascent yet
         reduced = build("su_n", 4).chart.reduced
         chart = synthetic_chart(Signomial(reduced.arity, reduced.terms))
-        before = flow._rk4_template.cache_info()
+        before = flow._ascent_template.cache_info()
         trajectories = [integrate_ascent(chart, (1.01, 0.99), max_steps=20) for _ in range(3)]
-        after = flow._rk4_template.cache_info()
+        after = flow._ascent_template.cache_info()
         assert after.hits + after.misses - before.hits - before.misses == 1
         assert all(len(traj.points) == 21 for traj in trajectories)
-        assert chart.reduced._kernels[flow._rk4_template, 1, 0] is not None
+        assert chart.reduced._kernels[flow._ascent_template, 1, 0] is not None
+
+
+def _gradient_chart(g):
+    """A chart whose gradient at (10, ..., 10) is g, and that point.
+
+    A finite entry g_i is the term g_i * x_i, whose partial is the constant
+    g_i; an infinite one is 1e308/2 * x_i^2 (1e308 * 10 overflows), and a nan
+    adds -1e308/3 * x_i^3 to it (inf - inf)."""
+    pairs = []
+    for i, x in enumerate(g):
+        if math.isfinite(x):
+            pairs.append((F(x), {i: 1}))
+        else:
+            pairs.append((F(1e308) / 2, {i: 2}))
+            if math.isnan(x):
+                pairs.append((-F(1e308) / 3, {i: 3}))
+    return synthetic_chart(Signomial.from_terms(len(g), pairs)), (10.0,) * len(g)
+
+
+def _stops(g):
+    """Whether integrate_ascent stops on the gradient g before its one step."""
+    chart, start = _gradient_chart(g)
+    assert chart.reduced.partials_float(start, 1) == pytest.approx(g, nan_ok=True)
+    try:
+        reason = integrate_ascent(chart, start, max_steps=1).reason
+    except FlowError:  # a nan gradient makes every endpoint value nan
+        return False
+    return reason == "gradient-small"
+
+
+@pytest.fixture
+def norms(monkeypatch):
+    """The vectors the ascent hands to vector_norm on the charts of
+    _gradient_chart of arity 1 to 4 and finite nonzero gradients: math.hypot
+    decides outside +-0.1% of 1e-10 and numpy's norm inside it."""
+    seen = []
+    for arity in range(1, 5):
+        chart, _ = _gradient_chart([1.0] * arity)
+        ascent = chart.reduced._compiled(flow._ascent_template, 1, 0)
+        monkeypatch.setitem(ascent.__globals__, "vector_norm",
+                            lambda g: seen.append(g) or vector_norm(g))
+    return seen
 
 
 class TestStopTest:
-    # math.hypot decides outside +-0.1% of 1e-10 and numpy's norm inside it
+    # each case runs the stop test of the compiled ascent
     @pytest.mark.parametrize("arity", [1, 2, 3, 4])
     @pytest.mark.parametrize("rel", [-2e-3, -1.0001e-3, -0.9999e-3, -1e-6, 0.0,
                                      1e-6, 0.9999e-3, 1.0001e-3, 2e-3])
-    def test_decisions_are_numpys(self, monkeypatch, arity, rel):
+    def test_decisions_are_numpys(self, norms, arity, rel):
         rng = np.random.default_rng(arity)
-        norms = []
-        monkeypatch.setattr(flow, "vector_norm",
-                            lambda g: norms.append(g) or vector_norm(g))
         for _ in range(300):
             d = rng.normal(size=arity)
             g = [float(x) for x in d / np.linalg.norm(d) * (1e-10 * (1 + rel))]
-            assert flow._gradient_small(g) == (float(np.linalg.norm(g)) < 1e-10)
+            assert _stops(g) == (float(np.linalg.norm(g)) < 1e-10)
         assert len(norms) == (300 if abs(rel) < 1e-3 else 0)
 
     @pytest.mark.parametrize("g", [
@@ -379,18 +415,27 @@ class TestStopTest:
         ["0x1.68897a2f346ccp-34", "-0x1.9c2c466eb28b6p-38", "-0x1.0c13c94193742p-37",
          "0x1.f09b6fb92eefcp-35"],
     ])
-    def test_hypot_and_numpy_disagree_at_the_threshold(self, g):
+    def test_hypot_and_numpy_disagree_at_the_threshold(self, norms, g):
         # gradients of norm 1e-10 up to roundoff, where the two norms fall on
         # either side of it: numpy's decides
         g = [float.fromhex(x) for x in g]
         assert (math.hypot(*g) < 1e-10) != (float(np.linalg.norm(g)) < 1e-10)
-        assert flow._gradient_small(g) == (float(np.linalg.norm(g)) < 1e-10)
+        assert _stops(g) == (float(np.linalg.norm(g)) < 1e-10)
+        assert norms == [g]
+
+    @pytest.mark.parametrize("scale, asks_numpy", [
+        (0.9989e-10, False), (0.9991e-10, True), (1.0009e-10, True), (1.0011e-10, False),
+    ], ids=["below-band", "inside-below", "inside-above", "above-band"])
+    def test_band_edges(self, norms, scale, asks_numpy):
+        g = [0.6 * scale, -0.8 * scale]
+        assert _stops(g) == (float(np.linalg.norm(g)) < 1e-10) == (scale < 1e-10)
+        assert len(norms) == asks_numpy
 
     @pytest.mark.parametrize("g", [[], [0.0], [1e-200, -1e-200], [1e200, 1e200, 1.0],
                                    [float("nan"), 1.0], [float("inf"), float("nan")]])
     def test_extremes(self, g):
         with np.errstate(all="ignore"):
-            assert flow._gradient_small(g) == (float(np.linalg.norm(g)) < 1e-10)
+            assert _stops(g) == (float(np.linalg.norm(g)) < 1e-10)
 
 
 # sha256 of the .hex() of every point and value of the three trajectories below

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from homscal import chart as chart_mod, flow as flow_mod
 from homscal.catalog import build
 from homscal.chart import _newton_template
-from homscal.flow import _rk4_template
+from homscal.flow import _ascent_template
 from homscal.signomial import (
     ExactEvaluationError,
     Monomial,
@@ -131,10 +131,10 @@ class TestPartial:
             f.eval_float((1.5, 2.0))
             f.partials_float((1.5, 2.0), 2)
             f._compiled(_newton_template, 2, 1)
-            f._compiled(_rk4_template, 1, 0)
+            f._compiled(_ascent_template, 1, 0)
         assert f._kernels[0, False] is not None and f._kernels[2, False] is not None
         assert f._kernels[_newton_template, 2, 1] is not None
-        assert f._kernels[_rk4_template, 1, 0] is not None
+        assert f._kernels[_ascent_template, 1, 0] is not None
         assert f == g and hash(f) == hash(g)
         assert g.partial(0) == f.partial(0)
 
@@ -247,9 +247,11 @@ class TestKernels:
         (_gradient_kernel, {0.0, 1.0}),
         # the Newton step's damping factor 1.0, halved by 0.5
         (lambda f: f._compiled(_newton_template, 2, 1), {0.0, 1.0, 0.5}),
-        # the RK4 attempt's half and sixth steps
-        (lambda f: f._compiled(_rk4_template, 1, 0), {0.0, 1.0, 0.5, 6.0}),
-    ], ids=["kernel", "newton-step", "rk4-attempt"])
+        # the RK4 ascent's half and sixth steps, its stop threshold and
+        # band, and its tolerance on a decrease
+        (lambda f: f._compiled(_ascent_template, 1, 0),
+         {0.0, 1.0, 0.5, 6.0, 1e-10, 0.999e-10, 1.001e-10, -1e-10}),
+    ], ids=["kernel", "newton-step", "rk4-ascent"])
     def test_source_holds_no_coefficient_or_exponent(self, compiled, literals):
         f = _fresh(sig(2, (F(7, 3), {0: F(5, 11)}), (F(-13, 17), {0: 2, 1: F(-19, 23)})))
         for _ in range(2):
@@ -541,13 +543,13 @@ class TestCopy:
             f.partial(0).eval_float(point)
             f.partials_float(point, 2)
             step = f._compiled(_newton_template, 2, 1)
-            attempt = f._compiled(_rk4_template, 1, 0)
+            ascent = f._compiled(_ascent_template, 1, 0)
         c = copier(f)
         assert c._kernels == {} and c._partials == {}
-        # the copy binds its own step and attempt, to the same doubles
+        # the copy binds its own step and ascent, to the same doubles
         assert c._compiled(_newton_template, 2, 1) is not step
         assert c._compiled(_newton_template, 2, 1).__defaults__ == step.__defaults__
-        assert c._compiled(_rk4_template, 1, 0).__defaults__ == attempt.__defaults__
+        assert c._compiled(_ascent_template, 1, 0).__defaults__ == ascent.__defaults__
         c = copier(f)
         assert c == f and hash(c) == hash(f)
         for _ in range(3):  # the copy compiles its own kernels, then reruns them
