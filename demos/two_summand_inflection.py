@@ -39,7 +39,7 @@ def main():
 
     cp = CriticalPoint.at(chart, (1.0,))
     print("\nclassification at y = 1:", cp.label)
-    print("kernel direction(s):", [v.tolist() for v in cp.kernel()])
+    print("kernel direction(s):", [list(v) for v in cp.kernel()])
 
     curve = CurveSpec(base=(Fraction(1),), direction=(Fraction(1),))
     result = probe_chart(chart, curve)

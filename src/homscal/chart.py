@@ -11,11 +11,12 @@ shift down by one.
 Critical points of the reduced function are Einstein metrics.  The
 multi-start Newton search finds them; each damped Newton step runs as one
 generated function with the kernels' term statements, bound once per chart
-by Signomial._compiled.  At a critical point the Hessian spectrum decides
-between a strict local maximum candidate, a saddle, and the degenerate case
-(semidefinite with kernel) that second order information cannot settle;
-degenerate points are referred to the probe module for a third-order
-verdict.
+by Signomial._compiled.  The linear algebra is written once, on plain
+floats: jacobi_eigh, solve and vector_norm (shared by the flow's stop test).
+At a critical point the Hessian spectrum decides between a strict local
+maximum candidate, a saddle, and the degenerate case (semidefinite with
+kernel) that second order information cannot settle; degenerate points are
+referred to the probe module for a third-order verdict.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
-
-import numpy as np
 
 from .signomial import Signomial, _define, _names, _partial_sums
 from .space import HomogeneousSpace
@@ -108,52 +107,112 @@ def restrict(space: HomogeneousSpace, eliminated: int | None = None) -> SliceCha
     )
 
 
-def jacobi_eigh(matrix: np.ndarray):
-    """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps run until the largest off-diagonal entry falls below 1e-13 times
-    the largest entry of the input, at most 60 sweeps.  Returns (eigenvalues
-    ascending, eigenvector columns in matching order).  A matrix that is not
-    square, not finite or not symmetric is a ValueError.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+def jacobi_eigh(matrix: Sequence[Sequence[float]]):
+    """Eigen-decomposition of a small symmetric matrix by cyclic Jacobi
+    rotations R (R[p][p] = R[q][q] = c, R[p][q] = -R[q][p] = s; Golub & Van
+    Loan, Matrix Computations, 8.5) until every off-diagonal entry is below
+    1e-13 times the largest entry, at most 60 sweeps.  Returns lists: the
+    eigenvalues ascending, and the rows of the matrix whose columns are the
+    matching eigenvectors.  A matrix not square, not finite or not symmetric
+    to 1e-12 times its largest entry is a ValueError."""
+    try:
+        a = [[float(x) for x in row] for row in matrix]
+    except TypeError:
+        raise ValueError("expected a square matrix of numbers") from None
+    m = len(a)
+    if any(len(row) != m for row in a):
+        raise ValueError(f"expected a square matrix, got rows of lengths {[len(row) for row in a]}")
+    if not all(math.isfinite(x) for row in a for x in row):
         raise ValueError("matrix has a non-finite entry")
-    scale = np.abs(a).max(initial=0.0)
-    if np.abs(a - a.T).max(initial=0.0) > 1e-12 * max(1.0, scale):
+    scale = max((abs(x) for row in a for x in row), default=0.0)
+    if any(abs(a[i][j] - a[j][i]) > 1e-12 * scale for i in range(m) for j in range(i)):
         raise ValueError("matrix is not symmetric")
-    m = a.shape[0]
-    v = np.eye(m)
-    if m <= 1 or scale == 0.0:
-        order = np.argsort(np.diag(a))
-        return np.diag(a)[order], v[:, order]
+    v = [[float(i == j) for j in range(m)] for i in range(m)]
     threshold = 1e-13 * scale
-    for _ in range(60):
+    for _ in range(60 if m > 1 and scale else 0):
         off = 0.0
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                off = max(off, abs(apq))
-                if abs(apq) <= threshold:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(m)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
+        for p, q in itertools.combinations(range(m), 2):
+            apq = a[p][q]
+            off = max(off, abs(apq))
+            if abs(apq) <= threshold:
+                continue
+            theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+            t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            # a <- R^T a R (rows p and q, then columns p and q) and v <- v R, in place
+            rp, rq = a[p], a[q]
+            a[p] = [c * x - s * y for x, y in zip(rp, rq)]
+            a[q] = [s * x + c * y for x, y in zip(rp, rq)]
+            for row in itertools.chain(a, v):
+                x, y = row[p], row[q]
+                row[p], row[q] = c * x - s * y, s * x + c * y
         if off <= threshold:
             break
-    order = np.argsort(np.diag(a))
-    return np.diag(a)[order], v[:, order]
+    order = sorted(range(m), key=lambda i: a[i][i])
+    return [a[i][i] for i in order], [[row[i] for i in order] for row in v]
+
+
+def _dot(u: Sequence[float], v: Sequence[float]) -> float:
+    """The sum of u[i] * v[i] in index order, from 0.0."""
+    total = 0.0
+    for x, y in zip(u, v):
+        total += x * y
+    return total
+
+
+def vector_norm(v: Sequence[float]) -> float:
+    """sqrt(_dot(v, v)): the norm of the Newton search, the flow's stop test
+    and the kernel vectors; inf when a square is beyond a double."""
+    return math.sqrt(_dot(v, v))
+
+
+def _norm_source(prefix: str, count: int) -> str:
+    """vector_norm of prefix0, prefix1, ... written out for generated code
+    with sqrt = math.sqrt (0.0 plus the first square is that square)."""
+    return f"sqrt({' + '.join(f'{prefix}{i} * {prefix}{i}' for i in range(count)) or '0.0'})"
+
+
+def _eliminate(a: Sequence[Sequence[float]], b: Sequence[float]) -> "list[float] | None":
+    """Gaussian elimination with partial pivoting (the first row of largest
+    |entry|) and back substitution; None at a pivot that is exactly 0."""
+    m = len(b)
+    rows = [[*row, y] for row, y in zip(a, b)]
+    for k in range(m):
+        p = max(range(k, m), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        if pivot[k] == 0:
+            return None
+        for row in rows[k + 1:]:
+            f = row[k] / pivot[k]
+            row[k:] = [x - f * y for x, y in zip(row[k:], pivot[k:])]
+    x = [0.0] * m
+    for k in reversed(range(m)):
+        x[k] = (rows[k][m] - _dot(rows[k][k + 1:m], x[k + 1:])) / rows[k][k]
+    return x
+
+
+def solve(a: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
+    """x with A x = b for a small symmetric matrix A of floats, by _eliminate
+    (one row is the division b0 / a00).  At a pivot that is exactly 0, or an
+    x that is not finite, the minimum-norm least-squares solution A^+ b from
+    the Jacobi spectrum, without eigenvalues of |lambda| <= m * eps * max;
+    NaNs when A is not finite."""
+    m = len(b)
+    x = ([b[0] / a[0][0]] if a[0][0] else None) if m == 1 else _eliminate(a, b)
+    if x is not None and all(map(math.isfinite, x)):
+        return x
+    if not all(math.isfinite(h) for row in a for h in row):
+        return [math.nan] * m
+    eigvals, eigvecs = jacobi_eigh(a)
+    cutoff = m * math.ulp(1.0) * max(map(abs, eigvals), default=0.0)
+    x = [0.0] * m
+    for lam, vec in zip(eigvals, zip(*eigvecs)):
+        if abs(lam) > cutoff:
+            w = _dot(vec, b) / lam
+            x = [xi + w * vi for xi, vi in zip(x, vec)]
+    return x
 
 
 @dataclass(frozen=True)
@@ -166,28 +225,23 @@ class CriticalPoint:
     kernel_band: float  # |eigenvalue| at most this counts as kernel
 
     @classmethod
-    def at(
-        cls,
-        chart: SliceChart,
-        point: Sequence[float],
-        kernel_tol: float = KERNEL_TOL,
-    ) -> "CriticalPoint":
+    def at(cls, chart: SliceChart, point: Sequence[float],
+           kernel_tol: float = KERNEL_TOL) -> "CriticalPoint":
         """Label a chart point from one gradient check and one Hessian spectrum.
 
         kernel_tol is relative to the larger of the largest |eigenvalue| and
         the cancellation scale of the Hessian entries, so that an all-roundoff
         spectrum is kernel; the point is critical when |grad| is below 1e-8
-        times the cancellation scale of the gradient entries.
-        DEGENERATE means the Hessian is negative semidefinite with kernel:
-        not settled at second order, probe along the kernel.  A point where a
-        term overflows a float, or where a gradient or Hessian entry is not
-        finite (a sum that overflows, or overflowing terms that cancel to a
-        NaN), is a ValueError.
+        times the cancellation scale of the gradient entries.  DEGENERATE
+        means the Hessian is negative semidefinite with kernel: not settled at
+        second order, probe along the kernel.  A point where a term overflows
+        a float, or a gradient or Hessian entry is not finite (a sum that
+        overflows, or overflowing terms that cancel to a NaN), is a ValueError.
         """
         coords = tuple(float(x) for x in point)
         if not all(0 < x < math.inf for x in coords):
             raise ValueError(f"chart point must be finite and strictly positive, got {coords}")
-        f, m = chart.reduced, chart.arity
+        f = chart.reduced
         try:
             grad = f.partials_float(coords, 1)
             hess = f.hessian_float(coords)
@@ -196,16 +250,16 @@ class CriticalPoint:
                 raise OverflowError
             grad_norm = math.hypot(*grad)
             grad_scale = math.hypot(*f.partials_float(coords, 1, absolute=True))
-            eigvals, eigvecs = jacobi_eigh(np.array(hess, dtype=float).reshape(m, m))
+            eigvals, eigvecs = jacobi_eigh(hess)
             hess_scale = max(f.partials_float(coords, 2, absolute=True), default=0.0)
-            band = kernel_tol * max(float(np.abs(eigvals).max(initial=0.0)), hess_scale)
+            band = kernel_tol * max(max(map(abs, eigvals), default=0.0), hess_scale)
         except OverflowError:
             raise ValueError(f"chart point {coords}: a term overflows a float") from None
         if grad_norm >= 1e-8 * max(grad_scale, 1e-300):
             label = Classification.NOT_CRITICAL
-        elif np.all(eigvals < -band):
+        elif all(v < -band for v in eigvals):
             label = Classification.LOCAL_MAX_CANDIDATE
-        elif np.any(eigvals > band):
+        elif any(v > band for v in eigvals):
             label = Classification.SADDLE
         else:
             label = Classification.DEGENERATE
@@ -213,55 +267,22 @@ class CriticalPoint:
             coords=coords,
             grad_norm=grad_norm,
             label=label,
-            eigenvalues=tuple(float(v) for v in eigvals),
-            eigenvectors=tuple(tuple(float(c) for c in row) for row in eigvecs),
+            eigenvalues=tuple(eigvals),
+            eigenvectors=tuple(map(tuple, eigvecs)),
             kernel_band=band,
         )
 
-    def kernel(self) -> list[np.ndarray]:
-        """Unit eigenvectors with eigenvalue in the band the point was labelled
-        with, each with its first nonzero coordinate positive."""
+    def kernel(self) -> list[tuple[float, ...]]:
+        """Unit eigenvectors, as tuples, with eigenvalue in the band the point
+        was labelled with, each with its first nonzero coordinate positive."""
         out = []
-        for lam, vec in zip(self.eigenvalues, np.array(self.eigenvectors).T):
+        for lam, vec in zip(self.eigenvalues, zip(*self.eigenvectors)):
             if abs(lam) <= self.kernel_band:
-                unit = vec / np.linalg.norm(vec)
+                norm = vector_norm(vec)
+                unit = tuple(c / norm for c in vec)
                 lead = next((c for c in unit if abs(c) > 1e-12), 1.0)
-                out.append(unit if lead > 0 else -unit)
+                out.append(unit if lead > 0 else tuple(-c for c in unit))
         return out
-
-
-def vector_norm(v: list[float]) -> float:
-    """Euclidean norm with the bits of np.linalg.norm: sqrt(v0 * v0) for one
-    entry, which like numpy's sqrt(dot(v, v)) overflows to inf and underflows
-    to 0; longer vectors go to numpy, whose BLAS sums plain floats cannot match."""
-    if len(v) == 1:
-        return math.sqrt(v[0] * v[0])
-    return float(np.linalg.norm(v))
-
-
-def _newton_direction(hess: list[list[float]], grad: list[float]) -> list[float]:
-    """delta solving H delta = -grad, with the bits of np.linalg.solve.
-
-    A 1x1 system with a finite nonzero h whose quotient is finite is the
-    division -g / h; every other system goes to LAPACK's solve, and when
-    that reports singularity or returns a non-finite entry, to the
-    minimum-norm least-squares solution.
-    """
-    if len(grad) == 1:
-        h, g = hess[0][0], grad[0]
-        if h != 0 and math.isfinite(h):
-            d = -g / h
-            if math.isfinite(d):
-                return [d]
-    m = len(grad)
-    a, b = np.array(hess, dtype=float).reshape(m, m), -np.array(grad, dtype=float)
-    try:
-        delta = np.linalg.solve(a, b)
-        if not np.all(np.isfinite(delta)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        delta = np.linalg.lstsq(a, b, rcond=None)[0]
-    return delta.tolist()
 
 
 @functools.lru_cache(maxsize=256)
@@ -275,26 +296,25 @@ def _newton_template(arity: int, hessian_shape: tuple, gradient_shape: tuple):
     norm.  The constants are the Hessian kernel's, then the gradient
     kernel's.  The Hessian at u and each trial's gradient are written out
     with the kernels' own term statements, so every double is the one the
-    kernels would return; the direction is _newton_direction's and the norm
-    has the bits of vector_norm.  Each trial coordinate is x + damp * d, the
-    operation order of the array expression u + damp * delta.  The step is
-    halved until the trial is strictly positive and its gradient norm is
-    below gnorm; without the second condition the near-singular Hessian at a
-    degenerate point throws iterates out of the basin.
+    kernels would return; the direction is solve(H, -g), each trial is
+    x + damp * d and its norm is _norm_source's.  The step is halved until
+    the trial is strictly positive and its gradient norm is below gnorm;
+    without the second condition the near-singular Hessian at a degenerate
+    point throws iterates out of the basin.
     """
     upper = {}
     for n, (i, j) in enumerate(itertools.combinations_with_replacement(range(arity), 2)):
         upper[i, j] = upper[j, i] = n
     matrix = ", ".join(f"[{', '.join(f'h{upper[i, j]}' for j in range(arity))}]" for i in range(arity))
+    rhs = ", ".join(f"-g[{i}]" for i in range(arity))
     finite = " and ".join(f"isfinite(d{i})" for i in range(arity)) or "True"
     nonzero = " or ".join(f"d{i}" for i in range(arity)) or "False"
     hessian, count = _partial_sums(hessian_shape, "h", "u")
     gradient, count = _partial_sums(gradient_shape, "t", "p", count)
-    norm = "sqrt(t0 * t0)" if arity == 1 else f"vector_norm([{_names('t', arity)}])"
     lines = [
         f"    [{_names('u', arity)}] = u",
         *hessian,
-        f"    [{_names('d', arity)}] = _newton_direction([{matrix}], g)",
+        f"    [{_names('d', arity)}] = solve([{matrix}], [{rhs}])",
         f"    if not ({finite}) or not ({nonzero}):",
         "        return None",
         "    damp, last = 1.0, None",
@@ -306,14 +326,13 @@ def _newton_template(arity: int, hessian_shape: tuple, gradient_shape: tuple):
         "        if trial != last and min(trial) > 0:",
         f"            [{_names('p', arity)}] = trial",
         *(f"        {line}" for line in gradient),
-        f"            tnorm = {norm}",
+        f"            tnorm = {_norm_source('t', arity)}",
         "            if isfinite(tnorm) and tnorm < gnorm:",
         f"                return trial, [{_names('t', arity)}], tnorm",
         "        damp, last = damp * 0.5, trial",
         "    return None",
     ]
-    names = {"_newton_direction": _newton_direction, "isfinite": math.isfinite,
-             "sqrt": math.sqrt, "vector_norm": vector_norm}
+    names = {"solve": solve, "isfinite": math.isfinite, "sqrt": math.sqrt}
     return _define("newton_step", "u, g, gnorm", count, lines,
                    f"<newton step, arity {arity}>", names)
 
@@ -342,17 +361,30 @@ def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] |
     return snapped
 
 
-def _newton_converge(chart: SliceChart, u: list[float]) -> "list[float] | None":
-    """Newton steps until the gradient norm is below 1e-12, at most 100, then
-    polish steps while the norm keeps falling; None if the iteration fails.
-    Each iterate carries its gradient from the step that accepted it.
+def newton_critical(chart: SliceChart, start: Sequence[float]) -> "tuple[float, ...] | None":
+    """Damped Newton iteration on the reduced gradient: the converged chart
+    point, snapped to a nearby simple rational point where the exact gradient
+    vanishes, or None if the iteration fails.  The point is not labelled.
 
-    The chart's bound step is fetched before the iteration, so a
-    coefficient beyond the range of a double raises OverflowError naming
-    its partial; an iterate at which a term overflows a float fails the
-    start.
+    Steps solve H delta = -grad (minimum-norm least squares when the Hessian
+    is singular) and are halved until the iterate stays strictly positive.
+    Once the gradient norm drops below 1e-12 (within 100 steps), a few polish
+    steps follow; along a degenerate direction the gradient is cubic in the
+    offset, so polishing sharpens coordinates well past the first iterate
+    that converges.  The gradient is evaluated once per point: at the start
+    (Signomial.partials_float) and at each damping trial that rounds to a
+    new point, inside the chart's generated step; an accepted trial keeps
+    its gradient as the next iterate's.  The iteration runs on lists of
+    floats and returns a tuple.  A start whose iterates overflow a float in
+    a term has failed; a gradient norm that overflows is inf, which the step
+    damping already treats as no progress.  A coefficient beyond the range
+    of a double raises OverflowError naming its partial.
     """
+    u = [float(x) for x in start]
+    if len(u) != chart.arity or not all(0 < x < math.inf for x in u):
+        raise ValueError("start must be a finite, strictly positive chart point")
     reduced = chart.reduced
+    # bound first: a coefficient beyond a double raises, it does not fail the start
     step = reduced._compiled(_newton_template, 2, 1)
     try:
         grad = reduced.partials_float(u, 1)
@@ -368,70 +400,45 @@ def _newton_converge(chart: SliceChart, u: list[float]) -> "list[float] | None":
             u, grad, gnorm = taken
         else:
             return None
-        for _ in range(12):
+        for _ in range(12):  # polish while the norm keeps falling
             taken = step(u, grad, gnorm)
             if taken is None:
                 break
             u, grad, gnorm = taken
     except OverflowError:
         return None
-    return u
-
-
-def newton_critical(chart: SliceChart, start: Sequence[float]) -> "np.ndarray | None":
-    """Damped Newton iteration on the reduced gradient: the converged chart
-    point, snapped to a nearby simple rational point where the exact gradient
-    vanishes, or None if the iteration fails.  The point is not labelled.
-
-    Steps solve H delta = -grad (minimum-norm least squares when the Hessian
-    is singular) and are halved until the iterate stays strictly positive.
-    Once the gradient norm drops below 1e-12 (within 100 steps), a few polish
-    steps follow; along a degenerate direction the gradient is cubic in the
-    offset, so polishing sharpens coordinates well past the first iterate
-    that converges.  The gradient is evaluated once per point: at the start
-    and at each damping trial that rounds to a new point; an accepted trial
-    keeps its gradient as the next iterate's.
-    The iteration runs on lists of floats.  The start's gradient comes from
-    Signomial.partials_float(u, 1); each step, its Hessian and its trials'
-    gradients run as one generated function with the kernels' term
-    statements, bound once per chart (Signomial._compiled).
-    numpy serves only the solve and the norm with two or more unknowns, where
-    plain floats cannot reproduce LAPACK's bits, and a 1x1 solve that the
-    division -g / h cannot settle.  Every iterate has the bits of the ndarray
-    iteration.
-    A start whose iterates overflow a float in a term has failed; a gradient
-    norm that overflows is inf, which the step damping already treats as no
-    progress.  A coefficient beyond the range of a double raises
-    OverflowError naming its partial.
-    """
-    u = [float(x) for x in start]
-    if len(u) != chart.arity or not all(0 < x < math.inf for x in u):
-        raise ValueError("start must be a finite, strictly positive chart point")
-    with np.errstate(over="ignore"):
-        u = _newton_converge(chart, u)
-    if u is None:
-        return None
     snapped = exact_snap(chart, u)
-    return np.array(u) if snapped is None else np.array([float(s) for s in snapped])
+    return tuple(u) if snapped is None else tuple(float(s) for s in snapped)
 
 
-def find_critical_points(
-    chart: SliceChart, per_axis: int = 5, kernel_tol: float = KERNEL_TOL
-) -> list[CriticalPoint]:
+def _start_axis(per_axis: int) -> list[float]:
+    """math.exp at numpy.linspace(log 0.25, log 4, per_axis)'s abscissae:
+    i * step + log 0.25, and log 4 itself last."""
+    if per_axis < 0:
+        raise ValueError(f"per_axis must be >= 0, got {per_axis}")
+    lo, hi = math.log(0.25), math.log(4.0)
+    step = (hi - lo) / max(per_axis - 1, 1)
+    points = [i * step + lo for i in range(per_axis)]
+    if per_axis > 1:
+        points[-1] = hi
+    return [math.exp(x) for x in points]
+
+
+def find_critical_points(chart: SliceChart, per_axis: int = 5,
+                         kernel_tol: float = KERNEL_TOL) -> list[CriticalPoint]:
     """Multi-start Newton from a logarithmic grid of per_axis points per axis
     on [0.25, 4]; each distinct point labelled once, results sorted.
 
-    A converged point within 1e-8 of a point already kept is skipped before
-    it is labelled.  Points labelled NotCritical are dropped: they arise
-    when the iteration stalls in the far field where every term of the
-    reduced function (and so the absolute gradient norm) decays below 1e-12
-    without an actual zero.
+    A converged point within 1e-8 (math.dist) of a point already kept is
+    skipped before it is labelled.  Points labelled NotCritical are dropped:
+    they arise when the iteration stalls in the far field where every term
+    of the reduced function (and so the absolute gradient norm) decays below
+    1e-12 without an actual zero.
     """
-    axis = np.exp(np.linspace(math.log(0.25), math.log(4.0), per_axis))
     found: list[CriticalPoint] = []
-    for start in itertools.product(axis, repeat=chart.arity):
+    for start in itertools.product(_start_axis(per_axis), repeat=chart.arity):
         u = newton_critical(chart, start)
-        if u is None or any(np.linalg.norm(u - np.array(f.coords)) < 1e-8 for f in found):
+        if u is None or any(math.dist(u, f.coords) < 1e-8 for f in found):
             continue
         cp = CriticalPoint.at(chart, u, kernel_tol=kernel_tol)
         if cp.label is not Classification.NOT_CRITICAL:

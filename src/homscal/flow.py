@@ -4,16 +4,12 @@ Classical fixed-step fourth-order (RK4) integration of u' = grad f(u) in
 chart coordinates.  The value of f is nondecreasing along exact solutions,
 and the integrator enforces that property per step up to a small tolerance;
 the module's claims are monotonicity and escape from degenerate critical
-points, nothing more.  The whole ascent runs as one generated function: per
-step the gradient at u, the stop test and each RK4 attempt's three stage
-points, their positivity checks and gradients, the endpoint and its value,
-written out with the kernels' term statements and bound once per chart by
-Signomial._compiled to the constants of the chart's gradient and value
-kernels; a step without rejections costs four gradient evaluations.  Each
-coordinate is formed in the operation order of the array expression
-(u + 0.5*h*k and so on), so the integrator takes the same doubles an ndarray
-RK4 would, and every recorded value equals chart.reduced.eval_float at the
-recorded point.
+points, nothing more.  The whole ascent runs on plain floats as one
+generated function (_ascent_template), bound once per chart by
+Signomial._compiled.  Each coordinate is formed in the operation order of
+the array expression (u + 0.5*h*k and so on), so the integrator takes the
+same doubles an ndarray RK4 would, and every recorded value equals
+chart.reduced.eval_float at the recorded point.
 """
 
 from __future__ import annotations
@@ -24,7 +20,7 @@ import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
-from .chart import SliceChart, vector_norm
+from .chart import SliceChart, _norm_source
 from .signomial import _define, _names, _partial_sums
 
 
@@ -55,12 +51,13 @@ def _ascent_template(arity: int, gradient_shape: tuple, value_shape: tuple):
     Signomial._compiled(_ascent_template, 1, 0).
 
     The constants are the gradient kernel's, then the value kernel's.  Each
-    step writes out the gradient at u, takes the stop test, then tries up to
-    20 RK4 attempts, halving h after each rejection.  Each coordinate is
-    formed in the operation order of the array expressions u + half*k,
-    u + h*k and u + sixth*(k1 + 2*k2 + 2*k3 + k4), and the four gradients and
-    the endpoint's value are written out with the kernels' own term
-    statements, so every double is the one the kernels would return.
+    step writes out the gradient at u, takes the stop test vector_norm < 1e-10
+    (the Newton search's norm, by chart._norm_source), then tries up to 20
+    RK4 attempts, halving h after each rejection.  Each coordinate is formed
+    in the operation order of the array expressions u + half*k, u + h*k and
+    u + sixth*(k1 + 2*k2 + 2*k3 + k4), and the four gradients and the
+    endpoint's value are written out with the kernels' own term statements,
+    so every double is the one the kernels would return.
     """
 
     def point(name: str, increment: str) -> list[str]:
@@ -78,7 +75,6 @@ def _ascent_template(arity: int, gradient_shape: tuple, value_shape: tuple):
     gradient, count = _partial_sums(gradient_shape, "a", "u")
     value, count = _partial_sums(value_shape, "v", "x", count)
     attempt += [*value, "    if v0 - last >= -1e-10:", "        break", "    h *= 0.5"]
-    k1 = _names("a", arity)
     lines = [
         f"    [{_names('u', arity)}] = u",
         "    if region is not None:",
@@ -86,11 +82,7 @@ def _ascent_template(arity: int, gradient_shape: tuple, value_shape: tuple):
         "    t, last = 0.0, values[-1]",
         "    for _ in range(max_steps):",
         *(f"    {line}" for line in gradient),
-        # the stop test: math.hypot decides outside +-0.1% of 1e-10, and
-        # vector_norm, with numpy's bits, inside it, where the two may fall
-        # on either side of the threshold
-        f"        norm = hypot({k1})",
-        f"        if (vector_norm([{k1}]) if 0.999e-10 <= norm <= 1.001e-10 else norm) < 1e-10:",
+        f"        if {_norm_source('a', arity)} < 1e-10:",
         "            return 'gradient-small'",
         "        h = step",
         "        for _ in range(20):",
@@ -109,7 +101,7 @@ def _ascent_template(arity: int, gradient_shape: tuple, value_shape: tuple):
         "            return 'left-region'",
         "    return 'budget'",
     ]
-    names = {"FlowError": FlowError, "hypot": math.hypot, "vector_norm": vector_norm}
+    names = {"FlowError": FlowError, "sqrt": math.sqrt}
     return _define("ascent", "u, step, max_steps, region, times, points, values", count,
                    lines, f"<rk4 ascent, arity {arity}>", names)
 
@@ -121,8 +113,8 @@ def integrate_ascent(
     max_steps: int = 100_000,
     region: "Sequence[tuple[float, float]] | None" = None,
 ) -> Trajectory:
-    """Integrate u' = grad f(u) from start until |grad| < 1e-10, the
-    trajectory leaves the region, or the step budget runs out.
+    """Integrate u' = grad f(u) from start until chart.vector_norm(grad) <
+    1e-10, the trajectory leaves the region, or the step budget runs out.
 
     A step is rejected and retried at half size when its stages or endpoint
     leave the positive orthant, or when it would decrease the value by more
@@ -134,11 +126,10 @@ def integrate_ascent(
     u is evaluated once and serves as the first RK4 stage of every attempt
     from u, and each attempt evaluates three stage gradients and, once its
     endpoint is positive, the value there, so an accepted step without
-    rejections costs four gradient evaluations.  The stop test has the
-    decisions of np.linalg.norm(g) < 1e-10 (see _ascent_template).  A start
-    that is not a finite positive chart point, a region that does not give
-    one interval per chart coordinate, a step that is not finite and > 0, or
-    a max_steps that is not an integer >= 0 raises ValueError.
+    rejections costs four gradient evaluations.  A start that is not a
+    finite positive chart point, a region that does not give one interval
+    per chart coordinate, a step that is not finite and > 0, or a max_steps
+    that is not an integer >= 0 raises ValueError.
     """
     reduced = chart.reduced
     if not (math.isfinite(step) and step > 0):

@@ -223,9 +223,9 @@ def test_restrict_then_eval_consistent(space, data):
 
 class TestJacobiEigensolver:
     def test_zero_matrix(self):
-        vals, vecs = jacobi_eigh(np.zeros((3, 3)))
-        assert np.all(vals == 0)
-        assert np.allclose(vecs @ vecs.T, np.eye(3))
+        vals, vecs = jacobi_eigh([[0.0] * 3 for _ in range(3)])
+        assert vals == [0.0] * 3
+        assert vecs == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 
     def test_diagonal_matrix(self):
         vals, _ = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
@@ -236,7 +236,9 @@ class TestJacobiEigensolver:
         for size in (2, 3, 5):
             a = rng.normal(size=(size, size))
             a = (a + a.T) / 2
-            vals, vecs = jacobi_eigh(a)
+            vals, vecs = jacobi_eigh(a.tolist())
+            assert type(vals) is list and all(type(row) is list for row in vecs)
+            vals, vecs = np.array(vals), np.array(vecs)
             scale = np.abs(a).max()
             assert np.abs(vecs @ np.diag(vals) @ vecs.T - a).max() < 1e-12 * scale
             assert np.abs(vecs.T @ vecs - np.eye(size)).max() < 1e-12
@@ -253,6 +255,20 @@ class TestJacobiEigensolver:
         with pytest.raises(ValueError):
             jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_symmetry_is_relative_below_scale_one(self):
+        # 10% asymmetric at scale 2e-14: an absolute 1e-12 test let it through
+        with pytest.raises(ValueError, match="not symmetric"):
+            jacobi_eigh([[1e-14, 1e-15], [0.0, 2e-14]])
+        # roundoff asymmetry at the same scale is still symmetric
+        vals, _ = jacobi_eigh([[1e-14, 1e-15], [1e-15 * (1 + 2 ** -52), 2e-14]])
+        assert len(vals) == 2
+
+    @pytest.mark.parametrize("bad", [[1.0, 2.0], [[1.0, 2.0]], [[1.0], [2.0, 3.0]],
+                                     [[[1.0]]]])
+    def test_non_square_rejected(self, bad):
+        with pytest.raises(ValueError, match="square"):
+            jacobi_eigh(bad)
+
     @pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, entry):
         # not left to the symmetry check, where inf - inf is a NaN that warns
@@ -264,8 +280,7 @@ class TestJacobiEigensolver:
                 jacobi_eigh([[1.0, 0.0], [0.0, entry]])
 
     def test_empty_matrix_has_empty_eigenpairs(self):
-        vals, vecs = jacobi_eigh(np.zeros((0, 0)))
-        assert vals.shape == (0,) and vecs.shape == (0, 0)
+        assert jacobi_eigh([]) == ([], [])
 
 
 class TestSpectrumAndKernel:
@@ -449,23 +464,14 @@ class TestNewton:
             newton_critical(chart, (bad, 1.0))
 
 
-def _reference_direction(h, g):
-    # the ndarray Newton direction: LAPACK solve, least squares when singular
-    hess, rhs = np.array([[h]]), -np.array([g])
-    try:
-        delta = np.linalg.solve(hess, rhs)
-        if not np.all(np.isfinite(delta)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        delta = np.linalg.lstsq(hess, rhs, rcond=None)[0]
-    return delta.tolist()
-
-
-def _outcome(fn, *args):
-    try:
-        return [x.hex() for x in fn(*args)]
-    except np.linalg.LinAlgError:  # lstsq refuses a non-finite matrix
-        return "LinAlgError"
+def _reference_one_by_one(h, g):
+    # H delta = -g for H = [[h]]: the division, except that h = 0 drops the
+    # zero eigenvalue (the minimum-norm answer 0) and a NaN h has no answer
+    if h == 0:
+        return [0.0]
+    if math.isnan(h):
+        return [math.nan]
+    return [-g / h]
 
 
 any_float = st.floats(allow_nan=True, allow_infinity=True)
@@ -480,11 +486,9 @@ class TestOneUnknownOnFloats:
     @settings(max_examples=500, deadline=None)
     @given(h=st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), any_float),
            g=finite_float)
-    def test_one_by_one_solve_has_the_bits_of_lapack(self, h, g):
-        with np.errstate(all="ignore"):
-            assert _outcome(chart_mod._newton_direction, [[h]], [g]) == _outcome(
-                _reference_direction, h, g
-            )
+    def test_one_by_one_solve_is_the_division(self, h, g):
+        got = chart_mod.solve([[h]], [-g])
+        assert [x.hex() for x in got] == [x.hex() for x in _reference_one_by_one(h, g)]
 
     @settings(max_examples=500, deadline=None)
     @given(g=st.one_of(finite_float, st.sampled_from([math.inf, -math.inf])))
@@ -492,6 +496,125 @@ class TestOneUnknownOnFloats:
         with np.errstate(all="ignore"):
             want = float(np.linalg.norm(np.array([g])))
         assert chart_mod.vector_norm([g]).hex() == want.hex()
+
+
+# -- the plain-float linear algebra, with numpy as the oracle -------------------
+
+
+def _mirrored(draw, m, entries):
+    a = [[0.0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            a[i][j] = a[j][i] = draw(entries)
+    return a
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    # entries in [-1, 1] times a power of two, so the scaling is exact
+    a = _mirrored(draw, draw(st.integers(1, 6)), st.floats(-1.0, 1.0))
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    return [[x * scale for x in row] for row in a]
+
+
+@st.composite
+def _well_conditioned(draw):
+    # entries +-(m + 1) on the graph of a symmetric permutation (the diagonal,
+    # or swapped pairs, which leave small pivots to the pivot search) and
+    # entries in [-1, 1] elsewhere: by Weyl every |eigenvalue| is at least 2
+    # and at most 2m
+    m = draw(st.integers(1, 6))
+    a = _mirrored(draw, m, st.floats(-1.0, 1.0))
+    order, partner = draw(st.permutations(range(m))), list(range(m))
+    for t in range(draw(st.integers(0, m // 2))):
+        i, j = order[2 * t], order[2 * t + 1]
+        partner[i], partner[j] = j, i
+    for i in range(m):
+        if partner[i] >= i:
+            a[i][partner[i]] = a[partner[i]][i] = draw(st.sampled_from([-1.0, 1.0])) * (m + 1)
+    b = [draw(st.floats(-1e3, 1e3)) for _ in range(m)]
+    return a, b
+
+
+@st.composite
+def _singular(draw):
+    # a well-conditioned block in some rows and columns, zeros elsewhere: the
+    # elimination meets a pivot that is exactly 0
+    a, _ = draw(_well_conditioned())
+    k = len(a)
+    m = draw(st.integers(k + 1, 7))
+    order = draw(st.permutations(range(m)))
+    full = [[0.0] * m for _ in range(m)]
+    for i in range(k):
+        for j in range(k):
+            full[order[i]][order[j]] = a[i][j]
+    b = [draw(st.floats(-1e3, 1e3)) for _ in range(m)]
+    return full, b
+
+
+class TestPlainLinearAlgebra:
+    @settings(max_examples=200, deadline=None)
+    @given(_symmetric_matrices())
+    def test_jacobi_against_numpy_eigh(self, a):
+        vals, vecs = jacobi_eigh(a)
+        arr, v = np.array(a), np.array(vecs)
+        scale = np.abs(arr).max()
+        assert np.abs(np.array(vals) - np.linalg.eigh(arr)[0]).max() <= 1e-12 * scale
+        assert np.abs(arr @ v - v * np.array(vals)).max() <= 1e-12 * scale
+        assert np.abs(v.T @ v - np.eye(len(a))).max() <= 1e-12
+        assert vals == sorted(vals)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_well_conditioned())
+    @example(([[1e-20, 1.0], [1.0, 1.0]], [1.0, 2.0]))  # wrong by 1 without pivoting
+    def test_solve_against_numpy_solve(self, case):
+        a, b = case
+        x = chart_mod.solve(a, b)
+        arr, want = np.array(a), np.linalg.solve(np.array(a), np.array(b))
+        norm_a, norm_b = np.linalg.norm(arr, 2), np.linalg.norm(b)
+        assert np.linalg.norm(arr @ np.array(x) - b) <= 1e-14 * norm_a * np.linalg.norm(x) + 1e-300
+        assert np.linalg.norm(np.array(x) - want) <= 1e-13 * max(np.linalg.norm(want), norm_b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_singular())
+    @example(([[1.0, 1.0], [1.0, 1.0]], [1.0, 3.0]))  # minimum-norm answer (1, 1)
+    @example(([[-2.0, 0.0], [0.0, 0.0]], [2.0, -1.0]))  # minimum-norm answer (-1, 0)
+    # a zero pivot whose Jacobi spectrum keeps a roundoff eigenvalue, 1e-16
+    # and -4e-17, that the least-squares solution must drop
+    @example(([[1.0, 3.0], [3.0, 9.0]], [1.0, 1.0]))
+    @example(([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], [1.0, 2.0, 4.0]))
+    def test_singular_solve_is_the_minimum_norm_least_squares(self, case):
+        a, b = case
+        x = chart_mod.solve(a, b)
+        want = np.linalg.lstsq(np.array(a), np.array(b), rcond=None)[0]
+        assert np.linalg.norm(np.array(x) - want) <= 1e-12 * max(np.linalg.norm(b), 1e-300)
+
+    @pytest.mark.parametrize("a", [[[math.nan]], [[1.0, math.nan], [math.nan, 2.0]],
+                                   [[math.inf, math.inf], [math.inf, math.inf]]])
+    def test_non_finite_matrix_without_a_finite_answer_is_nan(self, a):
+        # the elimination ends in NaN, and a non-finite matrix has no spectrum
+        assert all(map(math.isnan, chart_mod.solve(a, [1.0] * len(a))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from([1e160, -1e-170, 5e-324])),
+                    max_size=5))
+    def test_written_out_norm_has_the_bits_of_vector_norm(self, v):
+        # the generated Newton step and flow stop test use _norm_source
+        names = {f"x{i}": x for i, x in enumerate(v)}
+        got = eval(chart_mod._norm_source("x", len(v)), {"sqrt": math.sqrt}, names)
+        want = 0.0
+        for x in v:
+            want += x * x
+        assert got.hex() == math.sqrt(want).hex() == chart_mod.vector_norm(v).hex()
+
+    @pytest.mark.parametrize("per_axis", range(10))
+    def test_start_grid_has_the_bits_of_numpy(self, per_axis):
+        want = np.exp(np.linspace(math.log(0.25), math.log(4.0), per_axis))
+        assert [x.hex() for x in chart_mod._start_axis(per_axis)] == [x.hex() for x in want.tolist()]
+
+    def test_negative_grid_is_rejected(self):
+        with pytest.raises(ValueError, match="per_axis"):
+            chart_mod._start_axis(-1)
 
 
 class TestMultiStart:
@@ -522,7 +645,7 @@ class TestMultiStart:
             warnings.simplefilter("error")
             point = newton_critical(chart, ())
             points = find_critical_points(chart)
-        assert point.shape == (0,)
+        assert point == ()
         assert points == [CriticalPoint.at(chart, ())]
         assert points[0].label is Classification.LOCAL_MAX_CANDIDATE
 
@@ -544,22 +667,16 @@ class TestMultiStart:
 
 
 def _reference_newton_step(chart, u):
-    grad = np.array(chart.reduced.partials_float(u, 1))
-    hess = np.array(chart.reduced.hessian_float(u))
-    try:
-        delta = np.linalg.solve(hess, -grad)
-        if not np.all(np.isfinite(delta)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        delta = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-    if not np.all(np.isfinite(delta)) or not delta.any():
+    grad = chart.reduced.partials_float(u, 1)
+    delta = chart_mod.solve(chart.reduced.hessian_float(u), [-g for g in grad])
+    if not all(map(math.isfinite, delta)) or not any(delta):
         return None
-    gnorm = float(np.linalg.norm(grad))
+    gnorm = chart_mod.vector_norm(grad)
     damp = 1.0
     for _ in range(60):
-        trial = u + damp * delta
-        if (trial > 0).all():
-            tnorm = float(np.linalg.norm(chart.reduced.partials_float(trial, 1)))
+        trial = [x + damp * d for x, d in zip(u, delta)]
+        if min(trial, default=1.0) > 0:
+            tnorm = chart_mod.vector_norm(chart.reduced.partials_float(trial, 1))
             if math.isfinite(tnorm) and tnorm < gnorm:
                 return trial
         damp *= 0.5
@@ -569,10 +686,10 @@ def _reference_newton_step(chart, u):
 def _reference_newton_converge(chart, u, tol, max_iter):
     converged = False
     for _ in range(max_iter):
-        grad = np.array(chart.reduced.partials_float(u, 1))
-        if not np.all(np.isfinite(grad)):
+        grad = chart.reduced.partials_float(u, 1)
+        if not all(map(math.isfinite, grad)):
             return None
-        if float(np.linalg.norm(grad)) < tol:
+        if chart_mod.vector_norm(grad) < tol:
             converged = True
             break
         nxt = _reference_newton_step(chart, u)
@@ -582,12 +699,12 @@ def _reference_newton_converge(chart, u, tol, max_iter):
     if not converged:
         return None
     best_u = u
-    best_norm = float(np.linalg.norm(chart.reduced.partials_float(u, 1)))
+    best_norm = chart_mod.vector_norm(chart.reduced.partials_float(u, 1))
     for _ in range(12):
         nxt = _reference_newton_step(chart, best_u)
         if nxt is None:
             break
-        norm = float(np.linalg.norm(chart.reduced.partials_float(nxt, 1)))
+        norm = chart_mod.vector_norm(chart.reduced.partials_float(nxt, 1))
         if norm < best_norm:
             best_u, best_norm = nxt, norm
         else:
@@ -596,10 +713,9 @@ def _reference_newton_converge(chart, u, tol, max_iter):
 
 
 def _reference_newton_critical(chart, start):
-    u = np.array([float(x) for x in start], dtype=float)
+    u = [float(x) for x in start]
     try:
-        with np.errstate(over="ignore"):
-            best_u = _reference_newton_converge(chart, u, 1e-12, 100)
+        best_u = _reference_newton_converge(chart, u, 1e-12, 100)
     except OverflowError:
         return None
     if best_u is None:
@@ -624,7 +740,7 @@ NEWTON_CHARTS = {
     "two-4-9": _two_summand((4, 9), {(0, 1, 1): F(2)}),
     "two-7-7": _two_summand((7, 7), {(0, 0, 1): F(2), (0, 1, 1): F(1)}),
     "two-8-3": _two_summand((8, 3), {(0, 0, 1): F(2)}),
-    # arity 3, so the step solves with numpy: one LocalMaxCandidate near
+    # arity 3, a 3x3 elimination per step: one LocalMaxCandidate near
     # (0.876, 1.141, 1.141)
     "four-1-1-1-1": restrict(HomogeneousSpace(name="four", dims=(1, 1, 1, 1),
                                               triples={(0, 1, 2): F(1), (1, 2, 3): F(1)})),
@@ -638,8 +754,7 @@ def _reference_find_critical_points(chart):
         res = _reference_newton_critical(chart, start)
         if res is None or res.label is Classification.NOT_CRITICAL:
             continue
-        if any(np.linalg.norm(np.array(res.coords) - np.array(f.coords)) < 1e-8
-               for f in found):
+        if any(math.dist(res.coords, f.coords) < 1e-8 for f in found):
             continue
         found.append(res)
     return sorted(found, key=lambda cp: cp.coords)
@@ -733,7 +848,7 @@ def _list_newton_step(chart, u, grad, gnorm):
     vector_norm: (trial, its gradient, its norm), or None when no step is
     possible.  This is the step as it ran before it was compiled."""
     f = chart.reduced
-    delta = chart_mod._newton_direction(f.hessian_float(u), grad)
+    delta = chart_mod.solve(f.hessian_float(u), [-g for g in grad])
     if not all(math.isfinite(d) for d in delta) or not any(delta):
         return None
     damp, last = 1.0, None
@@ -755,9 +870,8 @@ def _step_bits(step, chart, u):
     type of the error the step ended with."""
     grad = chart.reduced.partials_float(u, 1)
     try:
-        with np.errstate(all="ignore"):
-            out = step(list(u), grad, chart_mod.vector_norm(grad))
-    except (OverflowError, np.linalg.LinAlgError) as exc:  # lstsq refuses a non-finite matrix
+        out = step(list(u), grad, chart_mod.vector_norm(grad))
+    except OverflowError as exc:
         return type(exc)
     if out is None:
         return None

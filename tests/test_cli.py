@@ -4,8 +4,12 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -48,9 +52,7 @@ def flag_space(n):
     }
 
 
-# two-summand space files whose `custom --search` output is pinned; every
-# chart has arity 1, so Newton never calls LAPACK and the bytes do not
-# depend on the BLAS build
+# two-summand space files whose `custom --search` output is pinned
 SEARCH_SPACES = {
     **{f"flag-{n}": flag_space(n) for n in (4, 5, 9)},
     "e6": {"name": "custom-e6", "dims": [20, 40],
@@ -75,6 +77,14 @@ SEARCH_SHA256 = {
     "random-1": "de485fc903373ef58258ca88289383861f3e6c140fddbf244cd97d2f60ffac8d",
     "random-3": "dd9df75cb8ff98cb9d6f004ccf0c5a7174f6b800faf46bca4223ee3268ac103b",
 }
+
+
+def _env_with_src():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def run(capsys, *argv):
@@ -268,20 +278,28 @@ class TestProbe:
         assert len(record["kernel_directions"]) == 1
         assert len(calls) == 1
 
-    def test_non_degenerate_point_is_inconclusive_without_a_probe(self, capsys):
-        # with no kernel band the roundoff eigenvalue of su_n n=5 reads positive
-        code, out, _ = run(capsys, "probe", "--family", "su_n", "--n", "5",
-                           "--kernel-tol", "0", "--json")
-        assert code == 1
-        record = json.loads(out)
+    def test_non_degenerate_point_is_inconclusive_without_a_probe(self, capsys, tmp_path):
+        # with no brackets the slice of dims (2, 3) has one critical point,
+        # the equal metric x = 1: a Saddle with Hessian eigenvalue 5/3, so
+        # even with no kernel band nothing is probed
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"name": "flat", "dims": [2, 3], "eliminate": 1,
+                                    "critical_point": ["1"], "kernel_direction": ["1"],
+                                    "expected_s3": "1"}))
+        code, out, _ = run(capsys, "custom", "--file", str(path), "--kernel-tol", "0")
+        assert (code, out) == (0, "critical point ('1',): Saddle\n")
+        entry = catalog.load_custom(path)
+        cp = CriticalPoint.at(entry.chart, entry.critical_point, kernel_tol=0.0)
+        assert cp.eigenvalues == (5 / 3,)
+        record = probe_record(entry, cp)
         assert record["classification"] == "Saddle"
         assert record["kernel_directions"] == []
         assert record["verdict"] == "Inconclusive"
         for key in ("mode", "s1", "s2", "s3", "s3_matches_expected", "witness",
                     "value_at_witness"):
             assert record[key] is None, key
-        assert record["expected_s3"] == "100/9"
-        assert record["value_at_critical"] == "6"
+        assert record["expected_s3"] == "1"
+        assert record["value_at_critical"] == "2.5"
 
     def test_only_a_degenerate_point_is_probed(self, monkeypatch):
         calls = []
@@ -366,6 +384,16 @@ class TestReport:
         out_path = tmp_path / "report.json"
         code, _, _ = run(capsys, "report", "--out", str(out_path))
         assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == REPORT_SHA256
+
+    def test_report_bytes_need_no_numpy(self, tmp_path):
+        # a fresh process in which `import numpy` fails
+        out_path = tmp_path / "report.json"
+        code = ("import sys; sys.modules['numpy'] = None; from homscal.cli import main; "
+                "sys.exit(main(['report', '--out', sys.argv[1]]))")
+        proc = subprocess.run([sys.executable, "-c", code, str(out_path)], env=_env_with_src(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == REPORT_SHA256
 
     def test_workers_option_is_gone(self):
