@@ -9,10 +9,11 @@ p * (-d_k/d_e) to the exponent of each retained x_k, and the indices above e
 shift down by one.
 
 Critical points of the reduced function are Einstein metrics.  The
-multi-start Newton search finds them; each damped Newton step runs as one
-generated function with the kernels' term statements, bound once per chart
-by Signomial._compiled.  The linear algebra is written once, on plain
-floats: jacobi_eigh, solve and vector_norm (shared by the flow's stop test).
+multi-start Newton search finds them; the whole damped Newton search of a
+start runs as one generated function with the kernels' term statements,
+bound once per chart by Signomial._compiled.  The linear algebra is
+written once, on plain floats: jacobi_eigh, solve and vector_norm (shared
+by the flow's stop test).
 At a critical point the Hessian spectrum decides between a strict local
 maximum candidate, a saddle, and the degenerate case (semidefinite with
 kernel) that second order information cannot settle; degenerate points are
@@ -286,55 +287,79 @@ class CriticalPoint:
 
 
 @functools.lru_cache(maxsize=256)
-def _newton_template(arity: int, hessian_shape: tuple, gradient_shape: tuple):
-    """Compile one damped Newton step for charts of one shape (see
-    signomial._shape): (u, g, gnorm, constants) -> (trial, its gradient,
-    its norm), or None when no step is possible.  Bound per chart by
-    Signomial._compiled(_newton_template, 2, 1).
+def _search_template(arity: int, hessian_shape: tuple, gradient_shape: tuple):
+    """Compile the whole damped Newton search for charts of one shape (see
+    signomial._shape): (u, g, gnorm, constants) -> the last iterate as a
+    tuple, or None when the search fails.  Bound per chart by
+    Signomial._compiled(_search_template, 2, 1).
 
-    u is the iterate as a list, g its gradient and gnorm that gradient's
-    norm.  The constants are the Hessian kernel's, then the gradient
-    kernel's.  The Hessian at u and each trial's gradient are written out
-    with the kernels' own term statements, so every double is the one the
-    kernels would return; the direction is solve(H, -g), each trial is
-    x + damp * d and its norm is _norm_source's.  The step is halved until
+    u is the start as a list, g its gradient and gnorm that gradient's norm.
+    The constants are the Hessian kernel's, then the gradient kernel's.  The
+    iterate, its gradient, the direction and the trials are scalars (u0, g0,
+    d0, p0, ...).  Up to 100 steps run until gnorm < 1e-12, else the search
+    fails, even when the 100th step converges; then up to 12 polish steps run
+    until one is not possible.  One loop writes the step once: the Hessian
+    at u and each trial's gradient with the kernels' own term statements, so
+    every double is the one the kernels would return, then the direction
+    solve(H, -g), which at arity 1 is the division -g0 / h0 with no step
+    when h0 == 0, as solve has it.  Each trial coordinate is u + damp * d,
+    and its norm is _norm_source's.  The step is halved up to 60 times until
     the trial is strictly positive and its gradient norm is below gnorm;
     without the second condition the near-singular Hessian at a degenerate
     point throws iterates out of the basin.
     """
-    upper = {}
-    for n, (i, j) in enumerate(itertools.combinations_with_replacement(range(arity), 2)):
-        upper[i, j] = upper[j, i] = n
-    matrix = ", ".join(f"[{', '.join(f'h{upper[i, j]}' for j in range(arity))}]" for i in range(arity))
-    rhs = ", ".join(f"-g[{i}]" for i in range(arity))
-    finite = " and ".join(f"isfinite(d{i})" for i in range(arity)) or "True"
-    nonzero = " or ".join(f"d{i}" for i in range(arity)) or "False"
+    def each(form: str, joiner: str, empty: str) -> str:
+        return joiner.join(form.format(i=i) for i in range(arity)) or empty
+
+    def row(prefix: str) -> str:
+        return "".join(f"{prefix}{i}, " for i in range(arity))
+
+    if arity == 1:
+        direction = ["    if not h0:", "        break", "    d0 = -g0 / h0"]
+    else:
+        upper = {}
+        for n, (i, j) in enumerate(itertools.combinations_with_replacement(range(arity), 2)):
+            upper[i, j] = upper[j, i] = n
+        matrix = ", ".join(f"[{', '.join(f'h{upper[i, j]}' for j in range(arity))}]"
+                           for i in range(arity))
+        direction = [f"    [{_names('d', arity)}] = solve([{matrix}], [{each('-g{i}', ', ', '')}])"]
+    finite = each("isfinite(d{i})", " and ", "True")
+    nonzero = each("d{i}", " or ", "False")
     hessian, count = _partial_sums(hessian_shape, "h", "u")
     gradient, count = _partial_sums(gradient_shape, "t", "p", count)
     lines = [
         f"    [{_names('u', arity)}] = u",
-        *hessian,
-        f"    [{_names('d', arity)}] = solve([{matrix}], [{rhs}])",
-        f"    if not ({finite}) or not ({nonzero}):",
-        "        return None",
-        "    damp, last = 1.0, None",
-        "    for _ in range(60):",
-        f"        trial = [{', '.join(f'u{i} + damp * d{i}' for i in range(arity))}]",
-        "        if trial == u:",
-        "            break  # every shorter step rounds to u as well",
-        "        # a trial that rounds to the last one was already rejected",
-        "        if trial != last and min(trial) > 0:",
-        f"            [{_names('p', arity)}] = trial",
-        *(f"        {line}" for line in gradient),
-        f"            tnorm = {_norm_source('t', arity)}",
-        "            if isfinite(tnorm) and tnorm < gnorm:",
-        f"                return trial, [{_names('t', arity)}], tnorm",
-        "        damp, last = damp * 0.5, trial",
-        "    return None",
+        f"    [{_names('g', arity)}] = g",
+        "    left, polish = 100, False",
+        "    while left:  # left = 0 ends the search: with u when polishing, else None",
+        "        if not polish and gnorm < 1e-12:",
+        "            left, polish = 12, True",
+        "        left -= 1",
+        *(f"    {line}" for line in hessian + direction),
+        f"        if not ({finite}) or not ({nonzero}):",
+        "            break",
+        "        # the last trial starts at u: a trial equal to u ends the step",
+        f"        {row('l')}damp = {row('u')}1.0",
+        "        for _ in range(60):",
+        *(f"            p{i} = u{i} + damp * d{i}" for i in range(arity)),
+        f"            if {each('p{i} == u{i}', ' and ', 'True')}:",
+        "                left = 0  # every shorter step rounds to u as well",
+        "                break",
+        "            # a trial that rounds to the last one was already rejected",
+        f"            if ({each('p{i} != l{i}', ' or ', 'False')}) and {each('p{i} > 0', ' and ', 'True')}:",
+        *(f"            {line}" for line in gradient),
+        f"                tnorm = {_norm_source('t', arity)}",
+        "                if isfinite(tnorm) and tnorm < gnorm:",
+        f"                    {row('u')}{row('g')}gnorm = {row('p')}{row('t')}tnorm",
+        "                    break",
+        f"            {row('l')}damp = {row('p')}damp * 0.5",
+        "        else:  # no trial made progress",
+        "            left = 0",
+        f"    return ({row('u')}) if polish else None",
     ]
     names = {"solve": solve, "isfinite": math.isfinite, "sqrt": math.sqrt}
-    return _define("newton_step", "u, g, gnorm", count, lines,
-                   f"<newton step, arity {arity}>", names)
+    return _define("newton_search", "u, g, gnorm", count, lines,
+                   f"<newton search, arity {arity}>", names)
 
 
 def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] | None":
@@ -373,42 +398,31 @@ def newton_critical(chart: SliceChart, start: Sequence[float]) -> "tuple[float, 
     offset, so polishing sharpens coordinates well past the first iterate
     that converges.  The gradient is evaluated once per point: at the start
     (Signomial.partials_float) and at each damping trial that rounds to a
-    new point, inside the chart's generated step; an accepted trial keeps
-    its gradient as the next iterate's.  The iteration runs on lists of
-    floats and returns a tuple.  A start whose iterates overflow a float in
-    a term has failed; a gradient norm that overflows is inf, which the step
-    damping already treats as no progress.  A coefficient beyond the range
-    of a double raises OverflowError naming its partial.
+    new point, inside the chart's generated search (_search_template); an
+    accepted trial keeps its gradient as the next iterate's.  The whole
+    iteration is that one call, on scalar floats, and the point is a tuple.
+    A start whose iterates overflow a float in a term has failed; a gradient
+    norm that overflows is inf, which the step damping already treats as no
+    progress.  A coefficient beyond the range of a double raises
+    OverflowError naming its partial.
     """
     u = [float(x) for x in start]
     if len(u) != chart.arity or not all(0 < x < math.inf for x in u):
         raise ValueError("start must be a finite, strictly positive chart point")
     reduced = chart.reduced
     # bound first: a coefficient beyond a double raises, it does not fail the start
-    step = reduced._compiled(_newton_template, 2, 1)
+    search = reduced._compiled(_search_template, 2, 1)
     try:
         grad = reduced.partials_float(u, 1)
         if not all(math.isfinite(g) for g in grad):
             return None
-        gnorm = vector_norm(grad)
-        for _ in range(100):
-            if gnorm < 1e-12:
-                break
-            taken = step(u, grad, gnorm)
-            if taken is None:
-                return None
-            u, grad, gnorm = taken
-        else:
-            return None
-        for _ in range(12):  # polish while the norm keeps falling
-            taken = step(u, grad, gnorm)
-            if taken is None:
-                break
-            u, grad, gnorm = taken
+        point = search(u, grad, vector_norm(grad))
     except OverflowError:
         return None
-    snapped = exact_snap(chart, u)
-    return tuple(u) if snapped is None else tuple(float(s) for s in snapped)
+    if point is None:
+        return None
+    snapped = exact_snap(chart, point)
+    return point if snapped is None else tuple(float(s) for s in snapped)
 
 
 def _start_axis(per_axis: int) -> list[float]:

@@ -249,6 +249,8 @@ def cmd_custom(args) -> int:
     status = 0
     for cp in points:
         if cp.label is not Classification.DEGENERATE:
+            if hinted:  # its record would be Inconclusive, as in probe
+                status = 1
             continue
         if hinted and entry.kernel_direction is not None:
             directions = [entry.kernel_direction]

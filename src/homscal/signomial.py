@@ -21,9 +21,10 @@ float path.
 The exact path does no work twice.  eval_exact converts and checks the point
 once per call, not once per term and factor; a coordinate equal to 1
 contributes no factor, and rational_pow returns 1 for base 1 before any root
-is taken.  A Fraction is already in lowest terms, so the constructors store
-one as is and convert only other values (int, str, bool); every stored
-coefficient and exponent is a Fraction either way.
+is taken, and otherwise roots the base before it raises it.  A Fraction is
+already in lowest terms, so the constructors store one as is and convert
+only other values (int, str, bool); every stored coefficient and exponent
+is a Fraction either way.
 
 The float path is the only float evaluator in the package.
 partials_float(point, order) evaluates every partial of one order in one
@@ -36,7 +37,7 @@ the term sum of every partial, one statement per term (sum from 0.0 in term
 order, product of scalar powers left to right).  Those statements have one
 source, _partial_sums, and the generated functions one binder, this module:
 _kernel binds a kernel, and _compiled(template, *orders) binds the chart's
-Newton step and the flow's whole RK4 ascent to those orders' kernel
+whole Newton search and the flow's whole RK4 ascent to those orders' kernel
 constants, each memoized on the signomial.  The generated source holds only
 integer indices, the arity and generated names; the coefficients and
 exponents, converted to doubles from derivative(alpha) when a kernel is
@@ -91,7 +92,12 @@ def integer_root(value: int, k: int) -> int | None:
 
 
 def rational_pow(base: Rat, exp: Fraction) -> Fraction:
-    """Exact base**exp for positive rational base, or raise ExactEvaluationError."""
+    """Exact base**exp for positive rational base, or raise ExactEvaluationError.
+
+    For exp = p/q in lowest terms the q-th roots of base's numerator and
+    denominator are taken first and then raised to p: as gcd(p, q) = 1, a^p
+    is a q-th power exactly when a is, so the roots of the smaller integers
+    decide rationality and give the same value."""
     base = _fraction(base)
     if base <= 0:
         raise ValueError(f"rational_pow needs a positive base, got {base}")
@@ -100,14 +106,13 @@ def rational_pow(base: Rat, exp: Fraction) -> Fraction:
         return _ONE
     if exp < 0:
         base, exp = 1 / base, -exp
-    powered = base ** exp.numerator
     if exp.denominator == 1:
-        return powered
-    num = integer_root(powered.numerator, exp.denominator)
-    den = integer_root(powered.denominator, exp.denominator)
+        return base ** exp.numerator
+    num = integer_root(base.numerator, exp.denominator)
+    den = integer_root(base.denominator, exp.denominator)
     if num is None or den is None:
         raise ExactEvaluationError(f"{base}^{exp} is irrational")
-    return Fraction(num, den)
+    return Fraction(num, den) ** exp.numerator
 
 
 class Monomial:

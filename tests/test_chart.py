@@ -599,7 +599,7 @@ class TestPlainLinearAlgebra:
     @given(st.lists(st.one_of(st.floats(), st.sampled_from([1e160, -1e-170, 5e-324])),
                     max_size=5))
     def test_written_out_norm_has_the_bits_of_vector_norm(self, v):
-        # the generated Newton step and flow stop test use _norm_source
+        # the generated Newton search and flow stop test use _norm_source
         names = {f"x{i}": x for i, x in enumerate(v)}
         got = eval(chart_mod._norm_source("x", len(v)), {"sqrt": math.sqrt}, names)
         want = 0.0
@@ -839,7 +839,7 @@ class TestSearchLabelsOnce:
         assert {cp.coords for cp in points} <= {cp.coords for cp in labels}
 
 
-# -- the compiled Newton step against the list-based step it replaced ---------------
+# -- the compiled Newton search against the list-based search it replaced ------------
 
 
 def _list_newton_step(chart, u, grad, gnorm):
@@ -865,18 +865,57 @@ def _list_newton_step(chart, u, grad, gnorm):
     return None
 
 
-def _step_bits(step, chart, u):
-    """The bits of one step from u with u's gradient and norm, None, or the
-    type of the error the step ended with."""
+def _list_newton_steps(chart, start):
+    """The iterates of the search as it ran before it was compiled: up to
+    100 steps of _list_newton_step until the gradient norm is below 1e-12,
+    then up to 12 polish steps.  (iterates, steps taken before the norm
+    fell below 1e-12, or None when it never did)."""
+    u = [float(x) for x in start]
     grad = chart.reduced.partials_float(u, 1)
+    if not all(map(math.isfinite, grad)):
+        return [u], None
+    gnorm = chart_mod.vector_norm(grad)
+    iterates = [u]
+    for converged in range(100):
+        if gnorm < 1e-12:
+            break
+        taken = _list_newton_step(chart, u, grad, gnorm)
+        if taken is None:
+            return iterates, None
+        u, grad, gnorm = taken
+        iterates.append(u)
+    else:
+        return iterates, None
+    for _ in range(12):
+        taken = _list_newton_step(chart, u, grad, gnorm)
+        if taken is None:
+            break
+        u, grad, gnorm = taken
+        iterates.append(u)
+    return iterates, converged
+
+
+def _list_newton_critical(chart, start):
+    """newton_critical on _list_newton_steps: the last iterate, snapped as
+    newton_critical snaps it, or None."""
     try:
-        out = step(list(u), grad, chart_mod.vector_norm(grad))
+        iterates, converged = _list_newton_steps(chart, start)
+    except OverflowError:
+        return None
+    if converged is None:
+        return None
+    snapped = chart_mod.exact_snap(chart, iterates[-1])
+    return tuple(iterates[-1]) if snapped is None else tuple(float(s) for s in snapped)
+
+
+def _search_bits(search, chart, u):
+    """The hex of every coordinate search(chart, u) returns, None, or the
+    type of the error it ended with."""
+    try:
+        out = search(chart, u)
     except OverflowError as exc:
         return type(exc)
-    if out is None:
-        return None
-    trial, tgrad, tnorm = out
-    return [x.hex() for x in trial], [x.hex() for x in tgrad], tnorm.hex()
+    return None if out is None else [x.hex() for x in out]
 
 
 @st.composite
@@ -893,15 +932,20 @@ def _synthetic_steps(draw):
 
 
 def _powers(fn):
-    """The number of ** operations in a compiled kernel or Newton step
+    """The number of ** operations in a compiled kernel or Newton search
     (BINARY_POWER before Python 3.11, BINARY_OP ** from 3.11 on)."""
     return sum(ins.opname == "BINARY_POWER" or (ins.opname == "BINARY_OP" and ins.argrepr == "**")
                for ins in dis.get_instructions(fn))
 
 
-class TestCompiledStepMatchesListStep:
+# f = -(x - 1)^4: Newton moves x - 1 to about 2/3 of itself per step, so a
+# far start takes about 100 steps to bring |f'| below 1e-12
+QUARTIC = synthetic_chart(sig(1, (-1, {0: 4}), (4, {0: 3}), (-6, {0: 2}), (4, {0: 1}), (-1, {})))
+
+
+class TestCompiledSearchMatchesListSearch:
     # rational exponents on charts of arity 0 to 3
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(_synthetic_steps())
     @example((synthetic_chart(sig(0, (F(5, 4), {}))), []))
     # singular Hessian [[-2, 0], [0, 0]]: the least-squares direction (-1, 0)
@@ -921,29 +965,43 @@ class TestCompiledStepMatchesListStep:
     @example((synthetic_chart(sig(1, (-1, {0: 1}), (F(1, 400), {0: 400}))), [0.5]))
     def test_same_outcome(self, case):
         chart, u = case
-        compiled = chart.reduced._compiled(chart_mod._newton_template, 2, 1)
-        assert _step_bits(compiled, chart, u) == _step_bits(
-            lambda *args: _list_newton_step(chart, *args), chart, u
+        assert _search_bits(newton_critical, chart, u) == _search_bits(
+            _list_newton_critical, chart, u
         )
 
+    def test_convergence_on_the_hundredth_step_fails(self):
+        # from 1.5e13 the norm falls below 1e-12 at the 99th step, from 2e13
+        # at the 100th, after which the search checks no more
+        def norm(u):
+            return chart_mod.vector_norm(QUARTIC.reduced.partials_float(u, 1))
+
+        iterates, converged = _list_newton_steps(QUARTIC, [1.5e13])
+        assert converged == 99 and norm(iterates[99]) < 1e-12
+        assert _search_bits(newton_critical, QUARTIC, [1.5e13]) == [iterates[-1][0].hex()]
+        iterates, converged = _list_newton_steps(QUARTIC, [2e13])
+        assert converged is None and len(iterates) == 101
+        assert norm(iterates[99]) >= 1e-12 > norm(iterates[100])
+        assert newton_critical(QUARTIC, [2e13]) is None
+
     @pytest.mark.parametrize("name", sorted(NEWTON_CHARTS))
-    def test_step_writes_each_power_once(self, name):
-        # the Hessian's statements once and the trial gradient's once
+    def test_search_writes_each_power_once(self, name):
+        # the Hessian's statements once and the trial gradient's once: one
+        # step body serves the Newton steps and the polish steps
         f = NEWTON_CHARTS[name].reduced
-        step = f._compiled(chart_mod._newton_template, 2, 1)
-        assert _powers(step) == _powers(f._kernel(2, False)) + _powers(f._kernel(1, False))
+        search = f._compiled(chart_mod._search_template, 2, 1)
+        assert _powers(search) == _powers(f._kernel(2, False)) + _powers(f._kernel(1, False))
 
     @pytest.mark.parametrize("name", ["e6", "su_n-5", "four-1-1-1-1"])
-    def test_search_binds_the_step_once(self, name):
-        # a fresh chart of the same terms: its memo holds no bound step yet
+    def test_find_critical_points_binds_the_search_once(self, name):
+        # a fresh chart of the same terms: its memo holds no bound search yet
         reduced = NEWTON_CHARTS[name].reduced
         chart = synthetic_chart(Signomial(reduced.arity, reduced.terms))
-        before = chart_mod._newton_template.cache_info()
+        before = chart_mod._search_template.cache_info()
         find_critical_points(chart)
-        after = chart_mod._newton_template.cache_info()
+        after = chart_mod._search_template.cache_info()
         assert after.hits + after.misses - before.hits - before.misses == 1
-        step = chart.reduced._kernels[chart_mod._newton_template, 2, 1]
-        assert chart.reduced._compiled(chart_mod._newton_template, 2, 1) is step
+        search = chart.reduced._kernels[chart_mod._search_template, 2, 1]
+        assert chart.reduced._compiled(chart_mod._search_template, 2, 1) is search
 
     @pytest.mark.parametrize("exponent, message, kept", [
         # the Hessian's coefficient 2e400 is beyond a double: it is bound
@@ -952,9 +1010,9 @@ class TestCompiledStepMatchesListStep:
         # the Hessian has no term; the gradient's coefficient 1e400 fails
         (1, r"partial \(0,\) of order 1 has coefficient 1e\+400,", [(2, False)]),
     ])
-    def test_failed_bind_memoizes_no_step(self, exponent, message, kept):
+    def test_failed_bind_memoizes_no_search(self, exponent, message, kept):
         f = sig(1, (F(10 ** 400), {0: exponent}))
         for _ in range(2):
             with pytest.raises(OverflowError, match=message):
-                f._compiled(chart_mod._newton_template, 2, 1)
+                f._compiled(chart_mod._search_template, 2, 1)
         assert list(f._kernels) == kept

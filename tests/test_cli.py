@@ -287,7 +287,7 @@ class TestProbe:
                                     "critical_point": ["1"], "kernel_direction": ["1"],
                                     "expected_s3": "1"}))
         code, out, _ = run(capsys, "custom", "--file", str(path), "--kernel-tol", "0")
-        assert (code, out) == (0, "critical point ('1',): Saddle\n")
+        assert (code, out) == (1, "critical point ('1',): Saddle\n")
         entry = catalog.load_custom(path)
         cp = CriticalPoint.at(entry.chart, entry.critical_point, kernel_tol=0.0)
         assert cp.eigenvalues == (5 / 3,)
@@ -734,7 +734,7 @@ class TestCustom:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "custom", "--file", str(path))
-        assert code == 0
+        assert code == 1  # not Degenerate: Inconclusive, as in probe
         assert err == ""
         assert out == "critical point ('9.9999999999999997e+199',): NotCritical\n"
 

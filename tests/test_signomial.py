@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from homscal import chart as chart_mod, flow as flow_mod
 from homscal.catalog import build
-from homscal.chart import _newton_template
+from homscal.chart import _search_template
 from homscal.flow import _ascent_template
 from homscal.signomial import (
     ExactEvaluationError,
@@ -78,6 +78,44 @@ class TestRationalPow:
         with pytest.raises(ValueError):
             rational_pow(F(-1), F(2))
 
+    @settings(max_examples=300, deadline=None)
+    @given(root=st.fractions(min_value=F(1, 60), max_value=60, max_denominator=60),
+           cofactor=st.sampled_from([1, 2, F(1, 3), F(4, 9), F(8, 27), 32]),
+           p=st.integers(-12, 12), q=st.integers(1, 8))
+    def test_root_first_matches_powered_first(self, root, cofactor, p, q):
+        # root^q is a q-th power; a cofactor may keep base a power or spoil it
+        base, exp = root ** q * cofactor, F(p, q)
+        assert _outcome(rational_pow, base, exp) == _outcome(_powered_first_pow, base, exp)
+
+
+def _powered_first_pow(base, exp):
+    """rational_pow as it raised base to the numerator of exp before taking
+    the roots of the powered numerator and denominator."""
+    base, exp = F(base), F(exp)
+    if base <= 0:
+        raise ValueError(f"rational_pow needs a positive base, got {base}")
+    if exp == 0 or base == 1:
+        return F(1)
+    if exp < 0:
+        base, exp = 1 / base, -exp
+    powered = base ** exp.numerator
+    if exp.denominator == 1:
+        return powered
+    num = integer_root(powered.numerator, exp.denominator)
+    den = integer_root(powered.denominator, exp.denominator)
+    if num is None or den is None:
+        raise ExactEvaluationError(f"{base}^{exp} is irrational")
+    return F(num, den)
+
+
+def _outcome(pow_rule, base, exp):
+    """The value with its type, or the type and message of the error."""
+    try:
+        value = pow_rule(base, exp)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
 
 class TestMonomial:
     def test_zero_exponents_dropped(self):
@@ -130,10 +168,10 @@ class TestPartial:
         for _ in range(2):  # the first calls compile kernels, the second rerun them
             f.eval_float((1.5, 2.0))
             f.partials_float((1.5, 2.0), 2)
-            f._compiled(_newton_template, 2, 1)
+            f._compiled(_search_template, 2, 1)
             f._compiled(_ascent_template, 1, 0)
         assert f._kernels[0, False] is not None and f._kernels[2, False] is not None
-        assert f._kernels[_newton_template, 2, 1] is not None
+        assert f._kernels[_search_template, 2, 1] is not None
         assert f._kernels[_ascent_template, 1, 0] is not None
         assert f == g and hash(f) == hash(g)
         assert g.partial(0) == f.partial(0)
@@ -245,13 +283,14 @@ class TestKernels:
     @pytest.mark.parametrize("compiled, literals", [
         # the kernel's own floats: each sum's start and the empty product
         (_gradient_kernel, {0.0, 1.0}),
-        # the Newton step's damping factor 1.0, halved by 0.5
-        (lambda f: f._compiled(_newton_template, 2, 1), {0.0, 1.0, 0.5}),
+        # the Newton search's damping factor 1.0, halved by 0.5, and its
+        # convergence threshold
+        (lambda f: f._compiled(_search_template, 2, 1), {0.0, 1.0, 0.5, 1e-12}),
         # the RK4 ascent's half and sixth steps, its stop threshold and its
         # tolerance on a decrease
         (lambda f: f._compiled(_ascent_template, 1, 0),
          {0.0, 1.0, 0.5, 6.0, 1e-10, -1e-10}),
-    ], ids=["kernel", "newton-step", "rk4-ascent"])
+    ], ids=["kernel", "newton-search", "rk4-ascent"])
     def test_source_holds_no_coefficient_or_exponent(self, compiled, literals):
         f = _fresh(sig(2, (F(7, 3), {0: F(5, 11)}), (F(-13, 17), {0: 2, 1: F(-19, 23)})))
         for _ in range(2):
@@ -542,13 +581,13 @@ class TestCopy:
         for _ in range(2):  # fill the memos the copy must not carry, kernels too
             f.partial(0).eval_float(point)
             f.partials_float(point, 2)
-            step = f._compiled(_newton_template, 2, 1)
+            search = f._compiled(_search_template, 2, 1)
             ascent = f._compiled(_ascent_template, 1, 0)
         c = copier(f)
         assert c._kernels == {} and c._partials == {}
-        # the copy binds its own step and ascent, to the same doubles
-        assert c._compiled(_newton_template, 2, 1) is not step
-        assert c._compiled(_newton_template, 2, 1).__defaults__ == step.__defaults__
+        # the copy binds its own search and ascent, to the same doubles
+        assert c._compiled(_search_template, 2, 1) is not search
+        assert c._compiled(_search_template, 2, 1).__defaults__ == search.__defaults__
         assert c._compiled(_ascent_template, 1, 0).__defaults__ == ascent.__defaults__
         c = copier(f)
         assert c == f and hash(c) == hash(f)
