@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .signomial import Signomial, _define, _names, _partial_sums
+from .signomial import Signomial, _define, _names, _order2_layout, _partial_sums
 from .space import HomogeneousSpace
 
 # |eigenvalue| at most KERNEL_TOL times the Hessian's scale counts as kernel
@@ -171,7 +171,7 @@ def vector_norm(v: Sequence[float]) -> float:
 def _norm_source(prefix: str, count: int) -> str:
     """vector_norm of prefix0, prefix1, ... written out for generated code
     with sqrt = math.sqrt (0.0 plus the first square is that square)."""
-    return f"sqrt({' + '.join(f'{prefix}{i} * {prefix}{i}' for i in range(count)) or '0.0'})"
+    return f"sqrt({_names(prefix + '{i} * ' + prefix + '{i}', count, ' + ', '0.0')})"
 
 
 def _eliminate(a: Sequence[Sequence[float]], b: Sequence[float]) -> "list[float] | None":
@@ -196,12 +196,12 @@ def _eliminate(a: Sequence[Sequence[float]], b: Sequence[float]) -> "list[float]
 
 def solve(a: Sequence[Sequence[float]], b: Sequence[float]) -> list[float]:
     """x with A x = b for a small symmetric matrix A of floats, by _eliminate
-    (one row is the division b0 / a00).  At a pivot that is exactly 0, or an
-    x that is not finite, the minimum-norm least-squares solution A^+ b from
-    the Jacobi spectrum, without eigenvalues of |lambda| <= m * eps * max;
-    NaNs when A is not finite."""
+    (on one row the division (b0 - 0.0) / a00, whose bits are b0 / a00).  At
+    a pivot that is exactly 0, or an x that is not finite, the minimum-norm
+    least-squares solution A^+ b from the Jacobi spectrum, without
+    eigenvalues of |lambda| <= m * eps * max; NaNs when A is not finite."""
     m = len(b)
-    x = ([b[0] / a[0][0]] if a[0][0] else None) if m == 1 else _eliminate(a, b)
+    x = _eliminate(a, b)
     if x is not None and all(map(math.isfinite, x)):
         return x
     if not all(math.isfinite(h) for row in a for h in row):
@@ -294,7 +294,7 @@ def _search_template(arity: int, hessian_shape: tuple, gradient_shape: tuple):
     Signomial._compiled(_search_template, 2, 1).
 
     u is the start as a list, g its gradient and gnorm that gradient's norm.
-    The constants are the Hessian kernel's, then the gradient kernel's.  The
+    The constants are those of the order-2 partials, then the order-1.  The
     iterate, its gradient, the direction and the trials are scalars (u0, g0,
     d0, p0, ...).  Up to 100 steps run until gnorm < 1e-12, else the search
     fails, even when the 100th step converges; then up to 12 polish steps run
@@ -308,28 +308,19 @@ def _search_template(arity: int, hessian_shape: tuple, gradient_shape: tuple):
     without the second condition the near-singular Hessian at a degenerate
     point throws iterates out of the basin.
     """
-    def each(form: str, joiner: str, empty: str) -> str:
-        return joiner.join(form.format(i=i) for i in range(arity)) or empty
-
-    def row(prefix: str) -> str:
-        return "".join(f"{prefix}{i}, " for i in range(arity))
-
     if arity == 1:
         direction = ["    if not h0:", "        break", "    d0 = -g0 / h0"]
     else:
-        upper = {}
-        for n, (i, j) in enumerate(itertools.combinations_with_replacement(range(arity), 2)):
-            upper[i, j] = upper[j, i] = n
-        matrix = ", ".join(f"[{', '.join(f'h{upper[i, j]}' for j in range(arity))}]"
-                           for i in range(arity))
-        direction = [f"    [{_names('d', arity)}] = solve([{matrix}], [{each('-g{i}', ', ', '')}])"]
-    finite = each("isfinite(d{i})", " and ", "True")
-    nonzero = each("d{i}", " or ", "False")
+        matrix = ", ".join(f"[{', '.join(f'h{k}' for k in row)}]" for row in _order2_layout(arity))
+        direction = [f"    [{_names('d{i}', arity)}] = solve([{matrix}], "
+                     f"[{_names('-g{i}', arity)}])"]
+    finite = _names("isfinite(d{i})", arity, " and ", "True")
+    nonzero = _names("d{i}", arity, " or ", "False")
     hessian, count = _partial_sums(hessian_shape, "h", "u")
     gradient, count = _partial_sums(gradient_shape, "t", "p", count)
     lines = [
-        f"    [{_names('u', arity)}] = u",
-        f"    [{_names('g', arity)}] = g",
+        f"    [{_names('u{i}', arity)}] = u",
+        f"    [{_names('g{i}', arity)}] = g",
         "    left, polish = 100, False",
         "    while left:  # left = 0 ends the search: with u when polishing, else None",
         "        if not polish and gnorm < 1e-12:",
@@ -339,23 +330,25 @@ def _search_template(arity: int, hessian_shape: tuple, gradient_shape: tuple):
         f"        if not ({finite}) or not ({nonzero}):",
         "            break",
         "        # the last trial starts at u: a trial equal to u ends the step",
-        f"        {row('l')}damp = {row('u')}1.0",
+        f"        {_names('l{i}, ', arity, '')}damp = {_names('u{i}, ', arity, '')}1.0",
         "        for _ in range(60):",
         *(f"            p{i} = u{i} + damp * d{i}" for i in range(arity)),
-        f"            if {each('p{i} == u{i}', ' and ', 'True')}:",
+        f"            if {_names('p{i} == u{i}', arity, ' and ', 'True')}:",
         "                left = 0  # every shorter step rounds to u as well",
         "                break",
         "            # a trial that rounds to the last one was already rejected",
-        f"            if ({each('p{i} != l{i}', ' or ', 'False')}) and {each('p{i} > 0', ' and ', 'True')}:",
+        f"            if ({_names('p{i} != l{i}', arity, ' or ', 'False')})"
+        f" and {_names('p{i} > 0', arity, ' and ', 'True')}:",
         *(f"            {line}" for line in gradient),
         f"                tnorm = {_norm_source('t', arity)}",
         "                if isfinite(tnorm) and tnorm < gnorm:",
-        f"                    {row('u')}{row('g')}gnorm = {row('p')}{row('t')}tnorm",
+        f"                    {_names('u{i}, ', arity, '')}{_names('g{i}, ', arity, '')}gnorm = "
+        f"{_names('p{i}, ', arity, '')}{_names('t{i}, ', arity, '')}tnorm",
         "                    break",
-        f"            {row('l')}damp = {row('p')}damp * 0.5",
+        f"            {_names('l{i}, ', arity, '')}damp = {_names('p{i}, ', arity, '')}damp * 0.5",
         "        else:  # no trial made progress",
         "            left = 0",
-        f"    return ({row('u')}) if polish else None",
+        f"    return ({_names('u{i}, ', arity, '')}) if polish else None",
     ]
     names = {"solve": solve, "isfinite": math.isfinite, "sqrt": math.sqrt}
     return _define("newton_search", "u, g, gnorm", count, lines,

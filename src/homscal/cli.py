@@ -187,33 +187,31 @@ def cmd_verify_constants(args) -> int:
     return 0
 
 
-def _parse_range(text: str, name: str) -> list[int]:
-    if text.strip() == "":
-        return []
-    try:
-        lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{name} must look like A..B, got {text!r}"
-        ) from None
-    return list(range(lo, hi + 1))
+def _report_jobs(text: str) -> set:
+    """(family, n) for every comma-separated item of `report --families`:
+    FAMILY gives the family's default n, FAMILY=A..B every n from A to B."""
+    items = [item.partition("=") for item in map(str.strip, text.split(",")) if item]
+    unknown = [family for family, _, _ in items if family not in catalog.FAMILIES]
+    if unknown:
+        raise ValueError(f"unknown families {unknown}")
+    jobs = set()
+    for family, ranged, span in items:
+        info = catalog.FAMILIES[family]
+        ns = info.defaults
+        if ranged:
+            if info.min_n is None:
+                raise ValueError(f"{family} has a fixed size and takes no range, got {span!r}")
+            try:
+                lo, hi = map(int, span.split(".."))
+            except ValueError:
+                raise ValueError(f"{family}: range must look like A..B, got {span!r}") from None
+            ns = range(lo, hi + 1)
+        jobs.update((family, n) for n in ns)
+    return jobs
 
 
 def cmd_report(args) -> int:
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
-    unknown = [f for f in families if f not in catalog.FAMILIES]
-    if unknown:
-        raise ValueError(f"unknown families {unknown}")
-    ranges = {
-        "su_n": args.range_su,
-        "so2n_flag": args.range_flag,
-        "su2n_mod_spn": args.range_sp,
-    }
-    jobs = set()
-    for family in families:
-        rng = ranges.get(family)
-        jobs.update((family, n) for n in (catalog.FAMILIES[family].defaults if rng is None else rng))
+    jobs = _report_jobs(args.families)
     records = []
     for f, n in sorted(jobs, key=lambda fn: (fn[0], -1 if fn[1] is None else fn[1])):
         entry = catalog.build(f, n)
@@ -326,13 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_constants)
 
     p = sub.add_parser("report", help="batch reproduction table")
-    p.add_argument("--range-su", type=lambda s: _parse_range(s, "--range-su"), default=None)
-    p.add_argument("--range-flag", type=lambda s: _parse_range(s, "--range-flag"), default=None)
-    p.add_argument("--range-sp", type=lambda s: _parse_range(s, "--range-sp"), default=None)
     p.add_argument(
         "--families",
         default=",".join(sorted(catalog.FAMILIES)),
-        help="comma-separated family subset",
+        help="comma-separated FAMILY (its default n) or FAMILY=A..B (n from A to B) items",
     )
     p.add_argument("--mode", choices=("auto", "exact", "float"), default="auto")
     p.add_argument("--out", default=None, help="output path, '-' for stdout")

@@ -50,7 +50,7 @@ def _ascent_template(arity: int, gradient_shape: tuple, value_shape: tuple):
     appending each accepted step to the three lists.  Bound per chart by
     Signomial._compiled(_ascent_template, 1, 0).
 
-    The constants are the gradient kernel's, then the value kernel's.  Each
+    The constants are those of the order-1 partials, then the value's.  Each
     step writes out the gradient at u, takes the stop test vector_norm < 1e-10
     (the Newton search's norm, by chart._norm_source), then tries up to 20
     RK4 attempts, halving h after each rejection.  Each coordinate is formed
@@ -62,7 +62,7 @@ def _ascent_template(arity: int, gradient_shape: tuple, value_shape: tuple):
 
     def point(name: str, increment: str) -> list[str]:
         # u{i} + increment with {i} filled in, then the positivity check
-        positive = " or ".join(f"{name}{i} <= 0" for i in range(arity)) or "False"
+        positive = _names(name + "{i} <= 0", arity, " or ", "False")
         return [*(f"    {name}{i} = u{i} + {increment.format(i=i)}" for i in range(arity)),
                 f"    if {positive}:", "        h *= 0.5", "        continue"]
 
@@ -76,9 +76,9 @@ def _ascent_template(arity: int, gradient_shape: tuple, value_shape: tuple):
     value, count = _partial_sums(value_shape, "v", "x", count)
     attempt += [*value, "    if v0 - last >= -1e-10:", "        break", "    h *= 0.5"]
     lines = [
-        f"    [{_names('u', arity)}] = u",
+        f"    [{_names('u{i}', arity)}] = u",
         "    if region is not None:",
-        f"        [{', '.join(f'(lo{i}, hi{i})' for i in range(arity))}] = region",
+        f"        [{_names('(lo{i}, hi{i})', arity)}] = region",
         "    t, last = 0.0, values[-1]",
         "    for _ in range(max_steps):",
         *(f"    {line}" for line in gradient),
@@ -90,14 +90,14 @@ def _ascent_template(arity: int, gradient_shape: tuple, value_shape: tuple):
         "        else:",
         "            raise FlowError('step rejected 20 times (positivity or monotonicity); '",
         "                            'the ascent field is too stiff for the requested step')",
-        f"        [{_names('u', arity)}] = [{_names('x', arity)}]",
+        f"        [{_names('u{i}', arity)}] = [{_names('x{i}', arity)}]",
         "        t += h",
         "        times.append(t)",
-        f"        points.append(({''.join(f'x{i}, ' for i in range(arity))}))",
+        f"        points.append(({_names('x{i}, ', arity, '')}))",
         "        values.append(v0)",
         "        last = v0",
         "        if region is not None and not ({}):".format(
-            " and ".join(f"lo{i} < x{i} < hi{i}" for i in range(arity)) or "True"),
+            _names("lo{i} < x{i} < hi{i}", arity, " and ", "True")),
         "            return 'left-region'",
         "    return 'budget'",
     ]

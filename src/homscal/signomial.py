@@ -30,20 +30,20 @@ The float path is the only float evaluator in the package.
 partials_float(point, order) evaluates every partial of one order in one
 pass; with absolute=True it sums |term| values instead, the scale against
 which cancellation is judged.  eval_float is its order-0 value and
-hessian_float its order-2 result as a symmetric matrix.  The first call for
-an (order, absolute) pair on a signomial compiles its kernel, which every
-call runs from then on: one generated Python function whose body writes out
-the term sum of every partial, one statement per term (sum from 0.0 in term
-order, product of scalar powers left to right).  Those statements have one
-source, _partial_sums, and the generated functions one binder, this module:
-_kernel binds a kernel, and _compiled(template, *orders) binds the chart's
-whole Newton search and the flow's whole RK4 ascent to those orders' kernel
-constants, each memoized on the signomial.  The generated source holds only
-integer indices, the arity and generated names; the coefficients and
-exponents, converted to doubles from derivative(alpha) when a kernel is
-built, are parameter defaults.  Templates are cached per shape (the arity
-and the variable indices of each term), so charts of one structure compile
-once.
+hessian_float its order-2 result as a symmetric matrix (_order2_layout).
+The first call for an (order, absolute) pair on a signomial compiles its
+kernel, which every call runs from then on: one generated Python function
+whose body writes out the term sum of every partial, one statement per
+term (sum from 0.0 in term order, product of scalar powers left to right).
+Those statements have one source, _partial_sums, and the generated
+functions one binder, _compiled(template, *orders): it binds a kernel, the
+chart's whole Newton search and the flow's whole RK4 ascent alike to the
+float constants of those orders' partials, memoized on the signomial.  The
+generated source holds only integer indices, the arity and generated
+names; the coefficients and exponents, converted to doubles from
+derivative(alpha) when a function is bound, are parameter defaults.
+Templates are cached per shape (the arity and the variable indices of each
+term), so charts of one structure compile once.
 """
 
 from __future__ import annotations
@@ -214,9 +214,21 @@ def _shape(partials: Iterable["Signomial"]) -> tuple:
     return tuple(tuple(tuple(i for i, _ in m.exps) for m in p.terms) for p in partials)
 
 
-def _names(prefix: str, count: int) -> str:
-    """`prefix0, prefix1, ...`, count names; empty for none."""
-    return ", ".join(f"{prefix}{i}" for i in range(count))
+def _names(form: str, count: int, sep: str = ", ", empty: str = "") -> str:
+    """form with {i} filled in for i = 0, ..., count - 1, joined by sep;
+    empty for none.  _names("x{i}", 2) is `x0, x1`."""
+    return sep.join(form.format(i=i) for i in range(count)) or empty
+
+
+@functools.cache
+def _order2_layout(arity: int) -> tuple[tuple[int, ...], ...]:
+    """The symmetric matrix of the order-2 partials: entry (i, j) is the
+    position of partial (min(i, j), max(i, j)) in
+    combinations_with_replacement order, the row-major upper triangle."""
+    pairs = itertools.combinations_with_replacement(range(arity), 2)
+    position = {pair: n for n, pair in enumerate(pairs)}
+    return tuple(tuple(position[min(i, j), max(i, j)] for j in range(arity))
+                 for i in range(arity))
 
 
 def _partial_sums(shape: tuple, target: str, point: str, first: int = 0) -> tuple[list[str], int]:
@@ -245,7 +257,7 @@ def _define(name: str, params: str, count: int, lines: list[str], filename: str,
     """Compile `def name(params, k0, k1, ...):` with count constants and the
     given body lines and return it; names are the globals the body reads
     besides the builtins."""
-    signature = ", ".join(filter(None, (params, _names("k", count))))
+    signature = ", ".join(filter(None, (params, _names("k{i}", count))))
     namespace = dict(names or {})
     exec(compile("\n".join([f"def {name}({signature}):", *lines]), filename, "exec"), namespace)
     return namespace[name]
@@ -274,14 +286,8 @@ def _kernel_template(arity: int, shape: tuple):
         ]
     sums, count = _partial_sums(shape, "t", "x")
     lines += sums
-    lines.append(f"    return [{_names('t', len(shape))}]")
+    lines.append(f"    return [{_names('t{i}', len(shape))}]")
     return _define("kernel", "p", count, lines, f"<signomial kernel, arity {arity}>")
-
-
-def _bind(template, constants: tuple):
-    """template's code with constants as the defaults of k0, k1, ..."""
-    code = template.__code__
-    return types.FunctionType(code, template.__globals__, code.co_name, constants)
 
 
 class Signomial:
@@ -395,9 +401,9 @@ class Signomial:
         """Value at a positive point in doubles; a term that overflows raises
         OverflowError."""
         try:
-            kernel = self._kernels[0, False]
+            kernel = self._kernels[_kernel_template, False, 0]
         except KeyError:
-            kernel = self._kernel(0, False)
+            kernel = self._compiled(_kernel_template, 0)
         return kernel(point)[0]
 
     def partials_float(
@@ -412,25 +418,17 @@ class Signomial:
         Order 0 is the signomial itself.
         """
         # the memo is read here, as in eval_float, rather than through
-        # _kernel: the saved call is a fifth of a small kernel's time
+        # _compiled: the saved call is a fifth of a small kernel's time
         try:
-            kernel = self._kernels[order, absolute]
+            kernel = self._kernels[_kernel_template, absolute, order]
         except KeyError:
-            kernel = self._kernel(order, absolute)
+            kernel = self._compiled(_kernel_template, order, absolute=absolute)
         return kernel(point)
 
     def hessian_float(self, point: Sequence[float]) -> list[list[float]]:
-        """partials_float(point, 2) as a symmetric matrix: the order-2 values
-        are the row-major upper triangle, and the lower triangle mirrors it."""
-        upper = self._kernel(2, False)(point)
-        m = self.arity
-        out = [[0.0] * m for _ in range(m)]
-        k = 0
-        for i in range(m):
-            for j in range(i, m):
-                out[i][j] = out[j][i] = upper[k]
-                k += 1
-        return out
+        """partials_float(point, 2) as a symmetric matrix, by _order2_layout."""
+        upper = self.partials_float(point, 2)
+        return [[upper[k] for k in row] for row in _order2_layout(self.arity)]
 
     def _of_order(self, order: int) -> list[tuple[tuple, "Signomial"]]:
         """(alpha, derivative(alpha)) for every partial of one order, in
@@ -438,39 +436,28 @@ class Signomial:
         alphas = itertools.combinations_with_replacement(range(self.arity), order)
         return [(alpha, self.derivative(alpha)) for alpha in alphas]
 
-    def _kernel(self, order: int, absolute: bool):
-        """The compiled evaluator of every partial of one order: point -> values.
+    def _compiled(self, template, *orders: int, absolute: bool = False):
+        """template(arity, *shapes of the orders' partials) with the float
+        constants of those partials, order after order, as the defaults of
+        its parameters k0, k1, ...: the one binder of generated functions.
 
-        Built on the first request for (order, absolute) and memoized in this
-        (immutable) instance's _kernels, which _fill creates empty as it
-        does _partials: the template of the partials' shape, with their
-        constants as the defaults of its parameters after the point.
+        Memoized in this (immutable) instance's _kernels, which _fill
+        creates empty as it does _partials, under (template, absolute,
+        *orders).  A constant beyond a double raises the first such
+        partial's OverflowError, and a failed bind memoizes nothing.
         """
-        kernel = self._kernels.get((order, absolute))
-        if kernel is None:
-            partials = self._of_order(order)
-            constants = tuple(
-                value
-                for alpha, partial in partials
-                for value in partial._float_constants(alpha, absolute)
-            )
-            template = _kernel_template(self.arity, _shape(partial for _, partial in partials))
-            kernel = self._kernels[order, absolute] = _bind(template, constants)
-        return kernel
-
-    def _compiled(self, template, *orders: int):
-        """template(arity, *shapes of the orders' partials) bound to those
-        orders' kernel constants in turn, memoized in _kernels under
-        (template, *orders).  The kernels are built first, in order, so a
-        constant beyond a double raises the first such kernel's
-        OverflowError, and a failed bind memoizes nothing."""
-        key = (template, *orders)
+        key = (template, absolute, *orders)
         bound = self._kernels.get(key)
         if bound is None:
-            kernels = [self._kernel(order, False) for order in orders]
-            constants = tuple(c for kernel in kernels for c in kernel.__defaults__)
-            shapes = (_shape(partial for _, partial in self._of_order(order)) for order in orders)
-            bound = self._kernels[key] = _bind(template(self.arity, *shapes), constants)
+            shapes, constants = [], []
+            for order in orders:
+                partials = self._of_order(order)
+                shapes.append(_shape(partial for _, partial in partials))
+                for alpha, partial in partials:
+                    constants += partial._float_constants(alpha, absolute)
+            fn = template(self.arity, *shapes)
+            bound = self._kernels[key] = types.FunctionType(
+                fn.__code__, fn.__globals__, fn.__name__, tuple(constants))
         return bound
 
     def _float_constants(self, alpha: tuple, absolute: bool) -> list[float]:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -112,8 +113,26 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
     args = build_parser().parse_args(["probe", "--family", "su_n"])
     assert (args.n, args.mode, args.kernel_tol, args.json) == (None, "auto", KERNEL_TOL, False)
     args = build_parser().parse_args(["report"])
-    assert (args.range_su, args.mode, args.out) == (None, "auto", None)
+    # three settable options: the families with their ranges, the mode, the path
+    assert sorted(vars(args)) == ["command", "families", "func", "mode", "out"]
+    assert (args.mode, args.out) == ("auto", None)
     assert args.families.split(",") == sorted(FAMILIES)
+
+
+def _readme_commands() -> list:
+    """The argument lists of the `homscal ...` lines in the README's
+    "Command line" block, without their comments."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+    assert commands and all(argv[0] == "homscal" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands_parse(argv):
+    # an option removed from the parser cannot stay in the documented examples
+    build_parser().parse_args(argv)
 
 
 TOLERANCE_OPTIONS = [
@@ -211,10 +230,12 @@ def test_a_family_is_one_record(capsys, monkeypatch):
     # build, default_entries, list and report all read the one FAMILIES table
     toy = catalog.Family(None, "a copy of the E6 quotient", (None,), FAMILIES["e6_su2_so6"].make)
     monkeypatch.setitem(catalog.FAMILIES, "toy", toy)
+    ranged = catalog.Family(3, "a copy of the unitary family", (3,), FAMILIES["su_n"].make)
+    monkeypatch.setitem(catalog.FAMILIES, "toy_n", ranged)
     entry = build("toy")
     assert (entry.family, entry.n, entry.expected_s3) == ("toy", None, 180)
     entries = default_entries()
-    assert len(entries) == 19 and [e.family for e in entries].count("toy") == 1
+    assert len(entries) == 20 and [e.family for e in entries].count("toy") == 1
     code, out, _ = run(capsys, "list")
     assert code == 0
     assert "toy              fixed size   a copy of the E6 quotient\n" in out
@@ -222,6 +243,14 @@ def test_a_family_is_one_record(capsys, monkeypatch):
     assert code == 0
     (record,) = json.loads(out)["records"]
     assert (record["family"], record["n"], record["s3"]) == ("toy", None, "180")
+    # a range needs no option of its own: the record's floor checks it
+    code, out, _ = run(capsys, "report", "--families", "toy_n=4..5", "--out", "-")
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert [(r["family"], r["n"], r["s3"]) for r in records] == [
+        ("toy_n", 4, "12"), ("toy_n", 5, "100/9")]
+    code, out, err = run(capsys, "report", "--families", "toy_n=2..4")
+    assert (code, out, err) == (2, "", "error: toy_n requires n >= 3, got 2\n")
 
 
 class TestProbe:
@@ -403,17 +432,36 @@ class TestReport:
 
     def test_deterministic_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run(capsys, "report", "--out", str(a), "--range-su", "3..4",
-            "--range-flag", "4..4", "--range-sp", "3..3")
-        run(capsys, "report", "--out", str(b), "--range-su", "3..4",
-            "--range-flag", "4..4", "--range-sp", "3..3")
+        families = "e6_su2_so6,so2n_flag=4..4,su2n_mod_spn=3..3,su_n=3..4"
+        run(capsys, "report", "--out", str(a), "--families", families)
+        run(capsys, "report", "--out", str(b), "--families", families)
         assert a.read_bytes() == b.read_bytes()
+        records = json.loads(a.read_bytes())["records"]
+        assert [(r["family"], r["n"]) for r in records] == [
+            ("e6_su2_so6", None), ("so2n_flag", 4), ("su2n_mod_spn", 3), ("su_n", 3), ("su_n", 4)]
 
     def test_empty_ranges_give_empty_report(self, capsys):
-        code, out, _ = run(capsys, "report", "--families", "su_n",
-                           "--range-su", "9..3")
+        code, out, _ = run(capsys, "report", "--families", "su_n=9..3")
         assert code == 0
         assert json.loads(out)["records"] == []
+
+    @pytest.mark.parametrize("families, message", [
+        ("e6_su2_so6=1..2", "e6_su2_so6 has a fixed size and takes no range, got '1..2'"),
+        ("su_n=3", "su_n: range must look like A..B, got '3'"),
+        ("su_n=3..x", "su_n: range must look like A..B, got '3..x'"),
+        ("su_n=", "su_n: range must look like A..B, got ''"),
+        ("so2n_flag=2..5", "so2n_flag requires n >= 4, got 2"),
+        ("bogus=3..4,su_n", "unknown families ['bogus']"),
+    ])
+    def test_bad_range_is_a_usage_error(self, capsys, families, message):
+        code, out, err = run(capsys, "report", "--families", families)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("option", ["--range-su", "--range-flag", "--range-sp"])
+    def test_range_options_are_gone(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", option, "3..4"])
+        assert exc.value.code == 2
 
     def test_unknown_family_rejected(self, capsys):
         code, _, err = run(capsys, "report", "--families", "bogus")

@@ -14,7 +14,7 @@ from homscal import flow
 from homscal.catalog import build, default_entries
 from homscal.chart import SliceChart, restrict, vector_norm
 from homscal.flow import FlowError, Trajectory, integrate_ascent, write_trajectory_csv
-from homscal.signomial import Signomial
+from homscal.signomial import Signomial, _kernel_template
 from homscal.space import space_from_dict
 
 
@@ -88,10 +88,9 @@ class TestAscent:
             calls.append(("hessian",))
             return hessian_float(self, point)
 
-        def counted_build(self, template, *orders):
-            assert (template, *orders) == (flow._ascent_template, 1, 0)
-            bound.append(compiled(self, template, *orders))
-            return bound[-1]
+        def counted_build(self, template, *orders, absolute=False):
+            bound.append((template, *orders, absolute))
+            return compiled(self, template, *orders, absolute=absolute)
 
         monkeypatch.setattr(Signomial, "partials_float", counted_partials)
         monkeypatch.setattr(Signomial, "eval_float", counted_value)
@@ -102,14 +101,15 @@ class TestAscent:
         assert traj.reason == "budget"
         # no step was halved: the times are the running sums of 50 full steps
         assert traj.times == list(itertools.accumulate([traj.step] * 50, initial=0.0))
-        # the value at the start, then the one bound ascent: no evaluator
-        # call per step
+        # the value at the start, its kernel bound on that call, then the
+        # one bound ascent: no evaluator call per step
         assert calls == [("value",)]
-        (ascent,) = bound
+        assert bound == [(_kernel_template, 0, False), (flow._ascent_template, 1, 0, False)]
         # each pass of the loop writes out the gradient at u, the three
         # stage gradients and the endpoint's value
         f = entry.chart.reduced
-        gradient, value = (_powers(f._kernels[order, False]) for order in (1, 0))
+        ascent = compiled(f, flow._ascent_template, 1, 0)
+        gradient, value = (_powers(compiled(f, _kernel_template, order)) for order in (1, 0))
         assert gradient > 0
         assert _powers(ascent) == 4 * gradient + value
 
@@ -359,7 +359,7 @@ class TestCompiledAttemptMatchesArrayFlow:
         after = flow._ascent_template.cache_info()
         assert after.hits + after.misses - before.hits - before.misses == 1
         assert all(len(traj.points) == 21 for traj in trajectories)
-        assert chart.reduced._kernels[flow._ascent_template, 1, 0] is not None
+        assert chart.reduced._kernels[flow._ascent_template, False, 1, 0] is not None
 
 
 def _gradient_chart(g):

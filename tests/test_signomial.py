@@ -18,6 +18,7 @@ from homscal.signomial import (
     ExactEvaluationError,
     Monomial,
     Signomial,
+    _kernel_template,
     integer_root,
     rational_pow,
 )
@@ -42,7 +43,7 @@ def _fresh(f):
 def _gradient_kernel(f):
     """The kernel that partials_float(point, 1) runs, after running it."""
     f.partials_float((1.3, 0.7), 1)
-    return f._kernels[1, False]
+    return f._kernels[_kernel_template, False, 1]
 
 
 class TestIntegerRoot:
@@ -170,9 +171,9 @@ class TestPartial:
             f.partials_float((1.5, 2.0), 2)
             f._compiled(_search_template, 2, 1)
             f._compiled(_ascent_template, 1, 0)
-        assert f._kernels[0, False] is not None and f._kernels[2, False] is not None
-        assert f._kernels[_search_template, 2, 1] is not None
-        assert f._kernels[_ascent_template, 1, 0] is not None
+        for key in [(_kernel_template, False, 0), (_kernel_template, False, 2),
+                    (_search_template, False, 2, 1), (_ascent_template, False, 1, 0)]:
+            assert f._kernels[key] is not None
         assert f == g and hash(f) == hash(g)
         assert g.partial(0) == f.partial(0)
 
@@ -309,7 +310,7 @@ class TestKernels:
             f = _fresh(build("su_n", n).chart.reduced)
             for _ in range(2):
                 f.partials_float((1.1, 0.9), 1)
-            kernels.append(f._kernels[1, False])
+            kernels.append(f._kernels[_kernel_template, False, 1])
         assert kernels[0] is not kernels[1]
         assert kernels[0].__code__ is kernels[1].__code__
 
@@ -322,11 +323,12 @@ class TestKernels:
     def test_first_call_compiles_and_the_next_reuses_the_kernel(self, order, absolute, call):
         f = _fresh(E6_REDUCED)
         first = call(f)
-        kernel = f._kernels[order, absolute]
-        assert list(f._kernels) == [(order, absolute)]
+        key = (_kernel_template, absolute, order)
+        kernel = f._kernels[key]
+        assert list(f._kernels) == [key]
         assert kernel.__code__.co_filename == "<signomial kernel, arity 1>"
         assert call(f) == first
-        assert f._kernels[order, absolute] is kernel
+        assert f._kernels[key] is kernel
 
 
 class TestCanonicalFractions:
@@ -625,3 +627,23 @@ def test_compiled_functions_are_bound_only_in_signomial(module):
     assert "signomial._define" in imported
     assert not {name for name in imported if name.split(".")[0] == "types"}
     assert "signomial._shape" not in imported
+
+
+def _function_type_calls(tree, scope=()):
+    """The qualified name of the function around each types.FunctionType call."""
+    out = []
+    for node in ast.iter_child_nodes(tree):
+        inner = (*scope, node.name) if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else scope
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("FunctionType"):
+            out.append(".".join(scope))
+        out += _function_type_calls(node, inner)
+    return out
+
+
+def test_only_compiled_makes_functions_from_code():
+    # one binder: no other function in the package, kernels' included,
+    # turns a code object and constants into a function
+    package = Path(chart_mod.__file__).parent
+    calls = {path.name: _function_type_calls(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: c for name, c in calls.items() if c} == {"signomial.py": ["Signomial._compiled"]}

@@ -85,6 +85,28 @@ class TestValidate:
         assert str(exc.value) == f"x.triples: expected an integer, got {value}"
 
 
+    @pytest.mark.parametrize("b, triples, message", [
+        ((0.1, 1), {(0, 1, 1): 3}, "x.b[0]: floats are not exact, pass 'p/q' or an int"),
+        ((1, 1), {(0, 1, 1): 0.3},
+         "x.triples[(0, 1, 1)]: floats are not exact, pass 'p/q' or an int"),
+        ((1, True), {(0, 1, 1): 3}, "x.b[1]: bad rational True"),
+        ((1, 1), {(0, 1, 1): "3/0"}, "x.triples[(0, 1, 1)]: bad rational '3/0' "
+                                     "(Fraction(3, 0))"),
+    ], ids=["float-b", "float-triple", "bool-b", "zero-denominator"])
+    def test_inexact_value_is_rejected_as_in_a_space_file(self, b, triples, message):
+        # a float such as 0.1 would be stored as its binary value, not 1/10
+        with pytest.raises(ValueError) as exc:
+            HomogeneousSpace(name="x", dims=(2, 3), b=b, triples=triples)
+        assert str(exc.value) == message
+
+    def test_exact_values_are_stored_as_fractions(self):
+        space = HomogeneousSpace(name="x", dims=(2, 3), b=(2, "3/2"),
+                                 triples={(0, 1, 1): F(3, 10), (1, 1, 1): "1/4"})
+        assert space.b == (F(2), F(3, 2))
+        assert space.triples == {(0, 1, 1): F(3, 10), (1, 1, 1): F(1, 4)}
+        assert all(type(v) is F for v in (*space.b, *space.triples.values()))
+
+
 class TestScalarCurvature:
     def test_two_summand_example(self):
         expected = sig(2, (5, {0: -1}), (20, {1: -1}), (F(-5, 2), {0: 1, 1: -2}))
