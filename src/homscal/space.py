@@ -67,15 +67,14 @@ class HomogeneousSpace:
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(_as_int(d, f"{self.name}.dims") for d in self.dims))
         b = (1,) * len(self.dims) if self.b is None else self.b
-        object.__setattr__(
-            self, "b", tuple(_as_fraction(v, f"{self.name}.b[{k}]") for k, v in enumerate(b))
-        )
+        where = f"{self.name}.b"
+        object.__setattr__(self, "b", tuple(_as_fraction(v, where) for v in b))
+        where = f"{self.name}.triples"
         object.__setattr__(
             self,
             "triples",
             {
-                tuple(_as_int(i, f"{self.name}.triples") for i in key):
-                    _as_fraction(v, f"{self.name}.triples[{key}]")
+                tuple(_as_int(i, where) for i in key): _as_fraction(v, where)
                 for key, v in self.triples.items()
             },
         )

@@ -555,15 +555,10 @@ def _singular(draw):
 class TestPlainLinearAlgebra:
     @settings(max_examples=200, deadline=None)
     @given(_symmetric_matrices())
-    # subnormal entries, where the two eigensolvers differ by 5e-324
-    @example([[0.0, 3.533572608e-314], [3.533572608e-314, 0.0]])
-    @example([[0.0, 4.41696576e-315], [4.41696576e-315, 4.41696576e-315]])
     def test_jacobi_against_numpy_eigh(self, a):
         vals, vecs = jacobi_eigh(a)
         arr, v = np.array(a), np.array(vecs)
-        # below the smallest normal double the spacing is a fixed 5e-324, so
-        # no bound relative to a smaller scale can hold
-        scale = max(np.abs(arr).max(), np.finfo(float).tiny)
+        scale = np.abs(arr).max()
         assert np.abs(np.array(vals) - np.linalg.eigh(arr)[0]).max() <= 1e-12 * scale
         assert np.abs(arr @ v - v * np.array(vals)).max() <= 1e-12 * scale
         assert np.abs(v.T @ v - np.eye(len(a))).max() <= 1e-12

@@ -457,12 +457,6 @@ class TestReport:
         code, out, err = run(capsys, "report", "--families", families)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("option", ["--range-su", "--range-flag", "--range-sp"])
-    def test_range_options_are_gone(self, capsys, option):
-        with pytest.raises(SystemExit) as exc:
-            main(["report", option, "3..4"])
-        assert exc.value.code == 2
-
     def test_unknown_family_rejected(self, capsys):
         code, _, err = run(capsys, "report", "--families", "bogus")
         assert code == 2

@@ -84,14 +84,11 @@ class TestValidate:
             HomogeneousSpace(name="x", dims=(20, 40), triples={key: 10})
         assert str(exc.value) == f"x.triples: expected an integer, got {value}"
 
-
     @pytest.mark.parametrize("b, triples, message", [
-        ((0.1, 1), {(0, 1, 1): 3}, "x.b[0]: floats are not exact, pass 'p/q' or an int"),
-        ((1, 1), {(0, 1, 1): 0.3},
-         "x.triples[(0, 1, 1)]: floats are not exact, pass 'p/q' or an int"),
-        ((1, True), {(0, 1, 1): 3}, "x.b[1]: bad rational True"),
-        ((1, 1), {(0, 1, 1): "3/0"}, "x.triples[(0, 1, 1)]: bad rational '3/0' "
-                                     "(Fraction(3, 0))"),
+        ((0.1, 1), {(0, 1, 1): 3}, "x.b: floats are not exact, pass 'p/q' or an int"),
+        ((1, 1), {(0, 1, 1): 0.3}, "x.triples: floats are not exact, pass 'p/q' or an int"),
+        ((1, True), {(0, 1, 1): 3}, "x.b: bad rational True"),
+        ((1, 1), {(0, 1, 1): "3/0"}, "x.triples: bad rational '3/0' (Fraction(3, 0))"),
     ], ids=["float-b", "float-triple", "bool-b", "zero-denominator"])
     def test_inexact_value_is_rejected_as_in_a_space_file(self, b, triples, message):
         # a float such as 0.1 would be stored as its binary value, not 1/10
