@@ -11,9 +11,13 @@ shift down by one.
 Critical points of the reduced function are Einstein metrics.  The
 multi-start Newton search finds them; the whole damped Newton search of a
 start runs as one generated function with the kernels' term statements,
-bound once per chart by Signomial._compiled.  The linear algebra is
-written once, on plain floats: jacobi_eigh, solve and vector_norm (shared
-by the flow's stop test).
+bound once per chart by Signomial._compiled.  A converged start is
+snapped to a nearby simple rational point where the exact gradient
+vanishes (exact_snap); the chart keeps each rounded point's verdict, so
+the exact gradient is tested once per rounded point, however many starts
+or callers meet there.  The linear algebra is written once, on plain
+floats: jacobi_eigh, solve and vector_norm (shared by the flow's stop
+test).
 At a critical point the Hessian spectrum decides between a strict local
 maximum candidate, a saddle, and the degenerate case (semidefinite with
 kernel) that second order information cannot settle; degenerate points are
@@ -26,7 +30,7 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -56,6 +60,8 @@ class SliceChart:
     dims: tuple[int, ...]
     eliminated: int
     reduced: Signomial
+    # exact_snap's rounded points: their doubles and whether the exact gradient vanishes
+    _snaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def arity(self) -> int:
@@ -115,7 +121,10 @@ def jacobi_eigh(matrix: Sequence[Sequence[float]]):
     1e-13 times the largest entry, at most 60 sweeps.  Returns lists: the
     eigenvalues ascending, and the rows of the matrix whose columns are the
     matching eigenvectors.  A matrix not square, not finite or not symmetric
-    to 1e-12 times its largest entry is a ValueError."""
+    to 1e-12 times its largest entry is a ValueError.  A matrix whose largest
+    |entry| is below 2^-900 is first scaled by the power of two that brings
+    it into [0.5, 1), exactly, and its eigenvalues scaled back: subnormal
+    entries would otherwise lose relative accuracy in the rotations."""
     try:
         a = [[float(x) for x in row] for row in matrix]
     except TypeError:
@@ -126,6 +135,10 @@ def jacobi_eigh(matrix: Sequence[Sequence[float]]):
     if not all(math.isfinite(x) for row in a for x in row):
         raise ValueError("matrix has a non-finite entry")
     scale = max((abs(x) for row in a for x in row), default=0.0)
+    shift = -math.frexp(scale)[1] if 0 < scale < 2.0 ** -900 else 0
+    if shift:
+        a = [[math.ldexp(x, shift) for x in row] for row in a]
+        scale = math.ldexp(scale, shift)
     if any(abs(a[i][j] - a[j][i]) > 1e-12 * scale for i in range(m) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     v = [[float(i == j) for j in range(m)] for i in range(m)]
@@ -151,7 +164,7 @@ def jacobi_eigh(matrix: Sequence[Sequence[float]]):
         if off <= threshold:
             break
     order = sorted(range(m), key=lambda i: a[i][i])
-    return [a[i][i] for i in order], [[row[i] for i in order] for row in v]
+    return [math.ldexp(a[i][i], -shift) for i in order], [[row[i] for i in order] for row in v]
 
 
 def _dot(u: Sequence[float], v: Sequence[float]) -> float:
@@ -364,19 +377,39 @@ def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] |
     quadratic in that offset.  When the true critical point has simple
     rational coordinates (the all-ones metrics of the catalog), exact
     verification recovers it precisely.
+
+    Each coordinate is rounded to the closest rational of denominator at most
+    1000, which must lie within 1e-6.  The exact gradient is tested once per
+    rounded point and chart: chart._snaps keeps each rounded point's doubles
+    and verdict, so the starts of one search that meet at a point, and the
+    CLI's second snap of a point, share one test.  A u within 1e-8 of a kept
+    point's doubles is not rounded again, as it rounds to that point: below
+    2^33 the doubles lie within 5e-7 of the point and every other rational
+    of denominator at most 1000 lies 1e-6 from it; from 2^33 on, doubles are
+    more than 1e-6 apart, so those of a kept point are the iterate that was
+    rounded to it, or 2^33 itself.
     """
     try:
+        for snapped, (near, vanishes) in chart._snaps.items():
+            if math.dist(u, near) < 1e-8:
+                return snapped if vanishes else None
         snapped = tuple(Fraction(float(x)).limit_denominator(1000) for x in u)
         if any(s <= 0 for s in snapped):
             return None
-        if max((abs(float(s) - float(x)) for s, x in zip(snapped, u)), default=0.0) > 1e-6:
+        near = tuple(map(float, snapped))
+        if max((abs(s - float(x)) for s, x in zip(near, u)), default=0.0) > 1e-6:
             return None
-        for i in range(chart.arity):
-            if chart.reduced.partial(i).eval_exact(snapped) != 0:
-                return None
     except ArithmeticError:
         return None
-    return snapped
+    kept = chart._snaps.get(snapped)
+    if kept is None:
+        try:
+            vanishes = all(chart.reduced.partial(i).eval_exact(snapped) == 0
+                           for i in range(chart.arity))
+        except ArithmeticError:
+            vanishes = False
+        kept = chart._snaps[snapped] = near, vanishes
+    return snapped if kept[1] else None
 
 
 def newton_critical(chart: SliceChart, start: Sequence[float]) -> "tuple[float, ...] | None":
@@ -397,7 +430,9 @@ def newton_critical(chart: SliceChart, start: Sequence[float]) -> "tuple[float, 
     A start whose iterates overflow a float in a term has failed; a gradient
     norm that overflows is inf, which the step damping already treats as no
     progress.  A coefficient beyond the range of a double raises
-    OverflowError naming its partial.
+    OverflowError naming its partial.  The snap reads and fills the chart's
+    memo of rounded points (exact_snap), so the starts of one search that
+    converge to one point share one exact gradient test.
     """
     u = [float(x) for x in start]
     if len(u) != chart.arity or not all(0 < x < math.inf for x in u):
@@ -436,8 +471,11 @@ def find_critical_points(chart: SliceChart, per_axis: int = 5,
     """Multi-start Newton from a logarithmic grid of per_axis points per axis
     on [0.25, 4]; each distinct point labelled once, results sorted.
 
-    A converged point within 1e-8 (math.dist) of a point already kept is
-    skipped before it is labelled.  Points labelled NotCritical are dropped:
+    Each start's point is snapped by newton_critical, against one memo of
+    rounded points per chart, so the exact gradient is tested once per
+    rounded point however many starts reach it.  A converged point within
+    1e-8 (math.dist) of a point already kept is skipped before it is
+    labelled.  Points labelled NotCritical are dropped:
     they arise when the iteration stalls in the far field where every term
     of the reduced function (and so the absolute gradient norm) decays below
     1e-12 without an actual zero.

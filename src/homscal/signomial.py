@@ -40,8 +40,9 @@ functions one binder, _compiled(template, *orders): it binds a kernel, the
 chart's whole Newton search and the flow's whole RK4 ascent alike to the
 float constants of those orders' partials, memoized on the signomial.  The
 generated source holds only integer indices, the arity and generated
-names; the coefficients and exponents, converted to doubles from
-derivative(alpha) when a function is bound, are parameter defaults.
+names; the coefficients and exponents are parameter defaults, converted to
+doubles once per order (_order_constants) and shared by every function
+bound to it, an absolute kernel taking abs() of each coefficient.
 Templates are cached per shape (the arity and the variable indices of each
 term), so charts of one structure compile once.
 """
@@ -293,7 +294,7 @@ def _kernel_template(arity: int, shape: tuple):
 class Signomial:
     """Finite rational combination of power products in `arity` variables."""
 
-    __slots__ = ("arity", "terms", "_partials", "_kernels")
+    __slots__ = ("arity", "terms", "_partials", "_kernels", "_floats")
 
     def __init__(self, arity: int, terms: Mapping[Monomial, Rat] | None = None):
         if arity < 0:
@@ -315,6 +316,7 @@ class Signomial:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_partials", {})
         object.__setattr__(self, "_kernels", {})
+        object.__setattr__(self, "_floats", {})
 
     @classmethod
     def _unchecked(cls, arity: int, terms: dict) -> "Signomial":
@@ -430,52 +432,72 @@ class Signomial:
         upper = self.partials_float(point, 2)
         return [[upper[k] for k in row] for row in _order2_layout(self.arity)]
 
-    def _of_order(self, order: int) -> list[tuple[tuple, "Signomial"]]:
-        """(alpha, derivative(alpha)) for every partial of one order, in
-        itertools.combinations_with_replacement(range(arity), order) order."""
-        alphas = itertools.combinations_with_replacement(range(self.arity), order)
-        return [(alpha, self.derivative(alpha)) for alpha in alphas]
+    def _order_constants(self, order: int) -> tuple[tuple, list[float]]:
+        """The shape of the partials of one order (see _shape), taken in
+        itertools.combinations_with_replacement(range(arity), order) order,
+        and their float constants in _partial_sums' numbering, each partial's
+        from its _float_constants.  Memoized per order in this (immutable)
+        instance's _floats, which _fill creates empty as it does _partials,
+        so every bind of the order shares one conversion.
+        """
+        hit = self._floats.get(order)
+        if hit is None:
+            alphas = itertools.combinations_with_replacement(range(self.arity), order)
+            partials = [(alpha, self.derivative(alpha)) for alpha in alphas]
+            constants = []
+            for alpha, partial in partials:
+                constants += partial._float_constants(alpha)
+            hit = self._floats[order] = _shape(p for _, p in partials), constants
+        return hit
 
     def _compiled(self, template, *orders: int, absolute: bool = False):
         """template(arity, *shapes of the orders' partials) with the float
         constants of those partials, order after order, as the defaults of
         its parameters k0, k1, ...: the one binder of generated functions.
+        The constants come from _order_constants; with absolute each
+        coefficient is its abs().
 
         Memoized in this (immutable) instance's _kernels, which _fill
         creates empty as it does _partials, under (template, absolute,
         *orders).  A constant beyond a double raises the first such
-        partial's OverflowError, and a failed bind memoizes nothing.
+        partial's OverflowError, and a failed bind memoizes no function.
         """
         key = (template, absolute, *orders)
         bound = self._kernels.get(key)
         if bound is None:
             shapes, constants = [], []
             for order in orders:
-                partials = self._of_order(order)
-                shapes.append(_shape(partial for _, partial in partials))
-                for alpha, partial in partials:
-                    constants += partial._float_constants(alpha, absolute)
+                shape, floats = self._order_constants(order)
+                shapes.append(shape)
+                if absolute:  # per term: the coefficient, then one exponent per factor
+                    floats, at = list(floats), 0
+                    for form in shape:
+                        for indices in form:
+                            floats[at] = abs(floats[at])
+                            at += 1 + len(indices)
+                constants += floats
             fn = template(self.arity, *shapes)
             bound = self._kernels[key] = types.FunctionType(
                 fn.__code__, fn.__globals__, fn.__name__, tuple(constants))
         return bound
 
-    def _float_constants(self, alpha: tuple, absolute: bool) -> list[float]:
-        """Per term, in term order: float(c) (|float(c)| with absolute), then
-        float(e) of each factor.  This signomial is the partial alpha of the
-        one being compiled; a value beyond the range of a double raises
-        OverflowError naming alpha and the value.
+    def _float_constants(self, alpha: tuple) -> list[float]:
+        """Per term, in term order: the coefficient, then the exponent of each
+        factor, as doubles.  Each is numerator / denominator, the correctly
+        rounded int division of float(Fraction).  This signomial is the
+        partial alpha of the one being bound; a value beyond the range of a
+        double raises OverflowError naming alpha and the value.
         """
         out = []
         try:
             for m, c in self.terms.items():
-                out.append(abs(float(c)) if absolute else float(c))
-                out.extend(float(e) for _, e in m.exps)
+                out.append(c.numerator / c.denominator)
+                out.extend(e.numerator / e.denominator for _, e in m.exps)
         except OverflowError:
             for m, c in self.terms.items():
                 for kind, value in (("coefficient", c), *(("exponent", e) for _, e in m.exps)):
                     try:
-                        float(value)
+                        value.numerator / value.denominator
                     except OverflowError:
                         approx = _SIX_DIGITS.divide(value.numerator, value.denominator)
                         raise OverflowError(

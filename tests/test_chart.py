@@ -3,16 +3,19 @@
 import ast
 import dis
 import itertools
+import json
 import math
 import warnings
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import homscal.chart as chart_mod
+import homscal.cli as cli
 from homscal.catalog import build, default_entries, e6_space, so2n_flag_space, su_n_space
 from homscal.chart import (
     Classification,
@@ -25,6 +28,7 @@ from homscal.chart import (
 )
 from homscal.signomial import Monomial, Signomial, _kernel_template
 from homscal.space import HomogeneousSpace, space_from_dict
+from test_cli import SEARCH_SPACES
 
 
 def sig(arity, *pairs):
@@ -555,6 +559,10 @@ def _singular(draw):
 class TestPlainLinearAlgebra:
     @settings(max_examples=200, deadline=None)
     @given(_symmetric_matrices())
+    # subnormal entries: unscaled, the eigenvalues were one subnormal step
+    # off and the residual 5e-324, above the bounds
+    @example([[0.0, 3.533572608e-314], [3.533572608e-314, 0.0]])
+    @example([[0.0, 4.41696576e-315], [4.41696576e-315, 4.41696576e-315]])
     def test_jacobi_against_numpy_eigh(self, a):
         vals, vecs = jacobi_eigh(a)
         arr, v = np.array(a), np.array(vecs)
@@ -712,6 +720,23 @@ def _reference_newton_converge(chart, u, tol, max_iter):
     return best_u
 
 
+def _reference_exact_snap(chart, u):
+    """exact_snap without the chart's memo: every call rounds u and, when
+    the rounding is within 1e-6, tests the exact gradient there."""
+    try:
+        snapped = tuple(F(float(x)).limit_denominator(1000) for x in u)
+        if any(s <= 0 for s in snapped):
+            return None
+        if max((abs(float(s) - float(x)) for s, x in zip(snapped, u)), default=0.0) > 1e-6:
+            return None
+        for i in range(chart.arity):
+            if chart.reduced.partial(i).eval_exact(snapped) != 0:
+                return None
+    except ArithmeticError:
+        return None
+    return snapped
+
+
 def _reference_newton_critical(chart, start):
     u = [float(x) for x in start]
     try:
@@ -720,7 +745,7 @@ def _reference_newton_critical(chart, start):
         return None
     if best_u is None:
         return None
-    snapped = chart_mod.exact_snap(chart, best_u)
+    snapped = _reference_exact_snap(chart, best_u)
     return CriticalPoint.at(chart, best_u if snapped is None else snapped)
 
 
@@ -839,6 +864,148 @@ class TestSearchLabelsOnce:
         assert {cp.coords for cp in points} <= {cp.coords for cp in labels}
 
 
+# the four index multisets of a two-summand space
+TWO_SUMMAND_MULTISETS = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+@st.composite
+def _admissible_two_summand_charts(draw):
+    """A random admissible two-summand space, restricted: dims 1..30, 2 to 4
+    of the four index multisets, values p/q with p <= 12 and q <= 4, and
+    every column sum (over ordered i, j) of [ijk] at most d_k."""
+    dims = (draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+    keys = draw(st.lists(st.sampled_from(TWO_SUMMAND_MULTISETS), min_size=2, max_size=4,
+                         unique=True))
+    triples = {key: F(draw(st.integers(1, 12)), draw(st.integers(1, 4))) for key in keys}
+    sums = [0, 0]
+    for key, value in triples.items():
+        for _, _, k in set(itertools.permutations(key)):
+            sums[k] += value
+    assume(all(s <= d for s, d in zip(sums, dims)))
+    return restrict(HomogeneousSpace(name="drawn", dims=dims, triples=triples))
+
+
+def _file_chart(data):
+    """The chart of a space file's contents, as catalog.load_custom builds it."""
+    space = space_from_dict({k: v for k, v in data.items() if k != "eliminate"})
+    return restrict(space, data.get("eliminate"))
+
+
+def _with_search_space_examples(test):
+    for name in sorted(SEARCH_SPACES):
+        test = example(_file_chart(SEARCH_SPACES[name]))(test)
+    return test
+
+
+class TestSearchSnapsOnce:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(_admissible_two_summand_charts())
+    @_with_search_space_examples
+    def test_same_points_as_snapping_every_start(self, chart):
+        found = repr(find_critical_points(chart))
+        assert found == repr(_reference_find_critical_points(chart))
+        # a second search on the chart finds its rounded points in the memo
+        assert repr(find_critical_points(chart)) == found
+
+    @pytest.mark.parametrize("name", ["flag-4", "e6"])
+    def test_custom_search_tests_each_rounded_point_once(self, monkeypatch, capsys, tmp_path,
+                                                         name):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(SEARCH_SPACES[name]))
+        snap, eval_exact = chart_mod.exact_snap, Signomial.eval_exact
+        phase, snaps, rounded, tested = [None], [], set(), []
+
+        def snapper(where):
+            def counted(chart, u):
+                snaps.append(where)
+                if where == "search":
+                    r = tuple(F(float(x)).limit_denominator(1000) for x in u)
+                    if max(abs(float(s) - float(x)) for s, x in zip(r, u)) <= 1e-6:
+                        rounded.add(r)
+                phase[0] = where
+                try:
+                    return snap(chart, u)
+                finally:
+                    phase[0] = None
+            return counted
+
+        def counted_eval(self, point):
+            if phase[0] is not None:
+                tested.append((phase[0], tuple(point)))
+            return eval_exact(self, point)
+
+        monkeypatch.setattr(chart_mod, "exact_snap", snapper("search"))
+        monkeypatch.setattr(cli, "exact_snap", snapper("cli"))
+        monkeypatch.setattr(Signomial, "eval_exact", counted_eval)
+        assert cli.main(["custom", "--file", str(path), "--search"]) == 0
+        assert "cli" in snaps and snaps.count("search") > len(rounded) > 0
+        # one chart coordinate: one exact evaluation per gradient test
+        assert sorted(point for _, point in tested) == sorted(rounded)
+        assert all(where == "search" for where, _ in tested)
+
+    def test_a_point_that_does_not_round_leaves_the_memo_empty(self):
+        # random-1's LocalMaxCandidate is 1.6e-6 from 153/46; its Saddle is
+        # 9e-7 from 171/196, where the exact gradient does not vanish
+        chart = _file_chart(SEARCH_SPACES["random-1"])
+        assert chart_mod.exact_snap(chart, (3.3260853522681746,)) is None
+        assert chart._snaps == {}
+        assert chart_mod.exact_snap(chart, (0.87244984422645677,)) is None
+        assert chart._snaps == {(F(171, 196),): ((float(F(171, 196)),), False)}
+        # next to a kept point the verdict is read, not tested again
+        for u in (0.87244984422645677, float(F(171, 196))):
+            assert chart_mod.exact_snap(chart, (u,)) is None
+        assert len(chart._snaps) == 1
+
+    def test_a_point_next_to_a_kept_one_is_not_rounded_again(self, monkeypatch):
+        chart = _file_chart(SEARCH_SPACES["e6"])
+        assert chart_mod.exact_snap(chart, (1.0 + 1e-9,)) == (F(1),)
+        monkeypatch.setattr(F, "limit_denominator", None)  # any rounding now raises
+        for u in (1.0 - 9e-9, 1.0, 1.0 + 9e-9):
+            assert chart_mod.exact_snap(chart, (u,)) == (F(1),)
+        assert list(chart._snaps) == [(F(1),)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 1e12), st.floats(-1.0, 1.0), st.integers(-3, 3))
+    @example(2.0 ** 33 - 2.0 ** -20, 0.0, 0)  # its double's neighbour below 2^33
+    @example(2.0 ** 33, 0.0, -1)
+    @example(0.87244984422645677, 1.0, 0)
+    def test_a_point_within_1e_8_of_a_rounding_rounds_to_it(self, x, offset, steps):
+        # what exact_snap's memo read rests on: a u within 1e-8 of the
+        # doubles of a rational that an iterate x rounded to, within 1e-6,
+        # rounds to that rational
+        r = F(x).limit_denominator(1000)
+        near = float(r)
+        assume(abs(near - x) <= 1e-6)
+        u = near + offset * 1e-8
+        for _ in range(abs(steps)):
+            u = math.nextafter(u, math.copysign(math.inf, steps))
+        assume(abs(u - near) < 1e-8)
+        assert F(u).limit_denominator(1000) == r
+
+    def test_memo_is_not_part_of_equality_hash_or_repr(self):
+        chart, fresh = (_file_chart(SEARCH_SPACES["e6"]) for _ in range(2))
+        assert chart_mod.exact_snap(chart, (1.0 + 1e-9,)) == (F(1),)
+        assert chart._snaps and not fresh._snaps
+        assert chart == fresh and hash(chart) == hash(fresh) and repr(chart) == repr(fresh)
+
+    def test_search_and_labels_convert_each_partial_once(self, monkeypatch):
+        reduced = NEWTON_CHARTS["four-1-1-1-1"].reduced
+        f = Signomial(reduced.arity, reduced.terms)  # a fresh copy: no memo yet
+        built = Counter()
+        float_constants = Signomial._float_constants
+
+        def counted(self, alpha):
+            built[id(self)] += 1
+            return float_constants(self, alpha)
+
+        monkeypatch.setattr(Signomial, "_float_constants", counted)
+        f._compiled(chart_mod._search_template, 2, 1)
+        CriticalPoint.at(synthetic_chart(f), (0.876, 1.141, 1.141))
+        alphas = [alpha for order in (1, 2)
+                  for alpha in itertools.combinations_with_replacement(range(f.arity), order)]
+        assert built == {id(f.derivative(alpha)): 1 for alpha in alphas}
+
+
 # -- the compiled Newton search against the list-based search it replaced ------------
 
 
@@ -904,7 +1071,7 @@ def _list_newton_critical(chart, start):
         return None
     if converged is None:
         return None
-    snapped = chart_mod.exact_snap(chart, iterates[-1])
+    snapped = _reference_exact_snap(chart, iterates[-1])
     return tuple(iterates[-1]) if snapped is None else tuple(float(s) for s in snapped)
 
 

@@ -373,20 +373,18 @@ class TestThirdPartials:
             calls[id(self), order, absolute] += 1
             return partials_float(self, point, order, absolute)
 
-        def counted_constants(self, alpha, absolute):
-            built[id(self), absolute] += 1
-            return float_constants(self, alpha, absolute)
+        def counted_constants(self, alpha):
+            built[id(self)] += 1
+            return float_constants(self, alpha)
 
         monkeypatch.setattr(Signomial, "partials_float", counted)
         monkeypatch.setattr(Signomial, "_float_constants", counted_constants)
         directional_derivatives(chart, entry.curve(), mode="float")
         assert calls == {(id(f), order, absolute): 1
                          for order in (1, 2, 3) for absolute in (False, True)}
-        # one kernel per (order, absolute), so a third partial's constants are
-        # converted once for its values and once for its |term| scale
-        assert {k: built[k] for k in built if k[0] in third} == {
-            (k, absolute): 1 for k in third for absolute in (False, True)
-        }
+        # one kernel per (order, absolute), but a third partial's constants
+        # are converted once: its values and its |term| scale share them
+        assert {k: built[k] for k in built if k in third} == {k: 1 for k in third}
 
 
 # -- the contraction against the two-branch loop it replaced -----------------------
