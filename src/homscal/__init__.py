@@ -6,7 +6,7 @@ third-order inflection certificates showing that degenerate critical points
 are not local maxima.
 """
 
-from .signomial import ExactEvaluationError, Monomial, Signomial, rational_pow
+from .signomial import ExactEvaluationError, Signomial, rational_pow
 from .space import (
     HomogeneousSpace,
     load_space,
@@ -49,7 +49,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExactEvaluationError",
-    "Monomial",
     "Signomial",
     "rational_pow",
     "HomogeneousSpace",

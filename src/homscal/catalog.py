@@ -32,7 +32,8 @@ from typing import Callable, Mapping, NamedTuple
 
 from .chart import SliceChart, restrict
 from .probe import CurveSpec
-from .space import HomogeneousSpace, space_from_dict, _as_array, _as_fraction, _as_int
+from .signomial import _as_int
+from .space import HomogeneousSpace, space_from_dict, _as_array, _as_fraction
 
 
 class ParameterRangeError(ValueError):

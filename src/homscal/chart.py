@@ -41,6 +41,11 @@ from .space import HomogeneousSpace
 KERNEL_TOL = 1e-9
 
 
+def _check_kernel_tol(kernel_tol: float) -> None:
+    if not 0 <= kernel_tol < math.inf:
+        raise ValueError(f"kernel_tol must be a finite number >= 0, got {kernel_tol!r}")
+
+
 class Classification(enum.Enum):
     NOT_CRITICAL = "NotCritical"
     LOCAL_MAX_CANDIDATE = "LocalMaxCandidate"
@@ -101,10 +106,10 @@ def restrict(space: HomogeneousSpace, eliminated: int | None = None) -> SliceCha
         raise ValueError(f"eliminated index {eliminated} out of range for r = {r}")
     a = elimination_exponents(space.dims, eliminated)
     pairs = []
-    for mono, c in space.scalar_curvature().terms.items():
-        p = mono.exponent(eliminated)
+    for key, c in space.scalar_curvature().terms.items():
+        p = dict(key).get(eliminated, 0)
         exps = [p * ak for ak in a]
-        for k, e in mono.exps:
+        for k, e in key:
             if k != eliminated:
                 exps[k - (k > eliminated)] += e
         pairs.append((c, dict(enumerate(exps))))
@@ -243,15 +248,18 @@ class CriticalPoint:
            kernel_tol: float = KERNEL_TOL) -> "CriticalPoint":
         """Label a chart point from one gradient check and one Hessian spectrum.
 
-        kernel_tol is relative to the larger of the largest |eigenvalue| and
-        the cancellation scale of the Hessian entries, so that an all-roundoff
-        spectrum is kernel; the point is critical when |grad| is below 1e-8
-        times the cancellation scale of the gradient entries.  DEGENERATE
-        means the Hessian is negative semidefinite with kernel: not settled at
-        second order, probe along the kernel.  A point where a term overflows
-        a float, or a gradient or Hessian entry is not finite (a sum that
-        overflows, or overflowing terms that cancel to a NaN), is a ValueError.
+        kernel_tol, a finite number >= 0, is relative to the larger of the
+        largest |eigenvalue| and the cancellation scale of the Hessian
+        entries, so that an all-roundoff spectrum is kernel; the point is
+        critical when |grad| is below 1e-8 times the cancellation scale of
+        the gradient entries.  DEGENERATE means the Hessian is negative
+        semidefinite with kernel: not settled at second order, probe along
+        the kernel.  A point where a term overflows a float, or a gradient or
+        Hessian entry is not finite (a sum that overflows, or overflowing
+        terms that cancel to a NaN), is a ValueError, as is any other
+        kernel_tol.
         """
+        _check_kernel_tol(kernel_tol)
         coords = tuple(float(x) for x in point)
         if not all(0 < x < math.inf for x in coords):
             raise ValueError(f"chart point must be finite and strictly positive, got {coords}")
@@ -478,8 +486,9 @@ def find_critical_points(chart: SliceChart, per_axis: int = 5,
     labelled.  Points labelled NotCritical are dropped:
     they arise when the iteration stalls in the far field where every term
     of the reduced function (and so the absolute gradient norm) decays below
-    1e-12 without an actual zero.
+    1e-12 without an actual zero.  kernel_tol is checked before the search.
     """
+    _check_kernel_tol(kernel_tol)
     found: list[CriticalPoint] = []
     for start in itertools.product(_start_axis(per_axis), repeat=chart.arity):
         u = newton_critical(chart, start)

@@ -21,13 +21,13 @@ import argparse
 import dataclasses
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
 from . import catalog, lie_constants
 from .catalog import CatalogEntry
-from .chart import KERNEL_TOL, Classification, CriticalPoint, exact_snap, find_critical_points
+from .chart import (KERNEL_TOL, Classification, CriticalPoint, _check_kernel_tol, exact_snap,
+                    find_critical_points)
 from .probe import Verdict, improving_offset, probe_chart
 from .signomial import ExactEvaluationError
 
@@ -287,13 +287,13 @@ def _rationalize(values) -> tuple:
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of the tolerance options: a finite float >= 0."""
+    """argparse type of the tolerance options: a finite float >= 0, by the
+    library's own check."""
     try:
         value = float(text)
+        _check_kernel_tol(value)
     except ValueError:
-        value = math.nan
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}") from None
     return value
 
 

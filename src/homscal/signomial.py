@@ -4,16 +4,20 @@ A signomial is a finite sum of terms c * x0^e0 * x1^e1 * ... with rational
 coefficient c and rational exponents e_i, defined on the positive orthant
 x_i > 0.  The representation is a canonical term map
 
-    Signomial.terms : dict[Monomial, Fraction]
+    Signomial.terms : dict[TermKey, Fraction]
 
 with no zero coefficients stored, so two signomials are equal exactly when
-their term maps are equal.  A Monomial stores only its nonzero exponents as a
-sorted tuple of (variable index, exponent) pairs, which makes it hashable.
+their term maps are equal.  A term's key is the power product's exponents
+as a tuple of (variable index, exponent) pairs, sorted by index, with no
+zero exponent: hashable, and equal exactly when the power products are.
 
 Exponents are Fractions rather than ints because eliminating a coordinate
 against a volume constraint (chart.restrict) produces powers like
 x^(n/(n-2)).  A signomial is built from (coefficient, exponents) pairs by
-from_terms, and differentiation (partial) is exact; only evaluation may
+from_terms, or from a map of keys to coefficients by Signomial(arity,
+terms); both make every key by one canonicalizer, _monomial, which checks
+each index (an integer in [0, arity)), and merge equal keys.
+Differentiation (partial) is exact; only evaluation may
 leave the rationals, and then the caller chooses between the exact path
 (which raises ExactEvaluationError if an irrational power appears) and the
 float path.
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import types
 from collections.abc import Iterable, Mapping, Sequence
 from decimal import Context
@@ -58,6 +63,7 @@ from fractions import Fraction
 from typing import Union
 
 Rat = Union[int, Fraction]
+TermKey = tuple[tuple[int, Fraction], ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -116,74 +122,58 @@ def rational_pow(base: Rat, exp: Fraction) -> Fraction:
     return Fraction(num, den) ** exp.numerator
 
 
-class Monomial:
-    """A power product prod x_i^{e_i} with rational exponents, coefficient-free.
+def _as_int(value, where: str) -> int:
+    # bool is an int subclass, and int() would truncate floats and split strings
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)  # an int, or an integer type such as numpy's
+        except TypeError:
+            pass
+    raise ValueError(f"{where}: expected an integer, got {value!r}")
 
-    Stored as a sorted tuple of (index, exponent) pairs with all exponents
-    nonzero, so instances are hashable and comparison is structural.  The
-    hash is computed once, at construction.
-    """
 
-    __slots__ = ("exps", "_hash")
+def _monomial(exps: Mapping[int, Rat] | Iterable[tuple[int, Rat]], arity: int) -> TermKey:
+    """The term key of the power product prod x_i^{e_i}: its nonzero
+    exponents as Fractions, each paired with its index, sorted by index.
+    Every index is an integer in [0, arity) and none repeats."""
+    items = exps.items() if isinstance(exps, Mapping) else exps
+    cleaned = []
+    for idx, e in items:
+        idx = _as_int(idx, "variable index")
+        if not 0 <= idx < arity:
+            raise ValueError(f"variable index {idx} out of range for arity {arity}")
+        e = _fraction(e)
+        if e:
+            cleaned.append((idx, e))
+    cleaned.sort()
+    if len({i for i, _ in cleaned}) != len(cleaned):
+        raise ValueError("duplicate variable index in monomial")
+    return tuple(cleaned)
 
-    def __init__(self, exps: Mapping[int, Rat] | Iterable[tuple[int, Rat]] = ()):
-        items = exps.items() if isinstance(exps, Mapping) else exps
-        cleaned = []
-        for idx, e in items:
-            if idx < 0:
-                raise ValueError(f"negative variable index {idx}")
-            e = _fraction(e)
-            if e:
-                cleaned.append((int(idx), e))
-        cleaned.sort()
-        if len({i for i, _ in cleaned}) != len(cleaned):
-            raise ValueError("duplicate variable index in monomial")
-        self._fill(tuple(cleaned))
 
-    def _fill(self, exps: tuple) -> None:
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "_hash", hash(exps))
+def _term_map(arity: int, items: Iterable[tuple]) -> tuple[int, dict[TermKey, Fraction]]:
+    """The checked arity and the canonical term map of (exponents,
+    coefficient) items: each key made by _monomial, the coefficients of
+    equal keys summed in the first one's place, and zero sums dropped."""
+    arity = _as_int(arity, "arity")
+    if arity < 0:
+        raise ValueError("arity must be nonnegative")
+    acc: dict[TermKey, Fraction] = {}
+    for exps, coeff in items:
+        key, c = _monomial(exps, arity), _fraction(coeff)
+        prev = acc.get(key)  # a new key keeps c itself
+        acc[key] = c if prev is None else prev + c
+    return arity, {key: c for key, c in acc.items() if c}
 
-    @classmethod
-    def _unchecked(cls, exps: tuple) -> "Monomial":
-        """A monomial from pairs that are already canonical (sorted distinct
-        indices, nonzero Fraction exponents), without checking them."""
-        m = object.__new__(cls)
-        m._fill(exps)
-        return m
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Monomial is immutable")
-
-    def __reduce__(self):
-        return Monomial, (self.exps,)
-
-    def exponent(self, var: int) -> Fraction:
-        for idx, e in self.exps:
-            if idx == var:
-                return e
-        return _ZERO
-
-    def _power_product(self, xs: dict[int, Fraction]) -> Fraction:
-        """The exact value at a checked point given by its non-unit coordinates."""
-        out = _ONE
-        for idx, e in self.exps:
-            x = xs.get(idx)
-            if x is not None:
-                out *= rational_pow(x, e)
-        return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        if not self.exps:
-            return "Monomial()"
-        body = ", ".join(f"{i}: {e}" for i, e in self.exps)
-        return f"Monomial({{{body}}})"
+def _power_product(key: TermKey, xs: dict[int, Fraction]) -> Fraction:
+    """The exact power product of key at the non-unit coordinates xs of _exact_point."""
+    out = _ONE
+    for idx, e in key:
+        x = xs.get(idx)
+        if x is not None:
+            out *= rational_pow(x, e)
+    return out
 
 
 def _exact_point(point: Sequence[Rat]) -> dict[int, Fraction]:
@@ -199,12 +189,6 @@ def _exact_point(point: Sequence[Rat]) -> dict[int, Fraction]:
     return xs
 
 
-def _accumulate(acc: dict, key, value: Fraction) -> None:
-    """acc[key] += value, starting from value itself for a new key."""
-    prev = acc.get(key)
-    acc[key] = value if prev is None else prev + value
-
-
 def _format_exponent(e: Fraction) -> str:
     return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
 
@@ -212,7 +196,7 @@ def _format_exponent(e: Fraction) -> str:
 def _shape(partials: Iterable["Signomial"]) -> tuple:
     """Per partial, per term, the variable indices of its factors: with the
     arity, all that a compiled template depends on."""
-    return tuple(tuple(tuple(i for i, _ in m.exps) for m in p.terms) for p in partials)
+    return tuple(tuple(tuple(i for i, _ in key) for key in p.terms) for p in partials)
 
 
 def _names(form: str, count: int, sep: str = ", ", empty: str = "") -> str:
@@ -296,20 +280,11 @@ class Signomial:
 
     __slots__ = ("arity", "terms", "_partials", "_kernels", "_floats")
 
-    def __init__(self, arity: int, terms: Mapping[Monomial, Rat] | None = None):
-        if arity < 0:
-            raise ValueError("arity must be nonnegative")
-        # a mapping's keys are distinct monomials, so nothing merges here
-        clean: dict[Monomial, Fraction] = {}
-        for mono, coeff in (terms or {}).items():
-            if mono.exps and mono.exps[-1][0] >= arity:
-                raise ValueError(
-                    f"monomial {mono!r} uses variable index >= arity {arity}"
-                )
-            c = _fraction(coeff)
-            if c:
-                clean[mono] = c
-        self._fill(int(arity), clean)
+    def __init__(self, arity: int, terms: Mapping[TermKey, Rat] | None = None):
+        """The sum of c * key over the items of terms, in their order; each key,
+        a tuple of (variable index, exponent) pairs, is made canonical by
+        _monomial and equal keys merge.  A bad arity or index is a ValueError."""
+        self._fill(*_term_map(arity, (terms or {}).items()))
 
     def _fill(self, arity: int, terms: dict) -> None:
         object.__setattr__(self, "arity", arity)
@@ -339,10 +314,10 @@ class Signomial:
     def from_terms(
         cls, arity: int, pairs: Iterable[tuple[Rat, Mapping[int, Rat]]]
     ) -> "Signomial":
-        acc: dict[Monomial, Fraction] = {}
-        for coeff, exps in pairs:
-            _accumulate(acc, Monomial(exps), _fraction(coeff))
-        return cls(arity, acc)
+        """The signomial sum of c * prod x_i^{e_i} over (c, {i: e_i}) pairs
+        (or (c, [(i, e_i), ...])), checked and merged as Signomial(arity,
+        terms) does, in the order of pairs."""
+        return cls._unchecked(*_term_map(arity, ((exps, c) for c, exps in pairs)))
 
     # -- differentiation ----------------------------------------------------
 
@@ -358,9 +333,8 @@ class Signomial:
         hit = self._partials.get(var)
         if hit is not None:
             return hit
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self.terms.items():
-            exps = m.exps
+        out: dict[TermKey, Fraction] = {}
+        for exps, c in self.terms.items():
             for pos, (idx, e) in enumerate(exps):
                 if idx == var:
                     break
@@ -371,9 +345,9 @@ class Signomial:
             # built; c * e is nonzero as both factors are
             rest = exps[pos + 1 :]
             lowered = exps[:pos] + (rest if e == 1 else ((var, e - 1), *rest))
-            # distinct terms keep distinct monomials: x^e differs from x^e'
+            # distinct terms keep distinct keys: x^e differs from x^e'
             # exactly when x^(e-1) differs from x^(e'-1)
-            out[Monomial._unchecked(lowered)] = c * e
+            out[lowered] = c * e
         result = self._partials[var] = Signomial._unchecked(self.arity, out)
         return result
 
@@ -395,8 +369,8 @@ class Signomial:
             raise ValueError(f"point has {len(point)} coordinates, arity is {self.arity}")
         xs = _exact_point(point)
         total = _ZERO
-        for m, c in self.terms.items():
-            total += c * m._power_product(xs)
+        for key, c in self.terms.items():
+            total += c * _power_product(key, xs)
         return total
 
     def eval_float(self, point: Sequence[float]) -> float:
@@ -490,12 +464,12 @@ class Signomial:
         """
         out = []
         try:
-            for m, c in self.terms.items():
+            for key, c in self.terms.items():
                 out.append(c.numerator / c.denominator)
-                out.extend(e.numerator / e.denominator for _, e in m.exps)
+                out.extend(e.numerator / e.denominator for _, e in key)
         except OverflowError:
-            for m, c in self.terms.items():
-                for kind, value in (("coefficient", c), *(("exponent", e) for _, e in m.exps)):
+            for key, c in self.terms.items():
+                for kind, value in (("coefficient", c), *(("exponent", e) for _, e in key)):
                     try:
                         value.numerator / value.denominator
                     except OverflowError:
@@ -525,9 +499,6 @@ class Signomial:
     def __len__(self) -> int:
         return len(self.terms)
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda mc: mc[0].exps)
-
     def to_text(self, names: Sequence[str] | None = None) -> str:
         """Deterministic text form: `c * x0^p/q * x1^p/q + ...`"""
         if not self.terms:
@@ -535,9 +506,9 @@ class Signomial:
         if names is None:
             names = [f"x{i}" for i in range(self.arity)]
         parts = []
-        for m, c in self.sorted_terms():
+        for key, c in sorted(self.terms.items()):  # keys are distinct: no coefficient is compared
             factors = [str(c)]
-            for idx, e in m.exps:
+            for idx, e in key:
                 if e == 1:
                     factors.append(names[idx])
                 else:

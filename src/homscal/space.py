@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .signomial import Rat, Signomial
+from .signomial import Rat, Signomial, _as_int
 
 TripleKey = tuple[int, int, int]
 
@@ -36,16 +35,6 @@ def _as_fraction(value, where: str) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: bad rational {value!r} ({exc})") from None
-
-
-def _as_int(value, where: str) -> int:
-    # bool is an int subclass, and int() would truncate floats and split strings
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)  # an int, or an integer type such as numpy's
-        except TypeError:
-            pass
-    raise ValueError(f"{where}: expected an integer, got {value!r}")
 
 
 def _as_array(value, where: str) -> list:

@@ -26,7 +26,7 @@ from homscal.chart import (
     newton_critical,
     restrict,
 )
-from homscal.signomial import Monomial, Signomial, _kernel_template
+from homscal.signomial import Signomial, _kernel_template
 from homscal.space import HomogeneousSpace, space_from_dict
 from test_cli import SEARCH_SPACES
 
@@ -98,6 +98,12 @@ class TestRestrict:
         chart = restrict(e6_space(), eliminated=0)
         assert chart.inflate((1.1,)) == pytest.approx((1.1 ** -2, 1.1), rel=1e-15)
 
+    def test_inflate_rejects_a_point_of_the_wrong_length(self):
+        chart = restrict(e6_space(), eliminated=0)
+        for point in ((), (1.1, 0.9)):
+            with pytest.raises(ValueError, match="chart point needs 1 coordinates"):
+                chart.inflate(point)
+
     def test_volume_elimination_two_summands(self):
         # x := y^-2 in 5/x + 20/y - 5x/(2y^2) gives 5y^2 + 20/y - 5/(2y^4)
         space = e6_space()
@@ -164,18 +170,17 @@ def _reference_restricted_terms(space, e):
     """
     scal = space.scalar_curvature()
     repl = {k: F(-d, space.dims[e]) for k, d in enumerate(space.dims) if k != e}
-    substituted = {}
-    for m, c in scal.terms.items():
-        p = m.exponent(e)
-        exps = {i: x for i, x in m.exps if i != e}
+    pairs = []
+    for key, c in scal.terms.items():
+        exps = dict(key)
+        p = exps.pop(e, 0)
         for k, a in repl.items():
             exps[k] = exps.get(k, 0) + p * a
-        key = Monomial(exps)
-        substituted[key] = substituted.get(key, 0) + c
-    substituted = Signomial(space.r, substituted)
+        pairs.append((c, exps))
+    substituted = Signomial.from_terms(space.r, pairs)
     dropped = {
-        Monomial({(i if i < e else i - 1): x for i, x in m.exps}): c
-        for m, c in substituted.terms.items()
+        tuple(((i if i < e else i - 1), x) for i, x in key): c
+        for key, c in substituted.terms.items()
     }
     return list(Signomial(space.r - 1, dropped).terms.items())
 
@@ -328,6 +333,24 @@ class TestSpectrumAndKernel:
         cp = CriticalPoint.at(chart, (1, 1), kernel_tol=2.0)
         assert cp.label is Classification.DEGENERATE
         assert len(cp.kernel()) == 2
+
+
+class TestKernelTolerance:
+    """kernel_tol is a finite number >= 0: -1 would label su_n n=4's
+    degenerate point LocalMaxCandidate, NaN or inf every point Degenerate."""
+
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        chart = restrict(su_n_space(4))
+        with pytest.raises(ValueError, match="kernel_tol must be a finite number >= 0"):
+            CriticalPoint.at(chart, (1.0, 1.0), kernel_tol=tol)
+        with pytest.raises(ValueError, match="kernel_tol must be a finite number >= 0"):
+            find_critical_points(chart, per_axis=2, kernel_tol=tol)
+
+    def test_zero_tolerance_is_accepted(self):
+        chart = restrict(su_n_space(4))
+        assert CriticalPoint.at(chart, (1.0, 1.0), kernel_tol=0.0).kernel_band == 0.0
+        assert find_critical_points(chart, per_axis=2, kernel_tol=0.0)
 
 
 class TestClassify:

@@ -564,6 +564,13 @@ class TestCustom:
         assert code == 2
         assert "bad rational" in err
 
+    def test_json_array_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps([{"dims": [20, 40]}]))
+        code, out, err = run(capsys, "custom", "--file", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: expected a JSON object\n"
+
     def test_asymmetric_triples_is_usage_error(self, capsys, tmp_path):
         path = self.write_e6(tmp_path)
         payload = json.loads(path.read_text())

@@ -143,6 +143,8 @@ class TestAscent:
             integrate_ascent(entry.chart, (0.0,))
 
     @pytest.mark.parametrize("kwargs, match", [
+        ({"start": (1.0,)}, "start has 1 coordinates, chart arity is 2"),
+        ({"start": (1.0, 1.0, 1.0)}, "start has 3 coordinates, chart arity is 2"),
         ({"start": (float("nan"), 1.0)}, "start coordinate 0 .* got nan"),
         ({"start": (1.0, float("inf"))}, "start coordinate 1 .* got inf"),
         ({"start": (float("-inf"), 1.0)}, "start coordinate 0 .* got -inf"),

@@ -68,12 +68,30 @@ class TestCurveSpec:
         with pytest.raises(ValueError):
             CurveSpec(base=(1,), direction=(1, 1))
 
+    def test_empty_curve_rejected(self):
+        with pytest.raises(ValueError, match="empty curve"):
+            CurveSpec((), ())
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_coordinates_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             CurveSpec(base=(1.0, bad), direction=(1, 1))
         with pytest.raises(ValueError, match="finite"):
             CurveSpec(base=(1, 1), direction=(bad, 1.0))
+
+
+class TestProbeArguments:
+    @pytest.mark.parametrize("call, match", [
+        (lambda chart, curve: directional_derivatives(chart, CurveSpec((1, 1), (1, 0))),
+         "curve lives in 2 variables, chart in 1"),
+        (lambda chart, curve: directional_derivatives(chart, curve, mode="bogus"),
+         "unknown mode 'bogus'"),
+        (lambda chart, curve: fd_check(chart, curve, order=0), "order must be 1, 2 or 3"),
+        (lambda chart, curve: fd_check(chart, curve, order=4), "order must be 1, 2 or 3"),
+    ], ids=["wrong-arity", "bogus-mode", "fd-order-0", "fd-order-4"])
+    def test_bad_argument_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call(build("e6_su2_so6").chart, CurveSpec(base=(F(1),), direction=(F(1),)))
 
 
 class TestExactProbes:

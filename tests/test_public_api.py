@@ -42,13 +42,40 @@ def test_importing_the_package_and_its_cli_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+def _imported(node):
+    """The modules an import statement names; a relative one starts with '.'."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return ["." * node.level + (node.module or "")]
+    return []
+
+
+def _module_level_imports(node):
+    """The modules imported when the module runs: every import outside a
+    function body, class bodies and top-level if/try blocks included."""
+    out = _imported(node)
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            out += _module_level_imports(child)
+    return out
+
+
 def test_no_module_of_the_package_imports_numpy():
+    # pyproject.toml declares dependencies = []: a module-level import is of
+    # the standard library or of the package itself; a function may import
+    # an installed package lazily, but never numpy
     for path in sorted((ROOT / "src" / "homscal").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert not any(name.split(".")[0] == "numpy" for name in names), path.name
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = [name for node in ast.walk(tree) for name in _imported(node)]
+        assert not any(name.split(".")[0] == "numpy" for name in names), path.name
+        outside = [name for name in _module_level_imports(tree)
+                   if not name.startswith(".")
+                   and name.split(".")[0] not in sys.stdlib_module_names]
+        assert outside == [], path.name
+
+
+def test_module_level_import_check_sees_nested_imports():
+    tree = ast.parse("import os\nif True:\n    import numpy\nclass A:\n    from . import x\n"
+                     "def f():\n    import sympy\n")
+    assert _module_level_imports(tree) == ["os", "numpy", "."]

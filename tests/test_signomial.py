@@ -16,7 +16,6 @@ from homscal.chart import _search_template
 from homscal.flow import _ascent_template
 from homscal.signomial import (
     ExactEvaluationError,
-    Monomial,
     Signomial,
     _kernel_template,
     integer_root,
@@ -61,6 +60,11 @@ class TestIntegerRoot:
         n = 12345678901234567890123456789
         assert integer_root(n ** 7, 7) == n
         assert integer_root(n ** 7 + 1, 7) is None
+
+    @pytest.mark.parametrize("value, k", [(-1, 2), (4, 0)])
+    def test_negative_value_or_nonpositive_degree_rejected(self, value, k):
+        with pytest.raises(ValueError, match="needs value >= 0, k >= 1"):
+            integer_root(value, k)
 
 
 class TestRationalPow:
@@ -118,12 +122,79 @@ def _outcome(pow_rule, base, exp):
     return type(value), value
 
 
-class TestMonomial:
-    def test_zero_exponents_dropped(self):
-        assert Monomial({0: 0, 1: 2}).exps == ((1, F(2)),)
+def key_of(arity, exps):
+    """The term key the public constructor makes of one power product."""
+    (key,) = Signomial.from_terms(arity, [(1, exps)]).terms
+    return key
 
-    def test_hashable_key(self):
-        assert {Monomial({0: 1}): 1}[Monomial({0: F(2, 2)})] == 1
+
+class TestTermKey:
+    """A term is keyed by its exponent tuple: nonzero Fraction exponents
+    paired with their indices, sorted by index."""
+
+    def test_sorted_key_without_zero_exponents(self):
+        assert key_of(3, {2: -1, 0: 0, 1: 2}) == ((1, F(2)), (2, F(-1)))
+        assert key_of(3, [(2, F(1, 2)), (0, 3)]) == ((0, F(3)), (2, F(1, 2)))
+        assert key_of(2, {0: 0, 1: F(0)}) == ()
+
+    def test_equal_keys_hash_equal_and_look_up(self):
+        a, b = key_of(1, {0: 1}), key_of(1, {0: F(2, 2)})
+        assert a == b and hash(a) == hash(b)
+        assert sig(1, (3, {0: 1})).terms[b] == 3
+
+    def test_mapping_keys_are_made_canonical_and_merged(self):
+        f = Signomial(3, {((2, 1), (0, 2)): 1, ((0, 2), (1, 0), (2, 1)): 2, ((1, "1/2"),): 5})
+        assert list(f.terms.items()) == [(((0, F(2)), (2, F(1))), F(3)), (((1, F(1, 2)),), F(5))]
+        assert Signomial(2, {((0, 1),): 1, ((1, 0), (0, F(2, 2))): -1}) == Signomial(2)
+
+
+class Index:
+    """An integer type other than int: operator.index accepts it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+class TestConstructorChecks:
+    """Every index and the arity is an integer, by operator.index and not
+    bool, in range; anything else is a ValueError from every constructor."""
+
+    @pytest.mark.parametrize("exps, match", [
+        ({1.9: 1}, "variable index: expected an integer, got 1.9"),
+        ({True: 2}, "variable index: expected an integer, got True"),
+        ({"1": 1}, "variable index: expected an integer, got '1'"),
+        ({-1: 1}, "variable index -1 out of range for arity 2"),
+        ({2: 1}, "variable index 2 out of range for arity 2"),
+        ({2: 0}, "variable index 2 out of range for arity 2"),
+        ([(0, 1), (0, 2)], "duplicate variable index"),
+    ], ids=["float", "bool", "str", "negative", "at-arity", "at-arity-zero-exponent",
+            "repeated"])
+    def test_bad_index(self, exps, match):
+        with pytest.raises(ValueError, match=match):
+            Signomial.from_terms(2, [(1, exps)])
+        with pytest.raises(ValueError, match=match):
+            Signomial(2, {tuple(exps.items() if isinstance(exps, dict) else exps): 1})
+
+    @pytest.mark.parametrize("arity, match", [
+        (2.5, "arity: expected an integer, got 2.5"),
+        (True, "arity: expected an integer, got True"),
+        ("2", "arity: expected an integer, got '2'"),
+        (-1, "arity must be nonnegative"),
+    ], ids=["float", "bool", "str", "negative"])
+    def test_bad_arity(self, arity, match):
+        with pytest.raises(ValueError, match=match):
+            Signomial(arity)
+        with pytest.raises(ValueError, match=match):
+            Signomial.from_terms(arity, [])
+
+    def test_integer_types_are_taken_by_their_index(self):
+        f = Signomial.from_terms(Index(2), [(1, {Index(1): 2})])
+        assert type(f.arity) is int and f.arity == 2
+        assert f == sig(2, (1, {1: 2})) and list(f.terms) == [((1, F(2)),)]
+        assert type(next(iter(f.terms))[0][0]) is int
 
 
 class TestAdd:
@@ -335,34 +406,35 @@ class TestCanonicalFractions:
     """Constructors store Fractions only, whatever the input type, and drop
     zeros; a Fraction is kept as is, anything else is converted."""
 
-    def test_monomial_exponents(self):
-        m = Monomial({3: False, 0: 2, 1: "1/2", 2: True, 4: "0", 5: F(0)})
-        assert m.exps == ((0, F(2)), (1, F(1, 2)), (2, F(1)))
-        assert all(type(e) is F for _, e in m.exps)
+    def test_key_exponents(self):
+        key = key_of(6, {3: False, 0: 2, 1: "1/2", 2: True, 4: "0", 5: F(0)})
+        assert key == ((0, F(2)), (1, F(1, 2)), (2, F(1)))
+        assert all(type(e) is F for _, e in key)
 
     def test_signomial_coefficients(self):
         f = Signomial(2, {
-            Monomial({0: 1}): 3, Monomial({1: 1}): "-2/3", Monomial(): True,
-            Monomial({0: 2}): False, Monomial({1: 2}): "0", Monomial({0: -1}): 0,
+            ((0, 1),): 3, ((1, 1),): "-2/3", (): True,
+            ((0, 2),): False, ((1, 2),): "0", ((0, -1),): 0,
         })
         assert list(f.terms.items()) == [
-            (Monomial({0: 1}), F(3)), (Monomial({1: 1}), F(-2, 3)), (Monomial(), F(1)),
+            (((0, F(1)),), F(3)), (((1, F(1)),), F(-2, 3)), ((), F(1)),
         ]
         assert all(type(c) is F for c in f.terms.values())
+        assert all(type(e) is F for key in f.terms for _, e in key)
 
     def test_from_terms_merges_and_drops_cancelled_terms(self):
         f = Signomial.from_terms(1, [(1, {0: 1}), ("1/2", {0: True}), (True, {}), (-1, {})])
-        assert list(f.terms.items()) == [(Monomial({0: 1}), F(3, 2))]
+        assert list(f.terms.items()) == [(((0, F(1)),), F(3, 2))]
         assert all(type(c) is F for c in f.terms.values())
 
     def test_fraction_subclass_is_converted(self):
         class Half(F):
             pass
 
-        m = Monomial({0: Half(1, 2)})
-        f = Signomial(1, {m: Half(3, 2)})
-        assert type(m.exps[0][1]) is F
-        assert type(f.terms[m]) is F
+        f = Signomial(1, {((0, Half(1, 2)),): Half(3, 2)})
+        ((key, c),) = f.terms.items()
+        assert key == ((0, F(1, 2)),) and type(key[0][1]) is F
+        assert c == F(3, 2) and type(c) is F
 
 
 class TestExactPoint:
@@ -413,6 +485,8 @@ class TestText:
 
     def test_zero(self):
         assert Signomial(2).to_text() == "0"
+        assert not Signomial(2) and len(Signomial(2)) == 0
+        assert sig(2, (1, {})) and len(sig(2, (1, {}), (2, {0: 1}))) == 2
 
 
 # -- property tests ---------------------------------------------------------------
@@ -440,14 +514,14 @@ unit_or_positive_rationals = st.one_of(st.just(F(1)), st.just(1), positive_ratio
 def reference_partial(f, var):
     """partial(var) by the per-term rule, built with the public constructors."""
     out = {}
-    for m, c in f.terms.items():
-        e = m.exponent(var)
+    for key, c in f.terms.items():
+        exps = dict(key)
+        e = exps.get(var, 0)
         if e == 0:
             continue
-        exps = dict(m.exps)
         exps[var] = e - 1
-        nm = Monomial(exps)
-        out[nm] = out.get(nm, F(0)) + c * e
+        nk = key_of(f.arity, exps)
+        out[nk] = out.get(nk, F(0)) + c * e
     return Signomial(f.arity, out)
 
 
@@ -457,16 +531,16 @@ def test_partial_terms_match_the_reference_in_order(f, var):
     got = list(f.partial(var).terms.items())
     assert got == list(reference_partial(f, var).terms.items())
     assert all(type(c) is F for _, c in got)
-    assert all(type(e) is F for m, _ in got for _, e in m.exps)
+    assert all(type(e) is F for key, _ in got for _, e in key)
 
 
 @settings(deadline=None)
 @given(signomials(3, exponents=unit_or_rat_exponents), st.integers(0, 2))
-def test_partial_monomials_equal_and_hash_as_constructed_ones(f, var):
-    for m in f.partial(var).terms:
-        for other in (Monomial(m.exps), Monomial(dict(m.exps)), _pickled(m)):
-            assert other == m and hash(other) == hash(m) == hash(m.exps)
-            assert other.exps == m.exps
+def test_partial_keys_equal_and_hash_as_constructed_ones(f, var):
+    for key in f.partial(var).terms:
+        assert list(key) == sorted(key) and all(e for _, e in key)
+        for other in (key_of(3, key), key_of(3, dict(key)), key_of(3, key[::-1]), _pickled(key)):
+            assert other == key and hash(other) == hash(key)
 
 
 @settings(deadline=None)
@@ -476,9 +550,9 @@ def test_partial_monomials_equal_and_hash_as_constructed_ones(f, var):
 )
 def test_eval_exact_matches_the_term_sum(f, point):
     reference = F(0)
-    for m, c in f.terms.items():
+    for key, c in f.terms.items():
         value = c
-        for idx, e in m.exps:
+        for idx, e in key:
             value *= F(point[idx]) ** e
         reference += value
     assert f.eval_exact(point) == reference
@@ -505,9 +579,9 @@ def test_float_eval_tracks_exact_eval(f, point):
 def reference_float_sum(f, point, absolute):
     """Term-by-term float sum straight from the exact term map."""
     total = 0.0
-    for mono, c in f.terms.items():
+    for key, c in f.terms.items():
         prod = 1.0
-        for idx, e in mono.exps:
+        for idx, e in key:
             prod *= float(point[idx]) ** float(e)
         total += (abs(float(c)) if absolute else float(c)) * prod
     return total
@@ -570,12 +644,13 @@ def test_partials_float_is_bitwise_the_term_sum_of_each_partial(f, point, order,
 
 @pytest.mark.parametrize("copier", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
 class TestCopy:
-    def test_monomial(self, copier):
-        m = Monomial({0: F(3, 2), 2: -1})
-        c = copier(m)
-        assert c == m and hash(c) == hash(m)
+    def test_term_key(self, copier):
+        key = key_of(3, {0: F(3, 2), 2: -1})
+        c = copier(key)
+        assert c == key and hash(c) == hash(key)
         point = (F(4), 7, F(1, 2))
-        assert Signomial(3, {c: 1}).eval_exact(point) == Signomial(3, {m: 1}).eval_exact(point) == 16
+        assert Signomial(3, {c: 1}).eval_exact(point) == 16
+        assert Signomial(3, {key: 1}).eval_exact(point) == 16
 
     def test_signomial(self, copier):
         point = (1.3, 0.7)

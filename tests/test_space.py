@@ -1,6 +1,7 @@
 """Homogeneous-space data model and the curvature functional."""
 
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -57,6 +58,17 @@ class TestValidate:
         assert any("outside" in msg for msg in issues)
         space = HomogeneousSpace(name="bad", dims=(2,), triples={(0, 0, 0): F(-1)})
         assert any("negative" in msg for msg in space.validate())
+
+    @pytest.mark.parametrize("kwargs, violation", [
+        ({"dims": ()}, "space needs at least one summand"),
+        ({"dims": (2, 3), "b": (1, 0)}, "b[1] = 0 is not positive"),
+        ({"dims": (2, 3), "triples": {(0, 1): 1}}, "triple key (0, 1) is not an index triple"),
+    ], ids=["empty-dims", "zero-b", "two-index-triple"])
+    def test_violation_reported(self, kwargs, violation):
+        space = HomogeneousSpace(name="bad", **kwargs)
+        assert space.validate() == [violation]
+        with pytest.raises(ValueError, match=re.escape(violation)):
+            space.scalar_curvature()
 
     def test_b_length_mismatch(self):
         space = HomogeneousSpace(name="bad", dims=(2, 3), b=(F(1),))
@@ -121,7 +133,7 @@ class TestScalarCurvature:
         scal = SU3.scalar_curvature()
         assert scal == expected
         assert scal.arity == 3
-        assert all(m.exponent(2) != -1 for m in scal.terms)
+        assert all(dict(key).get(2) != -1 for key in scal.terms)
 
     def test_empty_triples(self):
         space = HomogeneousSpace(name="torus-like", dims=(2, 3), b=(F(1), F(2)))
@@ -198,6 +210,16 @@ class TestSpaceFiles:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown keys"):
             space_from_dict({"dims": [2], "bogus": 1})
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="^space: expected an object, got list$"):
+            space_from_dict([])
+
+    def test_triple_without_value_rejected(self):
+        data = {"dims": [2, 3], "triples": [{"i": 0, "j": 1, "k": 1}]}
+        message = "triples[0]: expected an object with keys i, j, k, value"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            space_from_dict(data)
 
     def test_missing_dims_rejected(self):
         with pytest.raises(ValueError, match="dims"):
