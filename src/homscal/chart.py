@@ -310,8 +310,8 @@ class CriticalPoint:
 @functools.lru_cache(maxsize=256)
 def _search_template(arity: int, hessian_shape: tuple, gradient_shape: tuple):
     """Compile the whole damped Newton search for charts of one shape (see
-    signomial._shape): (u, g, gnorm, constants) -> the last iterate as a
-    tuple, or None when the search fails.  Bound per chart by
+    Signomial._order_constants): (u, g, gnorm, constants) -> the last
+    iterate as a tuple, or None when the search fails.  Bound per chart by
     Signomial._compiled(_search_template, 2, 1).
 
     u is the start as a list, g its gradient and gnorm that gradient's norm.

@@ -45,9 +45,10 @@ class Trajectory:
 
 @functools.lru_cache(maxsize=256)
 def _ascent_template(arity: int, gradient_shape: tuple, value_shape: tuple):
-    """Compile the ascent loop for charts of one shape (see signomial._shape):
-    (u, step, max_steps, region, times, points, values, constants) -> reason,
-    appending each accepted step to the three lists.  Bound per chart by
+    """Compile the ascent loop for charts of one shape (see
+    Signomial._order_constants): (u, step, max_steps, region, times, points,
+    values, constants) -> reason, appending each accepted step to the three
+    lists.  Bound per chart by
     Signomial._compiled(_ascent_template, 1, 0).
 
     The constants are those of the order-1 partials, then the value's.  Each

@@ -17,10 +17,11 @@ x^(n/(n-2)).  A signomial is built from (coefficient, exponents) pairs by
 from_terms, or from a map of keys to coefficients by Signomial(arity,
 terms); both make every key by one canonicalizer, _monomial, which checks
 each index (an integer in [0, arity)), and merge equal keys.
-Differentiation (partial) is exact; only evaluation may
-leave the rationals, and then the caller chooses between the exact path
-(which raises ExactEvaluationError if an irrational power appears) and the
-float path.
+Differentiation is exact, and its rule is written once, in _lowered, which
+lowers one term by a multi-index in ints; partial builds the exact partial
+signomials from it.  Only evaluation may leave the rationals, and then the
+caller chooses between the exact path (which raises ExactEvaluationError if
+an irrational power appears) and the float path.
 
 The exact path does no work twice.  eval_exact converts and checks the point
 once per call, not once per term and factor; a coordinate equal to 1
@@ -46,7 +47,10 @@ float constants of those orders' partials, memoized on the signomial.  The
 generated source holds only integer indices, the arity and generated
 names; the coefficients and exponents are parameter defaults, converted to
 doubles once per order (_order_constants) and shared by every function
-bound to it, an absolute kernel taking abs() of each coefficient.
+bound to it, an absolute kernel taking abs() of each coefficient.  Those
+constants come straight from this signomial's terms, each lowered by
+_lowered and divided once as a pair of ints, with the bits float() gives
+the partial's Fraction; no partial signomial is built to bind a function.
 Templates are cached per shape (the arity and the variable indices of each
 term), so charts of one structure compile once.
 """
@@ -166,6 +170,39 @@ def _term_map(arity: int, items: Iterable[tuple]) -> tuple[int, dict[TermKey, Fr
     return arity, {key: c for key, c in acc.items() if c}
 
 
+def _lowered(key: TermKey, counts: Mapping[int, int]) -> "tuple[int, int, list] | None":
+    """The differentiation rule, the one place it is written: the term key
+    differentiated counts[i] times in each x_i.  None when the term dies, as
+    a constant does; otherwise the factor its coefficient gains, the falling
+    factorial prod e_i (e_i - 1) ... (e_i - k_i + 1), as an unreduced pair
+    (numerator, denominator) of ints, and per factor left (index, exponent
+    e_i, count k_i), the exponent now being e_i - k_i.
+
+    A factor whose exponent reaches 0 is dropped, and the factors left keep
+    their order and distinct indices, so the lowered key is canonical as
+    built; a term dies exactly when the falling factorial is 0 or a counted
+    variable is absent, so a surviving coefficient is nonzero.
+    """
+    num = den = 1
+    factors, seen = [], 0
+    for idx, e in key:
+        k = counts.get(idx, 0)
+        if k:
+            seen += 1
+            p, q = e.numerator, e.denominator
+            for j in range(k):
+                num *= p - j * q
+            if not num:
+                return None
+            den *= q ** k
+            if p == k * q:
+                continue
+        factors.append((idx, e, k))
+    if seen < len(counts):
+        return None
+    return num, den, factors
+
+
 def _power_product(key: TermKey, xs: dict[int, Fraction]) -> Fraction:
     """The exact power product of key at the non-unit coordinates xs of _exact_point."""
     out = _ONE
@@ -193,10 +230,20 @@ def _format_exponent(e: Fraction) -> str:
     return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
 
 
-def _shape(partials: Iterable["Signomial"]) -> tuple:
-    """Per partial, per term, the variable indices of its factors: with the
-    arity, all that a compiled template depends on."""
-    return tuple(tuple(tuple(i for i, _ in key) for key in p.terms) for p in partials)
+def _beyond_double(alpha: tuple, num: int, den: int, factors: list) -> OverflowError:
+    """The OverflowError of partial alpha for its first value beyond the
+    range of a double: the coefficient num / den of a term, then the
+    exponent of each of its factors (as _lowered gives them)."""
+    values = [("coefficient", num, den)]
+    values += [("exponent", e.numerator - k * e.denominator, e.denominator) for _, e, k in factors]
+    for kind, n, d in values:
+        try:
+            n / d
+        except OverflowError:
+            break
+    approx = _SIX_DIGITS.divide(n, d).normalize()
+    return OverflowError(f"partial {alpha} of order {len(alpha)} has {kind} "
+                         f"{approx:g}, beyond the range of a double")
 
 
 def _names(form: str, count: int, sep: str = ", ", empty: str = "") -> str:
@@ -250,7 +297,7 @@ def _define(name: str, params: str, count: int, lines: list[str], filename: str,
 
 @functools.lru_cache(maxsize=256)
 def _kernel_template(arity: int, shape: tuple):
-    """Compile the kernel of one shape (see _shape).
+    """Compile the kernel of one shape (see Signomial._order_constants).
 
     The kernel takes a point, then the constants of _partial_sums.  It checks
     the point's length, then each coordinate in turn (a double > 0), and
@@ -335,19 +382,13 @@ class Signomial:
             return hit
         out: dict[TermKey, Fraction] = {}
         for exps, c in self.terms.items():
-            for pos, (idx, e) in enumerate(exps):
-                if idx == var:
-                    break
-            else:
-                continue
-            # the lowered pairs stay sorted and distinct, and the exponent
-            # e - 1 is dropped when it is 0, so the result is canonical as
-            # built; c * e is nonzero as both factors are
-            rest = exps[pos + 1 :]
-            lowered = exps[:pos] + (rest if e == 1 else ((var, e - 1), *rest))
-            # distinct terms keep distinct keys: x^e differs from x^e'
-            # exactly when x^(e-1) differs from x^(e'-1)
-            out[lowered] = c * e
+            lowered = _lowered(exps, {var: 1})
+            if lowered is not None:
+                # distinct terms keep distinct keys: x^e differs from x^e'
+                # exactly when x^(e-1) differs from x^(e'-1)
+                num, den, factors = lowered
+                key = tuple((idx, e - k if k else e) for idx, e, k in factors)
+                out[key] = c * Fraction(num, den)
         result = self._partials[var] = Signomial._unchecked(self.arity, out)
         return result
 
@@ -407,21 +448,45 @@ class Signomial:
         return [[upper[k] for k in row] for row in _order2_layout(self.arity)]
 
     def _order_constants(self, order: int) -> tuple[tuple, list[float]]:
-        """The shape of the partials of one order (see _shape), taken in
-        itertools.combinations_with_replacement(range(arity), order) order,
-        and their float constants in _partial_sums' numbering, each partial's
-        from its _float_constants.  Memoized per order in this (immutable)
-        instance's _floats, which _fill creates empty as it does _partials,
-        so every bind of the order shares one conversion.
+        """The shape of the partials of one order and their float constants,
+        taken straight from this signomial's terms, no partial being built.
+
+        The partials are taken in itertools.combinations_with_replacement(
+        range(arity), order) order and each partial's terms in term order,
+        as derivative(alpha) has them: the shape holds, per partial, per
+        term, the variable indices of its factors, with the arity all that a
+        compiled template depends on; the constants are numbered as
+        _partial_sums numbers them, per term the coefficient, then the
+        exponent of each factor.  Each constant is one correctly rounded
+        int division, numerator / denominator of the lowered coefficient
+        c * falling factorial (_lowered) or exponent (p - k q) / q, left
+        unreduced: the bits of float() of the partial's Fraction.  A value
+        beyond the range of a double raises OverflowError naming alpha and
+        the value.  Memoized per order in this (immutable) instance's
+        _floats, which _fill creates empty as it does _partials, so every
+        bind of the order shares one conversion.
         """
         hit = self._floats.get(order)
         if hit is None:
-            alphas = itertools.combinations_with_replacement(range(self.arity), order)
-            partials = [(alpha, self.derivative(alpha)) for alpha in alphas]
-            constants = []
-            for alpha, partial in partials:
-                constants += partial._float_constants(alpha)
-            hit = self._floats[order] = _shape(p for _, p in partials), constants
+            shape, constants = [], []
+            for alpha in itertools.combinations_with_replacement(range(self.arity), order):
+                counts = {var: alpha.count(var) for var in alpha}
+                form = []
+                for key, c in self.terms.items():
+                    lowered = _lowered(key, counts)
+                    if lowered is None:
+                        continue
+                    num, den, factors = lowered
+                    num, den = c.numerator * num, c.denominator * den
+                    try:
+                        constants.append(num / den)
+                        constants += [(e.numerator - k * e.denominator) / e.denominator
+                                      for _, e, k in factors]
+                    except OverflowError:
+                        raise _beyond_double(alpha, num, den, factors) from None
+                    form.append(tuple(idx for idx, _, _ in factors))
+                shape.append(tuple(form))
+            hit = self._floats[order] = tuple(shape), constants
         return hit
 
     def _compiled(self, template, *orders: int, absolute: bool = False):
@@ -454,32 +519,6 @@ class Signomial:
             bound = self._kernels[key] = types.FunctionType(
                 fn.__code__, fn.__globals__, fn.__name__, tuple(constants))
         return bound
-
-    def _float_constants(self, alpha: tuple) -> list[float]:
-        """Per term, in term order: the coefficient, then the exponent of each
-        factor, as doubles.  Each is numerator / denominator, the correctly
-        rounded int division of float(Fraction).  This signomial is the
-        partial alpha of the one being bound; a value beyond the range of a
-        double raises OverflowError naming alpha and the value.
-        """
-        out = []
-        try:
-            for key, c in self.terms.items():
-                out.append(c.numerator / c.denominator)
-                out.extend(e.numerator / e.denominator for _, e in key)
-        except OverflowError:
-            for key, c in self.terms.items():
-                for kind, value in (("coefficient", c), *(("exponent", e) for _, e in key)):
-                    try:
-                        value.numerator / value.denominator
-                    except OverflowError:
-                        approx = _SIX_DIGITS.divide(value.numerator, value.denominator)
-                        raise OverflowError(
-                            f"partial {alpha} of order {len(alpha)} has {kind} "
-                            f"{approx.normalize():g}, beyond the range of a double"
-                        ) from None
-            raise
-        return out
 
     # -- comparison / display -------------------------------------------------
 

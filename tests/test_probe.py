@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homscal.catalog import build, default_entries, su2n_volume_normalizer
-from homscal.chart import SliceChart
+from homscal.chart import CriticalPoint, SliceChart
 from homscal.probe import (
     CurveSpec,
     ProbeInconsistency,
     ProbeResult,
     Verdict,
+    _contract,
     _reach,
     directional_derivatives,
     fd_check,
@@ -382,27 +383,35 @@ class TestThirdPartials:
         entry = CATALOG[name]
         chart = copy.deepcopy(entry.chart)  # a copy carries no float memo
         f = chart.reduced
-        third = {id(f.derivative(alpha))
-                 for alpha in itertools.combinations_with_replacement(range(f.arity), 3)}
         calls, built = Counter(), Counter()
-        partials_float, float_constants = Signomial.partials_float, Signomial._float_constants
+        partials_float, order_constants = Signomial.partials_float, Signomial._order_constants
 
         def counted(self, point, order, absolute=False):
             calls[id(self), order, absolute] += 1
             return partials_float(self, point, order, absolute)
 
-        def counted_constants(self, alpha):
-            built[id(self)] += 1
-            return float_constants(self, alpha)
+        def counted_constants(self, order):
+            if order not in self._floats:  # a conversion, not a memo hit
+                built[id(self), order] += 1
+            return order_constants(self, order)
 
         monkeypatch.setattr(Signomial, "partials_float", counted)
-        monkeypatch.setattr(Signomial, "_float_constants", counted_constants)
+        monkeypatch.setattr(Signomial, "_order_constants", counted_constants)
         directional_derivatives(chart, entry.curve(), mode="float")
         assert calls == {(id(f), order, absolute): 1
                          for order in (1, 2, 3) for absolute in (False, True)}
-        # one kernel per (order, absolute), but a third partial's constants
-        # are converted once: its values and its |term| scale share them
-        assert {k: built[k] for k in built if k in third} == {k: 1 for k in third}
+        # one kernel per (order, absolute), but each order's constants are
+        # converted once: its values and its |term| scale share them
+        assert built == {(id(f), order): 1 for order in (1, 2, 3)}
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_labels_and_exact_probes_build_no_partial(self, name):
+        entry = CATALOG[name]
+        chart = copy.deepcopy(entry.chart)  # a copy carries no memo
+        CriticalPoint.at(chart, entry.critical_point)
+        res = probe_chart(chart, entry.curve(), mode="auto")
+        assert res.mode == ("float" if entry.family == "su2n_mod_spn" else "exact")
+        assert chart.reduced._partials == {}
 
 
 # -- the contraction against the two-branch loop it replaced -----------------------
@@ -547,6 +556,54 @@ def test_contraction_matches_the_two_branch_reference(case, mode):
         assert [v.hex() for v in got_s] == [v.hex() for v in want_s]
     assert [a.hex() for a in res.scales] == [a.hex() for a in want_scales]
     assert suggest_fd_step(chart, curve).hex() == _reference_fd_step(chart, curve).hex()
+
+
+def _tensor_sums(f, base, direction):
+    """Exact (S1, S2, S3) by the tensor path: every partial of order m
+    evaluated exactly at base and contracted with direction by _contract."""
+    return tuple(
+        _contract([f.derivative(alpha).eval_exact(base)
+                   for alpha in itertools.combinations_with_replacement(range(f.arity), m)],
+                  tuple(map(F, direction)), m)
+        for m in (1, 2, 3)
+    )
+
+
+# perfect squares, cubes and fourth powers keep most powers with
+# denominators up to 4 rational; 2/3 and 5 close the exact path
+power_bases = st.sampled_from([F(1), F(4), F(9, 4), F(1, 8), F(27), F(16, 81), F(2, 3), F(5)])
+power_exponents = st.builds(F, st.integers(-8, 8), st.integers(1, 4))
+
+
+@st.composite
+def power_sum_cases(draw):
+    arity = draw(st.integers(1, 4))
+    coeff = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 4))
+    terms = draw(st.lists(
+        st.tuples(coeff, st.dictionaries(st.integers(0, arity - 1), power_exponents,
+                                         max_size=arity)),
+        max_size=5))
+    base = draw(st.lists(power_bases, min_size=arity, max_size=arity))
+    direction = draw(st.lists(st.builds(F, st.integers(-12, 12), st.integers(1, 6)),
+                              min_size=arity, max_size=arity).filter(any))
+    chart = synthetic_chart(Signomial.from_terms(arity, terms))
+    return chart, CurveSpec(tuple(base), tuple(direction))
+
+
+@settings(deadline=None, max_examples=200)
+@given(power_sum_cases())
+def test_power_sums_match_the_tensor_path(case):
+    chart, curve = case
+    try:
+        want = _tensor_sums(chart.reduced, curve.base, curve.direction)
+    except ExactEvaluationError:
+        with pytest.raises(ExactEvaluationError, match="is irrational"):
+            directional_derivatives(chart, curve, mode="exact")
+        assert directional_derivatives(chart, curve, mode="auto").mode == "float"
+        return
+    res = directional_derivatives(chart, curve, mode="exact")
+    assert all(type(v) is F for v in (res.s1, res.s2, res.s3))
+    assert (res.s1, res.s2, res.s3) == want
 
 
 # sha256 of the .hex() of float-mode S1, S2, S3, the three scales and

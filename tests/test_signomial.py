@@ -642,6 +642,52 @@ def test_partials_float_is_bitwise_the_term_sum_of_each_partial(f, point, order,
 
 
 
+def reference_order_constants(f, order):
+    """The shape and the constants, as .hex(), of the partials of one order,
+    each partial built by derivative(alpha) and each of its Fractions
+    converted by float() in term order: per term the coefficient, then the
+    exponent of each factor."""
+    shape, constants = [], []
+    for alpha in itertools.combinations_with_replacement(range(f.arity), order):
+        terms = f.derivative(alpha).terms
+        shape.append(tuple(tuple(i for i, _ in key) for key in terms))
+        for key, c in terms.items():
+            constants += [float(c), *(float(e) for _, e in key)]
+    return tuple(shape), [x.hex() for x in constants]
+
+
+# integer exponents kill terms at high orders; (7/3)^k and its inverse give
+# numerators and denominators beyond a double whose quotients are not
+big_coeffs = st.tuples(coeffs, st.integers(-500, 500)).map(lambda ck: ck[0] * F(7, 3) ** ck[1])
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3).flatmap(lambda arity: st.lists(
+           st.tuples(big_coeffs, st.dictionaries(st.integers(0, arity - 1), unit_or_rat_exponents,
+                                                 max_size=arity)),
+           max_size=4).map(lambda pairs: Signomial.from_terms(arity, pairs))),
+       st.integers(0, 5))
+def test_order_constants_are_the_partials_constants(f, order):
+    fresh = _fresh(f)
+    shape, constants = fresh._order_constants(order)
+    assert (shape, [x.hex() for x in constants]) == reference_order_constants(f, order)
+    assert fresh._partials == {}  # no partial signomial was built
+
+
+@pytest.mark.parametrize("f, order, message", [
+    (sig(1, (F(10 ** 308, 4), {0: 4})), 2, r"partial \(0, 0\) of order 2 has coefficient 3e\+308"),
+    (sig(2, (1, {0: 2}), (-1, {1: 10 ** 309})), 0, r"partial \(\) of order 0 has exponent 1e\+309"),
+    (sig(2, (2, {0: 2, 1: F(-17, 10) * 10 ** 308})), 1,
+     r"partial \(1,\) of order 1 has coefficient -3.4e\+308"),
+])
+def test_order_constants_name_the_partial_beyond_a_double(f, order, message):
+    if order:  # the order below converts
+        f._order_constants(order - 1)
+    with pytest.raises(OverflowError, match=message):
+        f._order_constants(order)
+    assert order not in f._floats
+
+
 @pytest.mark.parametrize("copier", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
 class TestCopy:
     def test_term_key(self, copier):
