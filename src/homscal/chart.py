@@ -2,11 +2,11 @@
 
 Fixing one summand index e and solving prod x_k^{d_k} = 1 for x_e gives a
 global parametrization of the unit-volume slice by the remaining r-1
-coordinates: x_e = prod x_k^{-d_k/d_e} over the retained k, exponents that
-elimination_exponents alone computes.  The restricted scalar curvature stays
-an exact signomial: in one pass over the terms of scal, a power x_e^p adds
-p * (-d_k/d_e) to the exponent of each retained x_k, and the indices above e
-shift down by one.
+coordinates: x_e = prod x_k^{-d_k/d_e} over the retained k, which
+SliceChart.inflate restores.  The restricted scalar curvature stays an
+exact signomial: in one pass over the terms of scal, in ints, a power x_e^p
+adds -p d_k/d_e to the exponent of each retained x_k, and the indices above
+e shift down by one; no key is made canonical a second time.
 
 Critical points of the reduced function are Einstein metrics.  The
 multi-start Newton search finds them; the whole damped Newton search of a
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .signomial import Signomial, _define, _names, _order2_layout, _partial_sums
+from .signomial import Signomial, _as_int, _define, _names, _order2_layout, _partial_sums
 from .space import HomogeneousSpace
 
 # |eigenvalue| at most KERNEL_TOL times the Hessian's scale counts as kernel
@@ -67,28 +67,26 @@ class SliceChart:
     reduced: Signomial
     # exact_snap's rounded points: their doubles and whether the exact gradient vanishes
     _snaps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # and the doubles of the iterates it returned None for
+    _rejected: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @property
     def arity(self) -> int:
         return self.reduced.arity
 
     def inflate(self, point: Sequence[float]) -> tuple[float, ...]:
-        """Chart point -> full metric point, restoring the eliminated coordinate."""
+        """Chart point -> full metric point, restoring the eliminated coordinate
+        x_e = prod over retained k of x_k^(-d_k/d_e), each exponent the double
+        of the int division."""
         if len(point) != self.arity:
             raise ValueError(f"chart point needs {self.arity} coordinates")
+        e, dims = self.eliminated, self.dims
         xe = 1.0
-        for x, a in zip(point, elimination_exponents(self.dims, self.eliminated)):
-            xe *= float(x) ** float(a)
+        for x, d in zip(point, dims[:e] + dims[e + 1:]):
+            xe *= float(x) ** (-d / dims[e])
         full = list(float(x) for x in point)
-        full.insert(self.eliminated, xe)
+        full.insert(e, xe)
         return tuple(full)
-
-
-def elimination_exponents(dims: Sequence[int], eliminated: int) -> tuple[Fraction, ...]:
-    """Exponents a_k = -d_k/d_e with x_e = prod over retained k of x_k^{a_k}
-    on the unit-volume slice, in the order of the retained indices."""
-    de = dims[eliminated]
-    return tuple(Fraction(-d, de) for k, d in enumerate(dims) if k != eliminated)
 
 
 def restrict(space: HomogeneousSpace, eliminated: int | None = None) -> SliceChart:
@@ -96,27 +94,33 @@ def restrict(space: HomogeneousSpace, eliminated: int | None = None) -> SliceCha
 
     By default the last summand is eliminated (for the catalog families it
     has d_e = 1, which keeps all exponents integral); any index works, the
-    exponents just become rationals.  The reduced terms are scal's, in its
-    order: scal is homogeneous, so no two of its terms meet on the slice.
+    exponents just become rationals.  An index that is not an integer in
+    [0, r) is a ValueError.  The reduced terms are scal's, in its order:
+    scal is homogeneous, so no two of its terms meet on the slice.  The
+    exponent of a retained x_k in a term x_e^p prod x_k^{e_k} of scal,
+    (e_k d_e - p d_k) / d_e, is worked out in ints, a zero one left out and
+    each distinct numerator made a Fraction once: keys are canonical as built.
     """
     r = space.r
-    if eliminated is None:
-        eliminated = r - 1
+    eliminated = r - 1 if eliminated is None else _as_int(eliminated, "eliminated index")
     if not 0 <= eliminated < r:
         raise ValueError(f"eliminated index {eliminated} out of range for r = {r}")
-    a = elimination_exponents(space.dims, eliminated)
-    pairs = []
+    de = space.dims[eliminated]
+    retained = [(k, d) for k, d in enumerate(space.dims) if k != eliminated]
+    exponents: dict[int, Fraction] = {}
+    terms = {}
     for key, c in space.scalar_curvature().terms.items():
-        p = dict(key).get(eliminated, 0)
-        exps = [p * ak for ak in a]
-        for k, e in key:
-            if k != eliminated:
-                exps[k - (k > eliminated)] += e
-        pairs.append((c, dict(enumerate(exps))))
-    reduced = Signomial.from_terms(r - 1, pairs)
-    return SliceChart(
-        label=space.name, dims=space.dims, eliminated=eliminated, reduced=reduced
-    )
+        ints = {k: e.numerator for k, e in key}
+        p = ints.get(eliminated, 0)
+        factors = []
+        for j, (k, d) in enumerate(retained):
+            num = ints.get(k, 0) * de - p * d
+            if num:
+                e = exponents.get(num) or exponents.setdefault(num, Fraction(num, de))
+                factors.append((j, e))
+        terms[tuple(factors)] = c
+    return SliceChart(label=space.name, dims=space.dims, eliminated=eliminated,
+                      reduced=Signomial._unchecked(r - 1, terms))
 
 
 def jacobi_eigh(matrix: Sequence[Sequence[float]]):
@@ -395,17 +399,21 @@ def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] |
     2^33 the doubles lie within 5e-7 of the point and every other rational
     of denominator at most 1000 lies 1e-6 from it; from 2^33 on, doubles are
     more than 1e-6 apart, so those of a kept point are the iterate that was
-    rounded to it, or 2^33 itself.
+    rounded to it, or 2^33 itself.  The doubles of an iterate that gave None
+    are kept in chart._rejected, and give None again without a rounding.
     """
     try:
-        for snapped, (near, vanishes) in chart._snaps.items():
-            if math.dist(u, near) < 1e-8:
-                return snapped if vanishes else None
-        snapped = tuple(Fraction(float(x)).limit_denominator(1000) for x in u)
-        if any(s <= 0 for s in snapped):
+        doubles = tuple(map(float, u))
+        if doubles in chart._rejected:
             return None
+        for snapped, (near, vanishes) in chart._snaps.items():
+            if math.dist(doubles, near) < 1e-8:
+                return snapped if vanishes else None
+        snapped = tuple(Fraction(x).limit_denominator(1000) for x in doubles)
         near = tuple(map(float, snapped))
-        if max((abs(s - float(x)) for s, x in zip(near, u)), default=0.0) > 1e-6:
+        if (any(s <= 0 for s in snapped)
+                or max((abs(s - x) for s, x in zip(near, doubles)), default=0.0) > 1e-6):
+            chart._rejected.add(doubles)
             return None
     except ArithmeticError:
         return None
@@ -417,6 +425,8 @@ def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] |
         except ArithmeticError:
             vanishes = False
         kept = chart._snaps[snapped] = near, vanishes
+    if not kept[1]:
+        chart._rejected.add(doubles)
     return snapped if kept[1] else None
 
 

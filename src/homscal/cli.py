@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -35,9 +36,7 @@ from .signomial import ExactEvaluationError
 def fmt(value) -> "str | None":
     if value is None:
         return None
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, (Fraction, int)):
         return str(value)
     return format(float(value), ".17g")
 
@@ -104,21 +103,8 @@ def probe_record(entry: CatalogEntry, cp: CriticalPoint, mode: str = "auto") -> 
 def _print_record(record: dict, out) -> None:
     head = record["family"] if record["n"] is None else f"{record['family']} n={record['n']}"
     print(f"[{head}]", file=out)
-    for key in (
-        "critical_point",
-        "classification",
-        "kernel_directions",
-        "mode",
-        "s1",
-        "s2",
-        "s3",
-        "expected_s3",
-        "s3_matches_expected",
-        "verdict",
-        "witness",
-        "value_at_critical",
-        "value_at_witness",
-    ):
+    for key in ("critical_point classification kernel_directions mode s1 s2 s3 expected_s3 "
+                "s3_matches_expected verdict witness value_at_critical value_at_witness").split():
         print(f"  {key}: {record[key]}", file=out)
 
 
@@ -153,16 +139,8 @@ def cmd_probe(args) -> int:
 def cmd_verify_constants(args) -> int:
     if args.algebra == "so8":
         basis, partition, pairs = lie_constants.so2n_basis(4)
-        expected = {}
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for k in range(j + 1, 4):
-                    key = tuple(
-                        sorted(
-                            (pairs.index((i, j)), pairs.index((i, k)), pairs.index((j, k)))
-                        )
-                    )
-                    expected[key] = Fraction(2, 3)
+        expected = {tuple(sorted(pairs.index(p) for p in ((i, j), (i, k), (j, k)))): Fraction(2, 3)
+                    for i, j, k in itertools.combinations(range(4), 3)}
     elif args.algebra == "su2":
         basis, partition = lie_constants.su_n_basis(2)
         expected = {(0, 0, 0): Fraction(3)}
@@ -274,13 +252,8 @@ def cmd_custom(args) -> int:
 
 def _rationalize(values) -> tuple:
     """Turn integer-valued floats into Fractions so probes can go exact."""
-    out = []
-    for v in values:
-        if isinstance(v, float) and v.is_integer():
-            out.append(Fraction(int(v)))
-        else:
-            out.append(v)
-    return tuple(out)
+    return tuple(Fraction(int(v)) if isinstance(v, float) and v.is_integer() else v
+                 for v in values)
 
 
 # -- parser ----------------------------------------------------------------------

@@ -13,15 +13,16 @@ zero exponent: hashable, and equal exactly when the power products are.
 
 Exponents are Fractions rather than ints because eliminating a coordinate
 against a volume constraint (chart.restrict) produces powers like
-x^(n/(n-2)).  A signomial is built from (coefficient, exponents) pairs by
-from_terms, or from a map of keys to coefficients by Signomial(arity,
-terms); both make every key by one canonicalizer, _monomial, which checks
-each index (an integer in [0, arity)), and merge equal keys.
-Differentiation is exact, and its rule is written once, in _lowered, which
-lowers one term by a multi-index in ints; partial builds the exact partial
-signomials from it.  Only evaluation may leave the rationals, and then the
-caller chooses between the exact path (which raises ExactEvaluationError if
-an irrational power appears) and the float path.
+x^(n/(n-2)).  The public constructors, from_terms on (coefficient,
+exponents) pairs and Signomial(arity, terms) on a map of keys, make every
+key by one canonicalizer, _monomial, which checks each index (an integer in
+[0, arity)), and merge equal keys; scal, its slice charts and the partials
+build canonical keys in ints and pass them to _unchecked, through no
+_monomial.  Differentiation is exact, its rule written once, in _lowered,
+which lowers one term's ints (_int_form) by a multi-index; partial builds
+the exact partial signomials from it.  Only evaluation may leave the
+rationals, and then the caller chooses between the exact path (which raises
+ExactEvaluationError if an irrational power appears) and the float path.
 
 The exact path does no work twice.  eval_exact converts and checks the point
 once per call, not once per term and factor; a coordinate equal to 1
@@ -48,9 +49,9 @@ generated source holds only integer indices, the arity and generated
 names; the coefficients and exponents are parameter defaults, converted to
 doubles once per order (_order_constants) and shared by every function
 bound to it, an absolute kernel taking abs() of each coefficient.  Those
-constants come straight from this signomial's terms, each lowered by
-_lowered and divided once as a pair of ints, with the bits float() gives
-the partial's Fraction; no partial signomial is built to bind a function.
+constants come straight from one int form of this signomial's terms, each
+lowered by _lowered and divided once as a pair of ints, with the bits
+float() gives the partial's Fraction; no partial signomial is built.
 Templates are cached per shape (the arity and the variable indices of each
 term), so charts of one structure compile once.
 """
@@ -170,13 +171,19 @@ def _term_map(arity: int, items: Iterable[tuple]) -> tuple[int, dict[TermKey, Fr
     return arity, {key: c for key, c in acc.items() if c}
 
 
-def _lowered(key: TermKey, counts: Mapping[int, int]) -> "tuple[int, int, list] | None":
-    """The differentiation rule, the one place it is written: the term key
-    differentiated counts[i] times in each x_i.  None when the term dies, as
-    a constant does; otherwise the factor its coefficient gains, the falling
-    factorial prod e_i (e_i - 1) ... (e_i - k_i + 1), as an unreduced pair
-    (numerator, denominator) of ints, and per factor left (index, exponent
-    e_i, count k_i), the exponent now being e_i - k_i.
+def _int_form(key: TermKey) -> tuple:
+    """key's factors in ints: (index, numerator, denominator) of each exponent."""
+    return tuple([(idx, e.numerator, e.denominator) for idx, e in key])
+
+
+def _lowered(factors: tuple, counts: Mapping[int, int]) -> "tuple[int, int, list] | None":
+    """The differentiation rule, the one place it is written: the term with
+    the factors of _int_form differentiated counts[i] times in each x_i.
+    None when the term dies, as a constant does; otherwise the factor its
+    coefficient gains, the falling factorial prod e_i (e_i - 1) ... (e_i -
+    k_i + 1), as an unreduced pair (numerator, denominator) of ints, and per
+    factor left (index, numerator, denominator) of its exponent e_i - k_i =
+    (p - k_i q) / q, in lowest terms as p / q is.
 
     A factor whose exponent reaches 0 is dropped, and the factors left keep
     their order and distinct indices, so the lowered key is canonical as
@@ -184,23 +191,23 @@ def _lowered(key: TermKey, counts: Mapping[int, int]) -> "tuple[int, int, list] 
     variable is absent, so a surviving coefficient is nonzero.
     """
     num = den = 1
-    factors, seen = [], 0
-    for idx, e in key:
+    left, seen = [], 0
+    for idx, p, q in factors:
         k = counts.get(idx, 0)
         if k:
             seen += 1
-            p, q = e.numerator, e.denominator
             for j in range(k):
                 num *= p - j * q
             if not num:
                 return None
             den *= q ** k
-            if p == k * q:
+            p -= k * q
+            if not p:
                 continue
-        factors.append((idx, e, k))
+        left.append((idx, p, q))
     if seen < len(counts):
         return None
-    return num, den, factors
+    return num, den, left
 
 
 def _power_product(key: TermKey, xs: dict[int, Fraction]) -> Fraction:
@@ -235,7 +242,7 @@ def _beyond_double(alpha: tuple, num: int, den: int, factors: list) -> OverflowE
     range of a double: the coefficient num / den of a term, then the
     exponent of each of its factors (as _lowered gives them)."""
     values = [("coefficient", num, den)]
-    values += [("exponent", e.numerator - k * e.denominator, e.denominator) for _, e, k in factors]
+    values += [("exponent", p, q) for _, p, q in factors]
     for kind, n, d in values:
         try:
             n / d
@@ -382,12 +389,12 @@ class Signomial:
             return hit
         out: dict[TermKey, Fraction] = {}
         for exps, c in self.terms.items():
-            lowered = _lowered(exps, {var: 1})
+            lowered = _lowered(_int_form(exps), {var: 1})
             if lowered is not None:
                 # distinct terms keep distinct keys: x^e differs from x^e'
                 # exactly when x^(e-1) differs from x^(e'-1)
                 num, den, factors = lowered
-                key = tuple((idx, e - k if k else e) for idx, e, k in factors)
+                key = tuple((idx, Fraction(p, q)) for idx, p, q in factors)
                 out[key] = c * Fraction(num, den)
         result = self._partials[var] = Signomial._unchecked(self.arity, out)
         return result
@@ -449,7 +456,9 @@ class Signomial:
 
     def _order_constants(self, order: int) -> tuple[tuple, list[float]]:
         """The shape of the partials of one order and their float constants,
-        taken straight from this signomial's terms, no partial being built.
+        taken straight from this signomial's terms, read once per call as
+        ints (_int_form and each coefficient's numerator and denominator),
+        no partial being built.
 
         The partials are taken in itertools.combinations_with_replacement(
         range(arity), order) order and each partial's terms in term order,
@@ -469,19 +478,19 @@ class Signomial:
         hit = self._floats.get(order)
         if hit is None:
             shape, constants = [], []
+            terms = [(c.numerator, c.denominator, _int_form(key)) for key, c in self.terms.items()]
             for alpha in itertools.combinations_with_replacement(range(self.arity), order):
                 counts = {var: alpha.count(var) for var in alpha}
                 form = []
-                for key, c in self.terms.items():
-                    lowered = _lowered(key, counts)
+                for cnum, cden, ints in terms:
+                    lowered = _lowered(ints, counts)
                     if lowered is None:
                         continue
                     num, den, factors = lowered
-                    num, den = c.numerator * num, c.denominator * den
+                    num, den = cnum * num, cden * den
                     try:
                         constants.append(num / den)
-                        constants += [(e.numerator - k * e.denominator) / e.denominator
-                                      for _, e, k in factors]
+                        constants += [p / q for _, p, q in factors]
                     except OverflowError:
                         raise _beyond_double(alpha, num, den, factors) from None
                     form.append(tuple(idx for idx, _, _ in factors))

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
-from .signomial import Rat, Signomial, _as_int
+from .signomial import Signomial, _as_int
 
 TripleKey = tuple[int, int, int]
+_EXPONENTS = {e: Fraction(e) for e in (-2, -1, 1)}  # every exponent of scal
 
 
 def _as_fraction(value, where: str) -> Fraction:
@@ -118,19 +119,26 @@ class HomogeneousSpace:
         return out
 
     def scalar_curvature(self) -> Signomial:
-        """The invariant scalar curvature as an exact signomial in r variables."""
-        r = self.r
-        pairs: list[tuple[Fraction, dict[int, Rat]]] = []
-        for k in range(r):
-            pairs.append((Fraction(self.b[k]) * self.dims[k] / 2, {k: -1}))
-        for key, v in self.canonical_triples().items():
-            c = -v / 4
+        """The invariant scalar curvature as an exact signomial in r variables.
+
+        The terms are summed on keys of int exponents (-2, -1 or 1) as
+        unreduced pairs of ints, each key's in its first place; each key
+        left with a nonzero sum is then made canonical, its exponents
+        Fractions, and its coefficient one Fraction(num, den)."""
+        acc = {((k, -1),): (b.numerator * d, 2 * b.denominator)
+               for k, (d, b) in enumerate(zip(self.dims, self.b))}
+        for key, v in self.canonical_triples().items():  # a ValueError if not valid
+            p, q = -v.numerator, 4 * v.denominator
             for i, j, k in set(itertools.permutations(key)):
                 exps = {k: 1}
                 exps[i] = exps.get(i, 0) - 1
                 exps[j] = exps.get(j, 0) - 1
-                pairs.append((c, exps))
-        return Signomial.from_terms(r, pairs)
+                term = tuple(sorted((x, e) for x, e in exps.items() if e))
+                num, den = acc.get(term, (0, 1))
+                acc[term] = num * q + p * den, den * q
+        terms = {tuple((x, _EXPONENTS[e]) for x, e in key): Fraction(num, den)
+                 for key, (num, den) in acc.items() if num}
+        return Signomial._unchecked(self.r, terms)
 
 
 # -- structured-text space files ------------------------------------------------

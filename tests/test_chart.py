@@ -26,9 +26,10 @@ from homscal.chart import (
     newton_critical,
     restrict,
 )
-from homscal.signomial import Signomial, _kernel_template
+from homscal.signomial import Signomial, _kernel_template, _monomial
 from homscal.space import HomogeneousSpace, space_from_dict
 from test_cli import SEARCH_SPACES
+from test_space import spaces
 
 
 def sig(arity, *pairs):
@@ -80,6 +81,11 @@ class TestRestrict:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             restrict(e6_space(), eliminated=5)
+
+    @pytest.mark.parametrize("eliminated", [True, 1.0, "1"])
+    def test_an_index_that_is_not_an_integer_is_a_value_error(self, eliminated):
+        with pytest.raises(ValueError, match="expected an integer"):
+            restrict(su_n_space(4), eliminated)
 
     def test_restrict_then_eval_matches_full_curvature(self):
         space = su_n_space(4)
@@ -185,19 +191,6 @@ def _reference_restricted_terms(space, e):
     return list(Signomial(space.r - 1, dropped).terms.items())
 
 
-@st.composite
-def spaces(draw):
-    """Valid spaces with 2 to 5 summands, small dims, rational b and
-    triples, zero values among them."""
-    r = draw(st.integers(2, 5))
-    dims = draw(st.lists(st.integers(1, 6), min_size=r, max_size=r))
-    rationals = st.fractions(min_value=0, max_value=6, max_denominator=4)
-    b = draw(st.lists(rationals.filter(bool), min_size=r, max_size=r))
-    keys = st.lists(st.integers(0, r - 1), min_size=3, max_size=3).map(lambda t: tuple(sorted(t)))
-    triples = draw(st.dictionaries(keys, rationals, max_size=6))
-    return HomogeneousSpace(name="drawn", dims=dims, b=b, triples=triples)
-
-
 class TestRestrictedTermOrder:
     """The float kernels sum in term order, so restrict must give the term
     map of the two-step reference item for item, in insertion order."""
@@ -206,7 +199,11 @@ class TestRestrictedTermOrder:
     @given(spaces())
     def test_drawn_spaces_match_the_two_step_reference(self, space):
         for e in range(space.r):
-            assert list(restrict(space, e).reduced.terms.items()) == _reference_restricted_terms(space, e)
+            got = list(restrict(space, e).reduced.terms.items())
+            assert got == _reference_restricted_terms(space, e)
+            # canonical as built, every number a Fraction
+            assert all(key == _monomial(key, space.r - 1) for key, _ in got)
+            assert all(type(c) is F and all(type(x) is F for _, x in key) for key, c in got)
 
     @pytest.mark.parametrize(
         "space, e",
@@ -1011,10 +1008,49 @@ class TestSearchSnapsOnce:
         assume(abs(u - near) < 1e-8)
         assert F(u).limit_denominator(1000) == r
 
+    def test_a_rejected_iterate_is_not_rounded_again(self, monkeypatch):
+        chart = _file_chart(SEARCH_SPACES["random-1"])
+        limit_denominator, rounded = F.limit_denominator, []
+
+        def counted(self, max_denominator=1000000):
+            rounded.append(float(self))
+            return limit_denominator(self, max_denominator)
+
+        monkeypatch.setattr(F, "limit_denominator", counted)
+        u = 3.3260853522681746  # 1.6e-6 from 153/46
+        for _ in range(3):
+            assert chart_mod.exact_snap(chart, (u,)) is None
+        assert rounded == [u] and chart._rejected == {(u,)} and chart._snaps == {}
+        # an iterate 9e-7 from 171/196, where the exact gradient does not vanish
+        v = 0.87244984422645677
+        for _ in range(3):
+            assert chart_mod.exact_snap(chart, (v,)) is None
+        assert rounded == [u, v] and chart._rejected == {(u,), (v,)}
+        # the doubles are the key: the next double is rounded
+        assert chart_mod.exact_snap(chart, [math.nextafter(u, 4.0)]) is None
+        assert rounded == [u, v, math.nextafter(u, 4.0)] and len(chart._rejected) == 3
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_SPACES))
+    def test_custom_search_rounds_each_iterate_once(self, monkeypatch, capsys, tmp_path, name):
+        # every chart here has one coordinate: one rounding per iterate,
+        # whether it fails the 1e-6 test or its point the gradient test
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(SEARCH_SPACES[name]))
+        limit_denominator, rounded = F.limit_denominator, Counter()
+
+        def counted(self, max_denominator=1000000):
+            rounded[float(self)] += 1
+            return limit_denominator(self, max_denominator)
+
+        monkeypatch.setattr(F, "limit_denominator", counted)
+        assert cli.main(["custom", "--file", str(path), "--search"]) in (0, 1)
+        assert rounded and max(rounded.values()) == 1
+
     def test_memo_is_not_part_of_equality_hash_or_repr(self):
         chart, fresh = (_file_chart(SEARCH_SPACES["e6"]) for _ in range(2))
         assert chart_mod.exact_snap(chart, (1.0 + 1e-9,)) == (F(1),)
-        assert chart._snaps and not fresh._snaps
+        assert chart_mod.exact_snap(chart, (1.00001,)) is None
+        assert chart._snaps and chart._rejected and not (fresh._snaps or fresh._rejected)
         assert chart == fresh and hash(chart) == hash(fresh) and repr(chart) == repr(fresh)
 
     def test_search_and_labels_convert_each_partial_once(self, monkeypatch):

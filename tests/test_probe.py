@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction as F
@@ -11,8 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homscal.catalog import build, default_entries, su2n_volume_normalizer
-from homscal.chart import CriticalPoint, SliceChart
+import homscal.signomial as signomial
+from homscal.catalog import (build, default_entries, load_custom, so2n_flag_space,
+                             su2n_volume_normalizer, su_n_space)
+from homscal.chart import CriticalPoint, SliceChart, restrict
 from homscal.probe import (
     CurveSpec,
     ProbeInconsistency,
@@ -29,6 +32,7 @@ from homscal.probe import (
     suggest_fd_step,
 )
 from homscal.signomial import ExactEvaluationError, Signomial
+from homscal.space import space_to_dict
 
 
 def sig(arity, *pairs):
@@ -412,6 +416,23 @@ class TestThirdPartials:
         res = probe_chart(chart, entry.curve(), mode="auto")
         assert res.mode == ("float" if entry.family == "su2n_mod_spn" else "exact")
         assert chart.reduced._partials == {}
+
+    def test_chart_building_makes_no_key_through_monomial(self, monkeypatch, tmp_path):
+        # scal and its charts are built with canonical keys: none is made again
+        monomial, made = signomial._monomial, []
+
+        def counted(exps, arity):
+            made.append(exps)
+            return monomial(exps, arity)
+
+        monkeypatch.setattr(signomial, "_monomial", counted)
+        for name, entry in CATALOG.items():
+            assert build(entry.family, entry.n).chart == entry.chart, name
+        path = tmp_path / "space.json"
+        for space, eliminate in ((su_n_space(5), 0), (so2n_flag_space(6), 1)):
+            path.write_text(json.dumps({**space_to_dict(space), "eliminate": eliminate}))
+            assert load_custom(path).chart == restrict(space, eliminate)
+        assert made == []
 
 
 # -- the contraction against the two-branch loop it replaced -----------------------

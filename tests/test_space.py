@@ -1,5 +1,6 @@
 """Homogeneous-space data model and the curvature functional."""
 
+import itertools
 import json
 import re
 from fractions import Fraction as F
@@ -7,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homscal.signomial import Signomial
+from homscal.signomial import Signomial, _monomial
 from homscal.space import (
     HomogeneousSpace,
     load_space,
@@ -116,7 +117,52 @@ class TestValidate:
         assert all(type(v) is F for v in (*space.b, *space.triples.values()))
 
 
+@st.composite
+def spaces(draw):
+    """Valid spaces with 1 to 5 summands, small dims, rational b and
+    triples, zero values among them; each multiset's value is stored under
+    one to three of its permutations, unsorted, in drawn order."""
+    r = draw(st.integers(1, 5))
+    dims = draw(st.lists(st.integers(1, 6), min_size=r, max_size=r))
+    rationals = st.fractions(min_value=0, max_value=6, max_denominator=4)
+    b = draw(st.lists(rationals.filter(bool), min_size=r, max_size=r))
+    multisets = st.lists(st.integers(0, r - 1), min_size=3, max_size=3).map(
+        lambda t: tuple(sorted(t)))
+    triples = {}
+    for key, v in draw(st.dictionaries(multisets, rationals, max_size=6)).items():
+        for perm in draw(st.lists(st.permutations(key), min_size=1, max_size=3)):
+            triples[tuple(perm)] = v
+    return HomogeneousSpace(name="drawn", dims=dims, b=b, triples=triples)
+
+
+def _reference_scalar_curvature(space):
+    """scal by the formula term by term, each coefficient a Fraction
+    expression, merged and checked by Signomial.from_terms."""
+    pairs = []
+    for k in range(space.r):
+        pairs.append((F(space.b[k]) * space.dims[k] / 2, {k: -1}))
+    for key, v in space.canonical_triples().items():
+        c = -v / 4
+        for i, j, k in set(itertools.permutations(key)):
+            exps = {k: 1}
+            exps[i] = exps.get(i, 0) - 1
+            exps[j] = exps.get(j, 0) - 1
+            pairs.append((c, exps))
+    return Signomial.from_terms(space.r, pairs)
+
+
 class TestScalarCurvature:
+    @settings(deadline=None)
+    @given(spaces())
+    def test_term_map_matches_the_reference_in_order(self, space):
+        scal = space.scalar_curvature()
+        assert scal.arity == space.r
+        got = list(scal.terms.items())
+        assert got == list(_reference_scalar_curvature(space).terms.items())
+        assert all(key == _monomial(key, space.r) for key, _ in got)
+        assert all(type(c) is F for _, c in got)
+        assert all(type(e) is F for key, _ in got for _, e in key)
+
     def test_two_summand_example(self):
         expected = sig(2, (5, {0: -1}), (20, {1: -1}), (F(-5, 2), {0: 1, 1: -2}))
         assert E6.scalar_curvature() == expected
@@ -142,6 +188,12 @@ class TestScalarCurvature:
     def test_invalid_space_raises(self):
         space = HomogeneousSpace(name="bad", dims=(0,))
         with pytest.raises(ValueError):
+            space.scalar_curvature()
+
+    def test_a_b_shorter_than_dims_is_a_value_error(self):
+        # validate names it; it is not an IndexError from reading b
+        space = HomogeneousSpace(name="bad", dims=(2, 3), b=(1,))
+        with pytest.raises(ValueError, match="b has 1 entries for 2 summands"):
             space.scalar_curvature()
 
     def test_standard_value_without_brackets(self):
