@@ -13,7 +13,8 @@ multi-start Newton search finds them; the whole damped Newton search of a
 start runs as one generated function with the kernels' term statements,
 bound once per chart by Signomial._compiled.  A converged start is
 snapped to a nearby simple rational point where the exact gradient
-vanishes (exact_snap); the chart keeps each rounded point's verdict, so
+vanishes (exact_snap, which reads each partial as Signomial.line_exact's
+S1 along a unit axis); the chart keeps each rounded point's verdict, so
 the exact gradient is tested once per rounded point, however many starts
 or callers meet there.  The linear algebra is written once, on plain
 floats: jacobi_eigh, solve and vector_norm (shared by the flow's stop
@@ -391,7 +392,9 @@ def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] |
     verification recovers it precisely.
 
     Each coordinate is rounded to the closest rational of denominator at most
-    1000, which must lie within 1e-6.  The exact gradient is tested once per
+    1000, which must lie within 1e-6.  The exact gradient is read from the
+    one exact evaluator, each partial as Signomial.line_exact's S1 along its
+    unit axis, so no partial signomial is built.  It is tested once per
     rounded point and chart: chart._snaps keeps each rounded point's doubles
     and verdict, so the starts of one search that meet at a point, and the
     CLI's second snap of a point, share one test.  A u within 1e-8 of a kept
@@ -420,8 +423,9 @@ def exact_snap(chart: SliceChart, u: Sequence[float]) -> "tuple[Fraction, ...] |
     kept = chart._snaps.get(snapped)
     if kept is None:
         try:
-            vanishes = all(chart.reduced.partial(i).eval_exact(snapped) == 0
-                           for i in range(chart.arity))
+            vanishes = all(
+                chart.reduced.line_exact(snapped, [int(i == j) for j in range(chart.arity)])[1] == 0
+                for i in range(chart.arity))
         except ArithmeticError:
             vanishes = False
         kept = chart._snaps[snapped] = near, vanishes

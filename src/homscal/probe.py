@@ -12,10 +12,10 @@ with a larger value exists on the S3 side.
 
 S_m is exact (a Fraction) whenever the base point, direction and all
 powered coordinates are rational, e.g. at an all-ones point; otherwise it is
-a double.  The exact S_m need no partials: along the line each term is
-B prod (1 + t w_i)^e_i with w = v / u0, so S1-S3 are sums over the terms of
-B times polynomials in the power sums sum_i e_i w_i^k (_power_sums), taken
-in ints.  One contraction of float partials (_contract) serves the float
+a double.  The exact S_m need no partials: they are the t^1..t^3 terms of
+Signomial.line_exact, the one exact evaluator, which sums each term's
+series B prod (1 + t w_i)^e_i, w = v / u0, from power sums in ints.
+One contraction of float partials (_contract) serves the float
 S_m, their cancellation scales (the same sum over absolute-valued partials
 and |v|) and suggest_fd_step's fifth-order scale.  A float S_m is judged
 against its own scale, so the verdict does not depend on the length of v.
@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .chart import SliceChart
-from .signomial import ExactEvaluationError, Signomial, rational_pow
+from .signomial import ExactEvaluationError, _as_int
 
 # float-mode verdict thresholds, each relative to its own S_m's scale:
 # |S1|, |S2| below TOL_LOW count as zero, |S3| or -S2 above TOL_HIGH as signal
@@ -132,55 +132,6 @@ def _contract(values: Sequence, direction: Sequence, order: int):
     return total
 
 
-def _power_sums(f: Signomial, base: Sequence, direction: Sequence) -> tuple[Fraction, ...]:
-    """Exact (S1, S2, S3) of f along base + t direction, from per-term power
-    sums rather than partials.
-
-    With w = direction / base, a term c * prod x_i^e_i is B (1 + t w_i)^e_i
-    along the line, B = c * prod base_i^e_i, and the derivatives of its log
-    at t = 0 are p1, -p2 and 2 p3 for the power sums p_k = sum_i e_i w_i^k.
-    So the term adds B p1 to S1, B (p1^2 - p2) to S2 and
-    B (p1^3 - 3 p1 p2 + 2 p3) to S3.  The sums run in ints: w_i = a_i / D
-    and e_i = n_i / E over common denominators D and E, so S_m is
-    sum B Y_m / (E^m D^m) with integer Y_m; the B are grouped by their
-    unreduced denominators, and each S_m is one Fraction at the end.
-    rational_pow takes each power base_i^e_i, once per coordinate and
-    exponent; a term whose power is irrational raises ExactEvaluationError,
-    as evaluating its partial in x_i would.
-    """
-    base = [Fraction(b) for b in base]
-    w = [Fraction(v) / b for v, b in zip(direction, base)]
-    d_all = math.lcm(*(wi.denominator for wi in w))
-    a = [wi.numerator * (d_all // wi.denominator) for wi in w]
-    e_all = math.lcm(*(e.denominator for key in f.terms for _, e in key))
-    powers: dict = {}
-    sums: dict[int, list[int]] = {}
-    for key, c in f.terms.items():
-        num, den = c.numerator, c.denominator
-        p1 = p2 = p3 = 0
-        for i, e in key:
-            n = e.numerator * (e_all // e.denominator)
-            p1 += n * a[i]
-            p2 += n * a[i] ** 2
-            p3 += n * a[i] ** 3
-            if base[i] != 1:
-                power = powers.get((i, e))
-                if power is None:
-                    power = powers[i, e] = rational_pow(base[i], e)
-                num *= power.numerator
-                den *= power.denominator
-        acc = sums.setdefault(den, [0, 0, 0])
-        acc[0] += num * p1
-        acc[1] += num * (p1 * p1 - e_all * p2)
-        acc[2] += num * (p1 ** 3 - 3 * e_all * p1 * p2 + 2 * e_all ** 2 * p3)
-    common = math.lcm(*sums)
-    return tuple(
-        Fraction(sum(acc[m - 1] * (common // den) for den, acc in sums.items()),
-                 common * (e_all * d_all) ** m)
-        for m in (1, 2, 3)
-    )
-
-
 def directional_derivatives(
     chart: SliceChart,
     curve: CurveSpec,
@@ -209,7 +160,7 @@ def directional_derivatives(
 
     def derivatives(exact):
         if exact:
-            return _power_sums(f, curve.base, curve.direction)
+            return f.line_exact(curve.base, curve.direction)[1:]
         direction = tuple(map(float, curve.direction))
         return [_contract(f.partials_float(curve.base, m), direction, m) for m in (1, 2, 3)]
 
@@ -272,11 +223,15 @@ def fd_check(
 
     Entirely independent of the contraction path: only float evaluations of
     the reduced function along the curve, one per abscissa (five at order 3,
-    at t = 0, +-h and +-2h).  At an abscissa that is not positive the
-    evaluator raises ValueError, naming the first non-positive coordinate.
+    at t = 0, +-h and +-2h).  order is an integer in 1..3 and h a finite,
+    nonzero step; otherwise, or at an abscissa that is not positive (the
+    evaluator names the first non-positive coordinate), ValueError.
     """
+    order = _as_int(order, "order")
     if not 1 <= order <= 3:
-        raise ValueError("order must be 1, 2 or 3")
+        raise ValueError(f"order must be 1, 2 or 3, got {order}")
+    if not (math.isfinite(h) and h != 0):
+        raise ValueError(f"h must be a finite, nonzero step, got {h!r}")
     f = lambda t: chart.reduced.eval_float(curve.at(t))
     fp, fm = f(h), f(-h)
     out = [(fp - fm) / (2 * h)]

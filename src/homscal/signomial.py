@@ -24,13 +24,14 @@ the exact partial signomials from it.  Only evaluation may leave the
 rationals, and then the caller chooses between the exact path (which raises
 ExactEvaluationError if an irrational power appears) and the float path.
 
-The exact path does no work twice.  eval_exact converts and checks the point
-once per call, not once per term and factor; a coordinate equal to 1
-contributes no factor, and rational_pow returns 1 for base 1 before any root
-is taken, and otherwise roots the base before it raises it.  A Fraction is
-already in lowest terms, so the constructors store one as is and convert
-only other values (int, str, bool); every stored coefficient and exponent
-is a Fraction either way.
+The exact path is one evaluator, line_exact(base, direction): f and its
+first three derivatives along base + t direction at t = 0, summed term by
+term from power sums in ints, no partial built; eval_exact is its t^0 term
+along the zero direction.  It checks the point once per call; a unit
+coordinate contributes no factor, and rational_pow, the one exact power,
+takes each other power once, rooting the base before it raises it.  A
+Fraction is already in lowest terms, so the constructors store one as is and
+convert only other values (int, str, bool).
 
 The float path is the only float evaluator in the package.
 partials_float(point, order) evaluates every partial of one order in one
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import types
 from collections.abc import Iterable, Mapping, Sequence
@@ -70,7 +72,6 @@ from typing import Union
 Rat = Union[int, Fraction]
 TermKey = tuple[tuple[int, Fraction], ...]
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 _SIX_DIGITS = Context(prec=6)
 
@@ -208,29 +209,6 @@ def _lowered(factors: tuple, counts: Mapping[int, int]) -> "tuple[int, int, list
     if seen < len(counts):
         return None
     return num, den, left
-
-
-def _power_product(key: TermKey, xs: dict[int, Fraction]) -> Fraction:
-    """The exact power product of key at the non-unit coordinates xs of _exact_point."""
-    out = _ONE
-    for idx, e in key:
-        x = xs.get(idx)
-        if x is not None:
-            out *= rational_pow(x, e)
-    return out
-
-
-def _exact_point(point: Sequence[Rat]) -> dict[int, Fraction]:
-    """The point as Fractions, checked once: none <= 0.  Only the coordinates
-    other than 1 are kept, by index; a unit coordinate contributes no factor."""
-    xs = {}
-    for idx, x in enumerate(point):
-        x = _fraction(x)
-        if x <= 0:
-            raise ValueError(f"coordinate {idx} is not positive: {x}")
-        if x != 1:
-            xs[idx] = x
-    return xs
 
 
 def _format_exponent(e: Fraction) -> str:
@@ -412,14 +390,76 @@ class Signomial:
 
     # -- evaluation ----------------------------------------------------------
 
-    def eval_exact(self, point: Sequence[Rat]) -> Fraction:
-        if len(point) != self.arity:
-            raise ValueError(f"point has {len(point)} coordinates, arity is {self.arity}")
-        xs = _exact_point(point)
-        total = _ZERO
+    def line_exact(self, base: Sequence[Rat], direction: Sequence[Rat]) -> tuple[Fraction, ...]:
+        """Exact (f, S1, S2, S3) along the line base + t direction at t = 0:
+        the value and the first three derivatives in t, the one exact
+        evaluator.  The line is checked once: both lengths, then each base
+        coordinate in turn (a finite number > 0) and the direction (finite).
+
+        No partial is built.  With w = direction / base, a term
+        c * prod x_i^e_i is B prod (1 + t w_i)^e_i along the line, B = c *
+        prod base_i^e_i, and the derivatives of its log at t = 0 are p1, -p2
+        and 2 p3 for the power sums p_k = sum_i e_i w_i^k.  So the term adds B
+        to f, B p1 to S1, B (p1^2 - p2) to S2 and B (p1^3 - 3 p1 p2 + 2 p3)
+        to S3.  The sums run in ints: w_i = a_i / D and e_i = n_i / E over
+        common denominators D and E (D of the unreduced w_i), so the t^m sum
+        is sum B Y_m / (E^m D^m) with integer Y_m; the B are grouped by their
+        unreduced denominators, and each sum is one Fraction at the end.
+        rational_pow takes each power base_i^e_i of a non-unit coordinate
+        once; an irrational one raises ExactEvaluationError.
+        """
+        if len(base) != self.arity:
+            raise ValueError(f"point has {len(base)} coordinates, arity is {self.arity}")
+        if len(direction) != self.arity:
+            raise ValueError(f"direction has {len(direction)} coordinates, arity is {self.arity}")
+        xs = []
+        for idx, x in enumerate(base):
+            try:
+                x = _fraction(x)
+            except (OverflowError, ValueError):
+                raise ValueError(f"coordinate {idx} is not a finite number: {x!r}") from None
+            if x <= 0:
+                raise ValueError(f"coordinate {idx} is not positive: {x}")
+            xs.append(x)
+        try:
+            vs = [_fraction(v) for v in direction]
+        except (OverflowError, ValueError):
+            raise ValueError(f"direction is not finite: {tuple(direction)}") from None
+        dens = [v.denominator * x.numerator for v, x in zip(vs, xs)]
+        d_all = math.lcm(*dens)
+        a = [v.numerator * x.denominator * (d_all // den) for v, x, den in zip(vs, xs, dens)]
+        e_all = math.lcm(*(e.denominator for key in self.terms for _, e in key))
+        powers: dict = {}
+        sums: dict[int, list[int]] = {}
         for key, c in self.terms.items():
-            total += c * _power_product(key, xs)
-        return total
+            num, den = c.numerator, c.denominator
+            p1 = p2 = p3 = 0
+            for i, e in key:
+                n = e.numerator * (e_all // e.denominator)
+                p1 += n * a[i]
+                p2 += n * a[i] ** 2
+                p3 += n * a[i] ** 3
+                if xs[i] != 1:
+                    power = powers.get((i, e))
+                    if power is None:
+                        power = powers[i, e] = rational_pow(xs[i], e)
+                    num *= power.numerator
+                    den *= power.denominator
+            acc = sums.setdefault(den, [0, 0, 0, 0])
+            acc[0] += num
+            acc[1] += num * p1
+            acc[2] += num * (p1 * p1 - e_all * p2)
+            acc[3] += num * (p1 ** 3 - 3 * e_all * p1 * p2 + 2 * e_all ** 2 * p3)
+        common = math.lcm(*sums)
+        return tuple(
+            Fraction(sum(acc[m] * (common // den) for den, acc in sums.items()),
+                     common * (e_all * d_all) ** m)
+            for m in range(4)
+        )
+
+    def eval_exact(self, point: Sequence[Rat]) -> Fraction:
+        """Exact value at a positive rational point: line_exact's t^0 term."""
+        return self.line_exact(point, (0,) * self.arity)[0]
 
     def eval_float(self, point: Sequence[float]) -> float:
         """Value at a positive point in doubles; a term that overflows raises

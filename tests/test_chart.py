@@ -29,6 +29,7 @@ from homscal.chart import (
 from homscal.signomial import Signomial, _kernel_template, _monomial
 from homscal.space import HomogeneousSpace, space_from_dict
 from test_cli import SEARCH_SPACES
+from test_signomial import exact_term_sum
 from test_space import spaces
 
 
@@ -756,7 +757,7 @@ def _reference_exact_snap(chart, u):
         if max((abs(float(s) - float(x)) for s, x in zip(snapped, u)), default=0.0) > 1e-6:
             return None
         for i in range(chart.arity):
-            if chart.reduced.partial(i).eval_exact(snapped) != 0:
+            if exact_term_sum(chart.reduced.partial(i), snapped) != 0:
                 return None
     except ArithmeticError:
         return None
@@ -938,7 +939,7 @@ class TestSearchSnapsOnce:
                                                          name):
         path = tmp_path / "space.json"
         path.write_text(json.dumps(SEARCH_SPACES[name]))
-        snap, eval_exact = chart_mod.exact_snap, Signomial.eval_exact
+        snap, line_exact = chart_mod.exact_snap, Signomial.line_exact
         phase, snaps, rounded, tested = [None], [], set(), []
 
         def snapper(where):
@@ -955,17 +956,17 @@ class TestSearchSnapsOnce:
                     phase[0] = None
             return counted
 
-        def counted_eval(self, point):
+        def counted_line(self, base, direction):
             if phase[0] is not None:
-                tested.append((phase[0], tuple(point)))
-            return eval_exact(self, point)
+                tested.append((phase[0], tuple(base)))
+            return line_exact(self, base, direction)
 
         monkeypatch.setattr(chart_mod, "exact_snap", snapper("search"))
         monkeypatch.setattr(cli, "exact_snap", snapper("cli"))
-        monkeypatch.setattr(Signomial, "eval_exact", counted_eval)
+        monkeypatch.setattr(Signomial, "line_exact", counted_line)
         assert cli.main(["custom", "--file", str(path), "--search"]) == 0
         assert "cli" in snaps and snaps.count("search") > len(rounded) > 0
-        # one chart coordinate: one exact evaluation per gradient test
+        # one chart coordinate: one exact line series per gradient test
         assert sorted(point for _, point in tested) == sorted(rounded)
         assert all(where == "search" for where, _ in tested)
 

@@ -20,6 +20,7 @@ import homscal.cli as cli
 from homscal.catalog import FAMILIES, build, default_entries
 from homscal.chart import KERNEL_TOL, CriticalPoint
 from homscal.cli import build_parser, main, probe_record
+from homscal.signomial import Signomial
 from homscal.space import space_to_dict
 
 
@@ -777,6 +778,21 @@ class TestCustom:
         code, out, err = run(capsys, "custom", "--file", str(path), "--search")
         digest = hashlib.sha256(f"{code}\n{out}\n{err}".encode()).hexdigest()
         assert digest == SEARCH_SHA256[name]
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_SPACES))
+    def test_search_builds_no_partial_signomial(self, monkeypatch, capsys, tmp_path, name):
+        # the exact gradient test reads Signomial.line_exact along each axis
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(SEARCH_SPACES[name]))
+        partial, calls = Signomial.partial, []
+
+        def counted(self, var):
+            calls.append(var)
+            return partial(self, var)
+
+        monkeypatch.setattr(Signomial, "partial", counted)
+        run(capsys, "custom", "--file", str(path), "--search")
+        assert calls == []
 
     def test_large_hinted_point_is_labelled_without_warning(self, capsys, tmp_path):
         path = self.write_e6(tmp_path, critical_point=[1e200])

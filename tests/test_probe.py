@@ -33,6 +33,7 @@ from homscal.probe import (
 )
 from homscal.signomial import ExactEvaluationError, Signomial
 from homscal.space import space_to_dict
+from test_signomial import exact_term_sum, power_bases
 
 
 def sig(arity, *pairs):
@@ -93,7 +94,26 @@ class TestProbeArguments:
          "unknown mode 'bogus'"),
         (lambda chart, curve: fd_check(chart, curve, order=0), "order must be 1, 2 or 3"),
         (lambda chart, curve: fd_check(chart, curve, order=4), "order must be 1, 2 or 3"),
-    ], ids=["wrong-arity", "bogus-mode", "fd-order-0", "fd-order-4"])
+        (lambda chart, curve: fd_check(chart, curve, order=2.5),
+         "^order: expected an integer, got 2.5$"),
+        (lambda chart, curve: fd_check(chart, curve, order=True),
+         "^order: expected an integer, got True$"),
+        (lambda chart, curve: fd_check(chart, curve, h=0), "^h must be a finite, nonzero step, got 0$"),
+        (lambda chart, curve: fd_check(chart, curve, h=math.nan),
+         "^h must be a finite, nonzero step, got nan$"),
+        (lambda chart, curve: fd_check(chart, curve, h=-math.inf),
+         "^h must be a finite, nonzero step, got -inf$"),
+        (lambda chart, curve: chart.reduced.eval_exact((math.inf,)),
+         "^coordinate 0 is not a finite number: inf$"),
+        (lambda chart, curve: sig(2, (1, {0: 1})).eval_exact((1, math.nan)),
+         "^coordinate 1 is not a finite number: nan$"),
+        (lambda chart, curve: chart.reduced.line_exact((1,), (1, 0)),
+         "^direction has 2 coordinates, arity is 1$"),
+        (lambda chart, curve: chart.reduced.line_exact((1,), (-math.inf,)),
+         r"^direction is not finite: \(-inf,\)$"),
+    ], ids=["wrong-arity", "bogus-mode", "fd-order-0", "fd-order-4", "fd-order-2.5",
+            "fd-order-true", "fd-h-0", "fd-h-nan", "fd-h-inf", "exact-inf-coordinate",
+            "exact-nan-coordinate", "line-direction-length", "line-direction-inf"])
     def test_bad_argument_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call(build("e6_su2_so6").chart, CurveSpec(base=(F(1),), direction=(F(1),)))
@@ -451,7 +471,7 @@ def _reference_contract(f, order, point, direction, exact):
     alphas = list(itertools.combinations_with_replacement(range(len(point)), order))
     if exact:
         num = F
-        values = [f.derivative(alpha).eval_exact(point) for alpha in alphas]
+        values = [exact_term_sum(f.derivative(alpha), point) for alpha in alphas]
     else:
         num = float
         values = f.partials_float(point, order)
@@ -581,18 +601,16 @@ def test_contraction_matches_the_two_branch_reference(case, mode):
 
 def _tensor_sums(f, base, direction):
     """Exact (S1, S2, S3) by the tensor path: every partial of order m
-    evaluated exactly at base and contracted with direction by _contract."""
+    summed exactly at base, term by term, and contracted with direction by
+    _contract."""
     return tuple(
-        _contract([f.derivative(alpha).eval_exact(base)
+        _contract([exact_term_sum(f.derivative(alpha), base)
                    for alpha in itertools.combinations_with_replacement(range(f.arity), m)],
                   tuple(map(F, direction)), m)
         for m in (1, 2, 3)
     )
 
 
-# perfect squares, cubes and fourth powers keep most powers with
-# denominators up to 4 rational; 2/3 and 5 close the exact path
-power_bases = st.sampled_from([F(1), F(4), F(9, 4), F(1, 8), F(27), F(16, 81), F(2, 3), F(5)])
 power_exponents = st.builds(F, st.integers(-8, 8), st.integers(1, 4))
 
 

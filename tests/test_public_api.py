@@ -75,6 +75,27 @@ def test_no_module_of_the_package_imports_numpy():
         assert outside == [], path.name
 
 
+def _calls_of(tree, name):
+    """The number of calls in tree of a function called name, as a bare
+    name or an attribute."""
+    return sum(isinstance(node, ast.Call)
+               and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+               for node in ast.walk(tree))
+
+
+def test_only_the_signomial_module_takes_exact_powers():
+    # exact powers have one home: the one exact evaluator, Signomial.line_exact
+    callers = [path.name for path in sorted((ROOT / "src" / "homscal").glob("*.py"))
+               if _calls_of(ast.parse(path.read_text(encoding="utf-8")), "rational_pow")]
+    assert callers == ["signomial.py"]
+
+
+def test_call_check_sees_names_and_attributes():
+    tree = ast.parse("from x import rational_pow\nrational_pow(2, 1)\n"
+                     "def f():\n    return s.rational_pow(2, 1) + rational_pow\n")
+    assert _calls_of(tree, "rational_pow") == 2
+
+
 def test_module_level_import_check_sees_nested_imports():
     tree = ast.parse("import os\nif True:\n    import numpy\nclass A:\n    from . import x\n"
                      "def f():\n    import sympy\n")

@@ -558,6 +558,41 @@ def test_eval_exact_matches_the_term_sum(f, point):
     assert f.eval_exact(point) == reference
 
 
+def exact_term_sum(f, point):
+    """f at a positive rational point, term by term in Fractions, with
+    rational_pow for each factor: the exact oracle of the evaluator."""
+    total = F(0)
+    for key, c in f.terms.items():
+        for idx, e in key:
+            c *= rational_pow(F(point[idx]), e)
+        total += c
+    return total
+
+
+# perfect squares, cubes and fourth powers keep most powers with
+# denominators up to 4 rational; 2/3 and 5 close the exact path
+power_bases = st.sampled_from([F(1), F(4), F(9, 4), F(1, 8), F(27), F(16, 81), F(2, 3), F(5)])
+
+
+@settings(deadline=None)
+@given(signomials(3), st.tuples(power_bases, power_bases, power_bases), st.integers(0, 2))
+def test_line_exact_along_an_axis_is_the_term_sum_of_each_partial(f, point, var):
+    axis = tuple(int(j == var) for j in range(3))
+    try:
+        want, g = [], f
+        for _ in range(4):
+            want.append(exact_term_sum(g, point))
+            g = reference_partial(g, var)
+    except ExactEvaluationError:
+        # a partial's power is irrational only where f's is
+        with pytest.raises(ExactEvaluationError, match="is irrational"):
+            f.line_exact(point, axis)
+        return
+    got = f.line_exact(point, axis)
+    assert all(type(v) is F for v in got)
+    assert list(got) == want
+
+
 @settings(deadline=None)
 @given(signomials(3), st.integers(0, 2), st.integers(0, 2))
 def test_partials_commute(f, i, j):
