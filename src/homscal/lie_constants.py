@@ -29,6 +29,7 @@ signomial pipeline whose constants it checks.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
@@ -70,20 +71,29 @@ def structural_constants(
 ) -> dict[tuple[int, int, int], Fraction]:
     """The nonzero [ijk], keyed by ascending summand triples.
 
-    Raises ValueError when the basis is not Q-orthogonal with positive norms,
-    when a bracket leaves its span, or when -B(X_a, X_a)/Q_a is not one
-    number for every a (the algebra is not simple).
+    Only pairs that share a row or column index are bracketed (for others
+    xy = yx = 0).  Raises ValueError when an entry is not an int (a bool,
+    float or Fraction, named with its element and position), when the basis
+    is not Q-orthogonal with positive norms, when a bracket leaves its span,
+    or when -B(X_a, X_a)/Q_a is not one number for every a (not simple).
     """
     if len(partition) != len(basis):
         raise ValueError(f"partition length {len(partition)} != basis size {len(basis)}")
     at: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
     rows: list[dict[int, list[tuple[int, int]]]] = []
+    supports: list[set[int]] = []  # per element, the indices of its rows and columns
     for c, x in enumerate(basis):
         by_row = defaultdict(list)
         for (r, s), v in x.items():
+            try:  # a bool is an int, but no entry; operator.index(None) raises
+                v = operator.index(None if isinstance(v, bool) else v)
+            except TypeError:  # a float or a Fraction, even of an integer value
+                raise ValueError(f"basis element {c} has entry {v!r} at {(r, s)}, "
+                                 "not an integer") from None
             at[(r, s)].append((c, v))
             by_row[r].append((s, v))
         rows.append(by_row)
+        supports.append({i for pos in x for i in pos})
     norms = []
     for a, x in enumerate(basis):
         gram_row = _pairings(x, at)
@@ -98,6 +108,8 @@ def structural_constants(
     killing = [0] * len(basis)  # L² · (-B(X_a, X_a) / Q_a)
     table: dict[tuple[int, int, int], int] = defaultdict(int)  # L³ · λ[ijk]
     for a, b in combinations(range(len(basis)), 2):
+        if supports[a].isdisjoint(supports[b]):
+            continue  # no index in common: xy = yx = 0
         y = _bracket(basis[a], basis[b], rows[a], rows[b])
         if not y:
             continue

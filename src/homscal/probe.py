@@ -15,11 +15,12 @@ powered coordinates are rational, e.g. at an all-ones point; otherwise it is
 a double.  The exact S_m need no partials: they are the t^1..t^3 terms of
 Signomial.line_exact, the one exact evaluator, which sums each term's
 series B prod (1 + t w_i)^e_i, w = v / u0, from power sums in ints.
-One contraction of float partials (_contract) serves the float
-S_m, their cancellation scales (the same sum over absolute-valued partials
-and |v|) and suggest_fd_step's fifth-order scale.  A float S_m is judged
-against its own scale, so the verdict does not depend on the length of v.
-A central-difference oracle (fd_check) cross-examines both paths.
+One contraction of float partials (_contract, planned once per arity and
+order) serves the float S_m, their cancellation scales (the same sum over
+absolute-valued partials and |v|) and suggest_fd_step's fifth-order scale.
+A float S_m is judged against its own scale, so the verdict does not depend
+on the length of v.  A central-difference oracle (fd_check) cross-examines
+both paths; fd_check_auto's ladder of steps evaluates each abscissa once.
 A probe needs only a positive base point: every step off it keeps within one
 bound, _reach, and the evaluator is the one positivity check along the line.
 """
@@ -27,6 +28,7 @@ bound, _reach, and the evaluator is the one positivity check along the line.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -116,17 +118,24 @@ def _is_rational_tuple(values: Sequence) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
+@functools.cache
+def _multinomial_plan(arity: int, order: int) -> tuple:
+    """(multinomial(alpha), ((i, count), ...)) per alpha in
+    combinations_with_replacement(range(arity), order) order."""
+    alphas = itertools.combinations_with_replacement(range(arity), order)
+    runs = [tuple((i, len(tuple(run))) for i, run in itertools.groupby(a)) for a in alphas]
+    return tuple((math.factorial(order) // math.prod(math.factorial(c) for _, c in rs), rs)
+                 for rs in runs)
+
+
 def _contract(values: Sequence, direction: Sequence, order: int):
     """sum_alpha multinomial(alpha) * values[alpha] * direction^alpha, with
     values listed in combinations_with_replacement(range(arity), order) order,
-    the layout of Signomial.partials_float."""
+    the layout of Signomial.partials_float, and alpha read from its plan."""
     total = 0
-    alphas = itertools.combinations_with_replacement(range(len(direction)), order)
-    for alpha, value in zip(alphas, values):
-        mult, dirprod = math.factorial(order), 1
-        for i, run in itertools.groupby(alpha):
-            count = len(tuple(run))
-            mult //= math.factorial(count)
+    for (mult, runs), value in zip(_multinomial_plan(len(direction), order), values):
+        dirprod = 1
+        for i, count in runs:
             dirprod *= direction[i] ** count
         total += mult * value * dirprod
     return total
@@ -230,9 +239,14 @@ def fd_check(
     order = _as_int(order, "order")
     if not 1 <= order <= 3:
         raise ValueError(f"order must be 1, 2 or 3, got {order}")
+    return _central_differences(lambda t: chart.reduced.eval_float(curve.at(t)), h, order)
+
+
+def _central_differences(f, h: float, order: int) -> tuple[float, ...]:
+    """fd_check's estimates from f(t), the value at abscissa t: f(+-h) for
+    S1, f(0) too for S2 and f(+-2h) too for S3, each read once."""
     if not (math.isfinite(h) and h != 0):
         raise ValueError(f"h must be a finite, nonzero step, got {h!r}")
-    f = lambda t: chart.reduced.eval_float(curve.at(t))
     fp, fm = f(h), f(-h)
     out = [(fp - fm) / (2 * h)]
     if order >= 2:
@@ -286,27 +300,26 @@ def fd_check_auto(chart: SliceChart, curve: CurveSpec) -> tuple[float, float, fl
     smaller step (their truncation grows from higher odd/even derivatives
     while their roundoff divides by h, not h^3) and are sampled at a quarter
     of the chosen rung.  Everything here uses only float evaluations of the
-    reduced function, independent of the contraction path.
+    reduced function, independent of the contraction path.  A rung doubles
+    the last exactly, so its +-h are the last one's +-2h: all share one
+    table of f by abscissa, each evaluated once, at most 2K + 7 times for
+    K + 1 rungs.
     """
+    f = functools.cache(lambda t: chart.reduced.eval_float(curve.at(t)))  # this call's table
     base = suggest_fd_step(chart, curve) / 4.0  # raw model optimum
     h_cap = _reach(curve)
-    h0 = min(base, h_cap / 2)  # so 2 * h0 <= h_cap: the ladder has a second rung
-    rungs = [(h0, fd_check(chart, curve, h=h0))]
-    h = h0
-    for _ in range(9):
-        if 2 * h > h_cap:
-            break
-        h *= 2
-        rungs.append((h, fd_check(chart, curve, h=h)))
-    gaps = [abs(rungs[k + 1][1][2] - rungs[k][1][2]) for k in range(len(rungs) - 1)]
+    steps = [min(base, h_cap / 2)]  # so 2 * steps[0] <= h_cap: a second rung
+    while len(steps) < 10 and 2 * steps[-1] <= h_cap:
+        steps.append(2 * steps[-1])
+    s3 = [_central_differences(f, h, 3)[2] for h in steps]
+    gaps = [abs(b - a) for a, b in zip(s3, s3[1:])]
     k = min(range(len(gaps)), key=gaps.__getitem__)
     # below the best pair the estimates are roundoff-noisy, above they drift
     # with truncation; inside the pair, prefer the member away from the
     # noisier side (the small-h side when the pair sits at the ladder start)
     pick = k + 1 if k == 0 else k
-    h_pick, values = rungs[pick]
-    s1, s2 = fd_check(chart, curve, h=h_pick / 4, order=2)
-    return s1, s2, values[2]
+    s1, s2 = _central_differences(f, steps[pick] / 4, 2)
+    return s1, s2, s3[pick]
 
 
 def improving_offset(

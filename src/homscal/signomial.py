@@ -310,7 +310,7 @@ def _kernel_template(arity: int, shape: tuple):
 class Signomial:
     """Finite rational combination of power products in `arity` variables."""
 
-    __slots__ = ("arity", "terms", "_partials", "_kernels", "_floats")
+    __slots__ = ("arity", "terms", "_partials", "_kernels", "_floats", "_ints")
 
     def __init__(self, arity: int, terms: Mapping[TermKey, Rat] | None = None):
         """The sum of c * key over the items of terms, in their order; each key,
@@ -324,6 +324,7 @@ class Signomial:
         object.__setattr__(self, "_partials", {})
         object.__setattr__(self, "_kernels", {})
         object.__setattr__(self, "_floats", {})
+        object.__setattr__(self, "_ints", None)
 
     @classmethod
     def _unchecked(cls, arity: int, terms: dict) -> "Signomial":
@@ -496,9 +497,9 @@ class Signomial:
 
     def _order_constants(self, order: int) -> tuple[tuple, list[float]]:
         """The shape of the partials of one order and their float constants,
-        taken straight from this signomial's terms, read once per call as
-        ints (_int_form and each coefficient's numerator and denominator),
-        no partial being built.
+        taken straight from this signomial's terms, read once per signomial
+        as ints (_int_form and each coefficient's numerator and denominator,
+        in _ints, which _fill sets to None), no partial being built.
 
         The partials are taken in itertools.combinations_with_replacement(
         range(arity), order) order and each partial's terms in term order,
@@ -518,7 +519,10 @@ class Signomial:
         hit = self._floats.get(order)
         if hit is None:
             shape, constants = [], []
-            terms = [(c.numerator, c.denominator, _int_form(key)) for key, c in self.terms.items()]
+            if (terms := self._ints) is None:  # built whole, then published
+                terms = [(c.numerator, c.denominator, _int_form(key))
+                         for key, c in self.terms.items()]
+                object.__setattr__(self, "_ints", terms)
             for alpha in itertools.combinations_with_replacement(range(self.arity), order):
                 counts = {var: alpha.count(var) for var in alpha}
                 form = []

@@ -2,7 +2,9 @@
 
 import ast
 import itertools
+import re
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -122,6 +124,87 @@ class TestRejected:
         basis, partition = su_n_basis(2)
         with pytest.raises(ValueError, match="partition length"):
             structural_constants(basis, partition + [0])
+
+    @pytest.mark.parametrize("entry", [1.0, 0.5, Fraction(1), True], ids=repr)
+    def test_non_integer_entry(self, entry):
+        # a Fraction or float of integer value and a bool are no int entries
+        basis, partition = su_n_basis(3)
+        position = sorted(basis[4])[1]
+        basis[4] = {**basis[4], position: entry}
+        message = f"basis element 4 has entry {entry!r} at {position}, not an integer"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            structural_constants(basis, partition)
+
+
+def _reference_constants(basis, partition):
+    """[ijk] by the formula, as Fractions: every ordered pair (a, b) is
+    bracketed by dense-free matrix products and paired with every X_c, and
+    lambda is read at X_0."""
+    def product(x, y):
+        out = defaultdict(int)
+        for (r, k), v in x.items():
+            for (k2, c), w in y.items():
+                if k == k2:
+                    out[r, c] += v * w
+        return out
+
+    def q(x, y):  # -tr(xy)
+        return -sum(v * y.get((s, r), 0) for (r, s), v in x.items())
+
+    norms = [q(x, x) for x in basis]
+    table, lam = defaultdict(Fraction), Fraction(0)
+    for a, b in itertools.product(range(len(basis)), repeat=2):
+        xy, yx = product(basis[a], basis[b]), product(basis[b], basis[a])
+        y = {pos: xy.get(pos, 0) - yx.get(pos, 0) for pos in xy.keys() | yx.keys()}
+        if a == 0:
+            lam += Fraction(q(y, y), norms[a] * norms[b])
+        key = (partition[a], partition[b])
+        if None in key:
+            continue
+        for c, z in enumerate(basis):
+            coord = q(y, z)
+            if coord and partition[c] is not None and key[0] <= key[1] <= partition[c]:
+                table[(*key, partition[c])] += Fraction(coord * coord,
+                                                        norms[a] * norms[b] * norms[c])
+    return {key: value / lam for key, value in sorted(table.items()) if value}
+
+
+def _so2n_cases():
+    for n in (4, 5, 6):
+        basis, partition, pairs = so2n_basis(n)
+        yield pytest.param(basis, partition, id=f"so{2 * n}-blocks")
+        yield pytest.param(basis, so2n_collapsed_partition(partition, pairs),
+                           id=f"so{2 * n}-collapsed")
+
+
+class TestDisjointSupports:
+    @pytest.mark.parametrize("basis, partition", [
+        *(pytest.param(*su_n_basis(n), id=f"su{n}") for n in range(2, 6)), *_so2n_cases()])
+    def test_same_constants_as_bracketing_every_pair(self, monkeypatch, basis, partition):
+        bracketed = []
+
+        def counted(x, y, x_rows, y_rows):
+            bracketed.append((x, y))
+            return _bracket(x, y, x_rows, y_rows)
+
+        monkeypatch.setattr(lie_constants, "_bracket", counted)
+        got = structural_constants(basis, partition)
+        assert got == _reference_constants(basis, partition)
+        assert all(type(v) is Fraction for v in got.values())
+        # no pair without a common row or column index is bracketed
+        support = lambda x: {i for pos in x for i in pos}
+        assert all(support(x) & support(y) for x, y in bracketed)
+
+    @pytest.mark.parametrize("algebra, brackets", [("su2", 3), ("su3", 28), ("so8", 168)])
+    def test_verify_constants_brackets(self, monkeypatch, algebra, brackets):
+        # so(8) brackets 168 of its 378 pairs: the others share no index
+        basis, partition = (su_n_basis(int(algebra[2])) if algebra.startswith("su")
+                            else so2n_basis(4)[:2])
+        calls = []
+        monkeypatch.setattr(lie_constants, "_bracket",
+                            lambda *args: calls.append(args) or _bracket(*args))
+        structural_constants(basis, partition)
+        assert len(calls) == brackets
 
 
 class TestInvariance:

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import homscal.signomial as signomial
 from homscal.catalog import (build, default_entries, load_custom, so2n_flag_space,
@@ -33,7 +33,9 @@ from homscal.probe import (
 )
 from homscal.signomial import ExactEvaluationError, Signomial
 from homscal.space import space_to_dict
+from test_chart import _admissible_two_summand_charts
 from test_signomial import exact_term_sum, power_bases
+from test_space import spaces
 
 
 def sig(arity, *pairs):
@@ -690,3 +692,114 @@ def test_fd_check_auto_bits_are_pinned():
         bits = fd_check_auto(entry.chart, entry.curve())
         digest.update((" ".join(x.hex() for x in bits) + "\n").encode())
     assert digest.hexdigest() == FD_AUTO_BITS_SHA256
+
+
+# -- the fd ladder and the contraction against the loops they replaced -------------
+
+def _reference_fd_check_auto(chart, curve):
+    """The ladder with the public fd_check per rung: each rung and the final
+    order-2 estimate evaluate their own abscissae."""
+    base = suggest_fd_step(chart, curve) / 4.0
+    h_cap = _reach(curve)
+    h0 = min(base, h_cap / 2)
+    rungs = [(h0, fd_check(chart, curve, h=h0))]
+    h = h0
+    for _ in range(9):
+        if 2 * h > h_cap:
+            break
+        h *= 2
+        rungs.append((h, fd_check(chart, curve, h=h)))
+    gaps = [abs(rungs[k + 1][1][2] - rungs[k][1][2]) for k in range(len(rungs) - 1)]
+    k = min(range(len(gaps)), key=gaps.__getitem__)
+    pick = k + 1 if k == 0 else k
+    h_pick, values = rungs[pick]
+    s1, s2 = fd_check(chart, curve, h=h_pick / 4, order=2)
+    return s1, s2, values[2]
+
+
+def _outcome(fn, *args):
+    """The .hex() of each float fn returns, or the type and text of its error."""
+    try:
+        return [v.hex() for v in fn(*args)]
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_fd_check_auto_matches_the_per_rung_reference_on_the_catalog(name):
+    entry = CATALOG[name]
+    curve = entry.curve()
+    assert _outcome(fd_check_auto, entry.chart, curve) == \
+        _outcome(_reference_fd_check_auto, entry.chart, curve)
+
+
+@st.composite
+def fd_cases(draw):
+    """An admissible two-summand chart, or the chart of a drawn space with
+    three to five summands (arity 2 to 4), on a line with a positive
+    rational base and a nonzero rational direction."""
+    chart = draw(st.one_of(_admissible_two_summand_charts(),
+                           spaces().filter(lambda s: s.r >= 3).map(restrict)))
+    rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    base = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=12)
+    direction = draw(st.lists(rationals, min_size=chart.arity, max_size=chart.arity)
+                     .filter(any))
+    bases = draw(st.lists(base, min_size=chart.arity, max_size=chart.arity))
+    return chart, CurveSpec(tuple(bases), tuple(direction))
+
+
+@settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.filter_too_much])
+@given(fd_cases())
+def test_fd_check_auto_matches_the_per_rung_reference_on_drawn_charts(case):
+    chart, curve = case
+    assert _outcome(fd_check_auto, chart, curve) == _outcome(_reference_fd_check_auto, chart, curve)
+
+
+def test_fd_check_auto_evaluates_each_abscissa_once(monkeypatch):
+    # the rungs double exactly, so rung 2h's +-h are rung h's +-2h and f(0)
+    # is common to all: 362 evaluations over the catalog where the per-rung
+    # ladder made 764
+    evaluated, eval_float = [], Signomial.eval_float
+
+    def counted(self, point):
+        evaluated[-1].append(tuple(point))
+        return eval_float(self, point)
+
+    monkeypatch.setattr(Signomial, "eval_float", counted)
+    for entry in default_entries():
+        evaluated.append([])
+        fd_check_auto(entry.chart, entry.curve())
+        assert len(evaluated[-1]) == len(set(evaluated[-1])), entry.family
+    assert sum(map(len, evaluated)) == 362
+
+
+def _reference_groupby_contract(values, direction, order):
+    """The contraction as it was, each alpha's multinomial and runs rebuilt by
+    groupby and factorial on every call."""
+    total = 0
+    alphas = itertools.combinations_with_replacement(range(len(direction)), order)
+    for alpha, value in zip(alphas, values):
+        mult, dirprod = math.factorial(order), 1
+        for i, run in itertools.groupby(alpha):
+            count = len(tuple(run))
+            mult //= math.factorial(count)
+            dirprod *= direction[i] ** count
+        total += mult * value * dirprod
+    return total
+
+
+@st.composite
+def contraction_cases(draw):
+    arity, order = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    count = math.comb(arity + order - 1, order)
+    component = st.floats(min_value=-1e3, max_value=1e3)
+    values = draw(st.lists(component, min_size=count, max_size=count))
+    return values, tuple(draw(st.lists(component, min_size=arity, max_size=arity))), order
+
+
+@settings(deadline=None, max_examples=300)
+@given(contraction_cases())
+def test_contract_is_the_groupby_loop(case):
+    values, direction, order = case
+    assert _contract(values, direction, order).hex() == \
+        float(_reference_groupby_contract(values, direction, order)).hex()

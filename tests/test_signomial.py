@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homscal import chart as chart_mod, flow as flow_mod
+from homscal import chart as chart_mod, flow as flow_mod, signomial as signomial_mod
 from homscal.catalog import build
 from homscal.chart import _search_template
 from homscal.flow import _ascent_template
@@ -721,6 +721,22 @@ def test_order_constants_name_the_partial_beyond_a_double(f, order, message):
     with pytest.raises(OverflowError, match=message):
         f._order_constants(order)
     assert order not in f._floats
+
+
+def test_order_constants_build_the_int_form_once(monkeypatch):
+    # orders 0-3 of one chart read one int form of its terms: one _int_form
+    # call per term, where a build per order made four
+    f = _fresh(build("su2n_mod_spn", 4).chart.reduced)
+    int_form, calls = signomial_mod._int_form, []
+    monkeypatch.setattr(signomial_mod, "_int_form", lambda key: calls.append(key) or int_form(key))
+    for order in range(4):
+        f._order_constants(order)
+    assert len(calls) / len(f.terms) == 1
+    assert calls == list(f.terms)
+    # the int form is a memo: no part of a copy, of == or of the hash
+    c = _pickled(f)
+    assert c._ints is None and c == f and hash(c) == hash(f)
+    assert c._order_constants(2) == f._order_constants(2)
 
 
 @pytest.mark.parametrize("copier", [_pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
