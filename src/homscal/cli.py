@@ -29,7 +29,7 @@ from . import catalog, lie_constants
 from .catalog import CatalogEntry
 from .chart import (KERNEL_TOL, Classification, CriticalPoint, _check_kernel_tol, exact_snap,
                     find_critical_points)
-from .probe import Verdict, improving_offset, probe_chart
+from .probe import ProbeInconsistency, Verdict, improving_offset, probe_chart
 from .signomial import ExactEvaluationError
 
 
@@ -56,7 +56,9 @@ def probe_record(entry: CatalogEntry, cp: CriticalPoint, mode: str = "auto") -> 
     cp is the entry's critical point as the caller labelled it.  Only a
     Degenerate point is probed: the third-order test settles nothing at a
     point of any other label, whose record is Inconclusive with no S values
-    and no witness.
+    and no witness.  A NotLocalMax verdict whose witness search finds no
+    larger value (ProbeInconsistency) keeps its S values but becomes
+    Inconclusive, with no witness and one warning line on stderr.
     """
     ch = entry.chart
     kernel = [] if cp.label is Classification.NOT_CRITICAL else cp.kernel()
@@ -92,7 +94,14 @@ def probe_record(entry: CatalogEntry, cp: CriticalPoint, mode: str = "auto") -> 
         verdict=str(result.verdict),
     )
     if result.verdict is Verdict.NOT_LOCAL_MAX:
-        witness = improving_offset(ch, curve, result.s3)
+        try:
+            witness = improving_offset(ch, curve, result.s3)
+        except ProbeInconsistency as exc:
+            # a float verdict that no nearby value bears out stays unproved
+            print(f"warning: critical point {tuple(record['critical_point'])}: {exc}",
+                  file=sys.stderr)
+            record["verdict"] = str(Verdict.INCONCLUSIVE)
+            return record
         record.update(
             witness=[fmt(x) for x in witness],
             value_at_witness=fmt(ch.reduced.eval_float(witness)),

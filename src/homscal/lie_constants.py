@@ -16,6 +16,12 @@ normalised: every constant is a Fraction.  λ comes from the same brackets,
 
 which is one number for every a when the algebra is simple.
 
+Only pairs of basis elements that share a row or column index are
+bracketed (for the others xy = yx = 0); each element's partners come from
+one map of every index to the elements using it, and one pass over each
+bracket reads its coordinates on the basis and its norm.  The bracket
+counts are 3, 28 and 168 for su(2), su(3) and so(8).
+
 A matrix is a sparse dict {(row, col): int}; complex matrices are realified
 entrywise by x + iy -> [[x, -y], [y, x]].  Basis elements labelled None in a
 partition are isotropy directions: they enter every bracket and λ but no
@@ -30,7 +36,6 @@ from __future__ import annotations
 
 import math
 import operator
-from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -44,25 +49,29 @@ def summand_dims(partition: Partition) -> tuple[int, ...]:
     return tuple(sum(1 for s in partition if s == lab) for lab in labels)
 
 
-def _pairings(x: Matrix, at: dict) -> dict[int, int]:
-    """Q(x, X_c) for every basis element X_c sharing a transposed position
-    with x; `at` lists the basis entries (c, value) at each position."""
-    out: dict[int, int] = defaultdict(int)
+def _pairings(x: Matrix, at: dict) -> tuple[dict[int, int], int]:
+    """(Q(x, X_c) for every basis element X_c sharing a transposed position
+    with x, Q(x, x)) in one pass over x; `at` lists the basis entries
+    (c, value) at each position."""
+    out: dict[int, int] = {}
+    norm = 0
     for (r, s), v in x.items():
-        for c, w in at.get((s, r), ()):
-            out[c] -= v * w
-    return out
+        transposed = (s, r)
+        norm -= v * x.get(transposed, 0)
+        for c, w in at.get(transposed, ()):
+            out[c] = out.get(c, 0) - v * w
+    return out, norm
 
 
 def _bracket(x: Matrix, y: Matrix, x_rows: dict, y_rows: dict) -> Matrix:
     """[x, y] = xy - yx; *_rows map a row index to that row's (col, value)."""
-    out: dict[tuple[int, int], int] = defaultdict(int)
+    out: dict[tuple[int, int], int] = {}
     for (r, k), v in x.items():
         for c, w in y_rows.get(k, ()):
-            out[(r, c)] += v * w
+            out[r, c] = out.get((r, c), 0) + v * w
     for (r, k), v in y.items():
         for c, w in x_rows.get(k, ()):
-            out[(r, c)] -= v * w
+            out[r, c] = out.get((r, c), 0) - v * w
     return {pos: v for pos, v in out.items() if v}
 
 
@@ -72,31 +81,37 @@ def structural_constants(
     """The nonzero [ijk], keyed by ascending summand triples.
 
     Only pairs that share a row or column index are bracketed (for others
-    xy = yx = 0).  Raises ValueError when an entry is not an int (a bool,
-    float or Fraction, named with its element and position), when the basis
-    is not Q-orthogonal with positive norms, when a bracket leaves its span,
-    or when -B(X_a, X_a)/Q_a is not one number for every a (not simple).
+    xy = yx = 0): each element's partners are read from a map of every index
+    to the elements using it, and each pair is bracketed once, in ascending
+    (a, b) order.  One pass over each bracket reads its coordinates and its
+    norm.  Raises ValueError when an entry is not an int (a bool, float or
+    Fraction, named with its element and position), when the basis is not
+    Q-orthogonal with positive norms, when a bracket leaves its span, or
+    when -B(X_a, X_a)/Q_a is not one number for every a (not simple).
     """
     if len(partition) != len(basis):
         raise ValueError(f"partition length {len(partition)} != basis size {len(basis)}")
-    at: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    at: dict[tuple[int, int], list[tuple[int, int]]] = {}
     rows: list[dict[int, list[tuple[int, int]]]] = []
     supports: list[set[int]] = []  # per element, the indices of its rows and columns
+    users: dict[int, list[int]] = {}  # per index, the elements using it, ascending
     for c, x in enumerate(basis):
-        by_row = defaultdict(list)
+        by_row: dict[int, list[tuple[int, int]]] = {}
         for (r, s), v in x.items():
             try:  # a bool is an int, but no entry; operator.index(None) raises
                 v = operator.index(None if isinstance(v, bool) else v)
             except TypeError:  # a float or a Fraction, even of an integer value
                 raise ValueError(f"basis element {c} has entry {v!r} at {(r, s)}, "
                                  "not an integer") from None
-            at[(r, s)].append((c, v))
-            by_row[r].append((s, v))
+            at.setdefault((r, s), []).append((c, v))
+            by_row.setdefault(r, []).append((s, v))
         rows.append(by_row)
         supports.append({i for pos in x for i in pos})
+        for i in supports[c]:
+            users.setdefault(i, []).append(c)
     norms = []
     for a, x in enumerate(basis):
-        gram_row = _pairings(x, at)
+        gram_row, _ = _pairings(x, at)
         norm = gram_row.pop(a, 0)
         if norm <= 0 or any(gram_row.values()):
             raise ValueError(f"basis is not Q-orthogonal with positive norms at element {a}")
@@ -106,36 +121,39 @@ def structural_constants(
     lcm = math.lcm(*norms)
     scale = [lcm // q for q in norms]
     killing = [0] * len(basis)  # L² · (-B(X_a, X_a) / Q_a)
-    table: dict[tuple[int, int, int], int] = defaultdict(int)  # L³ · λ[ijk]
-    for a, b in combinations(range(len(basis)), 2):
-        if supports[a].isdisjoint(supports[b]):
-            continue  # no index in common: xy = yx = 0
-        y = _bracket(basis[a], basis[b], rows[a], rows[b])
-        if not y:
-            continue
-        by_label: dict["int | None", int] = defaultdict(int)
-        for c, coord in _pairings(y, at).items():
-            if coord:
-                by_label[partition[c]] += coord * coord * scale[c]
-        # Bessel's inequality is an equality exactly when y is in the span,
-        # as Q is positive definite on real skew-symmetric matrices
-        norm_y = -sum(v * y.get((s, r), 0) for (r, s), v in y.items())
-        if sum(by_label.values()) != norm_y * lcm:
-            raise ValueError(f"bracket of basis elements {a} and {b} leaves their span")
-        weight = scale[a] * scale[b]
-        killing[a] += norm_y * weight
-        killing[b] += norm_y * weight
-        sa, sb = partition[a], partition[b]
-        if sa is None or sb is None:
-            continue
-        for sc, value in by_label.items():
-            if sc is None:
+    table: dict[tuple[int, int, int], int] = {}  # L³ · λ[ijk]
+    for a, x in enumerate(basis):
+        # the elements sharing a row or column index with x; any other pair
+        # has xy = yx = 0
+        partners = {b for i in supports[a] for b in users[i] if b > a}
+        for b in sorted(partners):
+            y = _bracket(x, basis[b], rows[a], rows[b])
+            if not y:
                 continue
-            # the ordered sum runs over (a, b, c) and (b, a, c); the table is
-            # symmetric, so only ascending keys are kept
-            for key in ((sa, sb, sc), (sb, sa, sc)):
-                if key[0] <= key[1] <= key[2]:
-                    table[key] += value * weight
+            coords, norm_y = _pairings(y, at)
+            by_label: dict["int | None", int] = {}
+            for c, coord in coords.items():
+                if coord:
+                    label = partition[c]
+                    by_label[label] = by_label.get(label, 0) + coord * coord * scale[c]
+            # Bessel's inequality is an equality exactly when y is in the span,
+            # as Q is positive definite on real skew-symmetric matrices
+            if sum(by_label.values()) != norm_y * lcm:
+                raise ValueError(f"bracket of basis elements {a} and {b} leaves their span")
+            weight = scale[a] * scale[b]
+            killing[a] += norm_y * weight
+            killing[b] += norm_y * weight
+            sa, sb = partition[a], partition[b]
+            if sa is None or sb is None:
+                continue
+            for sc, value in by_label.items():
+                if sc is None:
+                    continue
+                # the ordered sum runs over (a, b, c) and (b, a, c); the table
+                # is symmetric, so only ascending keys are kept
+                for key in ((sa, sb, sc), (sb, sa, sc)):
+                    if key[0] <= key[1] <= key[2]:
+                        table[key] = table.get(key, 0) + value * weight
     factors = set(killing)
     if len(factors) != 1 or 0 in factors:
         lam = ", ".join(str(Fraction(k, lcm * lcm)) for k in sorted(factors))
@@ -145,6 +163,15 @@ def structural_constants(
 
 
 # -- built-in bases ---------------------------------------------------------------
+
+
+def _size(n, algebra: str) -> int:
+    """n as an int, or a ValueError naming it: a float, a string or a bool
+    is no size, even of an integer value."""
+    try:  # operator.index(None) raises, as for a bool
+        return operator.index(None if isinstance(n, bool) else n)
+    except TypeError:
+        raise ValueError(f"{algebra} needs an integer n, got {n!r}") from None
 
 
 def _realify(entries: dict[tuple[int, int], tuple[int, int]]) -> Matrix:
@@ -166,6 +193,7 @@ def su_n_basis(n: int) -> tuple[list[Matrix], list[int]]:
     so the basis is Q-orthogonal with integer entries.  For n = 2 the
     subgroup is trivial and su(2) is one summand.
     """
+    n = _size(n, "su(n)")
     if n < 2:
         raise ValueError(f"su(n) needs n >= 2, got {n}")
 
@@ -195,6 +223,7 @@ def so2n_basis(n: int) -> tuple[list[Matrix], list["int | None"], list[tuple[int
     i < j in combinations order: the four E_ab - E_ba with a in {2i, 2i+1}
     and b in {2j, 2j+1}.  The n torus directions carry None.
     """
+    n = _size(n, "so(2n)")
     if n < 4:
         raise ValueError(f"so(2n) root-plane bases need n >= 4, got {n}")
 

@@ -252,8 +252,13 @@ def _central_differences(f, h: float, order: int) -> tuple[float, ...]:
     if order >= 2:
         out.append((fp - 2 * f(0.0) + fm) / (h * h))
     if order >= 3:
-        out.append((f(2 * h) - 2 * fp + 2 * fm - f(-2 * h)) / (2 * h ** 3))
+        out.append(_third_difference(fp, fm, f(2 * h), f(-2 * h), h))
     return tuple(out)
+
+
+def _third_difference(fp: float, fm: float, f2p: float, f2m: float, h: float) -> float:
+    """The central-difference S3 from f(h), f(-h), f(2h) and f(-2h)."""
+    return (f2p - 2 * fp + 2 * fm - f2m) / (2 * h ** 3)
 
 
 def suggest_fd_step(chart: SliceChart, curve: CurveSpec) -> float:
@@ -303,22 +308,26 @@ def fd_check_auto(chart: SliceChart, curve: CurveSpec) -> tuple[float, float, fl
     reduced function, independent of the contraction path.  A rung doubles
     the last exactly, so its +-h are the last one's +-2h: all share one
     table of f by abscissa, each evaluated once, at most 2K + 7 times for
-    K + 1 rungs.
+    K + 1 rungs.  A rung reads only the four values of its S3; f(0) is read
+    once, by the final order-2 estimate.
     """
-    f = functools.cache(lambda t: chart.reduced.eval_float(curve.at(t)))  # this call's table
     base = suggest_fd_step(chart, curve) / 4.0  # raw model optimum
     h_cap = _reach(curve)
     steps = [min(base, h_cap / 2)]  # so 2 * steps[0] <= h_cap: a second rung
     while len(steps) < 10 and 2 * steps[-1] <= h_cap:
         steps.append(2 * steps[-1])
-    s3 = [_central_differences(f, h, 3)[2] for h in steps]
+    evaluate = chart.reduced.eval_float
+    # this call's table of f by abscissa: every rung's +-h, and the last one's +-2h
+    f = {t: evaluate(curve.at(t)) for h in (*steps, 2 * steps[-1]) for t in (h, -h)}
+    s3 = [_third_difference(f[h], f[-h], f[2 * h], f[-2 * h], h) for h in steps]
     gaps = [abs(b - a) for a, b in zip(s3, s3[1:])]
     k = min(range(len(gaps)), key=gaps.__getitem__)
     # below the best pair the estimates are roundoff-noisy, above they drift
     # with truncation; inside the pair, prefer the member away from the
     # noisier side (the small-h side when the pair sits at the ladder start)
     pick = k + 1 if k == 0 else k
-    s1, s2 = _central_differences(f, steps[pick] / 4, 2)
+    s1, s2 = _central_differences(
+        lambda t: f[t] if t in f else evaluate(curve.at(t)), steps[pick] / 4, 2)
     return s1, s2, s3[pick]
 
 

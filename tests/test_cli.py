@@ -1,5 +1,6 @@
 """Command line surface: subcommands, exit codes, deterministic output."""
 
+import ast
 import dataclasses
 import hashlib
 import itertools
@@ -793,6 +794,31 @@ class TestCustom:
         monkeypatch.setattr(Signomial, "partial", counted)
         run(capsys, "custom", "--file", str(path), "--search")
         assert calls == []
+
+    def test_search_point_without_a_witness_is_inconclusive(self, capsys, tmp_path):
+        # every [ijk] = 1/3 on dims [2, 2]: a strict local maximum at fourth
+        # order at x = 1, where Newton also stops at float points ~3e-6 away
+        # whose float S3 reads NotLocalMax; two of them have no larger value
+        # nearby, and their records stay Inconclusive instead of a traceback
+        path = tmp_path / "quartic.json"
+        path.write_text(json.dumps({
+            "name": "quartic", "dims": [2, 2],
+            "triples": [{"i": i, "j": j, "k": k, "value": "1/3"}
+                        for i, j, k in ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1))],
+        }))
+        code, out, err = run(capsys, "custom", "--file", str(path), "--search")
+        assert code == 1
+        assert out.count("critical point (") == 5
+        records = out.split("[quartic]\n")[1:]
+        assert len(records) == 5
+        assert sum("verdict: NotLocalMax" in r for r in records) == 2
+        unproved = [r for r in records if "mode: float" in r and "verdict: Inconclusive" in r]
+        assert len(unproved) == 2
+        fields = [dict(line.strip().split(": ", 1) for line in r.splitlines()) for r in unproved]
+        assert all(f["witness"] == "None" and f["s3"] != "None" for f in fields)
+        assert err.splitlines() == [
+            f"warning: critical point {tuple(ast.literal_eval(f['critical_point']))}: no improving"
+            f" step before the step rounds to the base; S3 = {float(f['s3'])}" for f in fields]
 
     def test_large_hinted_point_is_labelled_without_warning(self, capsys, tmp_path):
         path = self.write_e6(tmp_path, critical_point=[1e200])

@@ -125,6 +125,17 @@ class TestRejected:
         with pytest.raises(ValueError, match="partition length"):
             structural_constants(basis, partition + [0])
 
+    @pytest.mark.parametrize("algebra, n", [
+        ("su(n)", 3.0), ("su(n)", "3"), ("su(n)", True), ("su(n)", Fraction(3)),
+        ("so(2n)", 4.5), ("so(2n)", 4.0), ("so(2n)", None),
+    ], ids=repr)
+    def test_non_integer_n(self, algebra, n):
+        # an integer-valued float, Fraction or string and a bool are no sizes
+        builder = su_n_basis if algebra == "su(n)" else so2n_basis
+        message = f"{algebra} needs an integer n, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            builder(n)
+
     @pytest.mark.parametrize("entry", [1.0, 0.5, Fraction(1), True], ids=repr)
     def test_non_integer_entry(self, entry):
         # a Fraction or float of integer value and a bool are no int entries
@@ -177,6 +188,9 @@ def _so2n_cases():
                            id=f"so{2 * n}-collapsed")
 
 
+COARSENABLE = {**{f"su{n}": su_n_basis(n) for n in (2, 3, 4)}, "so8": so2n_basis(4)[:2]}
+
+
 class TestDisjointSupports:
     @pytest.mark.parametrize("basis, partition", [
         *(pytest.param(*su_n_basis(n), id=f"su{n}") for n in range(2, 6)), *_so2n_cases()])
@@ -194,6 +208,32 @@ class TestDisjointSupports:
         # no pair without a common row or column index is bracketed
         support = lambda x: {i for pos in x for i in pos}
         assert all(support(x) & support(y) for x, y in bracketed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_coarsenings_bracket_each_sharing_pair_once(self, data):
+        # merge summands and turn some into isotropy (None) directions
+        name = data.draw(st.sampled_from(sorted(COARSENABLE)), label="algebra")
+        basis, partition = COARSENABLE[name]
+        labels = sorted({s for s in partition if s is not None})
+        merged = data.draw(st.lists(st.none() | st.integers(0, len(labels) - 1),
+                                    min_size=len(labels), max_size=len(labels)), label="merge")
+        coarse = [None if s is None else merged[labels.index(s)] for s in partition]
+        index = {id(x): c for c, x in enumerate(basis)}
+        bracketed = []
+
+        def counted(x, y, x_rows, y_rows):
+            bracketed.append(tuple(sorted((index[id(x)], index[id(y)]))))
+            return _bracket(x, y, x_rows, y_rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lie_constants, "_bracket", counted)
+            got = structural_constants(basis, coarse)
+        assert got == _reference_constants(basis, coarse)
+        support = [{i for pos in x for i in pos} for x in basis]
+        sharing = [(a, b) for a, b in itertools.combinations(range(len(basis)), 2)
+                   if support[a] & support[b]]
+        assert sorted(bracketed) == sharing
 
     @pytest.mark.parametrize("algebra, brackets", [("su2", 3), ("su3", 28), ("so8", 168)])
     def test_verify_constants_brackets(self, monkeypatch, algebra, brackets):
